@@ -57,8 +57,6 @@ from .gradients import FISHER_MODES, FisherInfo, GradientSet, backward_logloss, 
 from .linalg import SvdResult, cholesky_damped, solve_lower_triangular, svd
 from .merge import (
     MERGE_METHODS,
-    DeltaSet,
-    MergeSpec,
     compute_deltas,
     fisher_merge,
     frequency_merge,

@@ -19,18 +19,7 @@ import numpy as np
 
 from .analysis import allocate_adaptive_ratios, cka, layer_sensitivity_scan
 from .config import CompressionConfig, apply_overrides, apply_preset, parse_config_file
-from .container import (
-    KIND_CALIBRATION,
-    KIND_DENSE_MODEL,
-    container_kind,
-    container_load,
-    load_calibration,
-    load_compressed_model,
-    load_model,
-    save_calibration,
-    save_compressed_model,
-    save_model,
-)
+from .container import load_any, save_calibration, save_compressed_model, save_model
 from .errors import (
     ConfigError,
     ContainerError,
@@ -50,6 +39,7 @@ from .report import (
     write_report,
     write_sensitivity_csv,
 )
+from .runtime import CompressedModel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,29 +94,20 @@ def _resolve_config(args: argparse.Namespace) -> CompressionConfig:
     return cfg.validate()
 
 
+def _load(path, kinds, complaint: str):
+    """load_any, rejecting containers whose object is not one of `kinds`."""
+    obj = load_any(path)
+    if not isinstance(obj, kinds):
+        raise ConfigError(f"{path} {complaint}")
+    return obj
+
+
 def _load_model_file(path) -> MoEModel:
-    tensors = container_load(path)
-    kind = container_kind(tensors)
-    if kind == KIND_DENSE_MODEL:
-        return load_model(tensors)
-    raise ConfigError(f"{path} is not a dense model container")
+    return _load(path, MoEModel, "is not a dense model container")
 
 
-def _load_any_model(path):
-    tensors = container_load(path)
-    kind = container_kind(tensors)
-    if kind == KIND_DENSE_MODEL:
-        return load_model(tensors)
-    if kind == KIND_CALIBRATION:
-        raise ConfigError(f"{path} holds calibration data, not a model")
-    return load_compressed_model(tensors)
-
-
-def _load_calib_file(path):
-    tensors = container_load(path)
-    if container_kind(tensors) != KIND_CALIBRATION:
-        raise ConfigError(f"{path} is not a calibration container")
-    return load_calibration(tensors)
+def _load_calib_file(path) -> tuple[np.ndarray, np.ndarray]:
+    return _load(path, tuple, "is not a calibration container")
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +163,7 @@ def _cmd_compress(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    model = _load_any_model(args.model)
+    model = _load(args.model, (MoEModel, CompressedModel), "holds calibration data, not a model")
     tokens, labels = _load_calib_file(args.calib)
     result = evaluate(model, tokens, labels, batch_size=cfg.batch_size)
     print(f"loss={result.loss!r} perplexity={result.perplexity!r} tokens={result.n_tokens}")

@@ -163,6 +163,13 @@ def _row(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).reshape(1, -1)
 
 
+def _tensor(tensors: dict[str, np.ndarray], name: str) -> np.ndarray:
+    """Look up one tensor a loader needs; a missing one is a ManifestError."""
+    if name not in tensors:
+        raise ManifestError(f"container is missing tensor {name!r}")
+    return tensors[name]
+
+
 def container_kind(tensors: dict[str, np.ndarray]) -> float:
     if "meta/kind" not in tensors:
         raise ManifestError("container has no meta/kind tensor")
@@ -185,18 +192,18 @@ def load_model(tensors: dict[str, np.ndarray]) -> MoEModel:
     layers = []
     l = 0
     while f"layer{l}/meta" in tensors:
-        meta = tensors[f"layer{l}/meta"][0]
+        meta = _tensor(tensors, f"layer{l}/meta")[0]
         top_k, n_experts = int(meta[0]), int(meta[1])
         experts = [
-            {Role.UP: tensors[f"layer{l}/expert{j}/up"],
-             Role.DOWN: tensors[f"layer{l}/expert{j}/down"]}
+            {Role.UP: _tensor(tensors, f"layer{l}/expert{j}/up"),
+             Role.DOWN: _tensor(tensors, f"layer{l}/expert{j}/down")}
             for j in range(n_experts)
         ]
-        layers.append(MoELayer(gate=tensors[f"layer{l}/gate"], experts=experts, top_k=top_k))
+        layers.append(MoELayer(gate=_tensor(tensors, f"layer{l}/gate"), experts=experts, top_k=top_k))
         l += 1
     if not layers:
         raise ManifestError("container holds no layers")
-    return MoEModel(layers=layers, head=tensors["head"])
+    return MoEModel(layers=layers, head=_tensor(tensors, "head"))
 
 
 def save_calibration(path, tokens: np.ndarray, labels: np.ndarray) -> None:
@@ -209,8 +216,8 @@ def save_calibration(path, tokens: np.ndarray, labels: np.ndarray) -> None:
 
 
 def load_calibration(tensors: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    tokens = tensors["calib/tokens"]
-    raw = tensors["calib/labels"][0]
+    tokens = _tensor(tensors, "calib/tokens")
+    raw = _tensor(tensors, "calib/labels")[0]
     labels = raw.astype(np.int64)
     if np.any(labels != raw):
         raise ManifestError("calibration labels are not integral")
@@ -244,9 +251,9 @@ def save_compressed_model(path, model: CompressedModel) -> None:
 
 
 def _load_pruned_base(tensors: dict[str, np.ndarray], prefix: str) -> PrunedBase:
-    kept = tensors[f"{prefix}/kept"]
-    kept_ids = tensors[f"{prefix}/kept_ids"][0].astype(np.int64)
-    meta = tensors[f"{prefix}/meta"][0]
+    kept = _tensor(tensors, f"{prefix}/kept")
+    kept_ids = _tensor(tensors, f"{prefix}/kept_ids")[0].astype(np.int64)
+    meta = _tensor(tensors, f"{prefix}/meta")[0]
     total_cols, sparsity = int(meta[0]), float(meta[1])
     removed = np.setdiff1d(np.arange(total_cols), kept_ids)
     mask = PruneMask(total_cols=total_cols, static_removed=removed, target_sparsity=sparsity)
@@ -257,11 +264,11 @@ def load_compressed_model(tensors: dict[str, np.ndarray]) -> CompressedModel:
     layers = []
     l = 0
     while f"layer{l}/meta" in tensors:
-        meta = tensors[f"layer{l}/meta"][0]
+        meta = _tensor(tensors, f"layer{l}/meta")[0]
         top_k, n_experts, n_trimmed = int(meta[0]), int(meta[1]), int(meta[2])
         trimmed: tuple[int, ...] = ()
         if n_trimmed:
-            trimmed = tuple(int(i) for i in tensors[f"layer{l}/trimmed"][0])
+            trimmed = tuple(int(i) for i in _tensor(tensors, f"layer{l}/trimmed")[0])
         base = {role: _load_pruned_base(tensors, f"layer{l}/base_{role.value}") for role in (Role.UP, Role.DOWN)}
         deltas = {}
         for j in range(n_experts):
@@ -270,16 +277,16 @@ def load_compressed_model(tensors: dict[str, np.ndarray]) -> CompressedModel:
                 continue
             factors = {}
             for role in (Role.UP, Role.DOWN):
-                u = tensors[f"layer{l}/expert{j}/{role.value}_u"]
-                v = tensors[f"layer{l}/expert{j}/{role.value}_v"]
+                u = _tensor(tensors, f"layer{l}/expert{j}/{role.value}_u")
+                v = _tensor(tensors, f"layer{l}/expert{j}/{role.value}_v")
                 factors[role] = DeltaFactor(u=u, v=v, rank=u.shape[1], expert_id=j, role=role)
             deltas[j] = factors
-        layers.append(CompressedLayer(gate=tensors[f"layer{l}/gate"], base=base,
+        layers.append(CompressedLayer(gate=_tensor(tensors, f"layer{l}/gate"), base=base,
                                       deltas=deltas, top_k=top_k, trimmed=trimmed))
         l += 1
     if not layers:
         raise ManifestError("container holds no layers")
-    return CompressedModel(layers=layers, head=tensors["head"])
+    return CompressedModel(layers=layers, head=_tensor(tensors, "head"))
 
 
 def load_any(path):

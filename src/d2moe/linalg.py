@@ -37,16 +37,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    """Validate and return `a` as a finite float64 1-D array."""
-    v = np.ascontiguousarray(a, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"{name}: expected 1-D array, got ndim={v.ndim}")
-    if not np.all(np.isfinite(v)):
-        raise ShapeError(f"{name}: contains non-finite entries")
-    return v
-
-
 @dataclass(frozen=True)
 class SvdResult:
     """Thin SVD M = u @ diag(sigma) @ v.T with sigma descending.

@@ -5,41 +5,13 @@ pipeline applies them per role across a layer's experts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .linalg import as_matrix
-from .moe import Role
 
 MERGE_METHODS = ("fisher", "fisher-scalar", "mean", "frequency")
 DEFAULT_EPSILON = 1e-12
-
-
-@dataclass(frozen=True)
-class MergeSpec:
-    """Which merger to run and over which expert subset."""
-
-    method: str = "fisher"
-    expert_subset: tuple[int, ...] | None = None  # None = all experts
-    epsilon: float = DEFAULT_EPSILON
-
-    def __post_init__(self):
-        if self.method not in MERGE_METHODS:
-            raise ParameterError(f"merge method must be one of {MERGE_METHODS}, got {self.method!r}")
-        if self.expert_subset is not None and len(self.expert_subset) == 0:
-            raise ParameterError("expert subset must be non-empty")
-        if self.epsilon < 0:
-            raise ParameterError("epsilon must be >= 0")
-
-
-@dataclass
-class DeltaSet:
-    """Per-expert, per-role residuals against the shared base."""
-
-    base: dict[Role, np.ndarray]
-    deltas: list[dict[Role, np.ndarray]]
 
 
 def _check_stack(weights) -> np.ndarray:

@@ -6,10 +6,15 @@ Conventions: token batches are matrices with tokens along columns
 E(x) = W_down @ silu(W_up @ x), with roles Up (hidden x d_model) and
 Down (d_model x hidden). The router W_g and the classifier head are never
 compressed, only the expert weights.
+
+`routed_forward` is the single dispatch path for batches: it routes, groups
+tokens by expert, and scatters the gated expert outputs. The dense forward,
+calibration capture and the compressed runtime differ only in the
+per-expert callback they pass it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -187,16 +192,16 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def route_batch(gate_w: np.ndarray, top_k: int, x_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Routing for a token batch: (selected (T,k) indices, weights (T,k))."""
+    """Routing for a token batch: (selected (T,k) indices, weights (T,k)).
+
+    Column for column this is topk_select plus a softmax over the survivors,
+    to the byte.
+    """
     logits = gate_w @ x_batch  # (N, T)
-    t = x_batch.shape[1]
-    selected = np.empty((t, top_k), dtype=np.int64)
-    weights = np.empty((t, top_k))
-    for j in range(t):
-        sel = topk_select(logits[:, j], top_k)
-        selected[j] = sel
-        weights[j] = _softmax(logits[sel, j])
-    return selected, weights
+    selected = np.ascontiguousarray(np.argsort(-logits, axis=0, kind="stable")[:top_k].T)
+    top = logits[selected, np.arange(x_batch.shape[1])[:, None]]  # (T, k)
+    e = np.exp(top - np.max(top, axis=1, keepdims=True))
+    return selected, e / np.sum(e, axis=1, keepdims=True)
 
 
 def _trace_from_routing(selected: np.ndarray, weights: np.ndarray, n_experts: int) -> RoutingTrace:
@@ -208,22 +213,44 @@ def _trace_from_routing(selected: np.ndarray, weights: np.ndarray, n_experts: in
 # forward
 # ---------------------------------------------------------------------------
 
-def layer_forward_dense(layer: MoELayer, x_batch: np.ndarray) -> tuple[np.ndarray, RoutingTrace]:
-    """One dense MoE layer over a token batch: y = sum_i G(x)_i E_i(x)."""
+def routed_forward(layer, x_batch: np.ndarray, expert_fn) -> tuple[np.ndarray, RoutingTrace]:
+    """Route a batch through one layer: y = sum_i G(x)_i expert_fn(i, rows).
+
+    `layer` supplies gate, top_k, n_experts and d_out. For every expert that
+    received tokens, in ascending index order, expert_fn(i, rows) gets the
+    ascending token columns routed to expert i and returns that expert's
+    (d_out, len(rows)) outputs, which are added into y scaled by their gates.
+    """
+    selected, weights = route_batch(layer.gate, layer.top_k, x_batch)
+    trace = _trace_from_routing(selected, weights, layer.n_experts)
+    # A stable sort of the flattened (T, k) selections lists each expert's
+    # (token, slot) pairs in ascending token order.
+    order = np.argsort(selected.ravel(), kind="stable")
+    rows_sorted = order // layer.top_k
+    weights_sorted = weights.ravel()[order]
+    bounds = np.concatenate(([0], np.cumsum(trace.counts))).tolist()
+    y = np.zeros((layer.d_out, x_batch.shape[1]))
+    for i in np.flatnonzero(trace.counts).tolist():
+        rows = rows_sorted[bounds[i]:bounds[i + 1]]
+        y[:, rows] += weights_sorted[bounds[i]:bounds[i + 1]] * expert_fn(i, rows)
+    return y, trace
+
+
+def _layer_input(layer, x_batch) -> np.ndarray:
     xb = as_matrix(x_batch, "x_batch")
     if xb.shape[0] != layer.d_model:
         raise ShapeError(f"x_batch rows {xb.shape[0]} != d_model {layer.d_model}")
-    selected, weights = route_batch(layer.gate, layer.top_k, xb)
-    y = np.zeros((layer.d_out, xb.shape[1]))
-    for i in range(layer.n_experts):
-        rows, slots = np.nonzero(selected == i)
-        if rows.size == 0:
-            continue
-        xi = xb[:, rows]
-        hi = silu(layer.experts[i][Role.UP] @ xi)
-        yi = layer.experts[i][Role.DOWN] @ hi
-        y[:, rows] += weights[rows, slots] * yi
-    return y, _trace_from_routing(selected, weights, layer.n_experts)
+    return xb
+
+
+def layer_forward_dense(layer: MoELayer, x_batch: np.ndarray) -> tuple[np.ndarray, RoutingTrace]:
+    """One dense MoE layer over a token batch: y = sum_i G(x)_i E_i(x)."""
+    xb = _layer_input(layer, x_batch)
+
+    def expert(i, rows):
+        return layer.experts[i][Role.DOWN] @ silu(layer.experts[i][Role.UP] @ xb[:, rows])
+
+    return routed_forward(layer, xb, expert)
 
 
 def moe_forward_dense(model: MoEModel, x_batch) -> tuple[np.ndarray, list[RoutingTrace]]:
@@ -266,22 +293,22 @@ def capture_calibration(model: MoEModel, calib) -> tuple[list[GramStats], list[R
     traces: list[RoutingTrace] = []
     h = xb
     for layer in model.layers:
-        selected, weights = route_batch(layer.gate, layer.top_k, h)
-        d, hid = layer.d_model, layer.hidden
-        up_grams = [np.zeros((d, d)) for _ in range(layer.n_experts)]
-        down_grams = [np.zeros((hid, hid)) for _ in range(layer.n_experts)]
-        y = np.zeros((layer.d_out, h.shape[1]))
-        for i in range(layer.n_experts):
-            rows, slots = np.nonzero(selected == i)
-            if rows.size == 0:
-                continue
-            xi = h[:, rows]
-            hi = silu(layer.experts[i][Role.UP] @ xi)
-            up_grams[i] += xi @ xi.T
-            down_grams[i] += hi @ hi.T
-            y[:, rows] += weights[rows, slots] * (layer.experts[i][Role.DOWN] @ hi)
-        trace = _trace_from_routing(selected, weights, layer.n_experts)
-        stats.append(GramStats(grams={Role.UP: up_grams, Role.DOWN: down_grams}, tokens=trace.counts.copy()))
+        h, layer_stats, trace = _capture_layer(layer, h)
+        stats.append(layer_stats)
         traces.append(trace)
-        h = y
     return stats, traces
+
+
+def _capture_layer(layer: MoELayer, x: np.ndarray) -> tuple[np.ndarray, GramStats, RoutingTrace]:
+    grams = {Role.UP: [np.zeros((layer.d_model, layer.d_model)) for _ in range(layer.n_experts)],
+             Role.DOWN: [np.zeros((layer.hidden, layer.hidden)) for _ in range(layer.n_experts)]}
+
+    def expert(i, rows):
+        xi = x[:, rows]
+        hi = silu(layer.experts[i][Role.UP] @ xi)
+        grams[Role.UP][i] += xi @ xi.T
+        grams[Role.DOWN][i] += hi @ hi.T
+        return layer.experts[i][Role.DOWN] @ hi
+
+    y, trace = routed_forward(layer, x, expert)
+    return y, GramStats(grams=grams, tokens=trace.counts.copy()), trace

@@ -46,9 +46,6 @@ from .runtime import (
     trim_deltas,
 )
 
-__version__ = "0.1.0"
-
-
 def worker_count(n_tasks: int) -> int:
     """Workers for per-layer stages, capped by the D2MOE_THREADS env var."""
     raw = os.environ.get("D2MOE_THREADS")
@@ -321,8 +318,7 @@ def compress(cfg: CompressionConfig, model: MoEModel, calib_tokens, labels=None)
 
     report = CompressionReport(config=cfg.to_dict(), seed=cfg.seed,
                                loss_before=loss_before, loss_after=loss_after,
-                               layers=tuple(records), timings=tuple(timings),
-                               version=__version__)
+                               layers=tuple(records), timings=tuple(timings))
     return compressed, report
 
 

@@ -13,15 +13,15 @@ Dynamic pruning masks are recomputed per batch and never stored.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .factorize import DeltaFactor
 from .linalg import as_matrix
-from .moe import MoELayer, Role, RoutingTrace, _trace_from_routing, route_batch, silu
+from .moe import (MoELayer, Role, RoutingTrace, _layer_input, _trace_from_routing, layer_forward_dense,
+                  route_batch, routed_forward, silu)
 from .pruning import PrunedBase, dynamic_mask
 
 
@@ -103,9 +103,7 @@ def batch_active_columns(layer: CompressedLayer, x_batch) -> dict[Role, np.ndarr
     The Up mask scores the batch inputs; the Down mask scores the base-path
     hidden activations silu(W_b_up^masked x) so it is expert-independent.
     """
-    xb = as_matrix(x_batch, "x_batch")
-    if xb.shape[0] != layer.d_model:
-        raise ShapeError(f"x_batch rows {xb.shape[0]} != d_model {layer.d_model}")
+    xb = _layer_input(layer, x_batch)
     up = layer.base[Role.UP]
     active_up = dynamic_mask(up, xb[up.kept_col_ids, :])
     h_base = silu(_masked_base_matmul(up, active_up, xb))
@@ -120,22 +118,13 @@ def compressed_forward(layer: CompressedLayer, x_batch) -> tuple[np.ndarray, Rou
     Dynamic masks are computed once for the batch; gating is identical to the
     dense router. Returns (y_batch, routing trace).
     """
-    xb = as_matrix(x_batch, "x_batch")
-    if xb.shape[0] != layer.d_model:
-        raise ShapeError(f"x_batch rows {xb.shape[0]} != d_model {layer.d_model}")
+    xb = _layer_input(layer, x_batch)
     active = batch_active_columns(layer, xb)
     up, down = layer.base[Role.UP], layer.base[Role.DOWN]
     u_base = _masked_base_matmul(up, active[Role.UP], xb)  # (hidden, T)
+    down_masked = down.kept[:, np.searchsorted(down.kept_col_ids, active[Role.DOWN])]
 
-    selected, weights = route_batch(layer.gate, layer.top_k, xb)
-    down_positions = np.searchsorted(down.kept_col_ids, active[Role.DOWN])
-    down_masked = down.kept[:, down_positions]
-
-    y = np.zeros((layer.d_out, xb.shape[1]))
-    for i in range(layer.n_experts):
-        rows, slots = np.nonzero(selected == i)
-        if rows.size == 0:
-            continue
+    def expert(i, rows):
         factors = layer.deltas.get(i)
         u_i = u_base[:, rows]
         if factors is not None:
@@ -146,14 +135,13 @@ def compressed_forward(layer: CompressedLayer, x_batch) -> tuple[np.ndarray, Rou
         if factors is not None:
             f = factors[Role.DOWN]
             y_i = y_i + f.u @ (f.v @ h_i)
-        y[:, rows] += weights[rows, slots] * y_i
-    return y, _trace_from_routing(selected, weights, layer.n_experts)
+        return y_i
+
+    return routed_forward(layer, xb, expert)
 
 
 def compressed_model_forward(model: CompressedModel, x_batch) -> tuple[np.ndarray, list[RoutingTrace]]:
     """Chained forward over one batch; layers may be compressed or dense."""
-    from .moe import layer_forward_dense  # local import avoids cycle at module load
-
     h = as_matrix(x_batch, "x_batch")
     traces = []
     for layer in model.layers:
@@ -278,14 +266,9 @@ def census_active_params(layer: CompressedLayer, x_batch) -> float:
     active = batch_active_columns(layer, xb)
     base_per_token = (layer.hidden * active[Role.UP].size
                       + layer.d_out * active[Role.DOWN].size)
-    selected, _ = route_batch(layer.gate, layer.top_k, xb)
-    factor_total = 0
-    for i in range(layer.n_experts):
-        hits = int(np.count_nonzero(selected == i))
-        if hits and i in layer.deltas:
-            factors = layer.deltas[i]
-            per_token = sum(factors[r].u.size + factors[r].v.size for r in (Role.UP, Role.DOWN))
-            factor_total += hits * per_token
+    counts = _trace_from_routing(*route_batch(layer.gate, layer.top_k, xb), layer.n_experts).counts
+    factor_total = sum(int(counts[i]) * sum(f[r].u.size + f[r].v.size for r in (Role.UP, Role.DOWN))
+                       for i, f in layer.deltas.items())
     return base_per_token + factor_total / xb.shape[1]
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from d2moe.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
+from d2moe.container import container_load, container_save
 from d2moe.errors import NumericalError
 from d2moe.report import read_report
 
@@ -221,6 +222,28 @@ class TestExitCodes:
         rc = main(["eval", "--model", str(junk),
                    "--calib", str(workdir / "calib.d2m")])
         assert rc == EXIT_IO
+
+    def eval_container(self, workdir, tmp_path, tensors):
+        path = tmp_path / "hostile.d2m"
+        container_save(path, tensors)
+        return main(["eval", "--model", str(path), "--calib", str(workdir / "calib.d2m")])
+
+    def test_unknown_kind_is_io(self, workdir, tmp_path, capsys):
+        tensors = container_load(workdir / "model.d2m")
+        tensors["meta/kind"] = np.array([[7.0]])
+        assert self.eval_container(workdir, tmp_path, tensors) == EXIT_IO
+        assert "unknown container kind" in capsys.readouterr().err
+
+    def test_compressed_kind_without_tensors_is_io(self, workdir, tmp_path, capsys):
+        tensors = {"meta/kind": np.array([[1.0]]), "layer0/meta": np.array([[2.0, 4.0, 0.0]])}
+        assert self.eval_container(workdir, tmp_path, tensors) == EXIT_IO
+        assert "layer0/base_up/kept" in capsys.readouterr().err
+
+    def test_dense_model_without_experts_is_io(self, workdir, tmp_path, capsys):
+        tensors = {name: a for name, a in container_load(workdir / "model.d2m").items()
+                   if "/expert" not in name}
+        assert self.eval_container(workdir, tmp_path, tensors) == EXIT_IO
+        assert "layer0/expert0/up" in capsys.readouterr().err
 
     def test_numerical_error_maps_to_4(self, workdir, monkeypatch):
         def blow_up(*args, **kwargs):

@@ -14,8 +14,6 @@ from d2moe.fixtures import gen_fixture
 from d2moe.linalg import svd
 from d2moe.analysis import energy_retention
 from d2moe.merge import (
-    DeltaSet,
-    MergeSpec,
     compute_deltas,
     fisher_fallback_entries,
     fisher_merge,
@@ -149,20 +147,6 @@ class TestDeltas:
         w_b = mean_merge(weights)
         for w, d in zip(weights, compute_deltas(weights, w_b)):
             np.testing.assert_allclose(w_b + d, w, rtol=1e-15, atol=1e-15)
-
-    def test_merge_spec_validation(self):
-        MergeSpec(method="fisher", expert_subset=(0, 1), epsilon=1e-12)
-        with pytest.raises(ParameterError):
-            MergeSpec(method="nope", expert_subset=(0,), epsilon=1e-12)
-        with pytest.raises(ParameterError):
-            MergeSpec(method="mean", expert_subset=(), epsilon=1e-12)
-
-    def test_delta_set_holds_per_role_deltas(self):
-        rng = np.random.default_rng(11)
-        base = {Role.UP: rng.normal(size=(4, 3)), Role.DOWN: rng.normal(size=(3, 4))}
-        ds = DeltaSet(base=base, deltas=[{Role.UP: np.zeros((4, 3)),
-                                          Role.DOWN: np.zeros((3, 4))}])
-        assert ds.base[Role.UP].shape == (4, 3)
 
 
 class TestLowerRankTendency:

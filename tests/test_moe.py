@@ -23,6 +23,7 @@ from d2moe.moe import (
     layer_forward_dense,
     moe_forward_dense,
     route_batch,
+    routed_forward,
     silu,
     topk_select,
 )
@@ -96,6 +97,61 @@ class TestGating:
             base = set(int(i) for i in topk_select(logits, 2))
             for c in (0.1, 7.0, 1000.0):
                 assert set(int(i) for i in topk_select(c * logits, 2)) == base
+
+
+def per_token_routing(logits, k):
+    """Reference router: topk_select plus a softmax over the survivors, token by token."""
+    selected = np.empty((logits.shape[1], k), dtype=np.int64)
+    weights = np.empty((logits.shape[1], k))
+    for t in range(logits.shape[1]):
+        sel = topk_select(logits[:, t], k)
+        z = logits[sel, t]
+        e = np.exp(z - np.max(z))
+        selected[t], weights[t] = sel, e / np.sum(e)
+    return selected, weights
+
+
+class TestRouteBatch:
+    @pytest.mark.parametrize("integer_logits", [False, True])
+    def test_matches_per_token_reference_bytewise(self, integer_logits):
+        rng = np.random.default_rng(30 + integer_logits)
+        for _ in range(12):
+            n, d = int(rng.integers(2, 33)), int(rng.integers(1, 9))
+            for k in range(1, n + 1):
+                for t in (1, int(rng.integers(2, 200))):
+                    if integer_logits:  # small integers force ties in the logits
+                        gate_w = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+                        x = rng.integers(-2, 3, size=(d, t)).astype(np.float64)
+                    else:
+                        gate_w, x = rng.normal(size=(n, d)), rng.normal(size=(d, t))
+                    want_sel, want_w = per_token_routing(gate_w @ x, k)
+                    sel, w = route_batch(gate_w, k, x)
+                    assert np.array_equal(sel, want_sel)
+                    assert w.shape == want_w.shape and w.tobytes() == want_w.tobytes()
+
+
+class TestRoutedForward:
+    def test_callback_sees_each_experts_ascending_tokens_once(self):
+        rng = np.random.default_rng(31)
+        layer = make_layer(rng, n_experts=6, d_model=4, hidden=5, d_out=3, top_k=2)
+        x = rng.normal(size=(4, 40))
+        selected, weights = route_batch(layer.gate, layer.top_k, x)
+        calls = []
+
+        def expert(i, rows):
+            calls.append((i, rows.tolist()))
+            return np.full((layer.d_out, rows.size), float(i + 1))
+
+        y, trace = routed_forward(layer, x, expert)
+        want_calls = [(i, np.nonzero((selected == i).any(axis=1))[0].tolist())
+                      for i in range(6) if np.any(selected == i)]
+        assert calls == want_calls
+        np.testing.assert_array_equal(trace.selected, selected)
+        want_y = np.zeros((3, 40))
+        for t in range(40):
+            for j in range(2):
+                want_y[:, t] += weights[t, j] * (selected[t, j] + 1)
+        np.testing.assert_allclose(y, want_y, rtol=1e-15, atol=0)
 
 
 class TestDenseForward:
