@@ -78,6 +78,7 @@ from .moe import (
 )
 from .pipeline import (
     EvalResult,
+    LayerBuild,
     LayerStats,
     build_compressed_layer,
     compress,

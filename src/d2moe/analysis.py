@@ -79,7 +79,7 @@ def layer_sensitivity_scan(model, calib_tokens, labels, probe_ratio: float,
 
     The model is never mutated; each probe builds a hybrid model with a single
     compressed layer. Compression uses `config` (defaults: mean merge, no
-    pruning) with its delta ratio forced to probe_ratio.
+    pruning) with its rank policy forced to a plain ratio of probe_ratio.
     """
     from dataclasses import replace
 
@@ -90,7 +90,7 @@ def layer_sensitivity_scan(model, calib_tokens, labels, probe_ratio: float,
     if not 0.0 < probe_ratio <= 1.0:
         raise ParameterError(f"probe_ratio must be in (0, 1], got {probe_ratio}")
     cfg = config if config is not None else CompressionConfig(merge_method="mean", sparsity=0.0)
-    cfg = replace(cfg, delta_ratio=probe_ratio, per_layer_ratios=None)
+    cfg = replace(cfg, rank_mode="ratio", delta_ratio=probe_ratio, per_layer_ratios=None)
     cfg.validate()
     if batch_size is None:
         batch_size = cfg.batch_size
@@ -100,7 +100,8 @@ def layer_sensitivity_scan(model, calib_tokens, labels, probe_ratio: float,
     increases = []
     for probe_layer in range(len(model.layers)):
         try:
-            compressed = build_compressed_layer(model.layers[probe_layer], stats[probe_layer], cfg, probe_ratio)
+            compressed = build_compressed_layer(model.layers[probe_layer], stats[probe_layer],
+                                                cfg, probe_layer).layer
         except Exception as exc:
             raise type(exc)(f"layer {probe_layer}: {exc}") from exc
         hybrid_layers = list(model.layers)

@@ -170,6 +170,22 @@ def _tensor(tensors: dict[str, np.ndarray], name: str) -> np.ndarray:
     return tensors[name]
 
 
+def _meta_row(tensors: dict[str, np.ndarray], name: str, length: int | None = None,
+              n_int: int | None = None) -> list:
+    """Read one metadata row: `length` values (any number if None), the first
+    `n_int` of them (all if None) integral. Returns ints, then floats; a row of
+    another shape or a fractional count is a ManifestError."""
+    row = _tensor(tensors, name)
+    if row.shape[0] != 1 or (length is not None and row.shape[1] != length):
+        want = "1 row" if length is None else f"1 row of {length} values"
+        raise ManifestError(f"tensor {name!r} has shape {row.shape}, expected {want}")
+    values = row[0]
+    n_int = values.size if n_int is None else n_int
+    if np.any(values[:n_int] != np.trunc(values[:n_int])):
+        raise ManifestError(f"tensor {name!r} holds non-integral metadata")
+    return [int(v) for v in values[:n_int]] + [float(v) for v in values[n_int:]]
+
+
 def container_kind(tensors: dict[str, np.ndarray]) -> float:
     if "meta/kind" not in tensors:
         raise ManifestError("container has no meta/kind tensor")
@@ -192,8 +208,7 @@ def load_model(tensors: dict[str, np.ndarray]) -> MoEModel:
     layers = []
     l = 0
     while f"layer{l}/meta" in tensors:
-        meta = _tensor(tensors, f"layer{l}/meta")[0]
-        top_k, n_experts = int(meta[0]), int(meta[1])
+        top_k, n_experts = _meta_row(tensors, f"layer{l}/meta", 2)
         experts = [
             {Role.UP: _tensor(tensors, f"layer{l}/expert{j}/up"),
              Role.DOWN: _tensor(tensors, f"layer{l}/expert{j}/down")}
@@ -252,9 +267,8 @@ def save_compressed_model(path, model: CompressedModel) -> None:
 
 def _load_pruned_base(tensors: dict[str, np.ndarray], prefix: str) -> PrunedBase:
     kept = _tensor(tensors, f"{prefix}/kept")
-    kept_ids = _tensor(tensors, f"{prefix}/kept_ids")[0].astype(np.int64)
-    meta = _tensor(tensors, f"{prefix}/meta")[0]
-    total_cols, sparsity = int(meta[0]), float(meta[1])
+    kept_ids = np.array(_meta_row(tensors, f"{prefix}/kept_ids"), dtype=np.int64)
+    total_cols, sparsity = _meta_row(tensors, f"{prefix}/meta", 2, n_int=1)
     removed = np.setdiff1d(np.arange(total_cols), kept_ids)
     mask = PruneMask(total_cols=total_cols, static_removed=removed, target_sparsity=sparsity)
     return PrunedBase(kept=kept, kept_col_ids=kept_ids, mask=mask)
@@ -264,11 +278,10 @@ def load_compressed_model(tensors: dict[str, np.ndarray]) -> CompressedModel:
     layers = []
     l = 0
     while f"layer{l}/meta" in tensors:
-        meta = _tensor(tensors, f"layer{l}/meta")[0]
-        top_k, n_experts, n_trimmed = int(meta[0]), int(meta[1]), int(meta[2])
+        top_k, n_experts, n_trimmed = _meta_row(tensors, f"layer{l}/meta", 3)
         trimmed: tuple[int, ...] = ()
         if n_trimmed:
-            trimmed = tuple(int(i) for i in _tensor(tensors, f"layer{l}/trimmed")[0])
+            trimmed = tuple(_meta_row(tensors, f"layer{l}/trimmed", n_trimmed))
         base = {role: _load_pruned_base(tensors, f"layer{l}/base_{role.value}") for role in (Role.UP, Role.DOWN)}
         deltas = {}
         for j in range(n_experts):

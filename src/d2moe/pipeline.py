@@ -1,16 +1,14 @@
 """End-to-end compression: calibrate, merge, factorize, prune, evaluate.
 
-Stage order is fixed: calibration capture, Fisher accumulation, merging,
-delta factorization, base pruning, packaging, evaluation. Layers are
-independent once calibration statistics exist, so the per-layer stages
-run concurrently when D2MOE_THREADS allows; results are gathered in
-layer order so outputs never depend on scheduling.
+Stage order is fixed: calibration capture, Fisher accumulation, then one
+serial pass over the layers, then evaluation. Layers are independent once
+calibration statistics exist; `build_compressed_layer` runs merging, delta
+factorization, base pruning and packaging for one layer, and is the only
+code that runs that sequence, for `compress` and the sensitivity scan alike.
 """
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -46,27 +44,8 @@ from .runtime import (
     trim_deltas,
 )
 
-def worker_count(n_tasks: int) -> int:
-    """Workers for per-layer stages, capped by the D2MOE_THREADS env var."""
-    raw = os.environ.get("D2MOE_THREADS")
-    if raw is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"D2MOE_THREADS must be an integer, got {raw!r}") from exc
-        if cap < 1:
-            raise ConfigError(f"D2MOE_THREADS must be at least 1, got {cap}")
-    return max(1, min(n_tasks, cap))
-
-
-def _map_layers(fn, items):
-    workers = worker_count(len(items))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+# per-layer stages timed by build_compressed_layer, in run order
+LAYER_STAGES = ("merge", "factorize", "prune", "package")
 
 
 @dataclass(frozen=True)
@@ -161,24 +140,38 @@ def prune_layer(bases: dict[Role, np.ndarray], stats: LayerStats,
     return pruned
 
 
-def build_compressed_layer(layer: MoELayer, stats: LayerStats, cfg: CompressionConfig,
-                           ratio: float | None = None) -> CompressedLayer:
-    """Run merge, factorization, and pruning for one layer.
+@dataclass(frozen=True)
+class LayerBuild:
+    """One compressed layer plus what the run report records about it."""
 
-    `ratio` overrides the config's rank policy with a plain ratio policy;
-    sensitivity probing uses that to sweep one knob.
+    layer: CompressedLayer
+    ranks: dict[str, int]
+    errors: dict[str, list[float]]
+    fisher_fallback: int
+    seconds: dict[str, float]  # wall time per LAYER_STAGES entry
+
+
+def build_compressed_layer(layer: MoELayer, stats: LayerStats, cfg: CompressionConfig,
+                           layer_index: int = 0) -> LayerBuild:
+    """Merge, factorize, prune and package one layer.
+
+    `layer_index` selects the layer's rank policy (per-layer ratios).
     """
-    if ratio is not None:
-        policy = RankPolicy(mode="ratio", p=float(ratio))
-    else:
-        policy = cfg.rank_policy()
-    bases, deltas, _ = merge_layer(layer, stats, cfg)
-    factors, _, _ = factorize_layer(deltas, stats, cfg, policy)
+    policy = cfg.rank_policy(layer_index)
+    marks = [time.perf_counter()]
+    bases, deltas, fallback = merge_layer(layer, stats, cfg)
+    marks.append(time.perf_counter())
+    factors, ranks, errors = factorize_layer(deltas, stats, cfg, policy)
+    marks.append(time.perf_counter())
     pruned = prune_layer(bases, stats, cfg)
+    marks.append(time.perf_counter())
     built = CompressedLayer(gate=layer.gate, base=pruned, deltas=factors, top_k=layer.top_k)
     if cfg.trim > 0:
         built = trim_deltas(built, stats.frequency, cfg.trim)
-    return built
+    marks.append(time.perf_counter())
+    seconds = {stage: b - a for stage, a, b in zip(LAYER_STAGES, marks, marks[1:])}
+    return LayerBuild(layer=built, ranks=ranks, errors=errors, fisher_fallback=fallback,
+                      seconds=seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -264,35 +257,10 @@ def compress(cfg: CompressionConfig, model: MoEModel, calib_tokens, labels=None)
     stats = compute_layer_stats(model, calib_use, cfg, labels=labels_use)
     timings.append(("calibrate", time.perf_counter() - t0))
 
-    layers = list(model.layers)
-
-    t0 = time.perf_counter()
-    merged = _map_layers(lambda lw: merge_layer(lw[0], lw[1], cfg), list(zip(layers, stats)))
-    timings.append(("merge", time.perf_counter() - t0))
-
-    policies = [cfg.rank_policy(l) for l in range(len(layers))]
-    t0 = time.perf_counter()
-    factored = _map_layers(
-        lambda args: factorize_layer(args[0][1], args[1], cfg, args[2]),
-        list(zip(merged, stats, policies)))
-    timings.append(("factorize", time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    pruned = _map_layers(lambda args: prune_layer(args[0][0], args[1], cfg),
-                         list(zip(merged, stats)))
-    timings.append(("prune", time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    built = []
-    for l, layer in enumerate(layers):
-        factors, ranks, _ = factored[l]
-        built_layer = CompressedLayer(gate=layer.gate, base=pruned[l],
-                                      deltas=factors, top_k=layer.top_k)
-        if cfg.trim > 0:
-            built_layer = trim_deltas(built_layer, stats[l].frequency, cfg.trim)
-        built.append(built_layer)
-    compressed = CompressedModel(layers=built, head=model.head)
-    timings.append(("package", time.perf_counter() - t0))
+    builds = [build_compressed_layer(layer, st, cfg, l)
+              for l, (layer, st) in enumerate(zip(model.layers, stats))]
+    compressed = CompressedModel(layers=[b.layer for b in builds], head=model.head)
+    timings += [(stage, sum(b.seconds[stage] for b in builds)) for stage in LAYER_STAGES]
 
     t0 = time.perf_counter()
     loss_after = 0.0
@@ -302,18 +270,16 @@ def compress(cfg: CompressionConfig, model: MoEModel, calib_tokens, labels=None)
 
     x_census = calib_use[:, :min(cfg.batch_size, n_use)]
     records = []
-    for l, built_layer in enumerate(built):
-        _, ranks, errors = factored[l]
-        fallback = merged[l][2]
-        role_shapes = layers[l].experts[0][Role.UP].shape
-        p_used = _report_ratio(policies[l], role_shapes[0], role_shapes[1])
+    for l, (layer, b) in enumerate(zip(model.layers, builds)):
+        m, n = layer.experts[0][Role.UP].shape
+        p_used = _report_ratio(cfg.rank_policy(l), m, n)
         records.append(LayerRecord(
             layer=l,
-            rank=ranks,
-            fisher_fallback=fallback,
-            trimmed=built_layer.trimmed,
-            weighted_errors={k: tuple(v) for k, v in errors.items()},
-            params=param_report(built_layer, p_used, cfg.sparsity, x_census),
+            rank=b.ranks,
+            fisher_fallback=b.fisher_fallback,
+            trimmed=b.layer.trimmed,
+            weighted_errors={k: tuple(v) for k, v in b.errors.items()},
+            params=param_report(b.layer, p_used, cfg.sparsity, x_census),
         ))
 
     report = CompressionReport(config=cfg.to_dict(), seed=cfg.seed,

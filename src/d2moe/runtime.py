@@ -97,32 +97,37 @@ def _masked_base_matmul(base: PrunedBase, active_ids: np.ndarray, x_full: np.nda
     return base.kept[:, positions] @ x_full[active_ids, :]
 
 
-def batch_active_columns(layer: CompressedLayer, x_batch) -> dict[Role, np.ndarray]:
-    """Per-role active original column ids for this batch.
+def _base_path(layer: CompressedLayer, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Active Up ids, active Down ids and the masked Up-base product for one batch.
 
     The Up mask scores the batch inputs; the Down mask scores the base-path
     hidden activations silu(W_b_up^masked x) so it is expert-independent.
     """
-    xb = _layer_input(layer, x_batch)
-    up = layer.base[Role.UP]
+    up, down = layer.base[Role.UP], layer.base[Role.DOWN]
     active_up = dynamic_mask(up, xb[up.kept_col_ids, :])
-    h_base = silu(_masked_base_matmul(up, active_up, xb))
-    down = layer.base[Role.DOWN]
+    u_base = _masked_base_matmul(up, active_up, xb)  # (hidden, T)
+    h_base = silu(u_base)
     active_down = dynamic_mask(down, h_base[down.kept_col_ids, :])
+    return active_up, active_down, u_base
+
+
+def batch_active_columns(layer: CompressedLayer, x_batch) -> dict[Role, np.ndarray]:
+    """Per-role active original column ids for this batch."""
+    active_up, active_down, _ = _base_path(layer, _layer_input(layer, x_batch))
     return {Role.UP: active_up, Role.DOWN: active_down}
 
 
 def compressed_forward(layer: CompressedLayer, x_batch) -> tuple[np.ndarray, RoutingTrace]:
     """Eq.-style compressed layer forward over one batch.
 
-    Dynamic masks are computed once for the batch; gating is identical to the
-    dense router. Returns (y_batch, routing trace).
+    Dynamic masks and the masked Up-base product are computed once for the
+    batch; gating is identical to the dense router. Returns (y_batch,
+    routing trace).
     """
     xb = _layer_input(layer, x_batch)
-    active = batch_active_columns(layer, xb)
-    up, down = layer.base[Role.UP], layer.base[Role.DOWN]
-    u_base = _masked_base_matmul(up, active[Role.UP], xb)  # (hidden, T)
-    down_masked = down.kept[:, np.searchsorted(down.kept_col_ids, active[Role.DOWN])]
+    _, active_down, u_base = _base_path(layer, xb)
+    down = layer.base[Role.DOWN]
+    down_masked = down.kept[:, np.searchsorted(down.kept_col_ids, active_down)]
 
     def expert(i, rows):
         factors = layer.deltas.get(i)
@@ -131,7 +136,7 @@ def compressed_forward(layer: CompressedLayer, x_batch) -> tuple[np.ndarray, Rou
             f = factors[Role.UP]
             u_i = u_i + f.u @ (f.v @ xb[:, rows])
         h_i = silu(u_i)
-        y_i = down_masked @ h_i[active[Role.DOWN], :]
+        y_i = down_masked @ h_i[active_down, :]
         if factors is not None:
             f = factors[Role.DOWN]
             y_i = y_i + f.u @ (f.v @ h_i)

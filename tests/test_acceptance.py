@@ -263,7 +263,7 @@ def test_criterion_06_parameter_census_matches_formulas():
         for p in (0.46875, 0.9375):
             for s in (0.0, 0.5):
                 cfg = dc_replace(cfg0, delta_ratio=p, sparsity=s)
-                built = build_compressed_layer(layer, stats, cfg)
+                built = build_compressed_layer(layer, stats, cfg).layer
                 rep = param_report(built, p, s, x_census)
                 # census recounted from the arrays themselves
                 stored = sum(built.base[r].kept.size for r in (Role.UP, Role.DOWN))

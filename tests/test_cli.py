@@ -245,6 +245,19 @@ class TestExitCodes:
         assert self.eval_container(workdir, tmp_path, tensors) == EXIT_IO
         assert "layer0/expert0/up" in capsys.readouterr().err
 
+    def test_short_meta_row_is_io(self, workdir, tmp_path, capsys):
+        """A dense container relabelled compressed has 2-value layer meta rows."""
+        tensors = container_load(workdir / "model.d2m")
+        tensors["meta/kind"] = np.array([[1.0]])
+        assert self.eval_container(workdir, tmp_path, tensors) == EXIT_IO
+        assert "layer0/meta" in capsys.readouterr().err
+
+    def test_non_integral_meta_is_io(self, workdir, tmp_path, capsys):
+        tensors = container_load(workdir / "model.d2m")
+        tensors["layer0/meta"] = np.array([[2.5, 4.0]])
+        assert self.eval_container(workdir, tmp_path, tensors) == EXIT_IO
+        assert "non-integral" in capsys.readouterr().err
+
     def test_numerical_error_maps_to_4(self, workdir, monkeypatch):
         def blow_up(*args, **kwargs):
             raise NumericalError("synthetic instability")

@@ -2,14 +2,20 @@
 
 Determinism is the load-bearing property here: two runs with the same config
 must produce byte-identical reports (timing records aside) and bit-equal
-forward outputs, regardless of the thread cap. Everything else is checked
-against either closed-form values (uniform logits -> ln C) or the dense
-model evaluated through the same public entry points.
+forward outputs, within one process and across processes. Everything else is
+checked against either closed-form values (uniform logits -> ln C) or the
+dense model evaluated through the same public entry points.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from d2moe.cli import EXIT_OK, main
 from d2moe.config import CompressionConfig
 from d2moe.errors import ConfigError, ParameterError, ShapeError
 from d2moe.fixtures import gen_fixture
@@ -20,9 +26,8 @@ from d2moe.pipeline import (
     compute_layer_stats,
     evaluate,
     ratio_frontier,
-    worker_count,
 )
-from d2moe.report import dumps_report
+from d2moe.report import dumps_report, read_report, strip_timings
 from d2moe.runtime import compressed_model_forward
 
 
@@ -34,35 +39,6 @@ def small_fixture(seed=0, tokens=192):
 def report_lines_sans_timings(report):
     return [line for line in dumps_report(report).splitlines()
             if '"record":"timing"' not in line]
-
-
-class TestWorkerCount:
-    def test_defaults_to_cpu_count_cap(self, monkeypatch):
-        monkeypatch.delenv("D2MOE_THREADS", raising=False)
-        import os
-        assert worker_count(1000) == (os.cpu_count() or 1)
-
-    def test_env_var_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("D2MOE_THREADS", "2")
-        assert worker_count(8) == 2
-
-    def test_task_count_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("D2MOE_THREADS", "16")
-        assert worker_count(3) == 3
-
-    def test_at_least_one_worker(self, monkeypatch):
-        monkeypatch.setenv("D2MOE_THREADS", "4")
-        assert worker_count(0) == 1
-
-    def test_non_integer_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("D2MOE_THREADS", "many")
-        with pytest.raises(ConfigError, match="integer"):
-            worker_count(4)
-
-    def test_non_positive_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("D2MOE_THREADS", "0")
-        with pytest.raises(ConfigError, match="at least 1"):
-            worker_count(4)
 
 
 class TestEvaluate:
@@ -132,15 +108,28 @@ class TestCompress:
         y2, _ = compressed_model_forward(m2, fx.tokens[:, :64])
         np.testing.assert_array_equal(y1, y2)
 
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        fx = gen_fixture(3, n_experts=4, d_model=16, hidden=24, tokens=192,
-                         layers=3, rank_noise=2)
-        cfg = CompressionConfig(sparsity=0.25)
-        monkeypatch.setenv("D2MOE_THREADS", "1")
-        _, serial = compress(cfg, fx.model, fx.tokens, labels=fx.labels)
-        monkeypatch.setenv("D2MOE_THREADS", "4")
-        _, parallel = compress(cfg, fx.model, fx.tokens, labels=fx.labels)
-        assert report_lines_sans_timings(serial) == report_lines_sans_timings(parallel)
+    def test_separate_processes_write_identical_bytes(self, tmp_path):
+        """`d2moe compress` on the default fixture in two interpreters with
+        different hash seeds writes the same container and the same report
+        once timing records are removed."""
+        assert main(["gen-fixture", "--out-model", str(tmp_path / "model.d2m"),
+                     "--out-calib", str(tmp_path / "calib.d2m")]) == EXIT_OK
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"run{hash_seed}"
+            env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from d2moe.cli import main; sys.exit(main())",
+                 "compress", "--model", str(tmp_path / "model.d2m"),
+                 "--calib", str(tmp_path / "calib.d2m"),
+                 "--out", f"{out}.d2m", "--report", f"{out}.jsonl"],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            report = strip_timings(read_report(f"{out}.jsonl"))
+            outputs.append((Path(f"{out}.d2m").read_bytes(), dumps_report(report)))
+        assert outputs[0] == outputs[1]
 
     def test_lossless_config_preserves_loss(self):
         fx = small_fixture()
