@@ -14,6 +14,7 @@ returned by container_load reproduces the original file byte for byte.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,16 @@ def _meta_row(tensors: dict[str, np.ndarray], name: str, length: int | None = No
     return [int(v) for v in values[:n_int]] + [float(v) for v in values[n_int:]]
 
 
+@contextmanager
+def _assembling(part: str):
+    """Report a shape or parameter error raised while building model objects
+    from loaded tensors as a ManifestError naming `part`."""
+    try:
+        yield
+    except (ShapeError, ParameterError) as exc:
+        raise ManifestError(f"{part}: {exc}") from exc
+
+
 def container_kind(tensors: dict[str, np.ndarray]) -> float:
     if "meta/kind" not in tensors:
         raise ManifestError("container has no meta/kind tensor")
@@ -214,11 +225,14 @@ def load_model(tensors: dict[str, np.ndarray]) -> MoEModel:
              Role.DOWN: _tensor(tensors, f"layer{l}/expert{j}/down")}
             for j in range(n_experts)
         ]
-        layers.append(MoELayer(gate=_tensor(tensors, f"layer{l}/gate"), experts=experts, top_k=top_k))
+        with _assembling(f"layer {l}"):
+            layers.append(MoELayer(gate=_tensor(tensors, f"layer{l}/gate"), experts=experts,
+                                   top_k=top_k))
         l += 1
     if not layers:
         raise ManifestError("container holds no layers")
-    return MoEModel(layers=layers, head=_tensor(tensors, "head"))
+    with _assembling("model"):
+        return MoEModel(layers=layers, head=_tensor(tensors, "head"))
 
 
 def save_calibration(path, tokens: np.ndarray, labels: np.ndarray) -> None:
@@ -282,24 +296,27 @@ def load_compressed_model(tensors: dict[str, np.ndarray]) -> CompressedModel:
         trimmed: tuple[int, ...] = ()
         if n_trimmed:
             trimmed = tuple(_meta_row(tensors, f"layer{l}/trimmed", n_trimmed))
-        base = {role: _load_pruned_base(tensors, f"layer{l}/base_{role.value}") for role in (Role.UP, Role.DOWN)}
-        deltas = {}
-        for j in range(n_experts):
-            key = f"layer{l}/expert{j}/up_u"
-            if key not in tensors:
-                continue
-            factors = {}
-            for role in (Role.UP, Role.DOWN):
-                u = _tensor(tensors, f"layer{l}/expert{j}/{role.value}_u")
-                v = _tensor(tensors, f"layer{l}/expert{j}/{role.value}_v")
-                factors[role] = DeltaFactor(u=u, v=v, rank=u.shape[1], expert_id=j, role=role)
-            deltas[j] = factors
-        layers.append(CompressedLayer(gate=_tensor(tensors, f"layer{l}/gate"), base=base,
-                                      deltas=deltas, top_k=top_k, trimmed=trimmed))
+        with _assembling(f"layer {l}"):
+            base = {role: _load_pruned_base(tensors, f"layer{l}/base_{role.value}")
+                    for role in (Role.UP, Role.DOWN)}
+            deltas = {}
+            for j in range(n_experts):
+                key = f"layer{l}/expert{j}/up_u"
+                if key not in tensors:
+                    continue
+                factors = {}
+                for role in (Role.UP, Role.DOWN):
+                    u = _tensor(tensors, f"layer{l}/expert{j}/{role.value}_u")
+                    v = _tensor(tensors, f"layer{l}/expert{j}/{role.value}_v")
+                    factors[role] = DeltaFactor(u=u, v=v, rank=u.shape[1], expert_id=j, role=role)
+                deltas[j] = factors
+            layers.append(CompressedLayer(gate=_tensor(tensors, f"layer{l}/gate"), base=base,
+                                          deltas=deltas, top_k=top_k, trimmed=trimmed))
         l += 1
     if not layers:
         raise ManifestError("container holds no layers")
-    return CompressedModel(layers=layers, head=_tensor(tensors, "head"))
+    with _assembling("model"):
+        return CompressedModel(layers=layers, head=_tensor(tensors, "head"))
 
 
 def load_any(path):

@@ -4,6 +4,21 @@ information accumulation.
 The discrete top-k routing choice is treated as locally constant (it is
 piecewise constant in the parameters, so this is the exact gradient almost
 everywhere); the softmax over the surviving logits is differentiated exactly.
+
+`backward_logloss` differentiates one token. `fisher_accumulate` computes the
+diagonal empirical Fisher of a whole calibration batch in closed form: one
+batched forward through `moe.routed_forward`, then one reverse sweep over the
+layers. A token routed to expert i contributes a single outer product to each
+of that expert's gradients, ebar hid^T (Down) and abar x^T (Up), so the sum of
+their elementwise squares over the expert's routed tokens is
+
+    F_down[i] = (Ebar∘Ebar) (Hid∘Hid)^T,    F_up[i] = (Abar∘Abar) (X∘X)^T,
+
+with those tokens along the columns of each matrix. sampled-label mode draws
+every label from one `u = rng.random(T)`: label t is
+`cdf_t.searchsorted(u[t], side="right")`, where `cdf_t` is `cumsum(p_t)`
+divided by its last entry. That is exactly what `rng.choice(classes, p=p_t)`
+returns when called once per token in calibration order.
 """
 from __future__ import annotations
 
@@ -11,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError, ShapeError
+from .errors import DegenerateInputError, NumericalError, ParameterError, ShapeError
 from .linalg import as_matrix
-from .moe import MoEModel, Role, ROLES, _softmax, route_batch, silu, silu_grad
+from .moe import MoEModel, Role, ROLES, _softmax, route_batch, routed_forward, silu, silu_grad
 
 FISHER_MODES = ("sampled-label", "data-label")
 
@@ -120,7 +135,8 @@ def fisher_accumulate(model: MoEModel, calib, mode: str = "sampled-label",
 
     sampled-label mode draws one label per input from the model's own
     predictive distribution (seeded, in calibration order); data-label mode
-    uses the provided labels.
+    uses the provided labels. Non-finite output probabilities raise
+    NumericalError.
     """
     xb = as_matrix(calib, "calibration tokens")
     n_tokens = xb.shape[1]
@@ -134,29 +150,75 @@ def fisher_accumulate(model: MoEModel, calib, mode: str = "sampled-label",
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (n_tokens,):
             raise ShapeError(f"labels shape {labels.shape} != ({n_tokens},)")
+        if np.any((labels < 0) | (labels >= model.num_classes)):
+            raise ParameterError(f"labels must lie in [0, {model.num_classes})")
 
-    rng = np.random.default_rng(seed)
-    acc = [
-        [{role: np.zeros_like(expert[role]) for role in ROLES} for expert in layer.experts]
-        for layer in model.layers
-    ]
-    classes = model.num_classes
-    for t in range(n_tokens):
-        x = xb[:, t]
-        if mode == "sampled-label":
-            logits, _, _ = _forward_with_cache(model, x)
-            y = int(rng.choice(classes, p=_softmax(logits)))
-        else:
-            y = int(labels[t])
-        grads = backward_logloss(model, x, y)
-        for l, layer_grads in enumerate(grads.expert_grads):
-            for i, expert in enumerate(layer_grads):
-                for role in ROLES:
-                    g = expert[role]
-                    if g.any():
-                        acc[l][i][role] += g * g
-    for layer_acc in acc:
-        for expert in layer_acc:
-            for role in ROLES:
-                expert[role] /= n_tokens
-    return FisherInfo(fisher=acc, sample_count=n_tokens, mode=mode)
+    logits, caches = _forward_batch_with_cache(model, xb)
+    e = np.exp(logits - np.max(logits, axis=0))
+    p = e / np.sum(e, axis=0)
+    bad = np.flatnonzero(~np.all(np.isfinite(p), axis=0))
+    if bad.size:
+        raise NumericalError(f"output probabilities are not finite for {bad.size} of {n_tokens} "
+                             f"calibration tokens (first: token {bad[0]}); the logits overflow")
+    if mode == "sampled-label":
+        labels = _draw_labels(p, np.random.default_rng(seed))
+
+    cols = np.arange(n_tokens)
+    lbar = -p
+    lbar[labels, cols] += 1.0  # d log p(y|x) / d logits = onehot(y) - softmax
+    ybar = model.head.T @ lbar
+
+    fisher = [[{role: np.zeros_like(expert[role]) for role in ROLES} for expert in layer.experts]
+              for layer in model.layers]
+    for l in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[l]
+        xin, trace, acts = caches[l]
+        g = np.zeros((layer.n_experts, n_tokens))  # gating weights, zero off the selection
+        g[trace.selected, cols[:, None]] = trace.weights
+        gbar = np.zeros_like(g)
+        xbar = np.zeros_like(xin)
+        for i, (rows, a) in acts.items():
+            up, down = layer.experts[i][Role.UP], layer.experts[i][Role.DOWN]
+            hid = silu(a)
+            ybar_i = ybar[:, rows]
+            q = down.T @ ybar_i  # d (ybar . expert output) / d hid
+            gbar[i, rows] = np.sum(hid * q, axis=0)
+            ebar = g[i, rows] * ybar_i
+            abar = g[i, rows] * q * silu_grad(a)
+            x_i = xin[:, rows]
+            fisher[l][i][Role.DOWN] = (ebar * ebar) @ (hid * hid).T / n_tokens
+            fisher[l][i][Role.UP] = (abar * abar) @ (x_i * x_i).T / n_tokens
+            xbar[:, rows] += up.T @ abar
+        # gating weights are softmax over the surviving logits
+        zbar = g * (gbar - np.sum(g * gbar, axis=0))
+        ybar = xbar + layer.gate.T @ zbar
+    return FisherInfo(fisher=fisher, sample_count=n_tokens, mode=mode)
+
+
+def _forward_batch_with_cache(model: MoEModel, xb: np.ndarray):
+    """Batched forward; per layer keeps the input, the routing trace and, for
+    each routed expert, its token columns and Up pre-activations."""
+    caches = []
+    h = xb
+    for layer in model.layers:
+        acts = {}
+
+        def expert(i, rows, layer=layer, x=h, acts=acts):
+            a = layer.experts[i][Role.UP] @ x[:, rows]
+            acts[i] = (rows, a)
+            return layer.experts[i][Role.DOWN] @ silu(a)
+
+        y, trace = routed_forward(layer, h, expert)
+        caches.append((h, trace, acts))
+        h = y
+    return model.head @ h, caches
+
+
+def _draw_labels(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One label per column of the (classes, T) probabilities p, the same
+    labels T successive `rng.choice(classes, p=p[:, t])` calls return."""
+    cdf = np.cumsum(p, axis=0)
+    cdf /= cdf[-1]
+    u = rng.random(p.shape[1])
+    return np.array([cdf[:, t].searchsorted(u[t], side="right") for t in range(p.shape[1])],
+                    dtype=np.int64)

@@ -258,6 +258,46 @@ class TestExitCodes:
         assert self.eval_container(workdir, tmp_path, tensors) == EXIT_IO
         assert "non-integral" in capsys.readouterr().err
 
+    @pytest.fixture(scope="class")
+    def compressed(self, workdir, tmp_path_factory):
+        path = tmp_path_factory.mktemp("compressed") / "c.d2m"
+        assert main(["compress", "--model", str(workdir / "model.d2m"),
+                     "--calib", str(workdir / "calib.d2m"), "--merge", "mean",
+                     "--out", str(path),
+                     "--report", str(path.with_suffix(".jsonl"))]) == EXIT_OK
+        return container_load(path)
+
+    def test_short_kept_ids_is_io(self, workdir, compressed, tmp_path, capsys):
+        tensors = dict(compressed)
+        tensors["layer0/base_up/kept_ids"] = tensors["layer0/base_up/kept_ids"][:, :-1]
+        assert self.eval_container(workdir, tmp_path, tensors) == EXIT_IO
+        assert "layer 0" in capsys.readouterr().err
+
+    def test_short_delta_factor_is_io(self, workdir, compressed, tmp_path, capsys):
+        tensors = dict(compressed)
+        tensors["layer0/expert0/up_u"] = tensors["layer0/expert0/up_u"][:-1]
+        assert self.eval_container(workdir, tmp_path, tensors) == EXIT_IO
+        assert "layer 0" in capsys.readouterr().err
+
+    def test_narrow_gate_is_io(self, workdir, compressed, tmp_path, capsys):
+        tensors = dict(compressed)
+        tensors["layer0/gate"] = tensors["layer0/gate"][:, :-1]
+        assert self.eval_container(workdir, tmp_path, tensors) == EXIT_IO
+        assert "layer 0" in capsys.readouterr().err
+
+    def test_overflowing_logits_in_fisher_are_numerical(self, workdir, tmp_path, capsys):
+        tensors = container_load(workdir / "model.d2m")
+        for name in tensors:
+            if "/expert" in name or name == "head":
+                tensors[name] = tensors[name] * 1e150
+        container_save(tmp_path / "huge.d2m", tensors)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["compress", "--model", str(tmp_path / "huge.d2m"),
+                       "--calib", str(workdir / "calib.d2m"), "--merge", "fisher",
+                       "--out", str(tmp_path / "o.d2m"), "--report", str(tmp_path / "r.jsonl")])
+        assert rc == EXIT_NUMERICAL
+        assert "not finite" in capsys.readouterr().err
+
     def test_numerical_error_maps_to_4(self, workdir, monkeypatch):
         def blow_up(*args, **kwargs):
             raise NumericalError("synthetic instability")

@@ -1,10 +1,16 @@
-"""Analytic-gradient and Fisher tests against finite differences.
+"""Analytic-gradient and Fisher tests against finite differences and
+against the per-token Fisher loop.
 
-The oracle never touches the backward code: it rebuilds the model with one
-entry nudged and recomputes the log-likelihood numerically. Seeds are
-chosen so routing margins are far wider than the step size; a top-k flip
-under perturbation would invalidate the comparison, and the helper guards
-against that by checking the selected sets match at x.
+The finite-difference oracle never touches the backward code: it rebuilds
+the model with one entry nudged and recomputes the log-likelihood
+numerically. Seeds are chosen so routing margins are far wider than the
+step size; a top-k flip under perturbation would invalidate the comparison,
+and the helper guards against that by checking the selected sets match at x.
+
+`per_token_fisher` is the slow path the batched closed-form Fisher replaced:
+one forward and one `backward_logloss` per token, labels drawn with one
+`rng.choice` per token. The batched Fisher must match it to 1e-12 of each
+block's maximum, with the same exact zeros and the same sampled labels.
 """
 
 import math
@@ -12,9 +18,18 @@ import math
 import numpy as np
 import pytest
 
-from d2moe.errors import ParameterError
-from d2moe.gradients import FisherInfo, backward_logloss, fisher_accumulate
-from d2moe.moe import MoELayer, MoEModel, Role, moe_forward_dense
+from d2moe.config import CompressionConfig
+from d2moe.errors import NumericalError, ParameterError
+from d2moe.fixtures import gen_fixture
+from d2moe.gradients import (
+    FisherInfo,
+    _draw_labels,
+    _forward_with_cache,
+    backward_logloss,
+    fisher_accumulate,
+)
+from d2moe.moe import MoELayer, MoEModel, Role, _softmax, moe_forward_dense
+from d2moe.pipeline import compress
 
 H = 1e-5
 
@@ -29,6 +44,42 @@ def make_model(seed, n_experts=2, d_model=4, hidden=5, layers=2, classes=3, top_
         lys.append(MoELayer(gate=rng.normal(size=(n_experts, d_model)),
                             experts=experts, top_k=top_k))
     return MoEModel(layers=lys, head=rng.normal(size=(classes, d_model)))
+
+
+def per_token_fisher(model, calib, mode="sampled-label", seed=0, labels=None):
+    """Fisher blocks and labels from one forward and one backward per token."""
+    rng = np.random.default_rng(seed)
+    acc = [[{role: np.zeros_like(expert[role]) for role in (Role.UP, Role.DOWN)}
+            for expert in layer.experts] for layer in model.layers]
+    drawn = []
+    for t in range(calib.shape[1]):
+        x = calib[:, t]
+        if mode == "sampled-label":
+            logits, _, _ = _forward_with_cache(model, x)
+            y = int(rng.choice(model.num_classes, p=_softmax(logits)))
+        else:
+            y = int(labels[t])
+        drawn.append(y)
+        grads = backward_logloss(model, x, y)
+        for l, layer_grads in enumerate(grads.expert_grads):
+            for i, expert in enumerate(layer_grads):
+                for role in (Role.UP, Role.DOWN):
+                    acc[l][i][role] += expert[role] * expert[role]
+    for layer_acc in acc:
+        for expert in layer_acc:
+            for role in (Role.UP, Role.DOWN):
+                expert[role] /= calib.shape[1]
+    return acc, drawn
+
+
+def assert_fisher_matches(got, want):
+    """Within 1e-12 of each block's maximum, with identical exact zeros."""
+    for got_layer, want_layer in zip(got, want, strict=True):
+        for got_expert, want_expert in zip(got_layer, want_layer, strict=True):
+            for role in (Role.UP, Role.DOWN):
+                a, b = got_expert[role], want_expert[role]
+                np.testing.assert_array_equal(a == 0, b == 0)
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def log_likelihood(model, x, y):
@@ -217,3 +268,113 @@ class TestFisher:
         assert isinstance(fi, FisherInfo)
         assert fi.sample_count == 7
         assert fi.mode == "sampled-label"
+
+
+class TestBatchedFisher:
+    @pytest.mark.parametrize("mode", ["sampled-label", "data-label"])
+    @pytest.mark.parametrize("top_k", [1, 2, 3])
+    def test_matches_per_token_oracle(self, mode, top_k):
+        model = make_model(20 + top_k, n_experts=4, d_model=6, hidden=7, layers=3,
+                           classes=5, top_k=top_k)
+        rng = np.random.default_rng(110)
+        x = rng.normal(size=(6, 48))
+        labels = rng.integers(0, 5, size=48)
+        got = fisher_accumulate(model, x, mode=mode, seed=4, labels=labels)
+        want, _ = per_token_fisher(model, x, mode=mode, seed=4, labels=labels)
+        assert_fisher_matches(got.fisher, want)
+
+    def test_never_routed_expert_matches_oracle(self):
+        rng = np.random.default_rng(111)
+        gate = np.array([[5.0, 5.0, 5.0, 5.0],
+                         [4.0, 4.0, 4.0, 4.0],
+                         [-50.0, -50.0, -50.0, -50.0]])
+        first = MoELayer(gate=gate, top_k=2,
+                         experts=[{Role.UP: rng.normal(size=(5, 4)),
+                                   Role.DOWN: rng.normal(size=(4, 5))} for _ in range(3)])
+        rest = make_model(112, n_experts=3, d_model=4, hidden=5, layers=2, top_k=2)
+        model = MoEModel(layers=[first, *rest.layers], head=rest.head)
+        x = np.abs(rng.normal(size=(4, 40)))  # positive coords keep expert 2 unreachable
+        got = fisher_accumulate(model, x, mode="sampled-label", seed=3)
+        want, _ = per_token_fisher(model, x, mode="sampled-label", seed=3)
+        assert_fisher_matches(got.fisher, want)
+        for role in (Role.UP, Role.DOWN):
+            assert not got.fisher[0][2][role].any()
+
+    def test_labels_match_per_token_choice(self):
+        """Fed the same probabilities, the single draw and one rng.choice per
+        token give the same labels and leave the generator in the same state."""
+        model = make_model(30, n_experts=4, d_model=6, hidden=7, layers=2, classes=7, top_k=2)
+        rng = np.random.default_rng(113)
+        logits, _ = moe_forward_dense(model, rng.normal(size=(6, 300)))
+        p = np.stack([_softmax(logits[:, t]) for t in range(300)], axis=1)
+        one, many = np.random.default_rng(8), np.random.default_rng(8)
+        drawn = _draw_labels(p, one)
+        chosen = [int(many.choice(7, p=p[:, t])) for t in range(300)]
+        assert drawn.tolist() == chosen
+        assert one.random() == many.random()
+
+    def test_sampled_labels_match_oracle_end_to_end(self):
+        """data-label Fisher with the oracle's drawn labels reproduces the
+        sampled-label Fisher, so both paths drew the same labels."""
+        model = make_model(31, n_experts=4, d_model=6, hidden=7, layers=2, classes=6, top_k=2)
+        x = np.random.default_rng(114).normal(size=(6, 64))
+        _, drawn = per_token_fisher(model, x, mode="sampled-label", seed=5)
+        sampled = fisher_accumulate(model, x, mode="sampled-label", seed=5)
+        labelled = fisher_accumulate(model, x, mode="data-label", labels=drawn)
+        for a, b in zip(sampled.fisher, labelled.fisher):
+            for ea, eb in zip(a, b):
+                for role in (Role.UP, Role.DOWN):
+                    assert np.array_equal(ea[role], eb[role])
+
+    @pytest.mark.parametrize("mode", ["sampled-label", "data-label"])
+    def test_two_calls_byte_identical(self, mode):
+        fx = gen_fixture(1, n_experts=6, d_model=12, hidden=16, layers=3, tokens=96, rank_noise=2)
+        a = fisher_accumulate(fx.model, fx.tokens, mode=mode, seed=2, labels=fx.labels)
+        b = fisher_accumulate(fx.model, fx.tokens, mode=mode, seed=2, labels=fx.labels)
+        for la, lb in zip(a.fisher, b.fisher):
+            for ea, eb in zip(la, lb):
+                for role in (Role.UP, Role.DOWN):
+                    assert ea[role].tobytes() == eb[role].tobytes()
+
+    @pytest.mark.parametrize("mode", ["sampled-label", "data-label"])
+    def test_non_finite_probabilities_raise(self, mode):
+        model = make_model(32, layers=2)
+        huge = MoEModel(layers=[MoELayer(gate=layer.gate, top_k=layer.top_k,
+                                         experts=[{r: e[r] * 1e150 for r in e}
+                                                  for e in layer.experts])
+                                for layer in model.layers],
+                        head=model.head * 1e150)
+        x = np.random.default_rng(115).normal(size=(4, 8))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="not finite"):
+                fisher_accumulate(huge, x, mode=mode, labels=np.zeros(8, dtype=int))
+
+    def test_out_of_range_data_label_rejected(self):
+        model = make_model(33, layers=1, classes=3)
+        with pytest.raises(ParameterError, match="labels"):
+            fisher_accumulate(model, np.zeros((4, 2)), mode="data-label", labels=[0, 3])
+
+    def test_compress_matches_oracle_fisher(self, monkeypatch):
+        """`compress --merge fisher` builds the same layers as with the
+        per-token Fisher. A silent input coordinate makes layer 0 fall back."""
+        fx = gen_fixture(0, n_experts=6, d_model=12, hidden=16, layers=3, tokens=64,
+                         rank_noise=2, top_k=2)
+        x = fx.tokens.copy()
+        x[0] = 0.0
+        cfg = CompressionConfig(merge_method="fisher", delta_ratio=0.5, sparsity=0.4)
+        _, rep = compress(cfg, fx.model, x, labels=fx.labels)
+
+        def oracle(model, calib, mode="sampled-label", seed=0, labels=None):
+            fisher, _ = per_token_fisher(model, calib, mode=mode, seed=seed, labels=labels)
+            return FisherInfo(fisher=fisher, sample_count=calib.shape[1], mode=mode)
+
+        monkeypatch.setattr("d2moe.pipeline.fisher_accumulate", oracle)
+        _, ref = compress(cfg, fx.model, x, labels=fx.labels)
+        assert rep.layers[0].fisher_fallback > 0
+        for got, want in zip(rep.layers, ref.layers, strict=True):
+            assert got.fisher_fallback == want.fisher_fallback
+            assert got.rank == want.rank
+            assert got.params == want.params
+            for role, errors in want.weighted_errors.items():
+                np.testing.assert_allclose(got.weighted_errors[role], errors, rtol=1e-9)
+        assert rep.loss_after == pytest.approx(ref.loss_after, rel=1e-9)
