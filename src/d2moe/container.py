@@ -283,6 +283,10 @@ def _load_pruned_base(tensors: dict[str, np.ndarray], prefix: str) -> PrunedBase
     kept = _tensor(tensors, f"{prefix}/kept")
     kept_ids = np.array(_meta_row(tensors, f"{prefix}/kept_ids"), dtype=np.int64)
     total_cols, sparsity = _meta_row(tensors, f"{prefix}/meta", 2, n_int=1)
+    # s in [0, 1) keeps more than half of the columns; check before sizing arrays
+    if not (0.0 <= sparsity < 1.0 and kept_ids.size <= total_cols <= 2 * kept_ids.size):
+        raise ManifestError(f"{prefix}/meta: {total_cols} columns at sparsity {sparsity} "
+                            f"cannot keep {kept_ids.size}")
     removed = np.setdiff1d(np.arange(total_cols), kept_ids)
     mask = PruneMask(total_cols=total_cols, static_removed=removed, target_sparsity=sparsity)
     return PrunedBase(kept=kept, kept_col_ids=kept_ids, mask=mask)
@@ -299,6 +303,9 @@ def load_compressed_model(tensors: dict[str, np.ndarray]) -> CompressedModel:
         with _assembling(f"layer {l}"):
             base = {role: _load_pruned_base(tensors, f"layer{l}/base_{role.value}")
                     for role in (Role.UP, Role.DOWN)}
+            gate = _tensor(tensors, f"layer{l}/gate")
+            if n_experts != gate.shape[0]:
+                raise ManifestError(f"layer {l}: meta declares {n_experts} experts, gate has {gate.shape[0]} rows")
             deltas = {}
             for j in range(n_experts):
                 key = f"layer{l}/expert{j}/up_u"
@@ -310,7 +317,7 @@ def load_compressed_model(tensors: dict[str, np.ndarray]) -> CompressedModel:
                     v = _tensor(tensors, f"layer{l}/expert{j}/{role.value}_v")
                     factors[role] = DeltaFactor(u=u, v=v, rank=u.shape[1], expert_id=j, role=role)
                 deltas[j] = factors
-            layers.append(CompressedLayer(gate=_tensor(tensors, f"layer{l}/gate"), base=base,
+            layers.append(CompressedLayer(gate=gate, base=base,
                                           deltas=deltas, top_k=top_k, trimmed=trimmed))
         l += 1
     if not layers:

@@ -228,11 +228,13 @@ def routed_forward(layer, x_batch: np.ndarray, expert_fn) -> tuple[np.ndarray, R
     order = np.argsort(selected.ravel(), kind="stable")
     rows_sorted = order // layer.top_k
     weights_sorted = weights.ravel()[order]
-    bounds = np.concatenate(([0], np.cumsum(trace.counts))).tolist()
     y = np.zeros((layer.d_out, x_batch.shape[1]))
-    for i in np.flatnonzero(trace.counts).tolist():
-        rows = rows_sorted[bounds[i]:bounds[i + 1]]
-        y[:, rows] += weights_sorted[bounds[i]:bounds[i + 1]] * expert_fn(i, rows)
+    stop = 0
+    for i, count in enumerate(trace.counts.tolist()):
+        if count:
+            start, stop = stop, stop + count
+            rows = rows_sorted[start:stop]
+            y[:, rows] += weights_sorted[start:stop] * expert_fn(i, rows)
     return y, trace
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .config import CompressionConfig
-from .errors import ConfigError, ParameterError, ShapeError
+from .errors import ConfigError, NumericalError, ParameterError, ShapeError
 from .factorize import DeltaFactor, RankPolicy, truncation_aware_svd, weighted_error
 from .gradients import fisher_accumulate
 from .linalg import as_matrix
@@ -197,7 +197,8 @@ def evaluate(model, tokens, labels, batch_size: int = 128) -> EvalResult:
     """Mean cross-entropy of the model on labeled tokens, batched.
 
     Dynamic base masks depend on batch composition, so for compressed
-    models the loss is defined relative to this batch size.
+    models the loss is defined relative to this batch size. Non-finite
+    logits or loss raise NumericalError.
     """
     x = as_matrix(tokens, "tokens")
     y = np.asarray(labels)
@@ -214,9 +215,15 @@ def evaluate(model, tokens, labels, batch_size: int = 128) -> EvalResult:
         logits = _forward_any(model, xb)
         if np.any(yb < 0) or np.any(yb >= logits.shape[0]):
             raise ParameterError(f"labels must lie in [0, {logits.shape[0]})")
+        bad = np.flatnonzero(~np.all(np.isfinite(logits), axis=0))
+        if bad.size:
+            raise NumericalError(f"logits are not finite for {bad.size} of {xb.shape[1]} tokens "
+                                 f"(first: token {start + bad[0]}); the forward overflows")
         lse = logsumexp(logits, axis=0)
         total += float(np.sum(lse - logits[yb, np.arange(xb.shape[1])]))
     loss = total / x.shape[1]
+    if not np.isfinite(loss):
+        raise NumericalError(f"evaluation loss is not finite ({loss!r})")
     return EvalResult(loss=loss, perplexity=float(np.exp(min(loss, 709.0))),
                       n_tokens=int(x.shape[1]))
 

@@ -9,7 +9,7 @@ Ties always resolve toward the lower original column index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,11 +47,16 @@ class PruneMask:
 
 @dataclass(frozen=True)
 class PrunedBase:
-    """Base weight with statically removed columns dropped."""
+    """Base weight with statically removed columns dropped.
+
+    `col_norms` holds the column norms of `kept`, computed once here because
+    every dynamic mask scores the same stored columns.
+    """
 
     kept: np.ndarray          # (m, n - |static_removed|)
     kept_col_ids: np.ndarray  # sorted original indices of the kept columns
     mask: PruneMask
+    col_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kept = as_matrix(self.kept, "kept base")
@@ -63,6 +68,7 @@ class PrunedBase:
         expected = np.setdiff1d(np.arange(self.mask.total_cols), self.mask.static_removed)
         if not np.array_equal(ids, expected):
             raise ParameterError("kept_col_ids must complement static_removed exactly")
+        object.__setattr__(self, "col_norms", col_l2_norms(kept))
 
 
 def static_metric(w_b, calib_x) -> np.ndarray:
@@ -114,12 +120,21 @@ def dynamic_mask(pruned: PrunedBase, x_batch) -> np.ndarray:
             f"x_batch rows {x.shape[0]} != kept column count {pruned.kept.shape[1]} "
             "(rows must align with kept_col_ids)"
         )
+    return pruned.kept_col_ids[_active_positions(pruned, x)]
+
+
+def _active_positions(pruned: PrunedBase, rows: np.ndarray) -> np.ndarray:
+    """Ascending positions into kept_col_ids of the columns active for `rows`.
+
+    `rows` must already be a finite C-order matrix aligned with the kept
+    columns; `dynamic_mask` is the checked entry point.
+    """
+    n = pruned.kept_col_ids.size
     quota = pruned.mask.dynamic_quota
     if quota == 0:
-        return pruned.kept_col_ids.copy()
-    c = static_metric(pruned.kept, x)
+        return np.arange(n)
+    c = pruned.col_norms * np.linalg.norm(rows, axis=1)
     # kept_col_ids is ascending, so stable sort ties resolve to lower original index
-    drop_positions = np.argsort(c, kind="stable")[:quota]
-    keep = np.ones(pruned.kept_col_ids.size, dtype=bool)
-    keep[drop_positions] = False
-    return pruned.kept_col_ids[keep]
+    keep = np.ones(n, dtype=bool)
+    keep[np.argsort(c, kind="stable")[:quota]] = False
+    return np.flatnonzero(keep)

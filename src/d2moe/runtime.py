@@ -22,7 +22,7 @@ from .factorize import DeltaFactor
 from .linalg import as_matrix
 from .moe import (MoELayer, Role, RoutingTrace, _layer_input, _trace_from_routing, layer_forward_dense,
                   route_batch, routed_forward, silu)
-from .pruning import PrunedBase, dynamic_mask
+from .pruning import PrunedBase, _active_positions
 
 
 @dataclass(frozen=True)
@@ -91,43 +91,41 @@ class CompressedModel:
         object.__setattr__(self, "head", as_matrix(self.head, "head"))
 
 
-def _masked_base_matmul(base: PrunedBase, active_ids: np.ndarray, x_full: np.ndarray) -> np.ndarray:
-    """W_b^masked @ x using only the active columns / input rows."""
-    positions = np.searchsorted(base.kept_col_ids, active_ids)
-    return base.kept[:, positions] @ x_full[active_ids, :]
-
-
 def _base_path(layer: CompressedLayer, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Active Up ids, active Down ids and the masked Up-base product for one batch.
+    """Active Up positions, active Down positions and the masked Up-base
+    product for one checked batch.
 
-    The Up mask scores the batch inputs; the Down mask scores the base-path
-    hidden activations silu(W_b_up^masked x) so it is expert-independent.
+    Positions index each base's kept columns. The Up mask scores the batch
+    inputs; the Down mask scores the base-path hidden activations
+    silu(W_b_up^masked x) so it is expert-independent.
     """
     up, down = layer.base[Role.UP], layer.base[Role.DOWN]
-    active_up = dynamic_mask(up, xb[up.kept_col_ids, :])
-    u_base = _masked_base_matmul(up, active_up, xb)  # (hidden, T)
-    h_base = silu(u_base)
-    active_down = dynamic_mask(down, h_base[down.kept_col_ids, :])
-    return active_up, active_down, u_base
+    x_kept = xb[up.kept_col_ids, :]
+    up_pos = _active_positions(up, x_kept)
+    u_base = up.kept[:, up_pos] @ x_kept[up_pos, :]  # (hidden, T)
+    down_pos = _active_positions(down, silu(u_base[down.kept_col_ids, :]))
+    return up_pos, down_pos, u_base
 
 
 def batch_active_columns(layer: CompressedLayer, x_batch) -> dict[Role, np.ndarray]:
     """Per-role active original column ids for this batch."""
-    active_up, active_down, _ = _base_path(layer, _layer_input(layer, x_batch))
-    return {Role.UP: active_up, Role.DOWN: active_down}
+    up_pos, down_pos, _ = _base_path(layer, _layer_input(layer, x_batch))
+    return {role: layer.base[role].kept_col_ids[pos]
+            for role, pos in ((Role.UP, up_pos), (Role.DOWN, down_pos))}
 
 
 def compressed_forward(layer: CompressedLayer, x_batch) -> tuple[np.ndarray, RoutingTrace]:
     """Eq.-style compressed layer forward over one batch.
 
-    Dynamic masks and the masked Up-base product are computed once for the
-    batch; gating is identical to the dense router. Returns (y_batch,
-    routing trace).
+    The input is checked once; dynamic masks and the masked Up-base product
+    are computed once for the batch; gating is identical to the dense router.
+    Returns (y_batch, routing trace).
     """
     xb = _layer_input(layer, x_batch)
-    _, active_down, u_base = _base_path(layer, xb)
+    _, down_pos, u_base = _base_path(layer, xb)
     down = layer.base[Role.DOWN]
-    down_masked = down.kept[:, np.searchsorted(down.kept_col_ids, active_down)]
+    down_masked = down.kept[:, down_pos]
+    down_ids = down.kept_col_ids[down_pos]
 
     def expert(i, rows):
         factors = layer.deltas.get(i)
@@ -136,7 +134,7 @@ def compressed_forward(layer: CompressedLayer, x_batch) -> tuple[np.ndarray, Rou
             f = factors[Role.UP]
             u_i = u_i + f.u @ (f.v @ xb[:, rows])
         h_i = silu(u_i)
-        y_i = down_masked @ h_i[active_down, :]
+        y_i = down_masked @ h_i[down_ids, :]
         if factors is not None:
             f = factors[Role.DOWN]
             y_i = y_i + f.u @ (f.v @ h_i)

@@ -285,18 +285,38 @@ class TestExitCodes:
         assert self.eval_container(workdir, tmp_path, tensors) == EXIT_IO
         assert "layer 0" in capsys.readouterr().err
 
-    def test_overflowing_logits_in_fisher_are_numerical(self, workdir, tmp_path, capsys):
+    def huge_model(self, workdir, tmp_path):
+        """The fixture model with expert and head weights scaled so the logits overflow."""
         tensors = container_load(workdir / "model.d2m")
         for name in tensors:
             if "/expert" in name or name == "head":
                 tensors[name] = tensors[name] * 1e150
         container_save(tmp_path / "huge.d2m", tensors)
+        return tmp_path / "huge.d2m"
+
+    def compress_huge(self, workdir, tmp_path, merge):
         with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["compress", "--model", str(tmp_path / "huge.d2m"),
-                       "--calib", str(workdir / "calib.d2m"), "--merge", "fisher",
-                       "--out", str(tmp_path / "o.d2m"), "--report", str(tmp_path / "r.jsonl")])
-        assert rc == EXIT_NUMERICAL
+            return main(["compress", "--model", str(self.huge_model(workdir, tmp_path)),
+                         "--calib", str(workdir / "calib.d2m"), "--merge", merge,
+                         "--out", str(tmp_path / "o.d2m"), "--report", str(tmp_path / "r.jsonl")])
+
+    def test_overflowing_logits_in_fisher_are_numerical(self, workdir, tmp_path, capsys):
+        assert self.compress_huge(workdir, tmp_path, "fisher") == EXIT_NUMERICAL
         assert "not finite" in capsys.readouterr().err
+
+    def test_overflowing_logits_in_mean_compress_are_numerical(self, workdir, tmp_path, capsys):
+        assert self.compress_huge(workdir, tmp_path, "mean") == EXIT_NUMERICAL
+        assert "logits are not finite" in capsys.readouterr().err
+        assert not (tmp_path / "o.d2m").exists() and not (tmp_path / "r.jsonl").exists()
+
+    def test_overflowing_logits_in_eval_are_numerical(self, workdir, tmp_path, capsys):
+        huge = self.huge_model(workdir, tmp_path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["eval", "--model", str(huge), "--calib", str(workdir / "calib.d2m")])
+        assert rc == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert "logits are not finite" in captured.err
+        assert "loss=" not in captured.out
 
     def test_numerical_error_maps_to_4(self, workdir, monkeypatch):
         def blow_up(*args, **kwargs):

@@ -2,11 +2,13 @@
 
 The byte layout is checked by hand-parsing files with int.from_bytes and
 np.frombuffer only, so a format drift cannot hide behind the loader. Error
-cases are crafted as raw byte strings.
+cases are crafted as raw byte strings, and damaged copies of valid files
+are fuzzed through load_any.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from d2moe.container import (
     ALIGNMENT,
@@ -26,6 +28,7 @@ from d2moe.container import (
 )
 from d2moe.errors import (
     BadMagicError,
+    ContainerError,
     ManifestError,
     NonFinitePayloadError,
     OverlappingPayloadError,
@@ -290,3 +293,89 @@ class TestModelSerialization:
         container_save(path, {"x": np.ones((1, 1))})
         with pytest.raises(ManifestError):
             load_any(path)
+
+
+class TestHostileMeta:
+    """Metadata values that would size a loop or an array are checked first."""
+
+    def damaged(self, tmp_path, name, column, value):
+        model, _ = make_compressed()
+        path = tmp_path / "comp.bin"
+        save_compressed_model(path, model)
+        tensors = container_load(path)
+        tensors[name] = tensors[name].copy()
+        tensors[name][0, column] = value
+        container_save(path, tensors)
+        return path
+
+    @pytest.mark.parametrize("column, value", [(0, 2.0 ** 40), (0, 3.0), (0, 9.0), (1, 1.0), (1, 7e307)])
+    def test_base_meta_out_of_range(self, tmp_path, column, value):
+        path = self.damaged(tmp_path, "layer0/base_up/meta", column, value)
+        with pytest.raises(ManifestError, match="base_up/meta"):
+            load_any(path)
+
+    def test_expert_count_must_match_gate(self, tmp_path):
+        path = self.damaged(tmp_path, "layer1/meta", 1, 2.0 ** 40)
+        with pytest.raises(ManifestError, match="gate has 3 rows"):
+            load_any(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Valid dense, calibration and compressed container bytes."""
+    root = tmp_path_factory.mktemp("fuzz")
+    model, rng = make_model(seed=5)
+    compressed, _ = make_compressed(seed=6)
+    save_model(root / "dense.bin", model)
+    save_calibration(root / "calibration.bin", rng.normal(size=(5, 9)), np.arange(9.0) % 4)
+    save_compressed_model(root / "compressed.bin", compressed)
+    return root, {kind: (root / f"{kind}.bin").read_bytes()
+                  for kind in ("dense", "calibration", "compressed")}
+
+
+def _payload_spans(data: bytes) -> list[tuple[int, int]]:
+    """(offset, byte length) of every tensor payload, read from the manifest."""
+    mlen = int.from_bytes(data[8:16], "little")
+    spans = []
+    for line in data[16:16 + mlen].decode().splitlines():
+        _, rows, cols, offset = line.split(" ")
+        spans.append((int(offset), int(rows) * int(cols) * 8))
+    return spans
+
+
+class TestFuzzLoad:
+    """Truncated, bit-flipped and tensor-dropped copies of valid files either
+    load or fail with a ContainerError; the only other error allowed is the
+    calibration label-count ShapeError."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(kind=st.sampled_from(["dense", "calibration", "compressed"]),
+           damage=st.sampled_from(["truncate", "flip", "flip-in-tensor", "drop"]),
+           where=st.integers(min_value=0, max_value=2 ** 32), bit=st.integers(min_value=0, max_value=63))
+    def test_damaged_file_fails_cleanly(self, fuzz_files, kind, damage, where, bit):
+        root, originals = fuzz_files
+        data = bytearray(originals[kind])
+        path = root / "damaged.bin"
+        if damage == "truncate":
+            path.write_bytes(bytes(data[:where % len(data)]))
+        elif damage == "flip":
+            data[where % len(data)] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(data))
+        elif damage == "flip-in-tensor":
+            spans = _payload_spans(data)
+            offset, nbytes = spans[where % len(spans)]
+            element = offset + (where // len(spans)) % (nbytes // 8) * 8
+            value = int.from_bytes(data[element:element + 8], "little") ^ (1 << bit)
+            data[element:element + 8] = value.to_bytes(8, "little")
+            path.write_bytes(bytes(data))
+        else:
+            (root / "original.bin").write_bytes(bytes(data))
+            tensors = container_load(root / "original.bin")
+            del tensors[list(tensors)[where % len(tensors)]]
+            container_save(path, tensors)
+        try:
+            load_any(path)
+        except ContainerError:
+            pass
+        except ShapeError as exc:
+            assert kind == "calibration" and "labels for" in str(exc), exc

@@ -9,7 +9,10 @@ import math
 import numpy as np
 import pytest
 
+from d2moe.container import container_load, load_compressed_model, save_compressed_model
 from d2moe.errors import ParameterError, ShapeError
+from d2moe.linalg import col_l2_norms
+from d2moe.moe import Role
 from d2moe.pruning import (
     PruneMask,
     PrunedBase,
@@ -18,6 +21,7 @@ from d2moe.pruning import (
     static_metric_from_gram,
     static_prune,
 )
+from d2moe.runtime import CompressedLayer, CompressedModel
 
 
 def drop_oracle(metric, ids, quota):
@@ -143,6 +147,41 @@ class TestDynamicMask:
         pruned, rng = self.make_pruned(seed=7, n=16, s=0.5)
         with pytest.raises(ShapeError):
             dynamic_mask(pruned, rng.normal(size=(16, 8)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_batch_rejected(self, bad):
+        pruned, rng = self.make_pruned(seed=8, n=16, s=0.5)
+        batch = rng.normal(size=(pruned.kept.shape[1], 8))
+        batch[3, 5] = bad
+        with pytest.raises(ShapeError, match="non-finite"):
+            dynamic_mask(pruned, batch)
+
+
+class TestColumnNorms:
+    """PrunedBase caches the column norms every dynamic mask scores."""
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.5, 0.9])
+    def test_equal_to_col_l2_norms_after_static_prune(self, s):
+        rng = np.random.default_rng(9)
+        w = rng.normal(size=(7, 20))
+        pruned = static_prune(w, static_metric(w, rng.normal(size=(20, 30))), s)
+        assert pruned.col_norms.tobytes() == col_l2_norms(pruned.kept).tobytes()
+
+    def test_equal_to_col_l2_norms_after_container_round_trip(self, tmp_path):
+        rng = np.random.default_rng(10)
+        d, hidden = 10, 12
+        base = {}
+        for role, w in ((Role.UP, rng.normal(size=(hidden, d))), (Role.DOWN, rng.normal(size=(d, hidden)))):
+            base[role] = static_prune(w, static_metric(w, rng.normal(size=(w.shape[1], 40))), 0.4)
+        layer = CompressedLayer(gate=rng.normal(size=(3, d)), base=base, deltas={}, top_k=2,
+                                trimmed=(0, 1, 2))
+        save_compressed_model(tmp_path / "c.d2m",
+                              CompressedModel(layers=[layer], head=rng.normal(size=(2, d))))
+        loaded = load_compressed_model(container_load(tmp_path / "c.d2m")).layers[0]
+        for role in (Role.UP, Role.DOWN):
+            kept = loaded.base[role]
+            assert kept.col_norms.tobytes() == col_l2_norms(kept.kept).tobytes()
+            assert kept.col_norms.tobytes() == base[role].col_norms.tobytes()
 
 
 class TestMaskValidation:

@@ -2,16 +2,23 @@
 
 The forward path is checked against a per-token oracle that materializes
 each expert's effective weight as a dense masked base plus the factor
-product, then loops over tokens in plain python.
+product, then loops over tokens in plain python. The batched fast path is
+also checked byte for byte against the slow path it replaced: per-call
+dynamic masks that recompute the base column norms, ids mapped back to
+positions with searchsorted, and the cumsum-bounded routed core.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
+import d2moe.linalg
 from d2moe.errors import ParameterError, ShapeError
 from d2moe.factorize import rank_for_ratio, truncation_aware_svd
 from d2moe.merge import mean_merge
-from d2moe.moe import MoELayer, MoEModel, Role, layer_forward_dense, moe_forward_dense, route_batch, silu
+from d2moe.moe import (MoELayer, MoEModel, Role, RoutingTrace, layer_forward_dense, moe_forward_dense,
+                       route_batch, routed_forward, silu)
 from d2moe.pruning import static_metric, static_prune
 from d2moe.runtime import (
     CompressedLayer,
@@ -138,6 +145,171 @@ class TestCompressedForward:
         layer = compress_by_hand(dense, rng.normal(size=(6, 40)))
         with pytest.raises(ShapeError):
             compressed_forward(layer, rng.normal(size=(7, 10)))
+
+
+def legacy_routed_forward(layer, x_batch, expert_fn):
+    """The routed core with each expert's bounds taken from a cumsum of the counts."""
+    selected, weights = route_batch(layer.gate, layer.top_k, x_batch)
+    counts = np.bincount(selected.ravel(), minlength=layer.n_experts).astype(np.int64)
+    order = np.argsort(selected.ravel(), kind="stable")
+    rows_sorted = order // layer.top_k
+    weights_sorted = weights.ravel()[order]
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+    y = np.zeros((layer.d_out, x_batch.shape[1]))
+    for i in np.flatnonzero(counts).tolist():
+        rows = rows_sorted[bounds[i]:bounds[i + 1]]
+        y[:, rows] += weights_sorted[bounds[i]:bounds[i + 1]] * expert_fn(i, rows)
+    return y, RoutingTrace(selected=selected, weights=weights, counts=counts)
+
+
+def legacy_dynamic_mask(pruned, rows):
+    """Active original ids, with the metric (base column norms included) recomputed per call."""
+    quota = pruned.mask.dynamic_quota
+    if quota == 0:
+        return pruned.kept_col_ids.copy()
+    drop = np.argsort(static_metric(pruned.kept, rows), kind="stable")[:quota]
+    keep = np.ones(pruned.kept_col_ids.size, dtype=bool)
+    keep[drop] = False
+    return pruned.kept_col_ids[keep]
+
+
+def legacy_compressed_forward(layer, xb):
+    """Compressed layer forward on active ids, mapped to kept positions by searchsorted."""
+    up, down = layer.base[Role.UP], layer.base[Role.DOWN]
+    active_up = legacy_dynamic_mask(up, xb[up.kept_col_ids, :])
+    u_base = up.kept[:, np.searchsorted(up.kept_col_ids, active_up)] @ xb[active_up, :]
+    active_down = legacy_dynamic_mask(down, silu(u_base)[down.kept_col_ids, :])
+    down_masked = down.kept[:, np.searchsorted(down.kept_col_ids, active_down)]
+
+    def expert(i, rows):
+        factors = layer.deltas.get(i)
+        u_i = u_base[:, rows]
+        if factors is not None:
+            u_i = u_i + factors[Role.UP].u @ (factors[Role.UP].v @ xb[:, rows])
+        h_i = silu(u_i)
+        y_i = down_masked @ h_i[active_down, :]
+        if factors is not None:
+            y_i = y_i + factors[Role.DOWN].u @ (factors[Role.DOWN].v @ h_i)
+        return y_i
+
+    return legacy_routed_forward(layer, xb, expert)
+
+
+def legacy_model_forward(model, x):
+    h, traces = np.ascontiguousarray(x, dtype=np.float64), []
+    for layer in model.layers:
+        if isinstance(layer, MoELayer):
+            def expert(i, rows, layer=layer, h=h):
+                return layer.experts[i][Role.DOWN] @ silu(layer.experts[i][Role.UP] @ h[:, rows])
+            h, trace = legacy_routed_forward(layer, h, expert)
+        else:
+            h, trace = legacy_compressed_forward(layer, h)
+        traces.append(trace)
+    return model.head @ h, traces
+
+
+def oracle_model(top_k, seed=11, d=12, hidden=16, n_experts=6):
+    """Hybrid stack: pruned with trimmed experts, dense, unpruned (quota 0), pruned."""
+    rng = np.random.default_rng(seed)
+    dense = [make_dense_layer(rng, n_experts=n_experts, d=d, hidden=hidden, top_k=top_k)
+             for _ in range(4)]
+    x = rng.normal(size=(d, 60))
+    layers = [compress_by_hand(dense[0], x, p=0.4, s=0.5, trimmed=(1, 4)), dense[1],
+              compress_by_hand(dense[2], x, p=0.4, s=0.0),
+              compress_by_hand(dense[3], x, p=0.6, s=0.3)]
+    return CompressedModel(layers=layers, head=rng.normal(size=(5, d))), rng
+
+
+def assert_same_trace(got, want):
+    for field in ("selected", "weights", "counts"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+
+class TestSlowPathOracle:
+    @pytest.mark.parametrize("top_k", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 128])
+    def test_model_forward_byte_identical(self, top_k, batch):
+        model, rng = oracle_model(top_k)
+        assert model.layers[0].base[Role.UP].mask.dynamic_quota > 0
+        assert model.layers[2].base[Role.UP].mask.dynamic_quota == 0
+        assert model.layers[2].base[Role.DOWN].mask.dynamic_quota == 0
+        for _ in range(3):
+            x = rng.normal(size=(12, batch))
+            logits, traces = compressed_model_forward(model, x)
+            want_logits, want_traces = legacy_model_forward(model, x)
+            assert logits.tobytes() == want_logits.tobytes()
+            assert len(traces) == len(want_traces) == 4
+            for got, want in zip(traces, want_traces):
+                assert_same_trace(got, want)
+
+    @pytest.mark.parametrize("top_k", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 128])
+    def test_active_columns_match_per_call_masks(self, top_k, batch):
+        model, rng = oracle_model(top_k)
+        layer = model.layers[0]
+        x = rng.normal(size=(12, batch))
+        up, down = layer.base[Role.UP], layer.base[Role.DOWN]
+        want_up = legacy_dynamic_mask(up, x[up.kept_col_ids, :])
+        u_base = up.kept[:, np.searchsorted(up.kept_col_ids, want_up)] @ x[want_up, :]
+        want_down = legacy_dynamic_mask(down, silu(u_base)[down.kept_col_ids, :])
+        active = batch_active_columns(layer, x)
+        np.testing.assert_array_equal(active[Role.UP], want_up)
+        np.testing.assert_array_equal(active[Role.DOWN], want_down)
+
+    @pytest.mark.parametrize("top_k", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 128])
+    def test_routed_core_matches_cumsum_bounds(self, top_k, batch):
+        rng = np.random.default_rng(12)
+        layer = make_dense_layer(rng, n_experts=6, d=5, hidden=4, top_k=top_k)
+        x = rng.normal(size=(5, batch))
+        payload = rng.normal(size=(6, layer.d_out, batch))
+        calls, want_calls = [], []
+
+        def expert(log):
+            def fn(i, rows):
+                log.append((i, rows.tolist()))
+                return payload[i][:, rows]
+            return fn
+
+        y, trace = routed_forward(layer, x, expert(calls))
+        want_y, want_trace = legacy_routed_forward(layer, x, expert(want_calls))
+        assert calls == want_calls
+        assert y.tobytes() == want_y.tobytes()
+        assert_same_trace(trace, want_trace)
+
+
+class TestPerCallOverhead:
+    """Count the finiteness scans (as_matrix calls) a compressed forward makes."""
+
+    def count_scans(self, monkeypatch):
+        original = d2moe.linalg.as_matrix
+        names = []
+
+        def counting(*args, **kwargs):
+            names.append(args[1] if len(args) > 1 else kwargs.get("name"))
+            return original(*args, **kwargs)
+
+        patched = set()
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "d2moe" and getattr(mod, "as_matrix", None) is original:
+                monkeypatch.setattr(mod, "as_matrix", counting)
+                patched.add(mod_name)
+        assert {"d2moe.linalg", "d2moe.moe", "d2moe.pruning", "d2moe.runtime"} <= patched
+        return names
+
+    @pytest.mark.parametrize("batch", [1, 128])
+    def test_four_layer_forward_scans_once_per_layer(self, monkeypatch, batch):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(12, 60))
+        layers = [compress_by_hand(make_dense_layer(rng, n_experts=6, d=12, hidden=16), x,
+                                   p=0.5, s=0.5, trimmed=(2,))
+                  for _ in range(4)]
+        model = CompressedModel(layers=layers, head=rng.normal(size=(3, 12)))
+        batch_x = rng.normal(size=(12, batch))
+        names = self.count_scans(monkeypatch)
+        compressed_model_forward(model, batch_x)
+        assert len(names) <= 5, names
 
 
 class TestTrim:
