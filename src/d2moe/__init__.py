@@ -46,7 +46,6 @@ from .errors import (
 from .factorize import (
     DeltaFactor,
     RankPolicy,
-    activation_scaled_svd,
     rank_for_ratio,
     truncation_aware_svd,
     vanilla_svd_compress,
@@ -70,11 +69,9 @@ from .moe import (
     RoutingTrace,
     capture_calibration,
     expert_frequency,
-    gate,
     layer_forward_dense,
     moe_forward_dense,
     silu,
-    topk_select,
 )
 from .pipeline import (
     EvalResult,

@@ -172,7 +172,18 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze(args) -> int:
     cfg = _resolve_config(args)
+    if args.frontier:
+        try:
+            ratios = [float(part) for part in args.frontier.split(",") if part.strip()]
+        except ValueError:
+            ratios = []
+        if not ratios:
+            raise ConfigError(f"--frontier expects comma-separated ratios, got {args.frontier!r}")
+    if (args.sensitivity or args.frontier) and not args.calib:
+        raise ConfigError("analyze: --sensitivity and --frontier require --calib")
     model = _load_model_file(args.model)
+    if args.cka and not 0 <= args.layer < len(model.layers):
+        raise ConfigError(f"--layer {args.layer} outside [0, {len(model.layers) - 1}]")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     wrote_any = False
@@ -187,9 +198,6 @@ def _cmd_analyze(args) -> int:
         print(f"wrote {out_dir / 'cka.csv'}")
         wrote_any = True
 
-    if (args.sensitivity or args.frontier) and not args.calib:
-        raise ConfigError("analyze: --sensitivity and --frontier require --calib")
-
     if args.sensitivity:
         tokens, labels = _load_calib_file(args.calib)
         n_use = min(cfg.calib_samples, tokens.shape[1])
@@ -202,9 +210,6 @@ def _cmd_analyze(args) -> int:
 
     if args.frontier:
         tokens, labels = _load_calib_file(args.calib)
-        ratios = [float(part) for part in args.frontier.split(",") if part.strip()]
-        if not ratios:
-            raise ConfigError(f"--frontier expects comma-separated ratios, got {args.frontier!r}")
         points = ratio_frontier(model, tokens, labels, cfg, ratios)
         write_frontier_csv(out_dir / "frontier.csv", points)
         print(f"wrote {out_dir / 'frontier.csv'}")

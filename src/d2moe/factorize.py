@@ -4,7 +4,7 @@ The main route whitens each delta by the Cholesky factor of its expert's
 activation Gram before truncating: with S @ S.T = Gram, the rank-k SVD of
 delta @ S minimizes the activation-weighted error ||(delta - approx) @ S||_F,
 and S^{-1} is folded back into the right factor by triangular solves. A plain
-truncated SVD and a diagonal activation-scaling variant ship as ablations.
+truncated SVD ships as the ablation.
 """
 from __future__ import annotations
 
@@ -128,30 +128,6 @@ def vanilla_svd_compress(delta, k: int, expert_id: int = -1, role: Role | None =
     root = np.sqrt(trunc.sigma)
     return DeltaFactor(u=np.ascontiguousarray(trunc.u * root),
                        v=np.ascontiguousarray((trunc.v * root).T),
-                       rank=k, expert_id=expert_id, role=role)
-
-
-def activation_scaled_svd(delta, gram, k: int, expert_id: int = -1,
-                          role: Role | None = None) -> DeltaFactor:
-    """Ablation variant: whiten by the diagonal per-feature activation norms
-    sqrt(diag(gram)) instead of the full Cholesky factor.
-
-    Zero-activation features get unit scale so the diagonal stays invertible.
-    """
-    d = as_matrix(delta, "delta")
-    g = as_matrix(gram, "gram")
-    m, n = d.shape
-    if g.shape != (n, n):
-        raise ShapeError(f"gram shape {g.shape} != ({n}, {n}) for delta {d.shape}")
-    if not 1 <= k <= min(m, n):
-        raise ParameterError(f"rank k={k} outside [1, {min(m, n)}]")
-    scale = np.sqrt(np.maximum(np.diag(g), 0.0))
-    scale = np.where(scale > 0.0, scale, 1.0)
-    trunc = svd(d * scale).truncate(k)
-    root = np.sqrt(trunc.sigma)
-    u = trunc.u * root
-    v = (trunc.v * root).T / scale
-    return DeltaFactor(u=np.ascontiguousarray(u), v=np.ascontiguousarray(v),
                        rank=k, expert_id=expert_id, role=role)
 
 

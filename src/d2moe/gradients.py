@@ -5,12 +5,13 @@ The discrete top-k routing choice is treated as locally constant (it is
 piecewise constant in the parameters, so this is the exact gradient almost
 everywhere); the softmax over the surviving logits is differentiated exactly.
 
-`backward_logloss` differentiates one token. `fisher_accumulate` computes the
-diagonal empirical Fisher of a whole calibration batch in closed form: one
-batched forward through `moe.routed_forward`, then one reverse sweep over the
-layers. A token routed to expert i contributes a single outer product to each
-of that expert's gradients, ebar hid^T (Down) and abar x^T (Up), so the sum of
-their elementwise squares over the expert's routed tokens is
+Both callers run the same code: one batched forward through
+`moe.routed_forward`, then one reverse sweep over the layers
+(`_reverse_sweep`). A token routed to expert i contributes a single outer
+product to each of that expert's gradients, ebar hid^T (Down) and abar x^T
+(Up). `backward_logloss` runs the sweep on one token and forms those outer
+products. `fisher_accumulate` runs it on the whole calibration batch and sums
+their elementwise squares over each expert's routed tokens in closed form:
 
     F_down[i] = (Ebar∘Ebar) (Hid∘Hid)^T,    F_up[i] = (Abar∘Abar) (X∘X)^T,
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, NumericalError, ParameterError, ShapeError
 from .linalg import as_matrix
-from .moe import MoEModel, Role, ROLES, _softmax, route_batch, routed_forward, silu, silu_grad
+from .moe import MoEModel, Role, ROLES, _softmax, routed_forward, silu, silu_grad
 
 FISHER_MODES = ("sampled-label", "data-label")
 
@@ -54,31 +55,6 @@ class FisherInfo:
     sample_count: int
     mode: str
 
-    def scalar_reduction(self, layer: int, expert: int, role: Role) -> float:
-        """Mean of the block's entries (scalar-per-expert Fisher mode)."""
-        return float(np.mean(self.fisher[layer][expert][role]))
-
-
-def _forward_with_cache(model: MoEModel, x: np.ndarray):
-    """Single-token forward keeping the activations backward needs."""
-    caches = []
-    h = x
-    for layer in model.layers:
-        sel, g = route_batch(layer.gate, layer.top_k, h[:, None])
-        sel, g = sel[0], g[0]
-        per_expert = {}
-        y = np.zeros(layer.d_out)
-        for j, i in enumerate(sel):
-            a = layer.experts[i][Role.UP] @ h
-            hid = silu(a)
-            e = layer.experts[i][Role.DOWN] @ hid
-            per_expert[int(i)] = (a, hid, e)
-            y += g[j] * e
-        caches.append((h, sel, g, per_expert))
-        h = y
-    logits = model.head @ h
-    return logits, h, caches
-
 
 def backward_logloss(model: MoEModel, x, y: int) -> GradientSet:
     """Exact analytic gradient of log softmax(head @ MoE(x))[y] with respect
@@ -89,43 +65,23 @@ def backward_logloss(model: MoEModel, x, y: int) -> GradientSet:
     if not 0 <= y < model.num_classes:
         raise ParameterError(f"label {y} outside [0, {model.num_classes})")
 
-    logits, final_h, caches = _forward_with_cache(model, xv)
-    p = _softmax(logits)
-    lbar = -p
+    logits, h, caches = _forward_batch_with_cache(model, xv[:, None])
+    lbar = -_softmax(logits[:, 0])
     lbar[y] += 1.0  # d log p(y|x) / d logits = onehot(y) - softmax
+    lbar = lbar[:, None]
 
-    head_grad = np.outer(lbar, final_h)
-    ybar = model.head.T @ lbar
-
-    gate_grads = [np.zeros_like(layer.gate) for layer in model.layers]
     expert_grads = [
         [{role: np.zeros_like(expert[role]) for role in ROLES} for expert in layer.experts]
         for layer in model.layers
     ]
 
-    for l in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[l]
-        xin, sel, g, per_expert = caches[l]
-        xbar = np.zeros_like(xin)
+    def expert(l, i, x_i, ebar, hid, abar):
+        expert_grads[l][i][Role.DOWN] = ebar @ hid.T
+        expert_grads[l][i][Role.UP] = abar @ x_i.T
 
-        # gating weights are softmax over the surviving logits
-        gbar = np.array([per_expert[int(i)][2] @ ybar for i in sel])
-        zbar = g * (gbar - g @ gbar)
-        gate_grads[l][sel, :] += zbar[:, None] * xin[None, :]
-        xbar += layer.gate[sel].T @ zbar
-
-        for j, i in enumerate(sel):
-            i = int(i)
-            a, hid, _ = per_expert[i]
-            ebar = g[j] * ybar
-            expert_grads[l][i][Role.DOWN] += np.outer(ebar, hid)
-            hbar = layer.experts[i][Role.DOWN].T @ ebar
-            abar = hbar * silu_grad(a)
-            expert_grads[l][i][Role.UP] += np.outer(abar, xin)
-            xbar += layer.experts[i][Role.UP].T @ abar
-        ybar = xbar
-
-    return GradientSet(gate_grads=gate_grads, expert_grads=expert_grads, head_grad=head_grad)
+    zbars = _reverse_sweep(model, caches, model.head.T @ lbar, expert)
+    gate_grads = [zbar @ xin.T for zbar, (xin, _, _) in zip(zbars, caches)]
+    return GradientSet(gate_grads=gate_grads, expert_grads=expert_grads, head_grad=lbar @ h.T)
 
 
 def fisher_accumulate(model: MoEModel, calib, mode: str = "sampled-label",
@@ -153,7 +109,7 @@ def fisher_accumulate(model: MoEModel, calib, mode: str = "sampled-label",
         if np.any((labels < 0) | (labels >= model.num_classes)):
             raise ParameterError(f"labels must lie in [0, {model.num_classes})")
 
-    logits, caches = _forward_batch_with_cache(model, xb)
+    logits, _, caches = _forward_batch_with_cache(model, xb)
     e = np.exp(logits - np.max(logits, axis=0))
     p = e / np.sum(e, axis=0)
     bad = np.flatnonzero(~np.all(np.isfinite(p), axis=0))
@@ -163,41 +119,24 @@ def fisher_accumulate(model: MoEModel, calib, mode: str = "sampled-label",
     if mode == "sampled-label":
         labels = _draw_labels(p, np.random.default_rng(seed))
 
-    cols = np.arange(n_tokens)
     lbar = -p
-    lbar[labels, cols] += 1.0  # d log p(y|x) / d logits = onehot(y) - softmax
-    ybar = model.head.T @ lbar
+    lbar[labels, np.arange(n_tokens)] += 1.0  # d log p(y|x) / d logits = onehot(y) - softmax
 
     fisher = [[{role: np.zeros_like(expert[role]) for role in ROLES} for expert in layer.experts]
               for layer in model.layers]
-    for l in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[l]
-        xin, trace, acts = caches[l]
-        g = np.zeros((layer.n_experts, n_tokens))  # gating weights, zero off the selection
-        g[trace.selected, cols[:, None]] = trace.weights
-        gbar = np.zeros_like(g)
-        xbar = np.zeros_like(xin)
-        for i, (rows, a) in acts.items():
-            up, down = layer.experts[i][Role.UP], layer.experts[i][Role.DOWN]
-            hid = silu(a)
-            ybar_i = ybar[:, rows]
-            q = down.T @ ybar_i  # d (ybar . expert output) / d hid
-            gbar[i, rows] = np.sum(hid * q, axis=0)
-            ebar = g[i, rows] * ybar_i
-            abar = g[i, rows] * q * silu_grad(a)
-            x_i = xin[:, rows]
-            fisher[l][i][Role.DOWN] = (ebar * ebar) @ (hid * hid).T / n_tokens
-            fisher[l][i][Role.UP] = (abar * abar) @ (x_i * x_i).T / n_tokens
-            xbar[:, rows] += up.T @ abar
-        # gating weights are softmax over the surviving logits
-        zbar = g * (gbar - np.sum(g * gbar, axis=0))
-        ybar = xbar + layer.gate.T @ zbar
+
+    def expert(l, i, x_i, ebar, hid, abar):
+        fisher[l][i][Role.DOWN] = (ebar * ebar) @ (hid * hid).T / n_tokens
+        fisher[l][i][Role.UP] = (abar * abar) @ (x_i * x_i).T / n_tokens
+
+    _reverse_sweep(model, caches, model.head.T @ lbar, expert)
     return FisherInfo(fisher=fisher, sample_count=n_tokens, mode=mode)
 
 
 def _forward_batch_with_cache(model: MoEModel, xb: np.ndarray):
-    """Batched forward; per layer keeps the input, the routing trace and, for
-    each routed expert, its token columns and Up pre-activations."""
+    """Batched forward. Returns the logits, the final hidden state and, per
+    layer, the input, the routing trace and, for each routed expert, its
+    token columns and Up pre-activations."""
     caches = []
     h = xb
     for layer in model.layers:
@@ -211,7 +150,41 @@ def _forward_batch_with_cache(model: MoEModel, xb: np.ndarray):
         y, trace = routed_forward(layer, h, expert)
         caches.append((h, trace, acts))
         h = y
-    return model.head @ h, caches
+    return model.head @ h, h, caches
+
+
+def _reverse_sweep(model: MoEModel, caches, ybar: np.ndarray, expert_fn) -> list[np.ndarray]:
+    """Backpropagate ybar, the gradient at the final hidden state, from the
+    last layer down. Returns each layer's gate-logit gradient zbar (N, T),
+    zero off each token's selection.
+
+    For every routed expert i of layer l, in ascending order, calls
+    expert_fn(l, i, x_i, ebar, hid, abar) with that expert's tokens along the
+    columns. Token t's gradient is ebar_t hid_t^T for the expert's Down
+    weight and abar_t x_t^T for its Up weight.
+    """
+    cols = np.arange(ybar.shape[1])
+    zbars = [None] * len(model.layers)
+    for l in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[l]
+        xin, trace, acts = caches[l]
+        g = np.zeros((layer.n_experts, cols.size))  # gating weights, zero off the selection
+        g[trace.selected, cols[:, None]] = trace.weights
+        gbar = np.zeros_like(g)
+        xbar = np.zeros_like(xin)
+        for i, (rows, a) in acts.items():
+            up, down = layer.experts[i][Role.UP], layer.experts[i][Role.DOWN]
+            hid = silu(a)
+            ybar_i = ybar[:, rows]
+            q = down.T @ ybar_i  # d (ybar . expert output) / d hid
+            gbar[i, rows] = np.sum(hid * q, axis=0)
+            abar = g[i, rows] * q * silu_grad(a)
+            expert_fn(l, i, xin[:, rows], g[i, rows] * ybar_i, hid, abar)
+            xbar[:, rows] += up.T @ abar
+        # gating weights are softmax over the surviving logits
+        zbars[l] = zbar = g * (gbar - np.sum(g * gbar, axis=0))
+        ybar = xbar + layer.gate.T @ zbar
+    return zbars
 
 
 def _draw_labels(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:

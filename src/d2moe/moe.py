@@ -9,8 +9,8 @@ compressed, only the expert weights.
 
 `routed_forward` is the single dispatch path for batches: it routes, groups
 tokens by expert, and scatters the gated expert outputs. The dense forward,
-calibration capture and the compressed runtime differ only in the
-per-expert callback they pass it.
+calibration capture, Fisher accumulation (`gradients`) and the compressed
+runtime differ only in the per-expert callback they pass it.
 """
 from __future__ import annotations
 
@@ -160,32 +160,6 @@ class GramStats:
 # routing
 # ---------------------------------------------------------------------------
 
-def topk_select(logits: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest logits, ties broken toward the lower index.
-
-    Returned in descending-logit order (stable, so equal logits keep
-    ascending index order).
-    """
-    order = np.argsort(-logits, kind="stable")
-    return order[:k]
-
-
-def gate(x, layer: MoELayer) -> np.ndarray:
-    """Dense length-N gating vector: softmax over the k largest router logits.
-
-    The non-selected entries are exactly zero; the selected ones are the
-    softmax of their logits (TopK masks to -inf, softmax over survivors).
-    """
-    xv = np.ascontiguousarray(x, dtype=np.float64)
-    if xv.ndim != 1 or xv.shape[0] != layer.d_model:
-        raise ShapeError(f"gate input must be a length-{layer.d_model} vector")
-    logits = layer.gate @ xv
-    sel = topk_select(logits, layer.top_k)
-    out = np.zeros(layer.n_experts)
-    out[sel] = _softmax(logits[sel])
-    return out
-
-
 def _softmax(z: np.ndarray) -> np.ndarray:
     e = np.exp(z - np.max(z))
     return e / np.sum(e)
@@ -194,8 +168,8 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def route_batch(gate_w: np.ndarray, top_k: int, x_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Routing for a token batch: (selected (T,k) indices, weights (T,k)).
 
-    Column for column this is topk_select plus a softmax over the survivors,
-    to the byte.
+    Each token keeps its top_k largest logits in descending order, ties going
+    to the lower expert index, and its weights are the softmax over those.
     """
     logits = gate_w @ x_batch  # (N, T)
     selected = np.ascontiguousarray(np.argsort(-logits, axis=0, kind="stable")[:top_k].T)

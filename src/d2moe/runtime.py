@@ -107,13 +107,6 @@ def _base_path(layer: CompressedLayer, xb: np.ndarray) -> tuple[np.ndarray, np.n
     return up_pos, down_pos, u_base
 
 
-def batch_active_columns(layer: CompressedLayer, x_batch) -> dict[Role, np.ndarray]:
-    """Per-role active original column ids for this batch."""
-    up_pos, down_pos, _ = _base_path(layer, _layer_input(layer, x_batch))
-    return {role: layer.base[role].kept_col_ids[pos]
-            for role, pos in ((Role.UP, up_pos), (Role.DOWN, down_pos))}
-
-
 def compressed_forward(layer: CompressedLayer, x_batch) -> tuple[np.ndarray, RoutingTrace]:
     """Eq.-style compressed layer forward over one batch.
 
@@ -265,10 +258,9 @@ def census_static_params(layer: CompressedLayer) -> int:
 
 def census_active_params(layer: CompressedLayer, x_batch) -> float:
     """Average active multiply-weights per token in one forward call."""
-    xb = as_matrix(x_batch, "x_batch")
-    active = batch_active_columns(layer, xb)
-    base_per_token = (layer.hidden * active[Role.UP].size
-                      + layer.d_out * active[Role.DOWN].size)
+    xb = _layer_input(layer, x_batch)
+    up_pos, down_pos, _ = _base_path(layer, xb)
+    base_per_token = layer.hidden * up_pos.size + layer.d_out * down_pos.size
     counts = _trace_from_routing(*route_batch(layer.gate, layer.top_k, xb), layer.n_experts).counts
     factor_total = sum(int(counts[i]) * sum(f[r].u.size + f[r].v.size for r in (Role.UP, Role.DOWN))
                        for i, f in layer.deltas.items())

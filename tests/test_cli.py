@@ -193,6 +193,22 @@ class TestAnalyze:
                    "--out-dir", str(tmp_path), "--sensitivity"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("layer", ["5", "-1"])
+    def test_cka_layer_out_of_range_is_config_error(self, workdir, tmp_path, capsys, layer):
+        rc = main(["analyze", "--model", str(workdir / "model.d2m"),
+                   "--out-dir", str(tmp_path), "--cka", "--layer", layer])
+        assert rc == EXIT_CONFIG
+        assert f"--layer {layer} outside [0, 0]" in capsys.readouterr().err
+        assert not (tmp_path / "cka.csv").exists()
+
+    def test_non_numeric_frontier_is_config_error(self, workdir, tmp_path, capsys):
+        rc = main(["analyze", "--model", str(workdir / "model.d2m"),
+                   "--calib", str(workdir / "calib.d2m"),
+                   "--out-dir", str(tmp_path), "--sensitivity", "--frontier", "0.5,abc"])
+        assert rc == EXIT_CONFIG
+        assert "--frontier expects comma-separated ratios" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # rejected before any table is written
+
 
 class TestReportCommand:
     def test_pretty_print(self, workdir, tmp_path, capsys):

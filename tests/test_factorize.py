@@ -14,7 +14,6 @@ from d2moe.errors import ParameterError, ShapeError
 from d2moe.factorize import (
     DeltaFactor,
     RankPolicy,
-    activation_scaled_svd,
     rank_for_ratio,
     truncation_aware_svd,
     vanilla_svd_compress,
@@ -144,21 +143,6 @@ class TestVanillaSvd:
     def test_param_count(self):
         d, _, _ = make_case(8, m=10, n=4)
         assert vanilla_svd_compress(d, 3).param_count() == (10 + 4) * 3
-
-
-class TestActivationScaledSvd:
-    def test_unit_diagonal_equals_vanilla(self):
-        d, _, _ = make_case(9)
-        scaled = activation_scaled_svd(d, np.eye(6), 2)
-        plain = vanilla_svd_compress(d, 2)
-        np.testing.assert_array_equal(scaled.u, plain.u)
-        np.testing.assert_array_equal(scaled.v, plain.v)
-
-    def test_zero_activation_column_survives(self):
-        d, _, _ = make_case(10)
-        g = np.diag([4.0, 1.0, 0.0, 1.0, 1.0, 1.0])
-        f = activation_scaled_svd(d, g, 3)
-        assert np.all(np.isfinite(f.product()))
 
 
 class TestWeightedError:

@@ -1,5 +1,5 @@
 """Analytic-gradient and Fisher tests against finite differences and
-against the per-token Fisher loop.
+against the per-token backward the shared reverse sweep replaced.
 
 The finite-difference oracle never touches the backward code: it rebuilds
 the model with one entry nudged and recomputes the log-likelihood
@@ -7,10 +7,13 @@ numerically. Seeds are chosen so routing margins are far wider than the
 step size; a top-k flip under perturbation would invalidate the comparison,
 and the helper guards against that by checking the selected sets match at x.
 
-`per_token_fisher` is the slow path the batched closed-form Fisher replaced:
-one forward and one `backward_logloss` per token, labels drawn with one
-`rng.choice` per token. The batched Fisher must match it to 1e-12 of each
-block's maximum, with the same exact zeros and the same sampled labels.
+`legacy_backward_logloss` is the old single-token backward, kept here as an
+oracle: a per-token forward cache and a loop over the selected experts,
+independent of `gradients._reverse_sweep`. `per_token_fisher` is the slow path
+the batched closed-form Fisher replaced: one forward and one legacy backward
+per token, labels drawn with one `rng.choice` per token. `backward_logloss`
+and the batched Fisher must match them to 1e-12 of each block's maximum,
+with the same exact zeros and the same sampled labels.
 """
 
 import math
@@ -23,12 +26,13 @@ from d2moe.errors import NumericalError, ParameterError
 from d2moe.fixtures import gen_fixture
 from d2moe.gradients import (
     FisherInfo,
+    GradientSet,
     _draw_labels,
-    _forward_with_cache,
     backward_logloss,
     fisher_accumulate,
 )
-from d2moe.moe import MoELayer, MoEModel, Role, _softmax, moe_forward_dense
+from d2moe.merge import fisher_merge
+from d2moe.moe import MoELayer, MoEModel, Role, _softmax, moe_forward_dense, route_batch, silu, silu_grad
 from d2moe.pipeline import compress
 
 H = 1e-5
@@ -46,8 +50,61 @@ def make_model(seed, n_experts=2, d_model=4, hidden=5, layers=2, classes=3, top_
     return MoEModel(layers=lys, head=rng.normal(size=(classes, d_model)))
 
 
+def _forward_with_cache(model, x):
+    """Single-token forward keeping the activations the legacy backward needs."""
+    caches = []
+    h = x
+    for layer in model.layers:
+        sel, g = route_batch(layer.gate, layer.top_k, h[:, None])
+        sel, g = sel[0], g[0]
+        per_expert = {}
+        y = np.zeros(layer.d_out)
+        for j, i in enumerate(sel):
+            a = layer.experts[i][Role.UP] @ h
+            hid = silu(a)
+            e = layer.experts[i][Role.DOWN] @ hid
+            per_expert[int(i)] = (a, hid, e)
+            y += g[j] * e
+        caches.append((h, sel, g, per_expert))
+        h = y
+    logits = model.head @ h
+    return logits, h, caches
+
+
+def legacy_backward_logloss(model, x, y):
+    """Per-token backward: the gradient of log p(y|x), one selected expert at a time."""
+    logits, final_h, caches = _forward_with_cache(model, x)
+    p = _softmax(logits)
+    lbar = -p
+    lbar[y] += 1.0
+    head_grad = np.outer(lbar, final_h)
+    ybar = model.head.T @ lbar
+    gate_grads = [np.zeros_like(layer.gate) for layer in model.layers]
+    expert_grads = [[{role: np.zeros_like(expert[role]) for role in (Role.UP, Role.DOWN)}
+                     for expert in layer.experts] for layer in model.layers]
+    for l in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[l]
+        xin, sel, g, per_expert = caches[l]
+        xbar = np.zeros_like(xin)
+        gbar = np.array([per_expert[int(i)][2] @ ybar for i in sel])
+        zbar = g * (gbar - g @ gbar)
+        gate_grads[l][sel, :] += zbar[:, None] * xin[None, :]
+        xbar += layer.gate[sel].T @ zbar
+        for j, i in enumerate(sel):
+            i = int(i)
+            a, hid, _ = per_expert[i]
+            ebar = g[j] * ybar
+            expert_grads[l][i][Role.DOWN] += np.outer(ebar, hid)
+            hbar = layer.experts[i][Role.DOWN].T @ ebar
+            abar = hbar * silu_grad(a)
+            expert_grads[l][i][Role.UP] += np.outer(abar, xin)
+            xbar += layer.experts[i][Role.UP].T @ abar
+        ybar = xbar
+    return GradientSet(gate_grads=gate_grads, expert_grads=expert_grads, head_grad=head_grad)
+
+
 def per_token_fisher(model, calib, mode="sampled-label", seed=0, labels=None):
-    """Fisher blocks and labels from one forward and one backward per token."""
+    """Fisher blocks and labels from one forward and one legacy backward per token."""
     rng = np.random.default_rng(seed)
     acc = [[{role: np.zeros_like(expert[role]) for role in (Role.UP, Role.DOWN)}
             for expert in layer.experts] for layer in model.layers]
@@ -60,7 +117,7 @@ def per_token_fisher(model, calib, mode="sampled-label", seed=0, labels=None):
         else:
             y = int(labels[t])
         drawn.append(y)
-        grads = backward_logloss(model, x, y)
+        grads = legacy_backward_logloss(model, x, y)
         for l, layer_grads in enumerate(grads.expert_grads):
             for i, expert in enumerate(layer_grads):
                 for role in (Role.UP, Role.DOWN):
@@ -72,14 +129,17 @@ def per_token_fisher(model, calib, mode="sampled-label", seed=0, labels=None):
     return acc, drawn
 
 
+def assert_block_matches(a, b, rel=1e-12):
+    """Within rel of the block's maximum, with identical exact zeros."""
+    np.testing.assert_array_equal(a == 0, b == 0)
+    assert np.abs(a - b).max() <= rel * np.abs(b).max()
+
+
 def assert_fisher_matches(got, want):
-    """Within 1e-12 of each block's maximum, with identical exact zeros."""
     for got_layer, want_layer in zip(got, want, strict=True):
         for got_expert, want_expert in zip(got_layer, want_layer, strict=True):
             for role in (Role.UP, Role.DOWN):
-                a, b = got_expert[role], want_expert[role]
-                np.testing.assert_array_equal(a == 0, b == 0)
-                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+                assert_block_matches(got_expert[role], want_expert[role])
 
 
 def log_likelihood(model, x, y):
@@ -188,6 +248,40 @@ class TestBackward:
         with pytest.raises(ParameterError):
             backward_logloss(model, np.zeros(4), 3)
 
+    @pytest.mark.parametrize("top_k", [1, 2, 3])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_matches_legacy_backward(self, layers, top_k):
+        model = make_model(40 + 3 * layers + top_k, n_experts=4, d_model=6, hidden=7,
+                           layers=layers, classes=5, top_k=top_k)
+        rng = np.random.default_rng(120 + layers)
+        for _ in range(4):
+            x, y = rng.normal(size=6), int(rng.integers(0, 5))
+            got, want = backward_logloss(model, x, y), legacy_backward_logloss(model, x, y)
+            for l in range(layers):
+                assert_block_matches(got.gate_grads[l], want.gate_grads[l])
+                for i in range(4):
+                    for role in (Role.UP, Role.DOWN):
+                        assert_block_matches(got.expert_grads[l][i][role],
+                                             want.expert_grads[l][i][role])
+            assert_block_matches(got.head_grad, want.head_grad)
+
+    @pytest.mark.parametrize("top_k", [1, 2, 3])
+    def test_single_token_fisher_squares_backward(self, top_k):
+        """Both callers run one sweep: a one-token data-label Fisher is the
+        elementwise square of that token's expert gradients."""
+        model = make_model(50 + top_k, n_experts=4, d_model=6, hidden=7, layers=3,
+                           classes=5, top_k=top_k)
+        rng = np.random.default_rng(130)
+        for _ in range(4):
+            x, y = rng.normal(size=6), int(rng.integers(0, 5))
+            fi = fisher_accumulate(model, x[:, None], mode="data-label", labels=[y])
+            grads = backward_logloss(model, x, y)
+            for l in range(3):
+                for i in range(4):
+                    for role in (Role.UP, Role.DOWN):
+                        g = grads.expert_grads[l][i][role]
+                        assert_block_matches(fi.fisher[l][i][role], g * g, rel=1e-15)
+
 
 class TestFisher:
     def test_never_routed_expert_zero_block(self):
@@ -251,15 +345,19 @@ class TestFisher:
                 np.testing.assert_allclose(got[mask], ref[mask], rtol=1e-3)
 
     def test_non_negative_and_scalar_reduction(self):
+        """Blocks are non-negative, and the fisher-scalar merge weights each
+        expert by its block mean."""
         model = make_model(15, layers=1)
         rng = np.random.default_rng(107)
         x = rng.normal(size=(4, 6))
         fi = fisher_accumulate(model, x, mode="sampled-label", seed=1)
-        for i in range(2):
-            for role in (Role.UP, Role.DOWN):
-                block = fi.fisher[0][i][role]
-                assert np.all(block >= 0)
-                assert fi.scalar_reduction(0, i, role) == pytest.approx(float(block.mean()))
+        for role in (Role.UP, Role.DOWN):
+            blocks = [fi.fisher[0][i][role] for i in range(2)]
+            weights = [model.layers[0].experts[i][role] for i in range(2)]
+            assert all(np.all(block >= 0) for block in blocks)
+            means = [float(block.mean()) for block in blocks]
+            want = (means[0] * weights[0] + means[1] * weights[1]) / (means[0] + means[1])
+            np.testing.assert_allclose(fisher_merge(weights, blocks, scalar=True), want, rtol=1e-12)
 
     def test_sample_count_recorded(self):
         model = make_model(16, layers=1)

@@ -19,13 +19,11 @@ from d2moe.moe import (
     Role,
     capture_calibration,
     expert_frequency,
-    gate,
     layer_forward_dense,
     moe_forward_dense,
     route_batch,
     routed_forward,
     silu,
-    topk_select,
 )
 
 
@@ -51,6 +49,12 @@ def make_layer(rng, n_experts, d_model, hidden, d_out, top_k):
     return MoELayer(gate=rng.normal(size=(n_experts, d_model)), experts=experts, top_k=top_k)
 
 
+def route_logits(logits, k):
+    """route_batch on one token whose router logits are exactly `logits`."""
+    sel, w = route_batch(np.eye(len(logits)), k, np.asarray(logits, dtype=np.float64)[:, None])
+    return sel[0], w[0]
+
+
 class TestGating:
     def test_two_logit_softmax(self):
         # router logits [1,2,3] via d_model=1 and x=[1]
@@ -58,45 +62,51 @@ class TestGating:
                          experts=[{Role.UP: np.ones((2, 1)), Role.DOWN: np.ones((1, 2))}
                                   for _ in range(3)],
                          top_k=2)
-        w = gate(np.array([1.0]), layer)
-        np.testing.assert_allclose(w, [0.0, 0.26894, 0.73106], atol=1e-5)
+        sel, w = route_batch(layer.gate, layer.top_k, np.array([[1.0]]))
+        assert sel[0].tolist() == [2, 1]
+        np.testing.assert_allclose(w[0], [0.73106, 0.26894], atol=1e-5)
 
     def test_k1_one_hot(self):
         rng = np.random.default_rng(0)
         layer = make_layer(rng, 5, 3, 4, 3, top_k=1)
-        for _ in range(20):
-            x = rng.normal(size=3)
-            w = gate(x, layer)
-            assert np.count_nonzero(w) == 1
-            assert w[np.argmax(layer.gate @ x)] == 1.0
+        x = rng.normal(size=(3, 20))
+        sel, w = route_batch(layer.gate, layer.top_k, x)
+        assert np.all(w == 1.0)
+        np.testing.assert_array_equal(sel[:, 0], np.argmax(layer.gate @ x, axis=0))
 
     def test_subset_enumeration_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             logits = rng.normal(size=4)
-            sel = topk_select(logits, 2)
+            sel, _ = route_logits(logits, 2)
             assert set(int(i) for i in sel) == subset_oracle(list(logits), 2)
 
     def test_tie_breaks_to_lower_index(self):
-        assert list(topk_select(np.array([2.0, 2.0, 2.0]), 2)) == [0, 1]
-        assert list(topk_select(np.array([1.0, 3.0, 3.0]), 1)) == [1]
+        assert route_logits([2.0, 2.0, 2.0], 2)[0].tolist() == [0, 1]
+        assert route_logits([1.0, 3.0, 3.0], 1)[0].tolist() == [1]
 
     def test_weights_sum_to_one_with_support_k(self):
         rng = np.random.default_rng(2)
         layer = make_layer(rng, 6, 4, 5, 4, top_k=3)
-        for _ in range(25):
-            w = gate(rng.normal(size=4), layer)
-            assert np.count_nonzero(w) == 3
-            assert np.all(w >= 0)
-            assert abs(w.sum() - 1.0) <= 1e-12
+        sel, w = route_batch(layer.gate, layer.top_k, rng.normal(size=(4, 25)))
+        assert sel.shape == w.shape == (25, 3)
+        for t in range(25):
+            assert len(set(sel[t].tolist())) == 3
+            assert np.all(w[t] > 0)
+            assert abs(w[t].sum() - 1.0) <= 1e-12
 
     def test_selected_set_invariant_to_positive_logit_scaling(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             logits = rng.normal(size=6)
-            base = set(int(i) for i in topk_select(logits, 2))
+            base = set(int(i) for i in route_logits(logits, 2)[0])
             for c in (0.1, 7.0, 1000.0):
-                assert set(int(i) for i in topk_select(c * logits, 2)) == base
+                assert set(int(i) for i in route_logits(c * logits, 2)[0]) == base
+
+
+def topk_select(logits, k):
+    """Indices of the k largest logits in descending order, ties to the lower index."""
+    return np.argsort(-logits, kind="stable")[:k]
 
 
 def per_token_routing(logits, k):

@@ -23,8 +23,8 @@ from d2moe.pruning import static_metric, static_prune
 from d2moe.runtime import (
     CompressedLayer,
     CompressedModel,
+    _base_path,
     active_param_count,
-    batch_active_columns,
     census_active_params,
     census_static_params,
     compressed_forward,
@@ -67,9 +67,16 @@ def compress_by_hand(dense, x, p=0.5, s=0.0, lossless=False, trimmed=()):
         deltas=deltas, top_k=dense.top_k, trimmed=tuple(trimmed))
 
 
+def active_columns(layer, xb):
+    """Per-role active original column ids of one batch, from the base path."""
+    up_pos, down_pos, _ = _base_path(layer, xb)
+    return {Role.UP: layer.base[Role.UP].kept_col_ids[up_pos],
+            Role.DOWN: layer.base[Role.DOWN].kept_col_ids[down_pos]}
+
+
 def forward_oracle(layer, xb):
     """Token loop over dense materialized weights W_hat = masked base + u@v."""
-    active = batch_active_columns(layer, xb)
+    active = active_columns(layer, xb)
     up, down = layer.base[Role.UP], layer.base[Role.DOWN]
     w_up = np.zeros((layer.hidden, layer.d_model))
     kept_up = up.kept_col_ids.tolist()
@@ -253,7 +260,7 @@ class TestSlowPathOracle:
         want_up = legacy_dynamic_mask(up, x[up.kept_col_ids, :])
         u_base = up.kept[:, np.searchsorted(up.kept_col_ids, want_up)] @ x[want_up, :]
         want_down = legacy_dynamic_mask(down, silu(u_base)[down.kept_col_ids, :])
-        active = batch_active_columns(layer, x)
+        active = active_columns(layer, x)
         np.testing.assert_array_equal(active[Role.UP], want_up)
         np.testing.assert_array_equal(active[Role.DOWN], want_down)
 
@@ -436,4 +443,4 @@ class TestCensus:
             CompressedLayer(gate=layer.gate, base={Role.UP: layer.base[Role.UP]},
                             deltas={}, top_k=1)
         with pytest.raises(ShapeError):
-            batch_active_columns(layer, rng.normal(size=(9, 4)))
+            census_active_params(layer, rng.normal(size=(9, 4)))
