@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, ShapeError
-from .linalg import as_matrix
+from .linalg import as_matrix, blas_threads
 
 
 def _centered_gram(w: np.ndarray) -> np.ndarray:
@@ -72,6 +72,7 @@ class SensitivityProfile:
         return len(self.increases)
 
 
+@blas_threads(1)
 def layer_sensitivity_scan(model, calib_tokens, labels, probe_ratio: float,
                            config=None, batch_size: int | None = None) -> SensitivityProfile:
     """Compress one layer at a time at probe_ratio and measure the calibration
@@ -80,6 +81,7 @@ def layer_sensitivity_scan(model, calib_tokens, labels, probe_ratio: float,
     The model is never mutated; each probe builds a hybrid model with a single
     compressed layer. Compression uses `config` (defaults: mean merge, no
     pruning) with its rank policy forced to a plain ratio of probe_ratio.
+    The scan runs with OpenBLAS pinned to one thread, like `compress`.
     """
     from dataclasses import replace
 

@@ -134,8 +134,11 @@ def vanilla_svd_compress(delta, k: int, expert_id: int = -1, role: Role | None =
 def weighted_error(delta, factor: DeltaFactor, gram) -> float:
     """Activation-weighted residual sqrt(tr(E @ gram @ E.T)), E = delta - u@v.
 
-    Equals ||E @ X||_F whenever gram = X @ X.T; clamped at zero against
-    round-off.
+    Equals ||E @ X||_F whenever gram = X @ X.T. The trace is summed from one
+    GEMM, sum((E @ gram) * E). Its round-off is of order
+    eps * ||E||_F^2 * ||gram||_2, not relative to the trace: when the rank
+    covers the span of an expert's routed tokens the true trace is ~0 and the
+    value returned is round-off (clamped at zero when it comes out negative).
     """
     d = as_matrix(delta, "delta")
     g = as_matrix(gram, "gram")
@@ -144,4 +147,4 @@ def weighted_error(delta, factor: DeltaFactor, gram) -> float:
     if g.shape != (d.shape[1], d.shape[1]):
         raise ShapeError(f"gram shape {g.shape} != ({d.shape[1]}, {d.shape[1]})")
     e = d - factor.product()
-    return math.sqrt(max(float(np.einsum("ij,jk,ik->", e, g, e)), 0.0))
+    return math.sqrt(max(float(np.sum((e @ g) * e)), 0.0))

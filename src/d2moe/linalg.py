@@ -3,10 +3,20 @@
 Everything here operates on plain numpy float64 arrays in C order ("matrices"
 below). Results are deterministic for identical inputs: the SVD applies a
 fixed sign convention so factor files are reproducible across runs.
+
+OpenBLAS may split a product differently at different thread counts, which
+changes its last bits, so `blas_threads` pins the OpenBLAS builds bundled
+with numpy and scipy for the length of a block. The compression pipeline runs
+under `blas_threads(1)`: the result bytes then do not depend on
+`OPENBLAS_NUM_THREADS`, and small matrices run faster on one thread.
 """
 from __future__ import annotations
 
+import ctypes
+import importlib.util
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -23,6 +33,50 @@ from .errors import (
 # failure, at most MAX_DAMPING_DOUBLINGS attempts.
 DEFAULT_DAMPING = 1e-8
 MAX_DAMPING_DOUBLINGS = 10
+
+
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS bundled with numpy
+    and scipy; empty when neither ships one (a system BLAS)."""
+    controls = []
+    for pkg in ("numpy", "scipy"):
+        spec = importlib.util.find_spec(pkg)
+        if spec is None or not spec.submodule_search_locations:
+            continue
+        libdir = Path(list(spec.submodule_search_locations)[0]).parent / f"{pkg}.libs"
+        for lib in sorted(libdir.glob("libscipy_openblas*.so")):
+            try:
+                handle = ctypes.CDLL(str(lib))
+            except OSError:
+                continue
+            for suffix in ("64_", ""):
+                get = getattr(handle, f"scipy_openblas_get_num_threads{suffix}", None)
+                put = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    controls.append((get, put))
+                    break
+    return tuple(controls)
+
+
+_BLAS_CONTROLS = _openblas_thread_controls()
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Run the block (or, as a decorator, each call) with every bundled
+    OpenBLAS on `n` threads, restoring the previous counts on exit, also on
+    an exception. Nests; does nothing when no bundled OpenBLAS was found."""
+    controls = _BLAS_CONTROLS
+    saved = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(n)
+        yield
+    finally:
+        for (_, put), count in zip(controls, saved):
+            put(count)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -71,12 +125,10 @@ def svd(m) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(f"SVD did not converge on shape {a.shape}") from exc
     v = vt.T
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
-            v[:, j] = -v[:, j]
+    cols = np.arange(u.shape[1])
+    flip = u[np.argmax(u != 0, axis=0), cols] < 0  # all-zero columns read u[0] = 0
+    u[:, flip] = -u[:, flip]
+    v[:, flip] = -v[:, flip]
     return SvdResult(np.ascontiguousarray(u), sigma, np.ascontiguousarray(v))
 
 

@@ -5,6 +5,11 @@ serial pass over the layers, then evaluation. Layers are independent once
 calibration statistics exist; `build_compressed_layer` runs merging, delta
 factorization, base pruning and packaging for one layer, and is the only
 code that runs that sequence, for `compress` and the sensitivity scan alike.
+
+`compress` and `compute_layer_stats` run with OpenBLAS pinned to one thread
+(`linalg.blas_threads(1)`), so their bytes do not depend on
+`OPENBLAS_NUM_THREADS`; the thread counts in effect before the call are
+restored afterwards, so the standalone forwards keep their threads.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ from .config import CompressionConfig
 from .errors import ConfigError, NumericalError, ParameterError, ShapeError
 from .factorize import DeltaFactor, RankPolicy, truncation_aware_svd, weighted_error
 from .gradients import fisher_accumulate
-from .linalg import as_matrix
+from .linalg import as_matrix, blas_threads
 from .merge import (
     compute_deltas,
     fisher_fallback_entries,
@@ -58,6 +63,7 @@ class LayerStats:
     fisher: list[dict[Role, np.ndarray]] | None
 
 
+@blas_threads(1)
 def compute_layer_stats(model: MoEModel, calib_tokens, cfg: CompressionConfig,
                         labels=None) -> list[LayerStats]:
     """Capture Grams, routing frequencies, and (if the merge needs it) Fisher
@@ -240,6 +246,7 @@ def _report_ratio(policy: RankPolicy, m: int, n: int) -> float:
     return min(1.0, policy.k * (m + n) / (m * n))
 
 
+@blas_threads(1)
 def compress(cfg: CompressionConfig, model: MoEModel, calib_tokens, labels=None):
     """Compress every layer of `model` and report what happened.
 

@@ -163,6 +163,19 @@ class TestWeightedError:
         expected = float(np.linalg.norm((d - f.product()) @ x))
         assert weighted_error(d, f, g) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("m,n,t,k", [(9, 5, 33, 2), (24, 12, 40, 4), (16, 8, 3, 4)])
+    def test_matches_einsum_oracle(self, m, n, t, k):
+        """The one-GEMM trace against the three-operand einsum it replaced,
+        within 1e-12 * ||E||_F^2 * ||G||_2. In the last case the rank covers
+        the span of the t tokens, so the true trace is round-off around zero
+        and only this absolute bound holds."""
+        d, _, g = make_case(15 + t, m=m, n=n, t=t)
+        f = truncation_aware_svd(d, g, k)
+        e = d - f.product()
+        oracle = float(np.einsum("ij,jk,ik->", e, g, e))
+        bound = 1e-12 * float(np.sum(e * e)) * float(np.linalg.norm(g, 2))
+        assert abs(weighted_error(d, f, g) ** 2 - max(oracle, 0.0)) <= bound
+
     def test_shape_checks(self):
         d, _, g = make_case(14)
         f = vanilla_svd_compress(d, 2)

@@ -8,6 +8,7 @@ dependency bug cannot self-certify.
 import numpy as np
 import pytest
 
+from d2moe import linalg
 from d2moe.errors import (
     NotPositiveDefiniteError,
     ParameterError,
@@ -16,6 +17,7 @@ from d2moe.errors import (
 )
 from d2moe.linalg import (
     as_matrix,
+    blas_threads,
     cholesky_damped,
     col_l2_norms,
     row_l2_norms,
@@ -146,6 +148,29 @@ class TestSvd:
             nz = np.nonzero(col)[0]
             assert col[nz[0]] > 0
 
+    def test_sign_rule_matches_per_column_loop(self):
+        """The vectorized sign fix gives the bytes of the per-column loop it
+        replaced, also for columns with leading zeros."""
+        rng = np.random.default_rng(11)
+        # block-diagonal: some u columns start with exact zeros
+        block = np.zeros((4, 4))
+        block[1:, 1:] = rng.normal(size=(3, 3))
+        block[0, 0] = rng.normal()
+        cases = [rng.normal(size=(128, 64)), rng.normal(size=(64, 128)),
+                 np.diag([0.0, 2.0, -3.0]), block, block.T]
+        for a in cases:
+            u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+            v = vt.T.copy()
+            for j in range(u.shape[1]):
+                nz = np.nonzero(u[:, j])[0]
+                if nz.size and u[nz[0], j] < 0:
+                    u[:, j] = -u[:, j]
+                    v[:, j] = -v[:, j]
+            res = svd(a)
+            assert res.u.tobytes() == u.tobytes()
+            assert res.sigma.tobytes() == sigma.tobytes()
+            assert res.v.tobytes() == np.ascontiguousarray(v).tobytes()
+
     def test_bit_identical_repeat(self):
         rng = np.random.default_rng(9)
         a = rng.normal(size=(10, 10))
@@ -257,3 +282,47 @@ class TestNorms:
         a = rng.normal(size=(10, 7))
         np.testing.assert_allclose(col_l2_norms(a), np.sqrt((a * a).sum(axis=0)), atol=1e-12)
         np.testing.assert_allclose(row_l2_norms(a), np.sqrt((a * a).sum(axis=1)), atol=1e-12)
+
+
+def blas_thread_counts():
+    return [get() for get, _ in linalg._BLAS_CONTROLS]
+
+
+class TestBlasThreads:
+    def test_pins_inside_and_restores_after(self):
+        with blas_threads(2):
+            before = blas_thread_counts()
+            with blas_threads(1):
+                assert blas_thread_counts() == [1] * len(before)
+            assert blas_thread_counts() == before
+
+    def test_restores_after_exception(self):
+        with blas_threads(2):
+            before = blas_thread_counts()
+            with pytest.raises(RuntimeError):
+                with blas_threads(1):
+                    raise RuntimeError("inside the pin")
+            assert blas_thread_counts() == before
+
+    def test_nested_pins_restore_the_outer_count(self):
+        with blas_threads(1):
+            with blas_threads(2):
+                assert blas_thread_counts() == [2] * len(linalg._BLAS_CONTROLS)
+            assert blas_thread_counts() == [1] * len(linalg._BLAS_CONTROLS)
+
+    def test_decorated_function_pins_each_call(self):
+        @blas_threads(1)
+        def counts():
+            return blas_thread_counts()
+
+        with blas_threads(2):
+            assert counts() == counts() == [1] * len(linalg._BLAS_CONTROLS)
+            assert blas_thread_counts() == [2] * len(linalg._BLAS_CONTROLS)
+
+    def test_without_a_bundled_openblas_does_nothing(self, monkeypatch):
+        real = blas_thread_counts()
+        monkeypatch.setattr(linalg, "_BLAS_CONTROLS", ())
+        with blas_threads(1):
+            pass
+        monkeypatch.undo()
+        assert blas_thread_counts() == real

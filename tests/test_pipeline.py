@@ -7,6 +7,7 @@ checked against either closed-form values (uniform logits -> ln C) or the
 dense model evaluated through the same public entry points.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -15,10 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from d2moe import linalg, pipeline
 from d2moe.cli import EXIT_OK, main
 from d2moe.config import CompressionConfig
 from d2moe.errors import ConfigError, ParameterError, ShapeError
 from d2moe.fixtures import gen_fixture
+from d2moe.linalg import blas_threads
 from d2moe.moe import MoEModel, Role, moe_forward_dense
 from d2moe.pipeline import (
     EvalResult,
@@ -109,27 +112,64 @@ class TestCompress:
         np.testing.assert_array_equal(y1, y2)
 
     def test_separate_processes_write_identical_bytes(self, tmp_path):
-        """`d2moe compress` on the default fixture in two interpreters with
-        different hash seeds writes the same container and the same report
-        once timing records are removed."""
+        """`d2moe compress --merge fisher` and `--merge mean` and `d2moe
+        analyze --sensitivity` on the default fixture, in two interpreters
+        with different hash seeds and OpenBLAS thread counts, write the same
+        containers, the same reports once timing records are removed, and
+        the same sensitivity.csv."""
         assert main(["gen-fixture", "--out-model", str(tmp_path / "model.d2m"),
                      "--out-calib", str(tmp_path / "calib.d2m")]) == EXIT_OK
         src = str(Path(__file__).resolve().parents[1] / "src")
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = (
+            "import sys\n"
+            "from d2moe.cli import main\n"
+            "inputs = ['--model', sys.argv[1], '--calib', sys.argv[2]]\n"
+            "for merge in ('fisher', 'mean'):\n"
+            "    assert main(['compress', *inputs, '--merge', merge,\n"
+            "                 '--out', merge + '.d2m', '--report', merge + '.jsonl']) == 0\n"
+            "assert main(['analyze', *inputs, '--sensitivity', '--out-dir', '.']) == 0\n"
+        )
         outputs = []
-        for hash_seed in ("1", "2"):
+        for hash_seed, blas_threads in (("1", "1"), ("2", "2")):
             out = tmp_path / f"run{hash_seed}"
-            env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=hash_seed)
+            out.mkdir()
+            env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=hash_seed,
+                       OPENBLAS_NUM_THREADS=blas_threads)
             proc = subprocess.run(
-                [sys.executable, "-c", "import sys; from d2moe.cli import main; sys.exit(main())",
-                 "compress", "--model", str(tmp_path / "model.d2m"),
-                 "--calib", str(tmp_path / "calib.d2m"),
-                 "--out", f"{out}.d2m", "--report", f"{out}.jsonl"],
-                env=env, capture_output=True, text=True, timeout=300)
+                [sys.executable, "-c", script, str(tmp_path / "model.d2m"), str(tmp_path / "calib.d2m")],
+                cwd=out, env=env, capture_output=True, text=True, timeout=300)
             assert proc.returncode == EXIT_OK, proc.stderr
-            report = strip_timings(read_report(f"{out}.jsonl"))
-            outputs.append((Path(f"{out}.d2m").read_bytes(), dumps_report(report)))
+            files = {"sensitivity.csv": (out / "sensitivity.csv").read_bytes()}
+            for merge in ("fisher", "mean"):
+                files[f"{merge}.d2m"] = (out / f"{merge}.d2m").read_bytes()
+                report = strip_timings(read_report(out / f"{merge}.jsonl"))
+                files[f"{merge}.jsonl"] = dumps_report(report).encode()
+            outputs.append({name: hashlib.sha256(data).hexdigest() for name, data in files.items()})
         assert outputs[0] == outputs[1]
+
+    def test_runs_on_one_blas_thread_and_restores_the_counts(self, monkeypatch):
+        """Every evaluate inside compress sees one OpenBLAS thread, and the
+        counts in effect before the call are back once it returns, so the
+        standalone forwards keep their threads."""
+        def counts():
+            return [get() for get, _ in linalg._BLAS_CONTROLS]
+
+        seen = []
+        real_evaluate = pipeline.evaluate
+
+        def spy(*args, **kwargs):
+            seen.append(counts())
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "evaluate", spy)
+        fx = small_fixture()
+        with blas_threads(2):
+            before = counts()
+            compress(CompressionConfig(), fx.model, fx.tokens, labels=fx.labels)
+            assert counts() == before
+        assert len(seen) == 2
+        assert all(c == [1] * len(before) for c in seen)
 
     def test_lossless_config_preserves_loss(self):
         fx = small_fixture()
