@@ -86,7 +86,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ShapeError(f"{name}: expected 2-D array, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeError(f"{name}: degenerate shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ShapeError(f"{name}: contains non-finite entries")
     return m
 

@@ -34,8 +34,20 @@ class Role(Enum):
 ROLES = (Role.UP, Role.DOWN)
 
 
-def silu(z: np.ndarray) -> np.ndarray:
-    return z * expit(z)
+def silu(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """z * sigmoid(z), computed as z / (1 + exp(-z)) with one temporary.
+
+    exp's argument is clipped at 709 so it never overflows and no floating
+    point warning is raised; below z = -709 the result is z * e^-709 instead
+    of about 0, under 1e-303 in magnitude for z >= -1e4. `out` may be `z`
+    itself: the temporary is always fresh, so `z` is read before `out` is
+    written.
+    """
+    t = np.negative(z)
+    np.minimum(t, 709.0, out=t)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.divide(z, t, out=t if out is None else out)
 
 
 def silu_grad(z: np.ndarray) -> np.ndarray:
@@ -174,12 +186,12 @@ def route_batch(gate_w: np.ndarray, top_k: int, x_batch: np.ndarray) -> tuple[np
     logits = gate_w @ x_batch  # (N, T)
     selected = np.ascontiguousarray(np.argsort(-logits, axis=0, kind="stable")[:top_k].T)
     top = logits[selected, np.arange(x_batch.shape[1])[:, None]]  # (T, k)
-    e = np.exp(top - np.max(top, axis=1, keepdims=True))
-    return selected, e / np.sum(e, axis=1, keepdims=True)
+    e = np.exp(top - top.max(axis=1, keepdims=True))
+    return selected, e / e.sum(axis=1, keepdims=True)
 
 
 def _trace_from_routing(selected: np.ndarray, weights: np.ndarray, n_experts: int) -> RoutingTrace:
-    counts = np.bincount(selected.ravel(), minlength=n_experts).astype(np.int64)
+    counts = np.bincount(selected.ravel(), minlength=n_experts).astype(np.int64, copy=False)
     return RoutingTrace(selected=selected, weights=weights, counts=counts)
 
 
@@ -194,6 +206,8 @@ def routed_forward(layer, x_batch: np.ndarray, expert_fn) -> tuple[np.ndarray, R
     received tokens, in ascending index order, expert_fn(i, rows) gets the
     ascending token columns routed to expert i and returns that expert's
     (d_out, len(rows)) outputs, which are added into y scaled by their gates.
+    The core scales the returned array in place, so expert_fn must return a
+    fresh array, never a view of, or a reference to, data it keeps.
     """
     selected, weights = route_batch(layer.gate, layer.top_k, x_batch)
     trace = _trace_from_routing(selected, weights, layer.n_experts)
@@ -208,7 +222,9 @@ def routed_forward(layer, x_batch: np.ndarray, expert_fn) -> tuple[np.ndarray, R
         if count:
             start, stop = stop, stop + count
             rows = rows_sorted[start:stop]
-            y[:, rows] += weights_sorted[start:stop] * expert_fn(i, rows)
+            out = expert_fn(i, rows)
+            out *= weights_sorted[start:stop]
+            y[:, rows] += out
     return y, trace
 
 
@@ -224,7 +240,8 @@ def layer_forward_dense(layer: MoELayer, x_batch: np.ndarray) -> tuple[np.ndarra
     xb = _layer_input(layer, x_batch)
 
     def expert(i, rows):
-        return layer.experts[i][Role.DOWN] @ silu(layer.experts[i][Role.UP] @ xb[:, rows])
+        h = layer.experts[i][Role.UP] @ xb[:, rows]
+        return layer.experts[i][Role.DOWN] @ silu(h, out=h)
 
     return routed_forward(layer, xb, expert)
 
@@ -281,7 +298,8 @@ def _capture_layer(layer: MoELayer, x: np.ndarray) -> tuple[np.ndarray, GramStat
 
     def expert(i, rows):
         xi = x[:, rows]
-        hi = silu(layer.experts[i][Role.UP] @ xi)
+        hi = layer.experts[i][Role.UP] @ xi
+        silu(hi, out=hi)
         grams[Role.UP][i] += xi @ xi.T
         grams[Role.DOWN][i] += hi @ hi.T
         return layer.experts[i][Role.DOWN] @ hi

@@ -129,12 +129,9 @@ def _active_positions(pruned: PrunedBase, rows: np.ndarray) -> np.ndarray:
     `rows` must already be a finite C-order matrix aligned with the kept
     columns; `dynamic_mask` is the checked entry point.
     """
-    n = pruned.kept_col_ids.size
     quota = pruned.mask.dynamic_quota
     if quota == 0:
-        return np.arange(n)
-    c = pruned.col_norms * np.linalg.norm(rows, axis=1)
+        return np.arange(pruned.kept_col_ids.size)
+    c = pruned.col_norms * np.sqrt((rows * rows).sum(axis=1))  # == np.linalg.norm(rows, axis=1)
     # kept_col_ids is ascending, so stable sort ties resolve to lower original index
-    keep = np.ones(n, dtype=bool)
-    keep[np.argsort(c, kind="stable")[:quota]] = False
-    return np.flatnonzero(keep)
+    return np.sort(np.argsort(c, kind="stable")[quota:])

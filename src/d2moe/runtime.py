@@ -10,6 +10,12 @@ once and adds each selected expert's rank-k correction:
 
 Trimmed experts have no factors and contribute through the base path only.
 Dynamic pruning masks are recomputed per batch and never stored.
+
+The masked Up-base product is computed once per batch. Each routed expert's
+callback then works on one fresh block: it takes its token columns of that
+product, adds its Up correction and applies silu in place, and adds its
+Down correction into the fresh masked Down-base product, which the routed
+core scales in place.
 """
 from __future__ import annotations
 
@@ -103,7 +109,8 @@ def _base_path(layer: CompressedLayer, xb: np.ndarray) -> tuple[np.ndarray, np.n
     x_kept = xb[up.kept_col_ids, :]
     up_pos = _active_positions(up, x_kept)
     u_base = up.kept[:, up_pos] @ x_kept[up_pos, :]  # (hidden, T)
-    down_pos = _active_positions(down, silu(u_base[down.kept_col_ids, :]))
+    g = u_base[down.kept_col_ids, :]
+    down_pos = _active_positions(down, silu(g, out=g))
     return up_pos, down_pos, u_base
 
 
@@ -121,16 +128,18 @@ def compressed_forward(layer: CompressedLayer, x_batch) -> tuple[np.ndarray, Rou
     down_ids = down.kept_col_ids[down_pos]
 
     def expert(i, rows):
+        # take, not u_base[:, rows]: a fancy column index returns Fortran
+        # order, which sends f.v @ h_i down a different (not byte-equal) BLAS path
+        h_i = u_base.take(rows, axis=1)
         factors = layer.deltas.get(i)
-        u_i = u_base[:, rows]
         if factors is not None:
             f = factors[Role.UP]
-            u_i = u_i + f.u @ (f.v @ xb[:, rows])
-        h_i = silu(u_i)
+            h_i += f.u @ (f.v @ xb[:, rows])
+        silu(h_i, out=h_i)
         y_i = down_masked @ h_i[down_ids, :]
         if factors is not None:
             f = factors[Role.DOWN]
-            y_i = y_i + f.u @ (f.v @ h_i)
+            y_i += f.u @ (f.v @ h_i)
         return y_i
 
     return routed_forward(layer, xb, expert)

@@ -7,9 +7,11 @@ independently of the batched implementations they check.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from d2moe.errors import DegenerateInputError, ShapeError
 from d2moe.moe import (
@@ -138,6 +140,46 @@ class TestRouteBatch:
                     sel, w = route_batch(gate_w, k, x)
                     assert np.array_equal(sel, want_sel)
                     assert w.shape == want_w.shape and w.tobytes() == want_w.tobytes()
+
+
+class TestSilu:
+    """silu is z / (1 + exp(min(-z, 709))); the oracle is z * expit(z)."""
+
+    def test_matches_expit_form(self):
+        z = np.concatenate([np.linspace(-700.0, 700.0, 20001),
+                            np.random.default_rng(41).normal(scale=8.0, size=5000), [0.0, -0.0]])
+        np.testing.assert_allclose(silu(z), z * expit(z), rtol=1e-15, atol=0)
+
+    def test_clipped_tail_is_tiny(self):
+        z = np.concatenate([np.linspace(-1e4, -700.0, 20001)[:-1], [-709.0, -709.9, -745.0]])
+        assert np.max(np.abs(silu(z) - z * expit(z))) <= 1e-300
+
+    def test_no_floating_point_warnings(self):
+        z = np.array([1000.0, -1000.0, -745.0, -709.9, 1e-300, -1e-300, 0.0, -0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = silu(z)
+        assert np.all(np.isfinite(got))
+        assert got[0] == 1000.0 and got[6] == 0.0
+
+    def test_in_place_is_byte_equal(self):
+        z = np.random.default_rng(42).normal(scale=10.0, size=(16, 33))
+        want = silu(z.copy())
+        out = silu(z, out=z)
+        assert out is z
+        assert z.tobytes() == want.tobytes()
+
+    def test_separate_out_buffer(self):
+        z = np.random.default_rng(43).normal(size=(5, 7))
+        out = np.empty_like(z)
+        assert silu(z, out=out) is out
+        assert out.tobytes() == silu(z).tobytes()
+
+    def test_leaves_input_unchanged(self):
+        z = np.random.default_rng(44).normal(scale=10.0, size=(8, 9))
+        before = z.copy()
+        silu(z)
+        assert z.tobytes() == before.tobytes()
 
 
 class TestRoutedForward:

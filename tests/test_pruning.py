@@ -16,6 +16,7 @@ from d2moe.moe import Role
 from d2moe.pruning import (
     PruneMask,
     PrunedBase,
+    _active_positions,
     dynamic_mask,
     static_metric,
     static_metric_from_gram,
@@ -155,6 +156,52 @@ class TestDynamicMask:
         batch[3, 5] = bad
         with pytest.raises(ShapeError, match="non-finite"):
             dynamic_mask(pruned, batch)
+
+
+def legacy_active_positions(pruned, rows):
+    """The boolean-mask form: linalg.norm scores, drop the lowest quota, flatnonzero."""
+    n = pruned.kept_col_ids.size
+    quota = pruned.mask.dynamic_quota
+    if quota == 0:
+        return np.arange(n)
+    c = pruned.col_norms * np.linalg.norm(rows, axis=1)
+    keep = np.ones(n, dtype=bool)
+    keep[np.argsort(c, kind="stable")[:quota]] = False
+    return np.flatnonzero(keep)
+
+
+class TestActivePositions:
+    """_active_positions against the boolean-mask form it replaced, byte for byte."""
+
+    def assert_same(self, pruned, rows):
+        got, want = _active_positions(pruned, rows), legacy_active_positions(pruned, rows)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tokens", [1, 3, 128])
+    @pytest.mark.parametrize("s", [0.0, 0.2, 0.5, 0.9])
+    def test_random_rows(self, tokens, s):
+        rng = np.random.default_rng(50 + tokens)
+        w = rng.normal(size=(8, 24))
+        pruned = static_prune(w, static_metric(w, rng.normal(size=(24, 64))), s)
+        assert (pruned.mask.dynamic_quota == 0) == (s == 0.0)
+        for _ in range(20):
+            self.assert_same(pruned, rng.normal(size=(pruned.kept.shape[1], tokens)))
+
+    @pytest.mark.parametrize("tokens", [1, 3, 128])
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.6])
+    def test_tie_heavy_rows(self, tokens, s):
+        # two column patterns of equal norm and rows drawn from {-1, 0, 1}:
+        # most scores tie, many at exactly zero
+        rng = np.random.default_rng(60 + tokens)
+        patterns = np.array([[1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, -1.0]]).T
+        w = patterns[:, rng.integers(0, 2, size=20)]
+        pruned = static_prune(w, np.ones(20), s)
+        for _ in range(20):
+            rows = rng.integers(-1, 2, size=(pruned.kept.shape[1], tokens)).astype(np.float64)
+            rows[rng.random(rows.shape[0]) < 0.3] = 0.0
+            self.assert_same(pruned, rows)
+        self.assert_same(pruned, np.ones((pruned.kept.shape[1], tokens)))
 
 
 class TestColumnNorms:

@@ -5,13 +5,16 @@ each expert's effective weight as a dense masked base plus the factor
 product, then loops over tokens in plain python. The batched fast path is
 also checked byte for byte against the slow path it replaced: per-call
 dynamic masks that recompute the base column norms, ids mapped back to
-positions with searchsorted, and the cumsum-bounded routed core.
+positions with searchsorted, and the cumsum-bounded routed core. Run with
+the first `z * expit(z)` activation instead, that slow path bounds how far
+the exp-form silu may move the logits.
 """
 
 import sys
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import d2moe.linalg
 from d2moe.errors import ParameterError, ShapeError
@@ -180,7 +183,12 @@ def legacy_dynamic_mask(pruned, rows):
     return pruned.kept_col_ids[keep]
 
 
-def legacy_compressed_forward(layer, xb):
+def expit_silu(z):
+    """The activation as it was first written, before the exp form."""
+    return z * expit(z)
+
+
+def legacy_compressed_forward(layer, xb, silu=silu):
     """Compressed layer forward on active ids, mapped to kept positions by searchsorted."""
     up, down = layer.base[Role.UP], layer.base[Role.DOWN]
     active_up = legacy_dynamic_mask(up, xb[up.kept_col_ids, :])
@@ -202,7 +210,7 @@ def legacy_compressed_forward(layer, xb):
     return legacy_routed_forward(layer, xb, expert)
 
 
-def legacy_model_forward(model, x):
+def legacy_model_forward(model, x, silu=silu):
     h, traces = np.ascontiguousarray(x, dtype=np.float64), []
     for layer in model.layers:
         if isinstance(layer, MoELayer):
@@ -210,7 +218,7 @@ def legacy_model_forward(model, x):
                 return layer.experts[i][Role.DOWN] @ silu(layer.experts[i][Role.UP] @ h[:, rows])
             h, trace = legacy_routed_forward(layer, h, expert)
         else:
-            h, trace = legacy_compressed_forward(layer, h)
+            h, trace = legacy_compressed_forward(layer, h, silu)
         traces.append(trace)
     return model.head @ h, traces
 
@@ -235,7 +243,7 @@ def assert_same_trace(got, want):
 
 class TestSlowPathOracle:
     @pytest.mark.parametrize("top_k", [1, 2, 3])
-    @pytest.mark.parametrize("batch", [1, 2, 7, 128])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 128, 1024])
     def test_model_forward_byte_identical(self, top_k, batch):
         model, rng = oracle_model(top_k)
         assert model.layers[0].base[Role.UP].mask.dynamic_quota > 0
@@ -251,7 +259,21 @@ class TestSlowPathOracle:
                 assert_same_trace(got, want)
 
     @pytest.mark.parametrize("top_k", [1, 2, 3])
-    @pytest.mark.parametrize("batch", [1, 2, 7, 128])
+    @pytest.mark.parametrize("batch", [1, 7, 128, 1024])
+    def test_model_forward_within_1e12_of_expit_silu(self, top_k, batch):
+        """The exp-form silu moves logits by round-off only, never routing."""
+        model, rng = oracle_model(top_k)
+        for _ in range(3):
+            x = rng.normal(size=(12, batch))
+            logits, traces = compressed_model_forward(model, x)
+            want_logits, want_traces = legacy_model_forward(model, x, silu=expit_silu)
+            assert np.max(np.abs(logits - want_logits)) <= 1e-12 * np.max(np.abs(want_logits))
+            for got, want in zip(traces, want_traces):
+                np.testing.assert_array_equal(got.selected, want.selected)
+                np.testing.assert_array_equal(got.counts, want.counts)
+
+    @pytest.mark.parametrize("top_k", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 128, 1024])
     def test_active_columns_match_per_call_masks(self, top_k, batch):
         model, rng = oracle_model(top_k)
         layer = model.layers[0]
@@ -265,7 +287,7 @@ class TestSlowPathOracle:
         np.testing.assert_array_equal(active[Role.DOWN], want_down)
 
     @pytest.mark.parametrize("top_k", [1, 2, 3])
-    @pytest.mark.parametrize("batch", [1, 2, 7, 128])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 128, 1024])
     def test_routed_core_matches_cumsum_bounds(self, top_k, batch):
         rng = np.random.default_rng(12)
         layer = make_dense_layer(rng, n_experts=6, d=5, hidden=4, top_k=top_k)
