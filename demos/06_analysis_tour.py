@@ -37,7 +37,7 @@ print("  " + " ".join(f"{r:.4f}" for r in rets))
 # trimming: drop delta factors of the rarest experts, keep the shared base
 cfg = CompressionConfig(merge_method="fisher", delta_ratio=0.5, sparsity=0.4)
 compressed, rep = compress(cfg, fx.model, fx.tokens, labels=fx.labels)
-freq = compute_layer_stats(fx.model, fx.tokens, cfg, labels=fx.labels)[0].frequency
+freq = compute_layer_stats(fx.model, fx.tokens, cfg, labels=fx.labels)[0][0].frequency
 print("\nrouting frequency per expert:")
 print("  " + " ".join(f"{f:.3f}" for f in freq))
 print("loss as trim count grows (rarest experts lose their deltas first):")

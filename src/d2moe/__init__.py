@@ -62,7 +62,7 @@ from .merge import (
     mean_merge,
 )
 from .moe import (
-    GramStats,
+    LayerCapture,
     MoELayer,
     MoEModel,
     Role,

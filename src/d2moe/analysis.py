@@ -81,12 +81,14 @@ def layer_sensitivity_scan(model, calib_tokens, labels, probe_ratio: float,
     The model is never mutated; each probe builds a hybrid model with a single
     compressed layer. Compression uses `config` (defaults: mean merge, no
     pruning) with its rank policy forced to a plain ratio of probe_ratio.
+    The baseline comes from the same calibration capture as the layer stats.
     The scan runs with OpenBLAS pinned to one thread, like `compress`.
     """
     from dataclasses import replace
 
     from .config import CompressionConfig
-    from .pipeline import build_compressed_layer, compute_layer_stats, evaluate
+    from .pipeline import (build_compressed_layer, compute_layer_stats, evaluate,
+                           mean_cross_entropy)
     from .runtime import CompressedModel
 
     if not 0.0 < probe_ratio <= 1.0:
@@ -97,8 +99,8 @@ def layer_sensitivity_scan(model, calib_tokens, labels, probe_ratio: float,
     if batch_size is None:
         batch_size = cfg.batch_size
 
-    baseline = evaluate(model, calib_tokens, labels, batch_size=batch_size).loss
-    stats = compute_layer_stats(model, calib_tokens, cfg)
+    stats, logits = compute_layer_stats(model, calib_tokens, cfg, labels=labels)
+    baseline = mean_cross_entropy(logits, labels, batch_size)
     increases = []
     for probe_layer in range(len(model.layers)):
         try:

@@ -134,7 +134,7 @@ def _cmd_calibrate(args) -> int:
     model = _load_model_file(args.model)
     tokens, labels = _load_calib_file(args.calib)
     n_use = min(cfg.calib_samples, tokens.shape[1])
-    stats = compute_layer_stats(model, tokens[:, :n_use], cfg, labels=labels[:n_use])
+    stats, _ = compute_layer_stats(model, tokens[:, :n_use], cfg, labels=labels[:n_use])
     lines = ["layer,expert,frequency,gram_trace_up,gram_trace_down"]
     for l, st in enumerate(stats):
         for i, freq in enumerate(st.frequency):

@@ -5,21 +5,25 @@ The discrete top-k routing choice is treated as locally constant (it is
 piecewise constant in the parameters, so this is the exact gradient almost
 everywhere); the softmax over the surviving logits is differentiated exactly.
 
-Both callers run the same code: one batched forward through
-`moe.routed_forward`, then one reverse sweep over the layers
-(`_reverse_sweep`). A token routed to expert i contributes a single outer
-product to each of that expert's gradients, ebar hid^T (Down) and abar x^T
-(Up). `backward_logloss` runs the sweep on one token and forms those outer
-products. `fisher_accumulate` runs it on the whole calibration batch and sums
-their elementwise squares over each expert's routed tokens in closed form:
+Both callers run the same code: the calibration forward
+`moe.capture_calibration`, which records every layer's input, routing and
+Up pre-activations, then one reverse sweep over the layers
+(`_reverse_sweep`). `fisher_accumulate` takes that capture from its caller,
+so the Grams, the routing frequencies and the Fisher all come from one dense
+pass over the calibration tokens. A token routed to expert i contributes a
+single outer product to each of that expert's gradients, ebar hid^T (Down)
+and abar x^T (Up). `backward_logloss` runs the sweep on one token and forms
+those outer products. `fisher_accumulate` runs it on the whole calibration
+batch and sums their elementwise squares over each expert's routed tokens in
+closed form:
 
     F_down[i] = (Ebar∘Ebar) (Hid∘Hid)^T,    F_up[i] = (Abar∘Abar) (X∘X)^T,
 
 with those tokens along the columns of each matrix. sampled-label mode draws
-every label from one `u = rng.random(T)`: label t is
-`cdf_t.searchsorted(u[t], side="right")`, where `cdf_t` is `cumsum(p_t)`
-divided by its last entry. That is exactly what `rng.choice(classes, p=p_t)`
-returns when called once per token in calibration order.
+every label from one `u = rng.random(T)`: label t is the number of entries
+of `cdf_t` at or below u[t], where `cdf_t` is `cumsum(p_t)` divided by its
+last entry. That is exactly what `rng.choice(classes, p=p_t)` returns when
+called once per token in calibration order.
 """
 from __future__ import annotations
 
@@ -27,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, NumericalError, ParameterError, ShapeError
-from .linalg import as_matrix
-from .moe import MoEModel, Role, ROLES, _softmax, routed_forward, silu, silu_grad
+from .errors import NumericalError, ParameterError, ShapeError
+from .moe import MoEModel, Role, ROLES, _softmax, capture_calibration, silu, silu_grad
 
 FISHER_MODES = ("sampled-label", "data-label")
 
@@ -65,8 +68,8 @@ def backward_logloss(model: MoEModel, x, y: int) -> GradientSet:
     if not 0 <= y < model.num_classes:
         raise ParameterError(f"label {y} outside [0, {model.num_classes})")
 
-    logits, h, caches = _forward_batch_with_cache(model, xv[:, None])
-    lbar = -_softmax(logits[:, 0])
+    h, captures = capture_calibration(model, xv[:, None])
+    lbar = -_softmax((model.head @ h)[:, 0])
     lbar[y] += 1.0  # d log p(y|x) / d logits = onehot(y) - softmax
     lbar = lbar[:, None]
 
@@ -79,37 +82,45 @@ def backward_logloss(model: MoEModel, x, y: int) -> GradientSet:
         expert_grads[l][i][Role.DOWN] = ebar @ hid.T
         expert_grads[l][i][Role.UP] = abar @ x_i.T
 
-    zbars = _reverse_sweep(model, caches, model.head.T @ lbar, expert)
-    gate_grads = [zbar @ xin.T for zbar, (xin, _, _) in zip(zbars, caches)]
+    zbars = _reverse_sweep(model, captures, model.head.T @ lbar, expert)
+    gate_grads = [zbar @ cap.x.T for zbar, cap in zip(zbars, captures)]
     return GradientSet(gate_grads=gate_grads, expert_grads=expert_grads, head_grad=lbar @ h.T)
 
 
-def fisher_accumulate(model: MoEModel, calib, mode: str = "sampled-label",
+def check_labels(labels, num_classes: int, n_tokens: int) -> np.ndarray:
+    """One int64 label per token in [0, num_classes): a wrong shape raises
+    ShapeError, non-integral or out-of-range labels ParameterError."""
+    y = np.asarray(labels)
+    if y.shape != (n_tokens,):
+        raise ShapeError(f"labels shape {y.shape} does not match {n_tokens} tokens")
+    if y.dtype.kind not in "iuf" or (y.dtype.kind == "f" and not np.all(np.trunc(y) == y)):
+        raise ParameterError("labels must be integral class indices")
+    if np.any((y < 0) | (y >= num_classes)):
+        raise ParameterError(f"labels must lie in [0, {num_classes})")
+    return y.astype(np.int64, copy=False)
+
+
+def fisher_accumulate(model: MoEModel, capture, mode: str = "sampled-label",
                       seed: int = 0, labels=None) -> FisherInfo:
     """Average elementwise squared log-likelihood gradients over calibration
     tokens.
 
-    sampled-label mode draws one label per input from the model's own
+    `capture` is `moe.capture_calibration(model, calib)`; no forward runs
+    here. sampled-label mode draws one label per input from the model's own
     predictive distribution (seeded, in calibration order); data-label mode
     uses the provided labels. Non-finite output probabilities raise
     NumericalError.
     """
-    xb = as_matrix(calib, "calibration tokens")
-    n_tokens = xb.shape[1]
-    if n_tokens < 1:
-        raise DegenerateInputError("empty calibration batch")
     if mode not in FISHER_MODES:
         raise ParameterError(f"fisher mode must be one of {FISHER_MODES}, got {mode!r}")
+    hidden, captures = capture
+    n_tokens = hidden.shape[1]
     if mode == "data-label":
         if labels is None:
             raise ParameterError("data-label mode requires labels")
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (n_tokens,):
-            raise ShapeError(f"labels shape {labels.shape} != ({n_tokens},)")
-        if np.any((labels < 0) | (labels >= model.num_classes)):
-            raise ParameterError(f"labels must lie in [0, {model.num_classes})")
+        labels = check_labels(labels, model.num_classes, n_tokens)
 
-    logits, _, caches = _forward_batch_with_cache(model, xb)
+    logits = model.head @ hidden
     e = np.exp(logits - np.max(logits, axis=0))
     p = e / np.sum(e, axis=0)
     bad = np.flatnonzero(~np.all(np.isfinite(p), axis=0))
@@ -129,31 +140,11 @@ def fisher_accumulate(model: MoEModel, calib, mode: str = "sampled-label",
         fisher[l][i][Role.DOWN] = (ebar * ebar) @ (hid * hid).T / n_tokens
         fisher[l][i][Role.UP] = (abar * abar) @ (x_i * x_i).T / n_tokens
 
-    _reverse_sweep(model, caches, model.head.T @ lbar, expert)
+    _reverse_sweep(model, captures, model.head.T @ lbar, expert)
     return FisherInfo(fisher=fisher, sample_count=n_tokens, mode=mode)
 
 
-def _forward_batch_with_cache(model: MoEModel, xb: np.ndarray):
-    """Batched forward. Returns the logits, the final hidden state and, per
-    layer, the input, the routing trace and, for each routed expert, its
-    token columns and Up pre-activations."""
-    caches = []
-    h = xb
-    for layer in model.layers:
-        acts = {}
-
-        def expert(i, rows, layer=layer, x=h, acts=acts):
-            a = layer.experts[i][Role.UP] @ x[:, rows]
-            acts[i] = (rows, a)
-            return layer.experts[i][Role.DOWN] @ silu(a)
-
-        y, trace = routed_forward(layer, h, expert)
-        caches.append((h, trace, acts))
-        h = y
-    return model.head @ h, h, caches
-
-
-def _reverse_sweep(model: MoEModel, caches, ybar: np.ndarray, expert_fn) -> list[np.ndarray]:
+def _reverse_sweep(model: MoEModel, captures, ybar: np.ndarray, expert_fn) -> list[np.ndarray]:
     """Backpropagate ybar, the gradient at the final hidden state, from the
     last layer down. Returns each layer's gate-logit gradient zbar (N, T),
     zero off each token's selection.
@@ -167,7 +158,7 @@ def _reverse_sweep(model: MoEModel, caches, ybar: np.ndarray, expert_fn) -> list
     zbars = [None] * len(model.layers)
     for l in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[l]
-        xin, trace, acts = caches[l]
+        xin, trace, acts = captures[l].x, captures[l].trace, captures[l].acts
         g = np.zeros((layer.n_experts, cols.size))  # gating weights, zero off the selection
         g[trace.selected, cols[:, None]] = trace.weights
         gbar = np.zeros_like(g)
@@ -189,9 +180,10 @@ def _reverse_sweep(model: MoEModel, caches, ybar: np.ndarray, expert_fn) -> list
 
 def _draw_labels(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One label per column of the (classes, T) probabilities p, the same
-    labels T successive `rng.choice(classes, p=p[:, t])` calls return."""
+    labels T successive `rng.choice(classes, p=p[:, t])` calls return: each
+    cdf column is non-decreasing and ends at exactly 1.0, so its count of
+    entries <= u[t] is its `searchsorted(u[t], side="right")`."""
     cdf = np.cumsum(p, axis=0)
     cdf /= cdf[-1]
     u = rng.random(p.shape[1])
-    return np.array([cdf[:, t].searchsorted(u[t], side="right") for t in range(p.shape[1])],
-                    dtype=np.int64)
+    return (cdf <= u).sum(axis=0)

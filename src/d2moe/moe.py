@@ -1,5 +1,5 @@
 """Toy mixture-of-experts network: layers, top-k routing, dense forward,
-and calibration-time activation/frequency capture.
+and the calibration capture.
 
 Conventions: token batches are matrices with tokens along columns
 (d_model x n_tokens). Each expert is a two-matrix FFN
@@ -9,8 +9,9 @@ compressed, only the expert weights.
 
 `routed_forward` is the single dispatch path for batches: it routes, groups
 tokens by expert, and scatters the gated expert outputs. The dense forward,
-calibration capture, Fisher accumulation (`gradients`) and the compressed
-runtime differ only in the per-expert callback they pass it.
+calibration capture and the compressed runtime differ only in the
+per-expert callback they pass it. The capture is the one dense pass over
+calibration tokens; the Fisher (`gradients`) sweeps its records backwards.
 """
 from __future__ import annotations
 
@@ -148,17 +149,17 @@ class RoutingTrace:
         return self.selected.shape[1]
 
 
-@dataclass
-class GramStats:
-    """Per-expert activation Gram matrices for one layer.
-
-    grams[role][i] accumulates X_i @ X_i.T over the tokens routed to expert i,
-    where X_i holds that expert's role inputs along columns (layer inputs for
-    Up, post-activation hidden vectors for Down). tokens[i] counts them.
+@dataclass(frozen=True)
+class LayerCapture:
+    """One layer of the calibration forward: input `x`, its routing, and per
+    routed expert i, acts[i] = (rows, W_up x[:, rows]) and grams[role][i] =
+    X_i X_i^T, with X_i = x[:, rows] for Up and silu(W_up x[:, rows]) for Down.
     """
 
+    x: np.ndarray
+    trace: RoutingTrace
+    acts: dict[int, tuple[np.ndarray, np.ndarray]]
     grams: dict[Role, list[np.ndarray]]
-    tokens: np.ndarray  # (N,) int64
 
     def total_gram(self, role: Role) -> np.ndarray:
         """Sum of per-expert Grams, in expert order (deterministic)."""
@@ -271,38 +272,32 @@ def expert_frequency(trace: RoutingTrace) -> np.ndarray:
 # calibration capture
 # ---------------------------------------------------------------------------
 
-def capture_calibration(model: MoEModel, calib) -> tuple[list[GramStats], list[RoutingTrace]]:
-    """Run calibration tokens through the dense model, accumulating per-expert
-    activation Grams (Up: layer inputs; Down: post-activation hidden vectors)
-    and routing traces for every layer.
-
-    Accumulation order is layer -> expert -> token, so results are
-    run-to-run identical.
+def capture_calibration(model: MoEModel, calib) -> tuple[np.ndarray, list[LayerCapture]]:
+    """The one dense forward over calibration tokens: the final hidden state
+    and a `LayerCapture` per layer, which supplies the Grams, the routing
+    frequencies and the Fisher's reverse sweep. Accumulation order is layer
+    -> expert -> token, so results are run-to-run identical.
     """
     xb = as_matrix(calib, "calibration tokens")
     if xb.shape[1] < 1:
         raise DegenerateInputError("empty calibration batch")
-    stats: list[GramStats] = []
-    traces: list[RoutingTrace] = []
+    captures: list[LayerCapture] = []
     h = xb
     for layer in model.layers:
-        h, layer_stats, trace = _capture_layer(layer, h)
-        stats.append(layer_stats)
-        traces.append(trace)
-    return stats, traces
+        acts = {}
+        grams = {Role.UP: [np.zeros((layer.d_model, layer.d_model)) for _ in range(layer.n_experts)],
+                 Role.DOWN: [np.zeros((layer.hidden, layer.hidden)) for _ in range(layer.n_experts)]}
 
+        def expert(i, rows):
+            xi = h[:, rows]
+            a = layer.experts[i][Role.UP] @ xi
+            acts[i] = (rows, a)
+            hid = silu(a)
+            grams[Role.UP][i] += xi @ xi.T
+            grams[Role.DOWN][i] += hid @ hid.T
+            return layer.experts[i][Role.DOWN] @ hid
 
-def _capture_layer(layer: MoELayer, x: np.ndarray) -> tuple[np.ndarray, GramStats, RoutingTrace]:
-    grams = {Role.UP: [np.zeros((layer.d_model, layer.d_model)) for _ in range(layer.n_experts)],
-             Role.DOWN: [np.zeros((layer.hidden, layer.hidden)) for _ in range(layer.n_experts)]}
-
-    def expert(i, rows):
-        xi = x[:, rows]
-        hi = layer.experts[i][Role.UP] @ xi
-        silu(hi, out=hi)
-        grams[Role.UP][i] += xi @ xi.T
-        grams[Role.DOWN][i] += hi @ hi.T
-        return layer.experts[i][Role.DOWN] @ hi
-
-    y, trace = routed_forward(layer, x, expert)
-    return y, GramStats(grams=grams, tokens=trace.counts.copy()), trace
+        y, trace = routed_forward(layer, h, expert)
+        captures.append(LayerCapture(x=h, trace=trace, acts=acts, grams=grams))
+        h = y
+    return h, captures

@@ -1,7 +1,10 @@
 """End-to-end compression: calibrate, merge, factorize, prune, evaluate.
 
-Stage order is fixed: calibration capture, Fisher accumulation, then one
-serial pass over the layers, then evaluation. Layers are independent once
+Stage order is fixed, and the report's `timing` records follow it:
+`calibrate` (one dense capture of the calibration tokens, which also gives
+`loss_before`, then the Fisher's reverse sweep over it when the merge needs
+one), then `merge`, `factorize`, `prune` and `package` in one serial pass
+over the layers, then `evaluate-compressed`. Layers are independent once
 calibration statistics exist; `build_compressed_layer` runs merging, delta
 factorization, base pruning and packaging for one layer, and is the only
 code that runs that sequence, for `compress` and the sensitivity scan alike.
@@ -20,9 +23,9 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .config import CompressionConfig
-from .errors import ConfigError, NumericalError, ParameterError, ShapeError
+from .errors import ConfigError, NumericalError, ParameterError
 from .factorize import DeltaFactor, RankPolicy, truncation_aware_svd, weighted_error
-from .gradients import fisher_accumulate
+from .gradients import check_labels, fisher_accumulate
 from .linalg import as_matrix, blas_threads
 from .merge import (
     compute_deltas,
@@ -65,28 +68,25 @@ class LayerStats:
 
 @blas_threads(1)
 def compute_layer_stats(model: MoEModel, calib_tokens, cfg: CompressionConfig,
-                        labels=None) -> list[LayerStats]:
-    """Capture Grams, routing frequencies, and (if the merge needs it) Fisher
-    blocks for every layer in one calibration pass."""
-    calib = as_matrix(calib_tokens, "calib_tokens")
-    gram_stats, traces = capture_calibration(model, calib)
+                        labels=None) -> tuple[list[LayerStats], np.ndarray]:
+    """Grams, routing frequencies and (if the merge needs it) Fisher blocks
+    for every layer, plus the dense calibration logits (classes, T), all
+    from one capture of the calibration tokens."""
     need_fisher = cfg.merge_method in ("fisher", "fisher-scalar")
+    if need_fisher and cfg.fisher_mode == "data-label" and labels is None:
+        raise ConfigError("fisher_mode=data-label requires calibration labels")
+    capture = capture_calibration(model, calib_tokens)
     fisher = None
     if need_fisher:
-        if cfg.fisher_mode == "data-label" and labels is None:
-            raise ConfigError("fisher_mode=data-label requires calibration labels")
-        fisher = fisher_accumulate(model, calib, mode=cfg.fisher_mode,
+        fisher = fisher_accumulate(model, capture, mode=cfg.fisher_mode,
                                    seed=cfg.seed, labels=labels)
-    stats = []
-    for l, layer in enumerate(model.layers):
-        grams = {role: list(gram_stats[l].grams[role]) for role in (Role.UP, Role.DOWN)}
-        total = {role: gram_stats[l].total_gram(role) for role in (Role.UP, Role.DOWN)}
-        stats.append(LayerStats(
-            grams=grams, total_gram=total,
-            frequency=expert_frequency(traces[l]),
-            fisher=fisher.fisher[l] if fisher is not None else None,
-        ))
-    return stats
+    hidden, captures = capture
+    stats = [LayerStats(grams=cap.grams,
+                        total_gram={role: cap.total_gram(role) for role in (Role.UP, Role.DOWN)},
+                        frequency=expert_frequency(cap.trace),
+                        fisher=fisher.fisher[l] if fisher is not None else None)
+             for l, cap in enumerate(captures)]
+    return stats, model.head @ hidden
 
 
 # ---------------------------------------------------------------------------
@@ -191,45 +191,41 @@ class EvalResult:
     n_tokens: int
 
 
-def _forward_any(model, x_batch):
-    if isinstance(model, MoEModel):
-        logits, _ = moe_forward_dense(model, x_batch)
-    else:
-        logits, _ = compressed_model_forward(model, x_batch)
-    return logits
+def mean_cross_entropy(logits: np.ndarray, labels, batch_size: int) -> float:
+    """Mean cross-entropy of (classes, T) logits against T labels, summed in
+    chunks of batch_size tokens as `evaluate` batches them, so one forward's
+    logits give `evaluate`'s bytes. Bad labels (`gradients.check_labels`),
+    non-finite logits and a non-finite loss are rejected."""
+    if batch_size < 1:
+        raise ParameterError(f"batch_size must be positive, got {batch_size}")
+    y = check_labels(labels, *logits.shape)
+    bad = np.flatnonzero(~np.all(np.isfinite(logits), axis=0))
+    if bad.size:
+        raise NumericalError(f"logits are not finite for {bad.size} of {y.size} tokens "
+                             f"(first: token {bad[0]}); the forward overflows")
+    per_token = logsumexp(logits, axis=0) - logits[y, np.arange(y.size)]
+    total = 0.0
+    for start in range(0, y.size, batch_size):
+        total += float(np.sum(per_token[start:start + batch_size]))
+    loss = total / y.size
+    if not np.isfinite(loss):
+        raise NumericalError(f"evaluation loss is not finite ({loss!r})")
+    return loss
 
 
 def evaluate(model, tokens, labels, batch_size: int = 128) -> EvalResult:
     """Mean cross-entropy of the model on labeled tokens, batched.
 
     Dynamic base masks depend on batch composition, so for compressed
-    models the loss is defined relative to this batch size. Non-finite
-    logits or loss raise NumericalError.
+    models the loss is defined relative to this batch size.
     """
     x = as_matrix(tokens, "tokens")
-    y = np.asarray(labels)
-    if y.ndim != 1 or y.size != x.shape[1]:
-        raise ShapeError(f"labels shape {y.shape} does not match {x.shape[1]} tokens")
-    if y.size == 0:
-        raise ParameterError("cannot evaluate on zero tokens")
     if batch_size < 1:
         raise ParameterError(f"batch_size must be positive, got {batch_size}")
-    total = 0.0
-    for start in range(0, x.shape[1], batch_size):
-        xb = x[:, start:start + batch_size]
-        yb = y[start:start + batch_size]
-        logits = _forward_any(model, xb)
-        if np.any(yb < 0) or np.any(yb >= logits.shape[0]):
-            raise ParameterError(f"labels must lie in [0, {logits.shape[0]})")
-        bad = np.flatnonzero(~np.all(np.isfinite(logits), axis=0))
-        if bad.size:
-            raise NumericalError(f"logits are not finite for {bad.size} of {xb.shape[1]} tokens "
-                                 f"(first: token {start + bad[0]}); the forward overflows")
-        lse = logsumexp(logits, axis=0)
-        total += float(np.sum(lse - logits[yb, np.arange(xb.shape[1])]))
-    loss = total / x.shape[1]
-    if not np.isfinite(loss):
-        raise NumericalError(f"evaluation loss is not finite ({loss!r})")
+    forward = moe_forward_dense if isinstance(model, MoEModel) else compressed_model_forward
+    logits = np.hstack([forward(model, x[:, start:start + batch_size])[0]
+                        for start in range(0, x.shape[1], batch_size)])
+    loss = mean_cross_entropy(logits, labels, batch_size)
     return EvalResult(loss=loss, perplexity=float(np.exp(min(loss, 709.0))),
                       n_tokens=int(x.shape[1]))
 
@@ -260,16 +256,12 @@ def compress(cfg: CompressionConfig, model: MoEModel, calib_tokens, labels=None)
     calib_use = calib[:, :n_use]
     labels_use = None if labels is None else np.asarray(labels)[:n_use]
 
-    timings = []
     t0 = time.perf_counter()
+    stats, logits = compute_layer_stats(model, calib_use, cfg, labels=labels_use)
     loss_before = 0.0
     if labels_use is not None:
-        loss_before = evaluate(model, calib_use, labels_use, batch_size=cfg.batch_size).loss
-    timings.append(("evaluate-dense", time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    stats = compute_layer_stats(model, calib_use, cfg, labels=labels_use)
-    timings.append(("calibrate", time.perf_counter() - t0))
+        loss_before = mean_cross_entropy(logits, labels_use, cfg.batch_size)
+    timings = [("calibrate", time.perf_counter() - t0)]
 
     builds = [build_compressed_layer(layer, st, cfg, l)
               for l, (layer, st) in enumerate(zip(model.layers, stats))]

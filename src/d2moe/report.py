@@ -116,6 +116,7 @@ def write_report(path, report: CompressionReport) -> None:
 
 
 def parse_report(text: str) -> CompressionReport:
+    """Parse report text; any malformed line or missing record is a ConfigError."""
     meta = None
     config = None
     loss = None
@@ -128,25 +129,30 @@ def parse_report(text: str) -> CompressionReport:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"report line {line_no} is not valid JSON") from exc
+        if not isinstance(rec, dict):
+            raise ConfigError(f"report line {line_no} is not a JSON object")
         tag = rec.get("record")
-        if tag == "meta":
-            meta = rec
-        elif tag == "config":
-            config = {k: v for k, v in rec.items() if k != "record"}
-        elif tag == "loss":
-            loss = rec
-        elif tag == "layer":
-            layers.append(LayerRecord.from_record(rec))
-        elif tag == "timing":
-            timings.append((rec["stage"], rec["seconds"]))
-        else:
-            raise ConfigError(f"report line {line_no} has unknown record tag {tag!r}")
+        try:
+            if tag == "meta":
+                meta = (rec["version"], rec["seed"])
+            elif tag == "config":
+                config = {k: v for k, v in rec.items() if k != "record"}
+            elif tag == "loss":
+                loss = (float(rec["loss_before"]), float(rec["loss_after"]))
+            elif tag == "layer":
+                layers.append(LayerRecord.from_record(rec))
+            elif tag == "timing":
+                timings.append((str(rec["stage"]), float(rec["seconds"])))
+            else:
+                raise ConfigError(f"report line {line_no} has unknown record tag {tag!r}")
+        except KeyError as exc:
+            raise ConfigError(f"report line {line_no}: {tag} record is missing field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"report line {line_no}: malformed {tag} record ({exc})") from exc
     if meta is None or config is None or loss is None:
         raise ConfigError("report is missing meta, config, or loss records")
-    return CompressionReport(config=config, seed=meta["seed"],
-                             loss_before=loss["loss_before"], loss_after=loss["loss_after"],
-                             layers=tuple(layers), timings=tuple(timings),
-                             version=meta["version"])
+    return CompressionReport(config=config, seed=meta[1], loss_before=loss[0], loss_after=loss[1],
+                             layers=tuple(layers), timings=tuple(timings), version=meta[0])
 
 
 def read_report(path) -> CompressionReport:

@@ -255,7 +255,7 @@ def test_criterion_06_parameter_census_matches_formulas():
         fx = gen_fixture(0)
         layer = fx.model.layers[0]
         cfg0 = CompressionConfig()
-        stats = compute_layer_stats(fx.model, fx.tokens, cfg0, labels=fx.labels)[0]
+        stats = compute_layer_stats(fx.model, fx.tokens, cfg0, labels=fx.labels)[0][0]
         from d2moe.runtime import param_report
         x_census = fx.tokens[:, :128]
         n = layer.n_experts
@@ -334,7 +334,7 @@ def test_criterion_08_trimming_degrades_gradually():
         fx, runs = default_runs()
         compressed, _ = runs["fisher"]
         cfg = CompressionConfig(merge_method="fisher", delta_ratio=0.5, sparsity=0.4)
-        freq = compute_layer_stats(fx.model, fx.tokens, cfg, labels=fx.labels)[0].frequency
+        freq = compute_layer_stats(fx.model, fx.tokens, cfg, labels=fx.labels)[0][0].frequency
         losses = []
         for t in range(fx.model.layers[0].n_experts + 1):
             trimmed = CompressedModel(

@@ -182,6 +182,16 @@ class TestAnalyze:
         p_large = int(front[2].split(",")[2])
         assert p_small < p_large
 
+    def test_sensitivity_with_data_label_fisher_uses_calib_labels(self, workdir, tmp_path, capsys):
+        """The scan hands --calib's labels to the data-label Fisher, as
+        compress does."""
+        run_ok(["analyze", "--model", str(workdir / "model.d2m"),
+                "--calib", str(workdir / "calib.d2m"), "--out-dir", str(tmp_path),
+                "--sensitivity", "--merge", "fisher", "--fisher-mode", "data-label"], capsys)
+        sens = (tmp_path / "sensitivity.csv").read_text(encoding="utf-8").splitlines()
+        assert sens[0] == "layer,loss_increase,allocated_ratio"
+        assert len(sens) == 2
+
     def test_requires_an_action(self, workdir, tmp_path, capsys):
         rc = main(["analyze", "--model", str(workdir / "model.d2m"),
                    "--out-dir", str(tmp_path)])
@@ -223,6 +233,24 @@ class TestReportCommand:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{not json\n", encoding="utf-8")
         assert main(["report", "--report", str(bad)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"record":"meta","version":"1","seed":0}\n{"record":"timing"}\n',
+         "report line 2: timing record is missing field 'stage'"),
+        ('{"record":"meta","version":"1","seed":0}\n[1,2]\n',
+         "report line 2 is not a JSON object"),
+        ('{"record":"meta","version":"1"}\n', "report line 1: meta record is missing field 'seed'"),
+        ('{"record":"layer","layer":0,"fisher_fallback":0}\n',
+         "report line 1: layer record is missing field 'rank'"),
+        ('{"record":"timing","stage":"merge","seconds":"fast"}\n',
+         "report line 1: malformed timing record"),
+    ], ids=["timing-without-stage", "not-an-object", "meta-without-seed", "layer-without-rank",
+            "timing-seconds-not-a-number"])
+    def test_valid_json_with_missing_or_bad_fields_is_config_error(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["report", "--report", str(bad)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
 
 class TestExitCodes:

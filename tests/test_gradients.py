@@ -32,7 +32,8 @@ from d2moe.gradients import (
     fisher_accumulate,
 )
 from d2moe.merge import fisher_merge
-from d2moe.moe import MoELayer, MoEModel, Role, _softmax, moe_forward_dense, route_batch, silu, silu_grad
+from d2moe.moe import (MoELayer, MoEModel, Role, _softmax, capture_calibration, moe_forward_dense,
+                       route_batch, silu, silu_grad)
 from d2moe.pipeline import compress
 
 H = 1e-5
@@ -274,7 +275,8 @@ class TestBackward:
         rng = np.random.default_rng(130)
         for _ in range(4):
             x, y = rng.normal(size=6), int(rng.integers(0, 5))
-            fi = fisher_accumulate(model, x[:, None], mode="data-label", labels=[y])
+            fi = fisher_accumulate(model, capture_calibration(model, x[:, None]),
+                                   mode="data-label", labels=[y])
             grads = backward_logloss(model, x, y)
             for l in range(3):
                 for i in range(4):
@@ -294,7 +296,7 @@ class TestFisher:
         layer = MoELayer(gate=gate, experts=experts, top_k=2)
         model = MoEModel(layers=[layer], head=rng.normal(size=(3, 4)))
         x = np.abs(rng.normal(size=(4, 12)))  # positive coords keep expert 2 unreachable
-        fi = fisher_accumulate(model, x, mode="sampled-label", seed=0)
+        fi = fisher_accumulate(model, capture_calibration(model, x), mode="sampled-label", seed=0)
         for role in (Role.UP, Role.DOWN):
             assert not fi.fisher[0][2][role].any()
             assert fi.fisher[0][0][role].any()
@@ -303,8 +305,9 @@ class TestFisher:
         model = make_model(12, layers=1)
         rng = np.random.default_rng(104)
         x = rng.normal(size=(4, 1))
-        fi_one = fisher_accumulate(model, x, mode="data-label", labels=[1])
-        fi_two = fisher_accumulate(model, np.hstack([x, x]), mode="data-label", labels=[1, 1])
+        fi_one = fisher_accumulate(model, capture_calibration(model, x), mode="data-label", labels=[1])
+        fi_two = fisher_accumulate(model, capture_calibration(model, np.hstack([x, x])),
+                                   mode="data-label", labels=[1, 1])
         for i in range(2):
             for role in (Role.UP, Role.DOWN):
                 np.testing.assert_allclose(fi_two.fisher[0][i][role],
@@ -314,8 +317,8 @@ class TestFisher:
         model = make_model(13, layers=2)
         rng = np.random.default_rng(105)
         x = rng.normal(size=(4, 10))
-        a = fisher_accumulate(model, x, mode="sampled-label", seed=9)
-        b = fisher_accumulate(model, x, mode="sampled-label", seed=9)
+        a = fisher_accumulate(model, capture_calibration(model, x), mode="sampled-label", seed=9)
+        b = fisher_accumulate(model, capture_calibration(model, x), mode="sampled-label", seed=9)
         for l in range(2):
             for i in range(2):
                 for role in (Role.UP, Role.DOWN):
@@ -327,7 +330,7 @@ class TestFisher:
         rng = np.random.default_rng(106)
         x = rng.normal(size=(4, 32))
         labels = rng.integers(0, 3, size=32)
-        fi = fisher_accumulate(model, x, mode="data-label", labels=labels)
+        fi = fisher_accumulate(model, capture_calibration(model, x), mode="data-label", labels=labels)
 
         acc = [{role: np.zeros_like(model.layers[0].experts[i][role])
                 for role in (Role.UP, Role.DOWN)} for i in range(2)]
@@ -350,7 +353,7 @@ class TestFisher:
         model = make_model(15, layers=1)
         rng = np.random.default_rng(107)
         x = rng.normal(size=(4, 6))
-        fi = fisher_accumulate(model, x, mode="sampled-label", seed=1)
+        fi = fisher_accumulate(model, capture_calibration(model, x), mode="sampled-label", seed=1)
         for role in (Role.UP, Role.DOWN):
             blocks = [fi.fisher[0][i][role] for i in range(2)]
             weights = [model.layers[0].experts[i][role] for i in range(2)]
@@ -362,7 +365,8 @@ class TestFisher:
     def test_sample_count_recorded(self):
         model = make_model(16, layers=1)
         rng = np.random.default_rng(108)
-        fi = fisher_accumulate(model, rng.normal(size=(4, 7)), mode="sampled-label", seed=2)
+        fi = fisher_accumulate(model, capture_calibration(model, rng.normal(size=(4, 7))),
+                               mode="sampled-label", seed=2)
         assert isinstance(fi, FisherInfo)
         assert fi.sample_count == 7
         assert fi.mode == "sampled-label"
@@ -377,7 +381,8 @@ class TestBatchedFisher:
         rng = np.random.default_rng(110)
         x = rng.normal(size=(6, 48))
         labels = rng.integers(0, 5, size=48)
-        got = fisher_accumulate(model, x, mode=mode, seed=4, labels=labels)
+        got = fisher_accumulate(model, capture_calibration(model, x), mode=mode, seed=4,
+                                labels=labels)
         want, _ = per_token_fisher(model, x, mode=mode, seed=4, labels=labels)
         assert_fisher_matches(got.fisher, want)
 
@@ -392,7 +397,7 @@ class TestBatchedFisher:
         rest = make_model(112, n_experts=3, d_model=4, hidden=5, layers=2, top_k=2)
         model = MoEModel(layers=[first, *rest.layers], head=rest.head)
         x = np.abs(rng.normal(size=(4, 40)))  # positive coords keep expert 2 unreachable
-        got = fisher_accumulate(model, x, mode="sampled-label", seed=3)
+        got = fisher_accumulate(model, capture_calibration(model, x), mode="sampled-label", seed=3)
         want, _ = per_token_fisher(model, x, mode="sampled-label", seed=3)
         assert_fisher_matches(got.fisher, want)
         for role in (Role.UP, Role.DOWN):
@@ -417,8 +422,9 @@ class TestBatchedFisher:
         model = make_model(31, n_experts=4, d_model=6, hidden=7, layers=2, classes=6, top_k=2)
         x = np.random.default_rng(114).normal(size=(6, 64))
         _, drawn = per_token_fisher(model, x, mode="sampled-label", seed=5)
-        sampled = fisher_accumulate(model, x, mode="sampled-label", seed=5)
-        labelled = fisher_accumulate(model, x, mode="data-label", labels=drawn)
+        sampled = fisher_accumulate(model, capture_calibration(model, x), mode="sampled-label", seed=5)
+        labelled = fisher_accumulate(model, capture_calibration(model, x), mode="data-label",
+                                     labels=drawn)
         for a, b in zip(sampled.fisher, labelled.fisher):
             for ea, eb in zip(a, b):
                 for role in (Role.UP, Role.DOWN):
@@ -427,8 +433,10 @@ class TestBatchedFisher:
     @pytest.mark.parametrize("mode", ["sampled-label", "data-label"])
     def test_two_calls_byte_identical(self, mode):
         fx = gen_fixture(1, n_experts=6, d_model=12, hidden=16, layers=3, tokens=96, rank_noise=2)
-        a = fisher_accumulate(fx.model, fx.tokens, mode=mode, seed=2, labels=fx.labels)
-        b = fisher_accumulate(fx.model, fx.tokens, mode=mode, seed=2, labels=fx.labels)
+        a = fisher_accumulate(fx.model, capture_calibration(fx.model, fx.tokens), mode=mode,
+                              seed=2, labels=fx.labels)
+        b = fisher_accumulate(fx.model, capture_calibration(fx.model, fx.tokens), mode=mode,
+                              seed=2, labels=fx.labels)
         for la, lb in zip(a.fisher, b.fisher):
             for ea, eb in zip(la, lb):
                 for role in (Role.UP, Role.DOWN):
@@ -445,12 +453,21 @@ class TestBatchedFisher:
         x = np.random.default_rng(115).normal(size=(4, 8))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="not finite"):
-                fisher_accumulate(huge, x, mode=mode, labels=np.zeros(8, dtype=int))
+                fisher_accumulate(huge, capture_calibration(huge, x), mode=mode,
+                                  labels=np.zeros(8, dtype=int))
 
     def test_out_of_range_data_label_rejected(self):
         model = make_model(33, layers=1, classes=3)
         with pytest.raises(ParameterError, match="labels"):
-            fisher_accumulate(model, np.zeros((4, 2)), mode="data-label", labels=[0, 3])
+            fisher_accumulate(model, capture_calibration(model, np.zeros((4, 2))),
+                              mode="data-label", labels=[0, 3])
+
+    def test_fractional_data_label_rejected(self):
+        """A fractional label is rejected, not truncated to a class index."""
+        model = make_model(34, layers=1, classes=3)
+        capture = capture_calibration(model, np.zeros((4, 2)))
+        with pytest.raises(ParameterError, match="integral"):
+            fisher_accumulate(model, capture, mode="data-label", labels=[0, 0.5])
 
     def test_compress_matches_oracle_fisher(self, monkeypatch):
         """`compress --merge fisher` builds the same layers as with the
@@ -462,7 +479,8 @@ class TestBatchedFisher:
         cfg = CompressionConfig(merge_method="fisher", delta_ratio=0.5, sparsity=0.4)
         _, rep = compress(cfg, fx.model, x, labels=fx.labels)
 
-        def oracle(model, calib, mode="sampled-label", seed=0, labels=None):
+        def oracle(model, capture, mode="sampled-label", seed=0, labels=None):
+            calib = capture[1][0].x
             fisher, _ = per_token_fisher(model, calib, mode=mode, seed=seed, labels=labels)
             return FisherInfo(fisher=fisher, sample_count=calib.shape[1], mode=mode)
 

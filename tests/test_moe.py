@@ -15,7 +15,6 @@ from scipy.special import expit
 
 from d2moe.errors import DegenerateInputError, ShapeError
 from d2moe.moe import (
-    GramStats,
     MoELayer,
     MoEModel,
     Role,
@@ -279,13 +278,14 @@ class TestCalibrationCapture:
                          top_k=1)
         model = MoEModel(layers=[layer], head=np.eye(2))
         x = np.array([[1.0], [0.5]])
-        stats, traces = capture_calibration(model, x)
+        _, stats = capture_calibration(model, x)
+        traces = [st.trace for st in stats]
         np.testing.assert_allclose(stats[0].grams[Role.UP][0], x @ x.T, atol=0)
         for i in (1, 2):
             assert not stats[0].grams[Role.UP][i].any()
             assert not stats[0].grams[Role.DOWN][i].any()
-            assert stats[0].tokens[i] == 0
-        assert stats[0].tokens[0] == 1
+            assert stats[0].trace.counts[i] == 0
+        assert stats[0].trace.counts[0] == 1
         assert traces[0].counts[0] == 1
 
     def test_gram_recomputation_oracle(self):
@@ -295,7 +295,8 @@ class TestCalibrationCapture:
         l1 = make_layer(rng, 3, 5, 7, 5, top_k=1)
         model = MoEModel(layers=[l0, l1], head=rng.normal(size=(3, 5)))
         x = rng.normal(size=(5, 64))
-        stats, traces = capture_calibration(model, x)
+        _, stats = capture_calibration(model, x)
+        traces = [st.trace for st in stats]
 
         h = x
         for layer, st, trace in zip(model.layers, stats, traces):
@@ -310,14 +311,14 @@ class TestCalibrationCapture:
             for i in range(layer.n_experts):
                 np.testing.assert_allclose(st.grams[Role.UP][i], up_ref[i], atol=1e-10)
                 np.testing.assert_allclose(st.grams[Role.DOWN][i], down_ref[i], atol=1e-10)
-                assert st.tokens[i] == trace.counts[i]
+                assert (st.acts[i][0].size if i in st.acts else 0) == trace.counts[i]
             h, _ = layer_forward_dense(layer, h)
 
     def test_gram_symmetry_and_psd(self):
         rng = np.random.default_rng(11)
         layer = make_layer(rng, 3, 4, 5, 4, top_k=2)
         model = MoEModel(layers=[layer], head=rng.normal(size=(2, 4)))
-        stats, _ = capture_calibration(model, rng.normal(size=(4, 30)))
+        _, stats = capture_calibration(model, rng.normal(size=(4, 30)))
         for role in (Role.UP, Role.DOWN):
             for g in stats[0].grams[role]:
                 np.testing.assert_allclose(g, g.T, atol=1e-9)
@@ -334,9 +335,36 @@ class TestCalibrationCapture:
         rng = np.random.default_rng(13)
         layer = make_layer(rng, 3, 4, 5, 4, top_k=1)
         model = MoEModel(layers=[layer], head=np.eye(4))
-        stats, _ = capture_calibration(model, rng.normal(size=(4, 16)))
+        _, stats = capture_calibration(model, rng.normal(size=(4, 16)))
         total = stats[0].total_gram(Role.UP)
         np.testing.assert_allclose(total, sum(stats[0].grams[Role.UP]), atol=1e-12)
+
+    def test_capture_records_the_dense_forward(self):
+        """The capture is the dense forward: the same final hidden state and
+        routing, each layer's input, and for every routed expert its token
+        columns and Up pre-activations."""
+        rng = np.random.default_rng(14)
+        l0 = make_layer(rng, 4, 5, 6, 5, top_k=2)
+        l1 = make_layer(rng, 3, 5, 7, 5, top_k=1)
+        model = MoEModel(layers=[l0, l1], head=rng.normal(size=(3, 5)))
+        x = rng.normal(size=(5, 40))
+        hidden, stats = capture_calibration(model, x)
+        logits, traces = moe_forward_dense(model, x)
+        assert np.array_equal(model.head @ hidden, logits)
+        h = x
+        for layer, st, trace in zip(model.layers, stats, traces):
+            assert np.array_equal(st.x, h)
+            assert np.array_equal(st.trace.selected, trace.selected)
+            assert np.array_equal(st.trace.weights, trace.weights)
+            for i in range(layer.n_experts):
+                rows = np.flatnonzero((trace.selected == i).any(axis=1))
+                if rows.size == 0:
+                    assert i not in st.acts
+                    continue
+                got_rows, a = st.acts[i]
+                assert np.array_equal(got_rows, rows)
+                assert np.array_equal(a, layer.experts[i][Role.UP] @ h[:, rows])
+            h, _ = layer_forward_dense(layer, h)
 
 
 class TestExpertFrequency:

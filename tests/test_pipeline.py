@@ -16,13 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from d2moe import linalg, pipeline
+from d2moe import linalg, moe, pipeline
+from d2moe.analysis import layer_sensitivity_scan
 from d2moe.cli import EXIT_OK, main
 from d2moe.config import CompressionConfig
 from d2moe.errors import ConfigError, ParameterError, ShapeError
 from d2moe.fixtures import gen_fixture
 from d2moe.linalg import blas_threads
-from d2moe.moe import MoEModel, Role, moe_forward_dense
+from d2moe.moe import MoELayer, MoEModel, Role, moe_forward_dense
 from d2moe.pipeline import (
     EvalResult,
     compress,
@@ -88,6 +89,24 @@ class TestEvaluate:
             evaluate(fx.model, fx.tokens, bad)
 
 
+    @pytest.mark.parametrize("bad", [0.5, "a"])
+    def test_non_integral_labels_rejected(self, bad):
+        """evaluate and compress share one label check: a fractional or
+        non-numeric label is a ParameterError, not an IndexError."""
+        fx = small_fixture()
+        labels = fx.labels.astype(object if isinstance(bad, str) else float)
+        labels[5] = bad
+        with pytest.raises(ParameterError, match="integral"):
+            evaluate(fx.model, fx.tokens, labels)
+        with pytest.raises(ParameterError, match="integral"):
+            compress(CompressionConfig(merge_method="mean"), fx.model, fx.tokens, labels=labels)
+
+    def test_integral_float_labels_accepted(self):
+        fx = small_fixture()
+        want = evaluate(fx.model, fx.tokens, fx.labels).loss
+        assert evaluate(fx.model, fx.tokens, fx.labels.astype(float)).loss == want
+
+
 class TestCompress:
     def test_report_losses_match_public_evaluate(self):
         fx = small_fixture()
@@ -149,20 +168,23 @@ class TestCompress:
         assert outputs[0] == outputs[1]
 
     def test_runs_on_one_blas_thread_and_restores_the_counts(self, monkeypatch):
-        """Every evaluate inside compress sees one OpenBLAS thread, and the
+        """Every dense pass inside compress (the calibration capture and the
+        evaluate of the compressed model) sees one OpenBLAS thread, and the
         counts in effect before the call are back once it returns, so the
         standalone forwards keep their threads."""
         def counts():
             return [get() for get, _ in linalg._BLAS_CONTROLS]
 
         seen = []
-        real_evaluate = pipeline.evaluate
 
-        def spy(*args, **kwargs):
-            seen.append(counts())
-            return real_evaluate(*args, **kwargs)
+        def spy(real):
+            def wrapped(*args, **kwargs):
+                seen.append(counts())
+                return real(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(pipeline, "evaluate", spy)
+        monkeypatch.setattr(pipeline, "evaluate", spy(pipeline.evaluate))
+        monkeypatch.setattr(pipeline, "capture_calibration", spy(pipeline.capture_calibration))
         fx = small_fixture()
         with blas_threads(2):
             before = counts()
@@ -188,8 +210,8 @@ class TestCompress:
         _, rep0 = compress(base_cfg, fx.model, fx.tokens, labels=fx.labels)
         cfg = CompressionConfig(delta_ratio=0.5, trim=2)
         _, rep = compress(cfg, fx.model, fx.tokens, labels=fx.labels)
-        stats = compute_layer_stats(fx.model, fx.tokens[:, :base_cfg.calib_samples],
-                                    base_cfg, labels=fx.labels)
+        stats, _ = compute_layer_stats(fx.model, fx.tokens[:, :base_cfg.calib_samples],
+                                       base_cfg, labels=fx.labels)
         for rec, st in zip(rep.layers, stats):
             assert len(rec.trimmed) == 2
             # trimmed experts are the least routed ones
@@ -216,6 +238,60 @@ class TestCompress:
         want = evaluate(fx.model, fx.tokens[:, :96], fx.labels[:96],
                         batch_size=cfg.batch_size)
         assert rep.loss_before == pytest.approx(want.loss, abs=1e-12)
+
+
+class TestOneDensePass:
+    """`compress`, `compute_layer_stats` (the `calibrate` command) and the
+    sensitivity scan run the dense model over the calibration tokens once:
+    every token column that `routed_forward` sends through a dense layer is
+    counted, whichever module calls it."""
+
+    @staticmethod
+    def dense_columns(monkeypatch) -> list[int]:
+        real = moe.routed_forward
+        routed = []
+
+        def counting(layer, x_batch, expert_fn):
+            if isinstance(layer, MoELayer):
+                routed.append(x_batch.shape[1])
+            return real(layer, x_batch, expert_fn)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("d2moe") and getattr(module, "routed_forward", None) is real:
+                monkeypatch.setattr(module, "routed_forward", counting)
+        return routed
+
+    @staticmethod
+    def fixture():
+        return gen_fixture(0, n_experts=4, d_model=16, hidden=24, layers=3,
+                           tokens=192, rank_noise=2)
+
+    @pytest.mark.parametrize("merge", ["fisher", "mean"])
+    def test_compress(self, monkeypatch, merge):
+        fx = self.fixture()
+        cfg = CompressionConfig(merge_method=merge, calib_samples=160)
+        routed = self.dense_columns(monkeypatch)
+        compress(cfg, fx.model, fx.tokens, labels=fx.labels)
+        assert sum(routed) == len(fx.model.layers) * 160
+
+    @pytest.mark.parametrize("merge", ["fisher", "mean"])
+    def test_compute_layer_stats(self, monkeypatch, merge):
+        fx = self.fixture()
+        routed = self.dense_columns(monkeypatch)
+        compute_layer_stats(fx.model, fx.tokens, CompressionConfig(merge_method=merge),
+                            labels=fx.labels)
+        assert sum(routed) == len(fx.model.layers) * fx.n_tokens
+
+    @pytest.mark.parametrize("merge", ["fisher", "mean"])
+    def test_sensitivity_scan(self, monkeypatch, merge):
+        """One stats pass over every layer; each of the L probes then
+        evaluates a hybrid whose other L - 1 layers are dense."""
+        fx = self.fixture()
+        n_layers = len(fx.model.layers)
+        routed = self.dense_columns(monkeypatch)
+        layer_sensitivity_scan(fx.model, fx.tokens, fx.labels, probe_ratio=0.5,
+                               config=CompressionConfig(merge_method=merge, sparsity=0.0))
+        assert sum(routed) == (n_layers + n_layers * (n_layers - 1)) * fx.n_tokens
 
 
 class TestRatioFrontier:
