@@ -20,15 +20,7 @@ import numpy as np
 from .analysis import allocate_adaptive_ratios, cka, layer_sensitivity_scan
 from .config import CompressionConfig, apply_overrides, apply_preset, parse_config_file
 from .container import load_any, save_calibration, save_compressed_model, save_model
-from .errors import (
-    ConfigError,
-    ContainerError,
-    D2MoeError,
-    DegenerateInputError,
-    NumericalError,
-    ParameterError,
-    ShapeError,
-)
+from .errors import ConfigError, ContainerError, D2MoeError, NumericalError
 from .fixtures import gen_fixture
 from .moe import MoEModel, Role
 from .pipeline import compress, compute_layer_stats, evaluate, ratio_frontier
@@ -315,22 +307,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ShapeError, ParameterError, DegenerateInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ContainerError as exc:
+    except (ContainerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except D2MoeError as exc:
+    except D2MoeError as exc:  # ConfigError, ShapeError, ParameterError, DegenerateInputError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

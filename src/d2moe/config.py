@@ -91,7 +91,6 @@ class CompressionConfig:
 
 _INT_FIELDS = {"seed", "calib_samples", "batch_size", "delta_rank", "trim"}
 _FLOAT_FIELDS = {"delta_ratio", "sparsity", "damping", "epsilon"}
-_STR_FIELDS = {"merge_method", "fisher_mode", "rank_mode"}
 
 
 def _coerce(key: str, raw) -> object:

@@ -144,10 +144,6 @@ class RoutingTrace:
     def n_tokens(self) -> int:
         return self.selected.shape[0]
 
-    @property
-    def top_k(self) -> int:
-        return self.selected.shape[1]
-
 
 @dataclass(frozen=True)
 class LayerCapture:

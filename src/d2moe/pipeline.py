@@ -4,7 +4,8 @@ Stage order is fixed, and the report's `timing` records follow it:
 `calibrate` (one dense capture of the calibration tokens, which also gives
 `loss_before`, then the Fisher's reverse sweep over it when the merge needs
 one), then `merge`, `factorize`, `prune` and `package` in one serial pass
-over the layers, then `evaluate-compressed`. Layers are independent once
+over the layers, then `evaluate-compressed` (one compressed pass, for
+`loss_after` and the active-parameter census). Layers are independent once
 calibration statistics exist; `build_compressed_layer` runs merging, delta
 factorization, base pruning and packaging for one layer, and is the only
 code that runs that sequence, for `compress` and the sensitivity scan alike.
@@ -38,6 +39,7 @@ from .moe import (
     MoELayer,
     MoEModel,
     Role,
+    RoutingTrace,
     capture_calibration,
     expert_frequency,
     moe_forward_dense,
@@ -213,6 +215,17 @@ def mean_cross_entropy(logits: np.ndarray, labels, batch_size: int) -> float:
     return loss
 
 
+def _forward_chunks(model, x: np.ndarray, batch_size: int) -> tuple[np.ndarray, list[RoutingTrace]]:
+    """Logits (classes, T) of a model over checked tokens run in chunks of
+    batch_size, plus each layer's routing trace for the first chunk."""
+    if batch_size < 1:
+        raise ParameterError(f"batch_size must be positive, got {batch_size}")
+    forward = moe_forward_dense if isinstance(model, MoEModel) else compressed_model_forward
+    chunks = [forward(model, x[:, start:start + batch_size])
+              for start in range(0, x.shape[1], batch_size)]
+    return np.hstack([logits for logits, _ in chunks]), chunks[0][1]
+
+
 def evaluate(model, tokens, labels, batch_size: int = 128) -> EvalResult:
     """Mean cross-entropy of the model on labeled tokens, batched.
 
@@ -220,11 +233,7 @@ def evaluate(model, tokens, labels, batch_size: int = 128) -> EvalResult:
     models the loss is defined relative to this batch size.
     """
     x = as_matrix(tokens, "tokens")
-    if batch_size < 1:
-        raise ParameterError(f"batch_size must be positive, got {batch_size}")
-    forward = moe_forward_dense if isinstance(model, MoEModel) else compressed_model_forward
-    logits = np.hstack([forward(model, x[:, start:start + batch_size])[0]
-                        for start in range(0, x.shape[1], batch_size)])
+    logits, _ = _forward_chunks(model, x, batch_size)
     loss = mean_cross_entropy(logits, labels, batch_size)
     return EvalResult(loss=loss, perplexity=float(np.exp(min(loss, 709.0))),
                       n_tokens=int(x.shape[1]))
@@ -248,7 +257,9 @@ def compress(cfg: CompressionConfig, model: MoEModel, calib_tokens, labels=None)
 
     Returns (CompressedModel, CompressionReport). `labels` are needed for
     the evaluation records and for data-label Fisher; when omitted, losses
-    are reported as 0 and data-label Fisher is rejected.
+    are reported as 0 and data-label Fisher is rejected. The compressed
+    model runs over the calibration tokens once, also without labels: its
+    logits give `loss_after`, its first chunk's routing the active census.
     """
     cfg.validate()
     calib = as_matrix(calib_tokens, "calib_tokens")
@@ -269,14 +280,14 @@ def compress(cfg: CompressionConfig, model: MoEModel, calib_tokens, labels=None)
     timings += [(stage, sum(b.seconds[stage] for b in builds)) for stage in LAYER_STAGES]
 
     t0 = time.perf_counter()
+    logits, traces = _forward_chunks(compressed, calib_use, cfg.batch_size)
     loss_after = 0.0
     if labels_use is not None:
-        loss_after = evaluate(compressed, calib_use, labels_use, batch_size=cfg.batch_size).loss
+        loss_after = mean_cross_entropy(logits, labels_use, cfg.batch_size)
     timings.append(("evaluate-compressed", time.perf_counter() - t0))
 
-    x_census = calib_use[:, :min(cfg.batch_size, n_use)]
     records = []
-    for l, (layer, b) in enumerate(zip(model.layers, builds)):
+    for l, (layer, b, trace) in enumerate(zip(model.layers, builds, traces)):
         m, n = layer.experts[0][Role.UP].shape
         p_used = _report_ratio(cfg.rank_policy(l), m, n)
         records.append(LayerRecord(
@@ -285,7 +296,7 @@ def compress(cfg: CompressionConfig, model: MoEModel, calib_tokens, labels=None)
             fisher_fallback=b.fisher_fallback,
             trimmed=b.layer.trimmed,
             weighted_errors={k: tuple(v) for k, v in b.errors.items()},
-            params=param_report(b.layer, p_used, cfg.sparsity, x_census),
+            params=param_report(b.layer, p_used, cfg.sparsity, trace),
         ))
 
     report = CompressionReport(config=cfg.to_dict(), seed=cfg.seed,

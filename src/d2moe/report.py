@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .errors import ConfigError
 from .runtime import ParamReport
 
 REPORT_VERSION = "1"
+_PARAM_TYPES = {"int": int, "float": (int, float), "bool": bool}  # ParamReport annotations
 
 
 def canonical_json(obj) -> str:
@@ -65,7 +66,7 @@ class LayerRecord:
 
     @staticmethod
     def from_record(rec: dict) -> "LayerRecord":
-        return LayerRecord(
+        record = LayerRecord(
             layer=rec["layer"],
             rank=dict(rec["rank"]),
             fisher_fallback=rec["fisher_fallback"],
@@ -73,6 +74,11 @@ class LayerRecord:
             weighted_errors={k: tuple(v) for k, v in rec["weighted_errors"].items()},
             params=ParamReport(**rec["params"]),
         )
+        for f in fields(ParamReport):  # an int field takes no bool, a float field any number
+            value = getattr(record.params, f.name)
+            if not isinstance(value, _PARAM_TYPES[f.type]) or (isinstance(value, bool) and f.type != "bool"):
+                raise TypeError(f"params.{f.name} must be {f.type}, got {value!r}")
+        return record
 
 
 @dataclass(frozen=True)

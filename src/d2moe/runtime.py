@@ -9,7 +9,10 @@ once and adds each selected expert's rank-k correction:
     y   = sum_{i in TopK} G(x)_i y_i
 
 Trimmed experts have no factors and contribute through the base path only.
-Dynamic pruning masks are recomputed per batch and never stored.
+Dynamic pruning masks are recomputed per batch and never stored. Parameter
+accounting routes nothing: the active census is arithmetic on a layer and
+the `RoutingTrace` of a forward already run through it (in `compress`, the
+compressed pass over the first `batch_size` calibration tokens).
 
 The masked Up-base product is computed once per batch. Each routed expert's
 callback then works on one fresh block: it takes its token columns of that
@@ -26,8 +29,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .factorize import DeltaFactor
 from .linalg import as_matrix
-from .moe import (MoELayer, Role, RoutingTrace, _layer_input, _trace_from_routing, layer_forward_dense,
-                  route_batch, routed_forward, silu)
+from .moe import MoELayer, Role, RoutingTrace, _layer_input, layer_forward_dense, routed_forward, silu
 from .pruning import PrunedBase, _active_positions
 
 
@@ -198,7 +200,6 @@ class ParamCounts:
     total: float
     literal: float
     literal_differs: bool
-    decomposed: float | None = None
 
 
 def static_param_count(n: int, m: float, p: float, s: float) -> ParamCounts:
@@ -213,8 +214,7 @@ def static_param_count(n: int, m: float, p: float, s: float) -> ParamCounts:
     literal = (n * p + s / 2.0) * m
     total = factors + base
     return ParamCounts(original=n * m, factors=factors, base=base, total=total,
-                       literal=literal, literal_differs=bool(literal != total),
-                       decomposed=(n + 1) * m)
+                       literal=literal, literal_differs=bool(literal != total))
 
 
 def active_param_count(k_top: int, m: float, p: float, s: float) -> ParamCounts:
@@ -265,19 +265,23 @@ def census_static_params(layer: CompressedLayer) -> int:
     return int(total)
 
 
-def census_active_params(layer: CompressedLayer, x_batch) -> float:
-    """Average active multiply-weights per token in one forward call."""
-    xb = _layer_input(layer, x_batch)
-    up_pos, down_pos, _ = _base_path(layer, xb)
-    base_per_token = layer.hidden * up_pos.size + layer.d_out * down_pos.size
-    counts = _trace_from_routing(*route_batch(layer.gate, layer.top_k, xb), layer.n_experts).counts
-    factor_total = sum(int(counts[i]) * sum(f[r].u.size + f[r].v.size for r in (Role.UP, Role.DOWN))
+def census_active_params(layer: CompressedLayer, trace: RoutingTrace) -> float:
+    """Average active multiply-weights per token of the forward call that
+    routed `trace` through `layer`: every token keeps the kept base columns
+    less the dynamic quota, plus its routed experts' factor entries."""
+    if trace.counts.shape != (layer.n_experts,):
+        raise ShapeError(f"trace counts shape {trace.counts.shape} != ({layer.n_experts},)")
+    up, down = layer.base[Role.UP], layer.base[Role.DOWN]
+    base_per_token = (layer.hidden * (up.kept_col_ids.size - up.mask.dynamic_quota)
+                      + layer.d_out * (down.kept_col_ids.size - down.mask.dynamic_quota))
+    factor_total = sum(int(trace.counts[i]) * sum(f[r].u.size + f[r].v.size for r in (Role.UP, Role.DOWN))
                        for i, f in layer.deltas.items())
-    return base_per_token + factor_total / xb.shape[1]
+    return base_per_token + factor_total / trace.n_tokens
 
 
-def param_report(layer: CompressedLayer, p: float, s: float, x_batch) -> ParamReport:
-    """Assemble the accounting report for one compressed layer."""
+def param_report(layer: CompressedLayer, p: float, s: float, trace: RoutingTrace) -> ParamReport:
+    """Assemble the accounting report for one compressed layer; `trace` is
+    its routing in the forward call the active census counts."""
     d, hidden, d_out = layer.d_model, layer.hidden, layer.d_out
     m = hidden * d + d_out * hidden  # per-expert parameters over both roles
     n = layer.n_experts
@@ -290,5 +294,5 @@ def param_report(layer: CompressedLayer, p: float, s: float, x_batch) -> ParamRe
         literal_static=stat.literal, literal_active=act.literal,
         literal_differs=stat.literal_differs or act.literal_differs,
         census_static=census_static_params(layer),
-        census_active_per_token=census_active_params(layer, x_batch),
+        census_active_per_token=census_active_params(layer, trace),
     )

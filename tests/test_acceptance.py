@@ -256,7 +256,7 @@ def test_criterion_06_parameter_census_matches_formulas():
         layer = fx.model.layers[0]
         cfg0 = CompressionConfig()
         stats = compute_layer_stats(fx.model, fx.tokens, cfg0, labels=fx.labels)[0][0]
-        from d2moe.runtime import param_report
+        from d2moe.runtime import compressed_forward, param_report
         x_census = fx.tokens[:, :128]
         n = layer.n_experts
         m = layer.hidden * layer.d_model + layer.d_model * layer.hidden
@@ -264,7 +264,7 @@ def test_criterion_06_parameter_census_matches_formulas():
             for s in (0.0, 0.5):
                 cfg = dc_replace(cfg0, delta_ratio=p, sparsity=s)
                 built = build_compressed_layer(layer, stats, cfg).layer
-                rep = param_report(built, p, s, x_census)
+                rep = param_report(built, p, s, compressed_forward(built, x_census)[1])
                 # census recounted from the arrays themselves
                 stored = sum(built.base[r].kept.size for r in (Role.UP, Role.DOWN))
                 stored += sum(f[r].u.size + f[r].v.size

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from d2moe.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
-from d2moe.container import container_load, container_save
+from d2moe.container import container_load, container_save, save_calibration, save_model
 from d2moe.errors import NumericalError
+from d2moe.moe import MoELayer, MoEModel, Role
 from d2moe.report import read_report
 
 SMALL = ["--experts", "4", "--d-model", "16", "--hidden", "24",
@@ -80,6 +81,29 @@ class TestCompressEval:
                            "--calib", str(workdir / "calib.d2m")], capsys)
         loss = float(eval_out.split("loss=")[1].split()[0])
         assert loss == pytest.approx(rep.loss_after, abs=1e-12)
+
+    def test_layer_widths_that_change_compress_and_eval(self, tmp_path, capsys):
+        """A model whose layers map 8 -> 12 -> 8 features compresses, and its
+        container evaluates: no census runs a layer on another layer's input."""
+        rng = np.random.default_rng(5)
+
+        def layer(d_in, hidden, d_out, n=4):
+            experts = [{Role.UP: rng.normal(size=(hidden, d_in)) / np.sqrt(d_in),
+                        Role.DOWN: rng.normal(size=(d_out, hidden)) / np.sqrt(hidden)}
+                       for _ in range(n)]
+            return MoELayer(gate=rng.normal(size=(n, d_in)), experts=experts, top_k=2)
+
+        model = MoEModel(layers=[layer(8, 16, 12), layer(12, 16, 8)], head=rng.normal(size=(5, 8)))
+        save_model(tmp_path / "model.d2m", model)
+        save_calibration(tmp_path / "calib.d2m", rng.normal(size=(8, 300)), rng.integers(0, 5, 300))
+        inputs = ["--model", str(tmp_path / "model.d2m"), "--calib", str(tmp_path / "calib.d2m")]
+        run_ok(["compress", *inputs, "--merge", "mean", "--sparsity", "0.4", "--trim", "1",
+                "--out", str(tmp_path / "c.d2m"), "--report", str(tmp_path / "run.jsonl")], capsys)
+        out = run_ok(["eval", "--model", str(tmp_path / "c.d2m"), "--calib", str(tmp_path / "calib.d2m")],
+                     capsys)
+        assert "tokens=300" in out
+        layers = read_report(tmp_path / "run.jsonl").layers
+        assert [rec.params.m for rec in layers] == [16 * 8 + 12 * 16, 16 * 12 + 8 * 16]
 
     def test_eval_dense_model(self, workdir, capsys):
         out = run_ok(["eval", "--model", str(workdir / "model.d2m"),
@@ -220,6 +244,23 @@ class TestAnalyze:
         assert not list(tmp_path.iterdir())  # rejected before any table is written
 
 
+GOOD_PARAMS = {"n": 4, "m": 768, "k_top": 2, "p": 0.5, "s": 0.4,
+               "original_static": 3072.0, "compressed_static": 1689.6,
+               "original_active": 1536.0, "compressed_active": 844.8,
+               "literal_static": 1689.6, "literal_active": 1075.2, "literal_differs": True,
+               "census_static": 1632, "census_active_per_token": 832.0}
+
+
+def report_with_params(**overrides) -> str:
+    """A complete report whose one layer record has `overrides` in its params."""
+    layer = {"record": "layer", "layer": 0, "rank": {"up": 4, "down": 4}, "fisher_fallback": 0,
+             "trimmed": [], "weighted_errors": {"up": [0.0], "down": [0.0]},
+             "params": {**GOOD_PARAMS, **overrides}}
+    lines = [{"record": "meta", "version": "1", "seed": 0}, {"record": "config"},
+             {"record": "loss", "loss_before": 1.0, "loss_after": 1.0}, layer]
+    return "".join(json.dumps(line) + "\n" for line in lines)
+
+
 class TestReportCommand:
     def test_pretty_print(self, workdir, tmp_path, capsys):
         report = tmp_path / "run.jsonl"
@@ -228,6 +269,13 @@ class TestReportCommand:
                 "--out", str(tmp_path / "o.d2m"), "--report", str(report)], capsys)
         out = run_ok(["report", "--report", str(report)], capsys)
         assert "version=" in out and "layer 0:" in out and "timing" in out
+
+    def test_hand_written_params_of_the_declared_types_are_read(self, tmp_path, capsys):
+        """A float field holds any number, so a JSON integer there is read."""
+        good = tmp_path / "good.jsonl"
+        good.write_text(report_with_params(original_static=3072), encoding="utf-8")
+        out = run_ok(["report", "--report", str(good)], capsys)
+        assert "static 3072->1690 (census 1632)" in out
 
     def test_corrupt_report_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -244,8 +292,20 @@ class TestReportCommand:
          "report line 1: layer record is missing field 'rank'"),
         ('{"record":"timing","stage":"merge","seconds":"fast"}\n',
          "report line 1: malformed timing record"),
+        (report_with_params(original_static="many"),
+         "report line 4: malformed layer record (params.original_static must be float"),
+        (report_with_params(census_static=1632.5),
+         "report line 4: malformed layer record (params.census_static must be int"),
+        (report_with_params(n=True), "report line 4: malformed layer record (params.n must be int"),
+        (report_with_params(p=False), "report line 4: malformed layer record (params.p must be float"),
+        (report_with_params(literal_differs=1),
+         "report line 4: malformed layer record (params.literal_differs must be bool"),
+        (report_with_params(census_active_per_token=None),
+         "report line 4: malformed layer record (params.census_active_per_token must be float"),
     ], ids=["timing-without-stage", "not-an-object", "meta-without-seed", "layer-without-rank",
-            "timing-seconds-not-a-number"])
+            "timing-seconds-not-a-number", "params-float-is-a-string", "params-int-is-a-float",
+            "params-int-is-a-bool", "params-float-is-a-bool", "params-bool-is-an-int",
+            "params-float-is-null"])
     def test_valid_json_with_missing_or_bad_fields_is_config_error(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(text, encoding="utf-8")

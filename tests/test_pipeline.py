@@ -23,7 +23,7 @@ from d2moe.config import CompressionConfig
 from d2moe.errors import ConfigError, ParameterError, ShapeError
 from d2moe.fixtures import gen_fixture
 from d2moe.linalg import blas_threads
-from d2moe.moe import MoELayer, MoEModel, Role, moe_forward_dense
+from d2moe.moe import MoELayer, MoEModel, Role, moe_forward_dense, silu
 from d2moe.pipeline import (
     EvalResult,
     compress,
@@ -31,8 +31,9 @@ from d2moe.pipeline import (
     evaluate,
     ratio_frontier,
 )
+from d2moe.pruning import dynamic_mask
 from d2moe.report import dumps_report, read_report, strip_timings
-from d2moe.runtime import compressed_model_forward
+from d2moe.runtime import compressed_forward, compressed_model_forward
 
 
 def small_fixture(seed=0, tokens=192):
@@ -168,10 +169,10 @@ class TestCompress:
         assert outputs[0] == outputs[1]
 
     def test_runs_on_one_blas_thread_and_restores_the_counts(self, monkeypatch):
-        """Every dense pass inside compress (the calibration capture and the
-        evaluate of the compressed model) sees one OpenBLAS thread, and the
-        counts in effect before the call are back once it returns, so the
-        standalone forwards keep their threads."""
+        """Every pass inside compress (the dense calibration capture and the
+        compressed pass over the calibration tokens) sees one OpenBLAS
+        thread, and the counts in effect before the call are back once it
+        returns, so the standalone forwards keep their threads."""
         def counts():
             return [get() for get, _ in linalg._BLAS_CONTROLS]
 
@@ -183,7 +184,7 @@ class TestCompress:
                 return real(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(pipeline, "evaluate", spy(pipeline.evaluate))
+        monkeypatch.setattr(pipeline, "_forward_chunks", spy(pipeline._forward_chunks))
         monkeypatch.setattr(pipeline, "capture_calibration", spy(pipeline.capture_calibration))
         fx = small_fixture()
         with blas_threads(2):
@@ -218,6 +219,34 @@ class TestCompress:
             order = np.argsort(st.frequency, kind="stable")
             assert set(rec.trimmed) == set(int(i) for i in order[:2])
         assert rep.loss_after >= rep0.loss_after
+
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_active_census_counts_each_layer_on_its_own_input(self, labelled):
+        """With trimmed experts the factor term depends on routing, so every
+        layer's census must be counted on the input that layer sees in the
+        compressed forward of the first batch_size calibration tokens. The
+        oracle chains that forward and counts active base columns and the
+        routed experts' factor entries by hand."""
+        fx = gen_fixture(0, n_experts=6, d_model=16, hidden=24, layers=3,
+                         tokens=192, rank_noise=2)
+        cfg = CompressionConfig(merge_method="mean", sparsity=0.4, trim=3, batch_size=64)
+        compressed, rep = compress(cfg, fx.model, fx.tokens, labels=fx.labels if labelled else None)
+        h = fx.tokens[:, :cfg.batch_size]
+        for layer, rec in zip(compressed.layers, rep.layers):
+            up, down = layer.base[Role.UP], layer.base[Role.DOWN]
+            active_up = dynamic_mask(up, h[up.kept_col_ids, :])
+            hid = silu(up.kept[:, np.searchsorted(up.kept_col_ids, active_up)] @ h[active_up, :])
+            active_down = dynamic_mask(down, hid[down.kept_col_ids, :])
+            factors = 0
+            for t in range(h.shape[1]):
+                logits = layer.gate @ h[:, t]
+                for i in sorted(range(layer.n_experts), key=lambda e: (-logits[e], e))[:layer.top_k]:
+                    if i in layer.deltas:
+                        factors += sum(f.u.size + f.v.size for f in layer.deltas[i].values())
+            want = layer.hidden * active_up.size + layer.d_out * active_down.size + factors / h.shape[1]
+            assert len(rec.trimmed) == 3
+            assert rec.params.census_active_per_token == want
+            h, _ = compressed_forward(layer, h)
 
     def test_data_label_fisher_requires_labels(self):
         fx = small_fixture()
