@@ -42,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .moe import MoELayer, MoEModel, Role, moe_forward_dense
+from .linalg import blas_threads
+from .moe import MoELayer, MoEModel, Role, layer_forward_dense
 
 DEFAULT_TOKENS = 512
 
@@ -83,6 +84,7 @@ def _coord_layout(n_experts: int, d_model: int):
     return n_burst, n_burst, n_burst + 1, dead0
 
 
+@blas_threads(1)
 def gen_fixture(seed: int, n_experts: int = 8, d_model: int = 32, hidden: int = 64,
                 layers: int = 1, rank_noise: int = 4, tokens: int = DEFAULT_TOKENS,
                 top_k: int = 2, num_classes: int = 10, delta_scale: float = 0.5,
@@ -94,7 +96,9 @@ def gen_fixture(seed: int, n_experts: int = 8, d_model: int = 32, hidden: int = 
     individuality relative to it, `noise_spread` the generalist/specialist
     contrast, and `gate_spread` the router temperature. Defaults are tuned
     so mean-merge deltas retain >=99% energy at k=rank_noise while the
-    merge weightings still measurably disagree.
+    merge weightings still measurably disagree. Like `compress`, it runs
+    with OpenBLAS pinned to one thread, so the fixture bytes do not depend
+    on OPENBLAS_NUM_THREADS.
     """
     if rank_noise < 0 or rank_noise >= min(d_model, hidden):
         raise ParameterError(f"rank_noise must lie in [0, {min(d_model, hidden)}), got {rank_noise}")
@@ -171,7 +175,6 @@ def gen_fixture(seed: int, n_experts: int = 8, d_model: int = 32, hidden: int = 
         experts = [{Role.UP: ups[i], Role.DOWN: downs[i]} for i in range(n)]
         model_layers.append(MoELayer(gate=gate, experts=experts, top_k=top_k))
     head = rng.normal(0.0, 1.0 / np.sqrt(d), size=(num_classes, d))
-    model = MoEModel(layers=model_layers, head=head)
 
     x = np.zeros((d, tokens))
     sgn = rng.integers(0, 2, size=(live_d, tokens)) * 2.0 - 1.0
@@ -183,11 +186,13 @@ def gen_fixture(seed: int, n_experts: int = 8, d_model: int = 32, hidden: int = 
     x[bias_c] = 1.0 + 0.1 * rng.normal(size=tokens)
     x[dead0:] = _DEAD_SCALE * rng.normal(size=(n_dead, tokens))
 
-    logits, _ = moe_forward_dense(model, x)
-    srt = np.sort(logits, axis=0)
+    # one dense pass: rescaling the head leaves the final hidden state as it is
+    final = x
+    for layer in model_layers:
+        final, _ = layer_forward_dense(layer, final)
+    srt = np.sort(head @ final, axis=0)
     gap = np.median(srt[-1] - srt[-2])
     head *= _TARGET_MARGIN / gap
-    model = MoEModel(layers=model_layers, head=head)
-    logits, _ = moe_forward_dense(model, x)
-    labels = logits.argmax(axis=0).astype(np.int64)
-    return Fixture(model=model, tokens=x, labels=labels, seed=seed, rank_noise=r)
+    labels = (head @ final).argmax(axis=0).astype(np.int64)
+    return Fixture(model=MoEModel(layers=model_layers, head=head), tokens=x, labels=labels,
+                   seed=seed, rank_noise=r)

@@ -19,7 +19,8 @@ closed form:
 
     F_down[i] = (Ebar∘Ebar) (Hid∘Hid)^T,    F_up[i] = (Abar∘Abar) (X∘X)^T,
 
-with those tokens along the columns of each matrix. sampled-label mode draws
+with those tokens along the rows of each token-major matrix (the sweep
+runs token-major, like the forward). sampled-label mode draws
 every label from one `u = rng.random(T)`: label t is the number of entries
 of `cdf_t` at or below u[t], where `cdf_t` is `cumsum(p_t)` divided by its
 last entry. That is exactly what `rng.choice(classes, p=p_t)` returns when
@@ -71,7 +72,7 @@ def backward_logloss(model: MoEModel, x, y: int) -> GradientSet:
     h, captures = capture_calibration(model, xv[:, None])
     lbar = -_softmax((model.head @ h)[:, 0])
     lbar[y] += 1.0  # d log p(y|x) / d logits = onehot(y) - softmax
-    lbar = lbar[:, None]
+    lbar = lbar[None, :]
 
     expert_grads = [
         [{role: np.zeros_like(expert[role]) for role in ROLES} for expert in layer.experts]
@@ -79,12 +80,12 @@ def backward_logloss(model: MoEModel, x, y: int) -> GradientSet:
     ]
 
     def expert(l, i, x_i, ebar, hid, abar):
-        expert_grads[l][i][Role.DOWN] = ebar @ hid.T
-        expert_grads[l][i][Role.UP] = abar @ x_i.T
+        expert_grads[l][i][Role.DOWN] = ebar.T @ hid
+        expert_grads[l][i][Role.UP] = abar.T @ x_i
 
-    zbars = _reverse_sweep(model, captures, model.head.T @ lbar, expert)
-    gate_grads = [zbar @ cap.x.T for zbar, cap in zip(zbars, captures)]
-    return GradientSet(gate_grads=gate_grads, expert_grads=expert_grads, head_grad=lbar @ h.T)
+    zbars = _reverse_sweep(model, captures, lbar @ model.head, expert)
+    gate_grads = [zbar.T @ cap.x.T for zbar, cap in zip(zbars, captures)]
+    return GradientSet(gate_grads=gate_grads, expert_grads=expert_grads, head_grad=lbar.T @ h.T)
 
 
 def check_labels(labels, num_classes: int, n_tokens: int) -> np.ndarray:
@@ -137,44 +138,45 @@ def fisher_accumulate(model: MoEModel, capture, mode: str = "sampled-label",
               for layer in model.layers]
 
     def expert(l, i, x_i, ebar, hid, abar):
-        fisher[l][i][Role.DOWN] = (ebar * ebar) @ (hid * hid).T / n_tokens
-        fisher[l][i][Role.UP] = (abar * abar) @ (x_i * x_i).T / n_tokens
+        fisher[l][i][Role.DOWN] = (ebar * ebar).T @ (hid * hid) / n_tokens
+        fisher[l][i][Role.UP] = (abar * abar).T @ (x_i * x_i) / n_tokens
 
-    _reverse_sweep(model, captures, model.head.T @ lbar, expert)
+    _reverse_sweep(model, captures, lbar.T @ model.head, expert)
     return FisherInfo(fisher=fisher, sample_count=n_tokens, mode=mode)
 
 
 def _reverse_sweep(model: MoEModel, captures, ybar: np.ndarray, expert_fn) -> list[np.ndarray]:
-    """Backpropagate ybar, the gradient at the final hidden state, from the
-    last layer down. Returns each layer's gate-logit gradient zbar (N, T),
-    zero off each token's selection.
+    """Backpropagate ybar (T, d_out), the token-major gradient at the final
+    hidden state, from the last layer down. Returns each layer's gate-logit
+    gradient zbar (T, N), zero off each token's selection.
 
     For every routed expert i of layer l, in ascending order, calls
     expert_fn(l, i, x_i, ebar, hid, abar) with that expert's tokens along the
-    columns. Token t's gradient is ebar_t hid_t^T for the expert's Down
-    weight and abar_t x_t^T for its Up weight.
+    rows. Token t's gradient is ebar_t^T hid_t for the expert's Down weight
+    and abar_t^T x_t for its Up weight.
     """
-    cols = np.arange(ybar.shape[1])
+    toks = np.arange(ybar.shape[0])[:, None]
     zbars = [None] * len(model.layers)
     for l in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[l]
-        xin, trace, acts = captures[l].x, captures[l].trace, captures[l].acts
-        g = np.zeros((layer.n_experts, cols.size))  # gating weights, zero off the selection
-        g[trace.selected, cols[:, None]] = trace.weights
+        xin, trace, acts = captures[l].x.T, captures[l].trace, captures[l].acts
+        g = np.zeros((toks.size, layer.n_experts))  # gating weights, zero off the selection
+        g[toks, trace.selected] = trace.weights
         gbar = np.zeros_like(g)
         xbar = np.zeros_like(xin)
         for i, (rows, a) in acts.items():
             up, down = layer.experts[i][Role.UP], layer.experts[i][Role.DOWN]
             hid = silu(a)
-            ybar_i = ybar[:, rows]
-            q = down.T @ ybar_i  # d (ybar . expert output) / d hid
-            gbar[i, rows] = np.sum(hid * q, axis=0)
-            abar = g[i, rows] * q * silu_grad(a)
-            expert_fn(l, i, xin[:, rows], g[i, rows] * ybar_i, hid, abar)
-            xbar[:, rows] += up.T @ abar
+            g_i = g[rows, i][:, None]
+            ybar_i = ybar[rows]
+            q = ybar_i @ down  # d (ybar . expert output) / d hid
+            gbar[rows, i] = np.sum(hid * q, axis=1)
+            abar = g_i * q * silu_grad(a)
+            expert_fn(l, i, xin[rows], g_i * ybar_i, hid, abar)
+            xbar[rows] += abar @ up
         # gating weights are softmax over the surviving logits
-        zbars[l] = zbar = g * (gbar - np.sum(g * gbar, axis=0))
-        ybar = xbar + layer.gate.T @ zbar
+        zbars[l] = zbar = g * (gbar - np.sum(g * gbar, axis=1, keepdims=True))
+        ybar = xbar + zbar @ layer.gate
     return zbars
 
 

@@ -1,17 +1,24 @@
 """Toy mixture-of-experts network: layers, top-k routing, dense forward,
 and the calibration capture.
 
-Conventions: token batches are matrices with tokens along columns
-(d_model x n_tokens). Each expert is a two-matrix FFN
+Conventions: at the public boundary token batches are matrices with tokens
+along columns (d_model x n_tokens); every exported forward takes and returns
+that layout. Inside a layer call the batch is token-major, a C-order
+(n_tokens, d_model) array, so an expert's tokens are one gather of
+contiguous rows; a layer transposes once on entry and returns its output as
+the transposed view of a token-major array, which the next layer takes
+without a copy. Each expert is a two-matrix FFN
 E(x) = W_down @ silu(W_up @ x), with roles Up (hidden x d_model) and
-Down (d_model x hidden). The router W_g and the classifier head are never
+Down (d_model x hidden); token-major code reads both weights through
+transposed views. The router W_g and the classifier head are never
 compressed, only the expert weights.
 
 `routed_forward` is the single dispatch path for batches: it routes, groups
-tokens by expert, and scatters the gated expert outputs. The dense forward,
-calibration capture and the compressed runtime differ only in the
-per-expert callback they pass it. The capture is the one dense pass over
-calibration tokens; the Fisher (`gradients`) sweeps its records backwards.
+the (token, expert) pairs by expert into one slot buffer, and combines the
+gated slots per token. The dense forward, calibration capture and the
+compressed runtime differ only in the callback that fills the slots. The
+capture is the one dense pass over calibration tokens; the Fisher
+(`gradients`) sweeps its records backwards.
 """
 from __future__ import annotations
 
@@ -147,9 +154,11 @@ class RoutingTrace:
 
 @dataclass(frozen=True)
 class LayerCapture:
-    """One layer of the calibration forward: input `x`, its routing, and per
-    routed expert i, acts[i] = (rows, W_up x[:, rows]) and grams[role][i] =
-    X_i X_i^T, with X_i = x[:, rows] for Up and silu(W_up x[:, rows]) for Down.
+    """One layer of the calibration forward: input `x` (d_model, T), its
+    routing, and per routed expert i, acts[i] = (rows, x_i @ W_up^T) and
+    grams[role][i] = X_i^T X_i, where x_i = x[:, rows].T is token-major and
+    X_i is x_i for Up and silu(x_i @ W_up^T) for Down. `x` is the transposed
+    view of the token-major input, so `x.T` is C-order.
     """
 
     x: np.ndarray
@@ -196,51 +205,67 @@ def _trace_from_routing(selected: np.ndarray, weights: np.ndarray, n_experts: in
 # forward
 # ---------------------------------------------------------------------------
 
-def routed_forward(layer, x_batch: np.ndarray, expert_fn) -> tuple[np.ndarray, RoutingTrace]:
-    """Route a batch through one layer: y = sum_i G(x)_i expert_fn(i, rows).
+def routed_forward(layer, x: np.ndarray, fill_slots) -> tuple[np.ndarray, RoutingTrace]:
+    """Route a token-major batch x (T, d_model) through one layer:
+    y = sum_i G(x)_i E_i(x), returned token-major (T, d_out).
 
-    `layer` supplies gate, top_k, n_experts and d_out. For every expert that
-    received tokens, in ascending index order, expert_fn(i, rows) gets the
-    ascending token columns routed to expert i and returns that expert's
-    (d_out, len(rows)) outputs, which are added into y scaled by their gates.
-    The core scales the returned array in place, so expert_fn must return a
-    fresh array, never a view of, or a reference to, data it keeps.
+    `layer` supplies gate, top_k, n_experts and d_out. The T*k (token,
+    expert) pairs are grouped into one (T*k, d_out) slot buffer, experts in
+    ascending index order and each expert's tokens in ascending order.
+    fill_slots(rows, groups, slots) gets `rows`, the token row of every slot,
+    and `groups`, one (i, start, stop) per expert that received tokens, and
+    writes E_i of the tokens rows[start:stop] into slots[start:stop]. The
+    buffer is then scaled once by the gates, and each token's k slots are
+    summed from zeros in ascending expert order, the order in which a
+    per-expert scatter would add them.
     """
-    selected, weights = route_batch(layer.gate, layer.top_k, x_batch)
+    k = layer.top_k
+    selected, weights = route_batch(layer.gate, k, x.T)
     trace = _trace_from_routing(selected, weights, layer.n_experts)
     # A stable sort of the flattened (T, k) selections lists each expert's
     # (token, slot) pairs in ascending token order.
     order = np.argsort(selected.ravel(), kind="stable")
-    rows_sorted = order // layer.top_k
-    weights_sorted = weights.ravel()[order]
-    y = np.zeros((layer.d_out, x_batch.shape[1]))
+    groups = []
     stop = 0
     for i, count in enumerate(trace.counts.tolist()):
         if count:
             start, stop = stop, stop + count
-            rows = rows_sorted[start:stop]
-            out = expert_fn(i, rows)
-            out *= weights_sorted[start:stop]
-            y[:, rows] += out
+            groups.append((i, start, stop))
+    slots = np.empty((order.size, layer.d_out))
+    fill_slots(order // k, groups, slots)
+    slots *= weights.take(order)[:, None]
+    # where each (token, slot) pair landed; sorted per token, a token's slots
+    # come in ascending expert order
+    where = np.empty_like(order)
+    where[order] = np.arange(order.size)
+    where = np.sort(where.reshape(-1, k), axis=1)
+    y = np.zeros((x.shape[0], layer.d_out))
+    for j in range(k):
+        y += slots.take(where[:, j], axis=0)
     return y, trace
 
 
-def _layer_input(layer, x_batch) -> np.ndarray:
-    xb = as_matrix(x_batch, "x_batch")
-    if xb.shape[0] != layer.d_model:
-        raise ShapeError(f"x_batch rows {xb.shape[0]} != d_model {layer.d_model}")
-    return xb
+def _layer_input(layer, x_batch, name: str = "x_batch") -> np.ndarray:
+    """The checked token-major (T, d_model) form of a (d_model, T) batch: a
+    view when x_batch is already the transpose of a C-order array (a layer
+    output), else one copy."""
+    x = as_matrix(np.asarray(x_batch).T, name)
+    if x.shape[1] != layer.d_model:
+        raise ShapeError(f"{name} rows {x.shape[1]} != d_model {layer.d_model}")
+    return x
 
 
 def layer_forward_dense(layer: MoELayer, x_batch: np.ndarray) -> tuple[np.ndarray, RoutingTrace]:
     """One dense MoE layer over a token batch: y = sum_i G(x)_i E_i(x)."""
-    xb = _layer_input(layer, x_batch)
+    x = _layer_input(layer, x_batch)
 
-    def expert(i, rows):
-        h = layer.experts[i][Role.UP] @ xb[:, rows]
-        return layer.experts[i][Role.DOWN] @ silu(h, out=h)
+    def fill(rows, groups, slots):
+        for i, start, stop in groups:
+            h = x.take(rows[start:stop], axis=0) @ layer.experts[i][Role.UP].T
+            np.matmul(silu(h, out=h), layer.experts[i][Role.DOWN].T, out=slots[start:stop])
 
-    return routed_forward(layer, xb, expert)
+    y, trace = routed_forward(layer, x, fill)
+    return y.T, trace
 
 
 def moe_forward_dense(model: MoEModel, x_batch) -> tuple[np.ndarray, list[RoutingTrace]]:
@@ -248,7 +273,7 @@ def moe_forward_dense(model: MoEModel, x_batch) -> tuple[np.ndarray, list[Routin
 
     Returns (logits (num_classes, T), routing trace per layer).
     """
-    h = as_matrix(x_batch, "x_batch")
+    h = x_batch
     traces = []
     for layer in model.layers:
         h, trace = layer_forward_dense(layer, h)
@@ -269,31 +294,30 @@ def expert_frequency(trace: RoutingTrace) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def capture_calibration(model: MoEModel, calib) -> tuple[np.ndarray, list[LayerCapture]]:
-    """The one dense forward over calibration tokens: the final hidden state
-    and a `LayerCapture` per layer, which supplies the Grams, the routing
-    frequencies and the Fisher's reverse sweep. Accumulation order is layer
-    -> expert -> token, so results are run-to-run identical.
+    """The one dense forward over calibration tokens (d_model, T): the final
+    hidden state (d_out, T) and a `LayerCapture` per layer, which supplies
+    the Grams, the routing frequencies and the Fisher's reverse sweep.
+    Accumulation order is layer -> expert -> token, so results are
+    run-to-run identical.
     """
-    xb = as_matrix(calib, "calibration tokens")
-    if xb.shape[1] < 1:
-        raise DegenerateInputError("empty calibration batch")
+    h = _layer_input(model.layers[0], calib, "calibration tokens")
     captures: list[LayerCapture] = []
-    h = xb
     for layer in model.layers:
         acts = {}
         grams = {Role.UP: [np.zeros((layer.d_model, layer.d_model)) for _ in range(layer.n_experts)],
                  Role.DOWN: [np.zeros((layer.hidden, layer.hidden)) for _ in range(layer.n_experts)]}
 
-        def expert(i, rows):
-            xi = h[:, rows]
-            a = layer.experts[i][Role.UP] @ xi
-            acts[i] = (rows, a)
-            hid = silu(a)
-            grams[Role.UP][i] += xi @ xi.T
-            grams[Role.DOWN][i] += hid @ hid.T
-            return layer.experts[i][Role.DOWN] @ hid
+        def fill(rows, groups, slots):
+            for i, start, stop in groups:
+                xi = h.take(rows[start:stop], axis=0)
+                a = xi @ layer.experts[i][Role.UP].T
+                acts[i] = (rows[start:stop], a)
+                hid = silu(a)
+                grams[Role.UP][i] += xi.T @ xi
+                grams[Role.DOWN][i] += hid.T @ hid
+                np.matmul(hid, layer.experts[i][Role.DOWN].T, out=slots[start:stop])
 
-        y, trace = routed_forward(layer, h, expert)
-        captures.append(LayerCapture(x=h, trace=trace, acts=acts, grams=grams))
+        y, trace = routed_forward(layer, h, fill)
+        captures.append(LayerCapture(x=h.T, trace=trace, acts=acts, grams=grams))
         h = y
-    return h, captures
+    return h.T, captures

@@ -120,18 +120,16 @@ def dynamic_mask(pruned: PrunedBase, x_batch) -> np.ndarray:
             f"x_batch rows {x.shape[0]} != kept column count {pruned.kept.shape[1]} "
             "(rows must align with kept_col_ids)"
         )
-    return pruned.kept_col_ids[_active_positions(pruned, x)]
+    return pruned.kept_col_ids[_active_positions(pruned, (x * x).sum(axis=1))]
 
 
-def _active_positions(pruned: PrunedBase, rows: np.ndarray) -> np.ndarray:
-    """Ascending positions into kept_col_ids of the columns active for `rows`.
-
-    `rows` must already be a finite C-order matrix aligned with the kept
-    columns; `dynamic_mask` is the checked entry point.
+def _active_positions(pruned: PrunedBase, sumsq: np.ndarray) -> np.ndarray:
+    """Ascending positions into kept_col_ids of the columns active for a
+    batch whose per-kept-column sums of squares over the tokens are `sumsq`.
     """
     quota = pruned.mask.dynamic_quota
     if quota == 0:
         return np.arange(pruned.kept_col_ids.size)
-    c = pruned.col_norms * np.sqrt((rows * rows).sum(axis=1))  # == np.linalg.norm(rows, axis=1)
+    c = pruned.col_norms * np.sqrt(sumsq)  # ||W_b[:, j]|| * ||X[j, :]||
     # kept_col_ids is ascending, so stable sort ties resolve to lower original index
     return np.sort(np.argsort(c, kind="stable")[quota:])

@@ -14,11 +14,13 @@ accounting routes nothing: the active census is arithmetic on a layer and
 the `RoutingTrace` of a forward already run through it (in `compress`, the
 compressed pass over the first `batch_size` calibration tokens).
 
-The masked Up-base product is computed once per batch. Each routed expert's
-callback then works on one fresh block: it takes its token columns of that
-product, adds its Up correction and applies silu in place, and adds its
-Down correction into the fresh masked Down-base product, which the routed
-core scales in place.
+The forward runs token-major (see `moe`). The masked Up-base product
+(T, hidden) is computed once per batch. Filling the routed core's slot
+buffer gathers that product's rows for every (token, expert) slot, adds each
+expert's Up correction to its block, applies silu once, writes the masked
+Down-base product of all slots with one GEMM, since that base is shared,
+and adds each expert's Down correction to its block. Every weight is read
+through a transposed view; none is copied or stored transposed.
 """
 from __future__ import annotations
 
@@ -99,57 +101,65 @@ class CompressedModel:
         object.__setattr__(self, "head", as_matrix(self.head, "head"))
 
 
-def _base_path(layer: CompressedLayer, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _base_path(layer: CompressedLayer, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Active Up positions, active Down positions and the masked Up-base
-    product for one checked batch.
+    product (T, hidden) for one checked token-major batch x (T, d_model).
 
     Positions index each base's kept columns. The Up mask scores the batch
     inputs; the Down mask scores the base-path hidden activations
     silu(W_b_up^masked x) so it is expert-independent.
     """
     up, down = layer.base[Role.UP], layer.base[Role.DOWN]
-    x_kept = xb[up.kept_col_ids, :]
-    up_pos = _active_positions(up, x_kept)
-    u_base = up.kept[:, up_pos] @ x_kept[up_pos, :]  # (hidden, T)
-    g = u_base[down.kept_col_ids, :]
-    down_pos = _active_positions(down, silu(g, out=g))
+    up_pos = _active_positions(up, _column_sumsq(x)[up.kept_col_ids])
+    u_base = x.take(up.kept_col_ids[up_pos], axis=1) @ up.kept[:, up_pos].T
+    down_pos = _active_positions(down, _column_sumsq(silu(u_base))[down.kept_col_ids])
     return up_pos, down_pos, u_base
 
 
+def _column_sumsq(a: np.ndarray) -> np.ndarray:
+    """Per-column sum of squares of a token-major matrix, over its tokens."""
+    return np.einsum("ij,ij->j", a, a)
+
+
 def compressed_forward(layer: CompressedLayer, x_batch) -> tuple[np.ndarray, RoutingTrace]:
-    """Eq.-style compressed layer forward over one batch.
+    """Eq.-style compressed layer forward over one (d_model, T) batch.
 
     The input is checked once; dynamic masks and the masked Up-base product
     are computed once for the batch; gating is identical to the dense router.
-    Returns (y_batch, routing trace).
+    Returns (y_batch (d_out, T), routing trace).
     """
-    xb = _layer_input(layer, x_batch)
-    _, down_pos, u_base = _base_path(layer, xb)
+    x = _layer_input(layer, x_batch)
+    _, down_pos, u_base = _base_path(layer, x)
     down = layer.base[Role.DOWN]
-    down_masked = down.kept[:, down_pos]
+    down_masked_t = down.kept[:, down_pos].T
     down_ids = down.kept_col_ids[down_pos]
 
-    def expert(i, rows):
-        # take, not u_base[:, rows]: a fancy column index returns Fortran
-        # order, which sends f.v @ h_i down a different (not byte-equal) BLAS path
-        h_i = u_base.take(rows, axis=1)
-        factors = layer.deltas.get(i)
-        if factors is not None:
-            f = factors[Role.UP]
-            h_i += f.u @ (f.v @ xb[:, rows])
-        silu(h_i, out=h_i)
-        y_i = down_masked @ h_i[down_ids, :]
-        if factors is not None:
-            f = factors[Role.DOWN]
-            y_i += f.u @ (f.v @ h_i)
-        return y_i
+    # activation gathers use take: it is faster than fancy indexing on these
+    # small arrays, and a column take comes back C-order, not Fortran order
+    def fill(rows, groups, slots):
+        h = u_base.take(rows, axis=0)
+        xs = x.take(rows, axis=0)
+        for i, start, stop in groups:
+            factors = layer.deltas.get(i)
+            if factors is not None:
+                f = factors[Role.UP]
+                h[start:stop] += (xs[start:stop] @ f.v.T) @ f.u.T
+        silu(h, out=h)
+        # the masked Down base is shared by every expert: one GEMM over all slots
+        np.matmul(h.take(down_ids, axis=1), down_masked_t, out=slots)
+        for i, start, stop in groups:
+            factors = layer.deltas.get(i)
+            if factors is not None:
+                f = factors[Role.DOWN]
+                slots[start:stop] += (h[start:stop] @ f.v.T) @ f.u.T
 
-    return routed_forward(layer, xb, expert)
+    y, trace = routed_forward(layer, x, fill)
+    return y.T, trace
 
 
 def compressed_model_forward(model: CompressedModel, x_batch) -> tuple[np.ndarray, list[RoutingTrace]]:
     """Chained forward over one batch; layers may be compressed or dense."""
-    h = as_matrix(x_batch, "x_batch")
+    h = x_batch
     traces = []
     for layer in model.layers:
         if isinstance(layer, MoELayer):

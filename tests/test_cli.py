@@ -116,6 +116,21 @@ class TestCompressEval:
         assert rc == EXIT_CONFIG
         assert "calibration data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compress", "calibrate"])
+    def test_calibration_of_another_width_is_config_error(self, workdir, tmp_path, capsys, command):
+        """Tokens whose width is not the model's d_model fail with a named
+        ShapeError (exit 2), not a traceback from inside the forward."""
+        assert main(["gen-fixture", "--seed", "0", *SMALL[:2], "--d-model", "12", *SMALL[4:],
+                     "--out-model", str(tmp_path / "m12.d2m"),
+                     "--out-calib", str(tmp_path / "c12.d2m")]) == EXIT_OK
+        capsys.readouterr()
+        outputs = {"compress": ["--out", str(tmp_path / "out.d2m"), "--report", str(tmp_path / "r.jsonl")],
+                   "calibrate": ["--out", str(tmp_path / "stats.csv")]}
+        rc = main([command, "--model", str(workdir / "model.d2m"), "--calib", str(tmp_path / "c12.d2m"),
+                   *outputs[command]])
+        assert rc == EXIT_CONFIG
+        assert "calibration tokens rows 12 != d_model 16" in capsys.readouterr().err
+
 
 class TestConfigPrecedence:
     def compress_config(self, workdir, tmp_path, extra):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from d2moe import fixtures, linalg
 from d2moe.analysis import energy_retention
 from d2moe.errors import ParameterError
-from d2moe.fixtures import gen_fixture
+from d2moe.fixtures import _TARGET_MARGIN, gen_fixture
 from d2moe.linalg import svd
 from d2moe.merge import compute_deltas, mean_merge
 from d2moe.moe import Role, moe_forward_dense
@@ -90,6 +91,38 @@ class TestStructure:
         counts = np.bincount(fx.labels, minlength=10)
         assert counts.max() > 2 * max(counts.min(), 1) or counts.min() == 0
 
+    @pytest.mark.parametrize("layers", [2, 4])
+    def test_labels_match_a_fresh_forward_of_the_returned_model(self, layers):
+        """The labels and the head rescale come from one dense pass: a new
+        forward of the returned model gives the same argmax and the target
+        median top-2 margin."""
+        fx = gen_fixture(seed=5, layers=layers, d_model=16, hidden=24, tokens=300)
+        logits, _ = moe_forward_dense(fx.model, fx.tokens)
+        assert np.array_equal(fx.labels, logits.argmax(axis=0))
+        srt = np.sort(logits, axis=0)
+        assert np.median(srt[-1] - srt[-2]) == pytest.approx(_TARGET_MARGIN, rel=1e-12)
+
+
+    def test_runs_on_one_blas_thread_and_restores_the_counts(self, monkeypatch):
+        """The fixture's dense pass sees one OpenBLAS thread, and the counts
+        in effect before the call are back once it returns."""
+        def counts():
+            return [get() for get, _ in linalg._BLAS_CONTROLS]
+
+        seen = []
+        real = fixtures.layer_forward_dense
+
+        def spy(*args):
+            seen.append(counts())
+            return real(*args)
+
+        monkeypatch.setattr(fixtures, "layer_forward_dense", spy)
+        with linalg.blas_threads(2):
+            before = counts()
+            gen_fixture(seed=0, layers=2, tokens=64)
+            assert counts() == before
+        assert len(seen) == 2
+        assert all(c == [1] * len(before) for c in seen)
 
 class TestValidation:
     def test_rank_noise_bounds(self):

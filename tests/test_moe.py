@@ -135,10 +135,13 @@ class TestRouteBatch:
                         x = rng.integers(-2, 3, size=(d, t)).astype(np.float64)
                     else:
                         gate_w, x = rng.normal(size=(n, d)), rng.normal(size=(d, t))
-                    want_sel, want_w = per_token_routing(gate_w @ x, k)
-                    sel, w = route_batch(gate_w, k, x)
-                    assert np.array_equal(sel, want_sel)
-                    assert w.shape == want_w.shape and w.tobytes() == want_w.tobytes()
+                    # a C-order batch, and the transposed view of a token-major
+                    # one that routed_forward passes
+                    for xv in (x, np.ascontiguousarray(x.T).T):
+                        want_sel, want_w = per_token_routing(gate_w @ xv, k)
+                        sel, w = route_batch(gate_w, k, xv)
+                        assert np.array_equal(sel, want_sel)
+                        assert w.shape == want_w.shape and w.tobytes() == want_w.tobytes()
 
 
 class TestSilu:
@@ -185,23 +188,25 @@ class TestRoutedForward:
     def test_callback_sees_each_experts_ascending_tokens_once(self):
         rng = np.random.default_rng(31)
         layer = make_layer(rng, n_experts=6, d_model=4, hidden=5, d_out=3, top_k=2)
-        x = rng.normal(size=(4, 40))
-        selected, weights = route_batch(layer.gate, layer.top_k, x)
+        x = rng.normal(size=(40, 4))  # token-major
+        selected, weights = route_batch(layer.gate, layer.top_k, x.T)
         calls = []
 
-        def expert(i, rows):
-            calls.append((i, rows.tolist()))
-            return np.full((layer.d_out, rows.size), float(i + 1))
+        def fill(rows, groups, slots):
+            assert slots.shape == (rows.size, layer.d_out) == (80, 3)
+            for i, start, stop in groups:
+                calls.append((i, rows[start:stop].tolist()))
+                slots[start:stop] = float(i + 1)
 
-        y, trace = routed_forward(layer, x, expert)
+        y, trace = routed_forward(layer, x, fill)
         want_calls = [(i, np.nonzero((selected == i).any(axis=1))[0].tolist())
                       for i in range(6) if np.any(selected == i)]
         assert calls == want_calls
         np.testing.assert_array_equal(trace.selected, selected)
-        want_y = np.zeros((3, 40))
+        want_y = np.zeros((40, 3))
         for t in range(40):
             for j in range(2):
-                want_y[:, t] += weights[t, j] * (selected[t, j] + 1)
+                want_y[t] += weights[t, j] * (selected[t, j] + 1)
         np.testing.assert_allclose(y, want_y, rtol=1e-15, atol=0)
 
 
@@ -342,7 +347,7 @@ class TestCalibrationCapture:
     def test_capture_records_the_dense_forward(self):
         """The capture is the dense forward: the same final hidden state and
         routing, each layer's input, and for every routed expert its token
-        columns and Up pre-activations."""
+        rows and token-major Up pre-activations."""
         rng = np.random.default_rng(14)
         l0 = make_layer(rng, 4, 5, 6, 5, top_k=2)
         l1 = make_layer(rng, 3, 5, 7, 5, top_k=1)
@@ -363,7 +368,7 @@ class TestCalibrationCapture:
                     continue
                 got_rows, a = st.acts[i]
                 assert np.array_equal(got_rows, rows)
-                assert np.array_equal(a, layer.experts[i][Role.UP] @ h[:, rows])
+                assert np.array_equal(a, np.ascontiguousarray(h.T)[rows] @ layer.experts[i][Role.UP].T)
             h, _ = layer_forward_dense(layer, h)
 
 

@@ -272,7 +272,7 @@ class TestCompress:
 class TestOneDensePass:
     """`compress`, `compute_layer_stats` (the `calibrate` command) and the
     sensitivity scan run the dense model over the calibration tokens once:
-    every token column that `routed_forward` sends through a dense layer is
+    every token row that `routed_forward` sends through a dense layer is
     counted, whichever module calls it."""
 
     @staticmethod
@@ -280,10 +280,10 @@ class TestOneDensePass:
         real = moe.routed_forward
         routed = []
 
-        def counting(layer, x_batch, expert_fn):
+        def counting(layer, x, fill_slots):
             if isinstance(layer, MoELayer):
-                routed.append(x_batch.shape[1])
-            return real(layer, x_batch, expert_fn)
+                routed.append(x.shape[0])
+            return real(layer, x, fill_slots)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("d2moe") and getattr(module, "routed_forward", None) is real:

@@ -22,7 +22,7 @@ from d2moe.pruning import (
     static_metric_from_gram,
     static_prune,
 )
-from d2moe.runtime import CompressedLayer, CompressedModel
+from d2moe.runtime import CompressedLayer, CompressedModel, _column_sumsq
 
 
 def drop_oracle(metric, ids, quota):
@@ -171,12 +171,16 @@ def legacy_active_positions(pruned, rows):
 
 
 class TestActivePositions:
-    """_active_positions against the boolean-mask form it replaced, byte for byte."""
+    """_active_positions against the boolean-mask form it replaced, byte for
+    byte, fed the sums of squares both as `dynamic_mask` forms them from
+    (kept, T) rows and as the token-major runtime forms them from (T, kept)."""
 
     def assert_same(self, pruned, rows):
-        got, want = _active_positions(pruned, rows), legacy_active_positions(pruned, rows)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        want = legacy_active_positions(pruned, rows)
+        for sumsq in ((rows * rows).sum(axis=1), _column_sumsq(np.ascontiguousarray(rows.T))):
+            got = _active_positions(pruned, sumsq)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("tokens", [1, 3, 128])
     @pytest.mark.parametrize("s", [0.0, 0.2, 0.5, 0.9])

@@ -3,11 +3,13 @@
 The forward path is checked against a per-token oracle that materializes
 each expert's effective weight as a dense masked base plus the factor
 product, then loops over tokens in plain python. The batched fast path is
-also checked byte for byte against the slow path it replaced: per-call
-dynamic masks that recompute the base column norms, ids mapped back to
-positions with searchsorted, and the cumsum-bounded routed core. Run with
-the first `z * expit(z)` activation instead, that slow path bounds how far
-the exp-form silu may move the logits.
+also checked byte for byte against the slow path it replaced, written in
+the same token-major layout: per-call dynamic masks that recompute the base
+column norms, ids mapped back to positions with searchsorted, and the
+cumsum-bounded routed core that scatters each expert's gated outputs. Run
+with the first `z * expit(z)` activation instead, that slow path bounds how
+far the exp-form silu may move the logits. The column-major forwards that
+the token-major ones replaced are kept here too, as oracles within 1e-12.
 """
 
 import sys
@@ -20,9 +22,9 @@ import d2moe.linalg
 from d2moe.errors import ParameterError, ShapeError
 from d2moe.factorize import rank_for_ratio, truncation_aware_svd
 from d2moe.merge import mean_merge
-from d2moe.moe import (MoELayer, MoEModel, Role, RoutingTrace, layer_forward_dense, moe_forward_dense,
-                       route_batch, routed_forward, silu)
-from d2moe.pruning import static_metric, static_prune
+from d2moe.moe import (MoELayer, MoEModel, Role, RoutingTrace, _layer_input, layer_forward_dense,
+                       moe_forward_dense, route_batch, routed_forward, silu)
+from d2moe.pruning import _active_positions, static_metric, static_prune
 from d2moe.runtime import (
     CompressedLayer,
     CompressedModel,
@@ -71,8 +73,8 @@ def compress_by_hand(dense, x, p=0.5, s=0.0, lossless=False, trimmed=()):
 
 
 def active_columns(layer, xb):
-    """Per-role active original column ids of one batch, from the base path."""
-    up_pos, down_pos, _ = _base_path(layer, xb)
+    """Per-role active original column ids of one (d_model, T) batch, from the base path."""
+    up_pos, down_pos, _ = _base_path(layer, np.ascontiguousarray(xb.T))
     return {Role.UP: layer.base[Role.UP].kept_col_ids[up_pos],
             Role.DOWN: layer.base[Role.DOWN].kept_col_ids[down_pos]}
 
@@ -157,18 +159,21 @@ class TestCompressedForward:
             compressed_forward(layer, rng.normal(size=(7, 10)))
 
 
-def legacy_routed_forward(layer, x_batch, expert_fn):
-    """The routed core with each expert's bounds taken from a cumsum of the counts."""
-    selected, weights = route_batch(layer.gate, layer.top_k, x_batch)
+def legacy_routed_forward(layer, x, fill_slots):
+    """The routed core over a token-major batch, with each expert's bounds
+    taken from a cumsum of the counts and its gated slots scattered into y."""
+    selected, weights = route_batch(layer.gate, layer.top_k, x.T)
     counts = np.bincount(selected.ravel(), minlength=layer.n_experts).astype(np.int64)
     order = np.argsort(selected.ravel(), kind="stable")
-    rows_sorted = order // layer.top_k
+    rows = order // layer.top_k
     weights_sorted = weights.ravel()[order]
     bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-    y = np.zeros((layer.d_out, x_batch.shape[1]))
-    for i in np.flatnonzero(counts).tolist():
-        rows = rows_sorted[bounds[i]:bounds[i + 1]]
-        y[:, rows] += weights_sorted[bounds[i]:bounds[i + 1]] * expert_fn(i, rows)
+    groups = [(i, bounds[i], bounds[i + 1]) for i in np.flatnonzero(counts).tolist()]
+    slots = np.empty((order.size, layer.d_out))
+    fill_slots(rows, groups, slots)
+    y = np.zeros((x.shape[0], layer.d_out))
+    for _, start, stop in groups:
+        y[rows[start:stop]] += weights_sorted[start:stop, None] * slots[start:stop]
     return y, RoutingTrace(selected=selected, weights=weights, counts=counts)
 
 
@@ -188,39 +193,46 @@ def expit_silu(z):
     return z * expit(z)
 
 
-def legacy_compressed_forward(layer, xb, silu=silu):
-    """Compressed layer forward on active ids, mapped to kept positions by searchsorted."""
+def legacy_compressed_forward(layer, x, silu=silu):
+    """Compressed layer forward over a token-major batch, on active ids mapped
+    to kept positions by searchsorted; the masks score (kept, T) copies."""
     up, down = layer.base[Role.UP], layer.base[Role.DOWN]
-    active_up = legacy_dynamic_mask(up, xb[up.kept_col_ids, :])
-    u_base = up.kept[:, np.searchsorted(up.kept_col_ids, active_up)] @ xb[active_up, :]
-    active_down = legacy_dynamic_mask(down, silu(u_base)[down.kept_col_ids, :])
+    active_up = legacy_dynamic_mask(up, x[:, up.kept_col_ids].T)
+    u_base = x.take(active_up, axis=1) @ up.kept[:, np.searchsorted(up.kept_col_ids, active_up)].T
+    active_down = legacy_dynamic_mask(down, silu(u_base)[:, down.kept_col_ids].T)
     down_masked = down.kept[:, np.searchsorted(down.kept_col_ids, active_down)]
 
-    def expert(i, rows):
-        factors = layer.deltas.get(i)
-        u_i = u_base[:, rows]
-        if factors is not None:
-            u_i = u_i + factors[Role.UP].u @ (factors[Role.UP].v @ xb[:, rows])
-        h_i = silu(u_i)
-        y_i = down_masked @ h_i[active_down, :]
-        if factors is not None:
-            y_i = y_i + factors[Role.DOWN].u @ (factors[Role.DOWN].v @ h_i)
-        return y_i
+    def fill(rows, groups, slots):
+        h = u_base[rows]
+        for i, start, stop in groups:
+            factors = layer.deltas.get(i)
+            if factors is not None:
+                f = factors[Role.UP]
+                h[start:stop] = h[start:stop] + (x[rows[start:stop]] @ f.v.T) @ f.u.T
+        h = silu(h)
+        slots[...] = h.take(active_down, axis=1) @ down_masked.T
+        for i, start, stop in groups:
+            factors = layer.deltas.get(i)
+            if factors is not None:
+                f = factors[Role.DOWN]
+                slots[start:stop] = slots[start:stop] + (h[start:stop] @ f.v.T) @ f.u.T
 
-    return legacy_routed_forward(layer, xb, expert)
+    return legacy_routed_forward(layer, x, fill)
 
 
 def legacy_model_forward(model, x, silu=silu):
-    h, traces = np.ascontiguousarray(x, dtype=np.float64), []
+    h, traces = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T), []
     for layer in model.layers:
         if isinstance(layer, MoELayer):
-            def expert(i, rows, layer=layer, h=h):
-                return layer.experts[i][Role.DOWN] @ silu(layer.experts[i][Role.UP] @ h[:, rows])
-            h, trace = legacy_routed_forward(layer, h, expert)
+            def fill(rows, groups, slots, layer=layer, h=h):
+                for i, start, stop in groups:
+                    e = layer.experts[i]
+                    slots[start:stop] = silu(h[rows[start:stop]] @ e[Role.UP].T) @ e[Role.DOWN].T
+            h, trace = legacy_routed_forward(layer, h, fill)
         else:
             h, trace = legacy_compressed_forward(layer, h, silu)
         traces.append(trace)
-    return model.head @ h, traces
+    return model.head @ h.T, traces
 
 
 def oracle_model(top_k, seed=11, d=12, hidden=16, n_experts=6):
@@ -291,21 +303,134 @@ class TestSlowPathOracle:
     def test_routed_core_matches_cumsum_bounds(self, top_k, batch):
         rng = np.random.default_rng(12)
         layer = make_dense_layer(rng, n_experts=6, d=5, hidden=4, top_k=top_k)
-        x = rng.normal(size=(5, batch))
-        payload = rng.normal(size=(6, layer.d_out, batch))
+        x = rng.normal(size=(batch, 5))
+        payload = rng.normal(size=(6, batch, layer.d_out))
+        # the scatter adds into zeros, so a sum of -0.0 terms reads +0.0
+        payload[:, :, 0] = -0.0
         calls, want_calls = [], []
 
-        def expert(log):
-            def fn(i, rows):
-                log.append((i, rows.tolist()))
-                return payload[i][:, rows]
+        def fill(log):
+            def fn(rows, groups, slots):
+                for i, start, stop in groups:
+                    log.append((i, rows[start:stop].tolist()))
+                    slots[start:stop] = payload[i][rows[start:stop]]
             return fn
 
-        y, trace = routed_forward(layer, x, expert(calls))
-        want_y, want_trace = legacy_routed_forward(layer, x, expert(want_calls))
+        y, trace = routed_forward(layer, x, fill(calls))
+        want_y, want_trace = legacy_routed_forward(layer, x, fill(want_calls))
         assert calls == want_calls
         assert y.tobytes() == want_y.tobytes()
         assert_same_trace(trace, want_trace)
+
+
+# The column-major forwards (tokens along columns inside every layer call)
+# that the token-major ones replaced, kept as oracles.
+
+def colmajor_routed_forward(layer, x_batch, expert_fn):
+    selected, weights = route_batch(layer.gate, layer.top_k, x_batch)
+    counts = np.bincount(selected.ravel(), minlength=layer.n_experts).astype(np.int64)
+    trace = RoutingTrace(selected=selected, weights=weights, counts=counts)
+    order = np.argsort(selected.ravel(), kind="stable")
+    rows_sorted = order // layer.top_k
+    weights_sorted = weights.ravel()[order]
+    y = np.zeros((layer.d_out, x_batch.shape[1]))
+    stop = 0
+    for i, count in enumerate(trace.counts.tolist()):
+        if count:
+            start, stop = stop, stop + count
+            rows = rows_sorted[start:stop]
+            out = expert_fn(i, rows)
+            out *= weights_sorted[start:stop]
+            y[:, rows] += out
+    return y, trace
+
+
+def colmajor_layer_forward_dense(layer, xb):
+    def expert(i, rows):
+        h = layer.experts[i][Role.UP] @ xb[:, rows]
+        return layer.experts[i][Role.DOWN] @ silu(h, out=h)
+
+    return colmajor_routed_forward(layer, xb, expert)
+
+
+def colmajor_base_path(layer, xb):
+    up, down = layer.base[Role.UP], layer.base[Role.DOWN]
+    x_kept = xb[up.kept_col_ids, :]
+    up_pos = _active_positions(up, (x_kept * x_kept).sum(axis=1))
+    u_base = up.kept[:, up_pos] @ x_kept[up_pos, :]  # (hidden, T)
+    g = u_base[down.kept_col_ids, :]
+    g = silu(g, out=g)
+    down_pos = _active_positions(down, (g * g).sum(axis=1))
+    return up_pos, down_pos, u_base
+
+
+def colmajor_compressed_forward(layer, xb):
+    _, down_pos, u_base = colmajor_base_path(layer, xb)
+    down = layer.base[Role.DOWN]
+    down_masked = down.kept[:, down_pos]
+    down_ids = down.kept_col_ids[down_pos]
+
+    def expert(i, rows):
+        h_i = u_base.take(rows, axis=1)
+        factors = layer.deltas.get(i)
+        if factors is not None:
+            f = factors[Role.UP]
+            h_i += f.u @ (f.v @ xb[:, rows])
+        silu(h_i, out=h_i)
+        y_i = down_masked @ h_i[down_ids, :]
+        if factors is not None:
+            f = factors[Role.DOWN]
+            y_i += f.u @ (f.v @ h_i)
+        return y_i
+
+    return colmajor_routed_forward(layer, xb, expert)
+
+
+class TestColumnMajorOracle:
+    """The token-major forwards against the column-major ones they replaced:
+    logits within 1e-12 relative, the same routing and the same active
+    columns in every layer."""
+
+    @pytest.mark.parametrize("top_k", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 128, 1024])
+    def test_model_forward_within_1e12(self, top_k, batch):
+        model, rng = oracle_model(top_k)
+        for _ in range(3):
+            x = rng.normal(size=(12, batch))
+            logits, traces = compressed_model_forward(model, x)
+            h, h_col = x, np.ascontiguousarray(x)
+            for layer, trace in zip(model.layers, traces, strict=True):
+                if isinstance(layer, MoELayer):
+                    h, got = layer_forward_dense(layer, h)
+                    h_col, want = colmajor_layer_forward_dense(layer, h_col)
+                else:
+                    active = active_columns(layer, h)
+                    up_pos, down_pos, _ = colmajor_base_path(layer, h_col)
+                    np.testing.assert_array_equal(active[Role.UP], layer.base[Role.UP].kept_col_ids[up_pos])
+                    np.testing.assert_array_equal(active[Role.DOWN], layer.base[Role.DOWN].kept_col_ids[down_pos])
+                    h, got = compressed_forward(layer, h)
+                    h_col, want = colmajor_compressed_forward(layer, h_col)
+                for t in (trace, got):
+                    np.testing.assert_array_equal(t.selected, want.selected)
+                    np.testing.assert_array_equal(t.counts, want.counts)
+            want_logits = model.head @ h_col
+            assert np.max(np.abs(logits - want_logits)) <= 1e-12 * np.max(np.abs(want_logits))
+
+    @pytest.mark.parametrize("top_k", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 128, 1024])
+    def test_dense_model_forward_within_1e12(self, top_k, batch):
+        rng = np.random.default_rng(15)
+        model = MoEModel(layers=[make_dense_layer(rng, n_experts=6, d=12, hidden=16, top_k=top_k)
+                                 for _ in range(3)], head=rng.normal(size=(5, 12)))
+        x = rng.normal(size=(12, batch))
+        logits, traces = moe_forward_dense(model, x)
+        h = np.ascontiguousarray(x)
+        for layer, trace in zip(model.layers, traces, strict=True):
+            h, want = colmajor_layer_forward_dense(layer, h)
+            np.testing.assert_array_equal(trace.selected, want.selected)
+            np.testing.assert_array_equal(trace.counts, want.counts)
+        want_logits = model.head @ h
+        assert np.max(np.abs(logits - want_logits)) <= 1e-12 * np.max(np.abs(want_logits))
 
 
 class TestPerCallOverhead:
@@ -339,6 +464,19 @@ class TestPerCallOverhead:
         names = self.count_scans(monkeypatch)
         compressed_model_forward(model, batch_x)
         assert len(names) <= 5, names
+
+    def test_chained_layers_take_the_previous_output_without_a_copy(self):
+        """A layer returns the transposed view of a token-major array, and the
+        next layer's input check takes it as it is."""
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(12, 60))
+        dense = make_dense_layer(rng, n_experts=6, d=12, hidden=16)
+        layer = compress_by_hand(dense, x, p=0.5, s=0.5)
+        for forward, owner in ((layer_forward_dense, dense), (compressed_forward, layer)):
+            y, _ = forward(owner, x[:, :7])
+            assert y.shape == (12, 7) and y.T.flags.c_contiguous
+            assert np.shares_memory(_layer_input(layer, y), y)
+            assert not np.shares_memory(_layer_input(layer, x[:, :7]), x)
 
 
 class TestTrim:
