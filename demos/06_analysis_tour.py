@@ -7,7 +7,6 @@ scan turns a global rank budget into per-layer ratios.
 """
 
 import numpy as np
-from scipy.linalg import svdvals
 
 from d2moe import CompressionConfig, compress, evaluate, gen_fixture
 from d2moe.analysis import (
@@ -31,7 +30,7 @@ for i in range(layer.n_experts):
 
 base = mean_merge(ups)
 print("\ndelta energy retention at k =", fx.rank_noise, "(per expert):")
-rets = [energy_retention(svdvals(w - base), fx.rank_noise) for w in ups]
+rets = [energy_retention(np.linalg.svd(w - base, compute_uv=False), fx.rank_noise) for w in ups]
 print("  " + " ".join(f"{r:.4f}" for r in rets))
 
 # trimming: drop delta factors of the rarest experts, keep the shared base

@@ -39,7 +39,6 @@ from .errors import (
     OverlappingPayloadError,
     ParameterError,
     ShapeError,
-    SingularTriangularError,
     SvdConvergenceError,
     TruncatedPayloadError,
 )
@@ -53,7 +52,7 @@ from .factorize import (
 )
 from .fixtures import Fixture, gen_fixture
 from .gradients import FISHER_MODES, FisherInfo, GradientSet, backward_logloss, fisher_accumulate
-from .linalg import SvdResult, cholesky_damped, solve_lower_triangular, svd
+from .linalg import SvdResult, cholesky_damped, svd
 from .merge import (
     MERGE_METHODS,
     compute_deltas,

@@ -35,10 +35,6 @@ class NotPositiveDefiniteError(NumericalError):
     """Damped Cholesky still failed after the full doubling schedule."""
 
 
-class SingularTriangularError(NumericalError):
-    """Triangular solve hit an exactly-zero diagonal entry."""
-
-
 class ConfigError(D2MoeError):
     """Configuration file or field failed validation."""
 

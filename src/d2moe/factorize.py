@@ -2,9 +2,10 @@
 
 The main route whitens each delta by the Cholesky factor of its expert's
 activation Gram before truncating: with S @ S.T = Gram, the rank-k SVD of
-delta @ S minimizes the activation-weighted error ||(delta - approx) @ S||_F,
-and S^{-1} is folded back into the right factor by triangular solves. A plain
-truncated SVD ships as the ablation.
+delta @ S minimizes the activation-weighted error ||(delta - approx) @ S||_F.
+That optimum is the projection of the delta onto the top-k left singular
+vectors of delta @ S, so it is stored as those vectors and the projected
+delta, with no inverse of S. A plain truncated SVD ships as the ablation.
 """
 from __future__ import annotations
 
@@ -14,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .linalg import (
-    DEFAULT_DAMPING,
-    as_matrix,
-    cholesky_damped,
-    solve_lower_triangular,
-    svd,
-)
+from .linalg import DEFAULT_DAMPING, as_matrix, cholesky_damped, svd
 from .moe import Role
 
 RANK_MODES = ("ratio", "fixed", "lossless")
@@ -99,8 +94,10 @@ def truncation_aware_svd(delta, gram, k: int, damping: float = DEFAULT_DAMPING,
     """Whitened rank-k factorization of a delta weight.
 
     S = cholesky_damped(gram); (U, Sigma, V) = svd(delta @ S);
-    u = U_k sqrt(Sigma_k), v = sqrt(Sigma_k) V_k^T S^{-1} (via a transposed
-    triangular solve, no explicit inverse).
+    u = U_k, v = U_k^T delta. The damped S is invertible and
+    U_k^T (delta @ S) = Sigma_k V_k^T, so u @ v = U_k Sigma_k V_k^T S^{-1},
+    the whitened optimum, from one GEMM with no solve and no division by a
+    singular value. u has orthonormal columns; v carries the scale.
     """
     d = as_matrix(delta, "delta")
     g = as_matrix(gram, "gram")
@@ -110,13 +107,8 @@ def truncation_aware_svd(delta, gram, k: int, damping: float = DEFAULT_DAMPING,
     if not 1 <= k <= min(m, n):
         raise ParameterError(f"rank k={k} outside [1, {min(m, n)}]")
     s, _lam = cholesky_damped(g, damping)
-    scaled = svd(d @ s).truncate(k)
-    root = np.sqrt(scaled.sigma)
-    u = scaled.u * root
-    # v = sqrt(Sigma) V^T S^{-1}  <=>  v.T = solve(S.T, V sqrt(Sigma))
-    v = solve_lower_triangular(s, scaled.v * root, transpose_s=True).T
-    return DeltaFactor(u=np.ascontiguousarray(u), v=np.ascontiguousarray(v),
-                       rank=k, expert_id=expert_id, role=role)
+    u = np.ascontiguousarray(svd(d @ s).u[:, :k])
+    return DeltaFactor(u=u, v=u.T @ d, rank=k, expert_id=expert_id, role=role)
 
 
 def vanilla_svd_compress(delta, k: int, expert_id: int = -1, role: Role | None = None) -> DeltaFactor:

@@ -5,29 +5,22 @@ below). Results are deterministic for identical inputs: the SVD applies a
 fixed sign convention so factor files are reproducible across runs.
 
 OpenBLAS may split a product differently at different thread counts, which
-changes its last bits, so `blas_threads` pins the OpenBLAS builds bundled
-with numpy and scipy for the length of a block. The compression pipeline runs
-under `blas_threads(1)`: the result bytes then do not depend on
-`OPENBLAS_NUM_THREADS`, and small matrices run faster on one thread.
+changes its last bits, so `blas_threads` pins the OpenBLAS bundled with numpy
+for the length of a block; numpy is the only BLAS the package calls. The
+compression pipeline runs under `blas_threads(1)`: the result bytes then do
+not depend on `OPENBLAS_NUM_THREADS`, and small matrices run faster on one
+thread.
 """
 from __future__ import annotations
 
 import ctypes
-import importlib.util
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
-from .errors import (
-    NotPositiveDefiniteError,
-    ParameterError,
-    ShapeError,
-    SingularTriangularError,
-    SvdConvergenceError,
-)
+from .errors import NotPositiveDefiniteError, ParameterError, ShapeError, SvdConvergenceError
 
 # Damped-Cholesky schedule: lambda0 = DEFAULT_DAMPING * trace/dim, doubled on
 # failure, at most MAX_DAMPING_DOUBLINGS attempts.
@@ -36,28 +29,22 @@ MAX_DAMPING_DOUBLINGS = 10
 
 
 def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of each OpenBLAS bundled with numpy
-    and scipy; empty when neither ships one (a system BLAS)."""
-    controls = []
-    for pkg in ("numpy", "scipy"):
-        spec = importlib.util.find_spec(pkg)
-        if spec is None or not spec.submodule_search_locations:
+    """The (get, set) thread-count functions of the OpenBLAS bundled with
+    numpy, as a one-entry tuple; empty for a system BLAS."""
+    libdir = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("libscipy_openblas*.so")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
             continue
-        libdir = Path(list(spec.submodule_search_locations)[0]).parent / f"{pkg}.libs"
-        for lib in sorted(libdir.glob("libscipy_openblas*.so")):
-            try:
-                handle = ctypes.CDLL(str(lib))
-            except OSError:
-                continue
-            for suffix in ("64_", ""):
-                get = getattr(handle, f"scipy_openblas_get_num_threads{suffix}", None)
-                put = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    controls.append((get, put))
-                    break
-    return tuple(controls)
+        for suffix in ("64_", ""):
+            get = getattr(handle, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return ((get, put),)
+    return ()
 
 
 _BLAS_CONTROLS = _openblas_thread_controls()
@@ -65,8 +52,8 @@ _BLAS_CONTROLS = _openblas_thread_controls()
 
 @contextmanager
 def blas_threads(n: int):
-    """Run the block (or, as a decorator, each call) with every bundled
-    OpenBLAS on `n` threads, restoring the previous counts on exit, also on
+    """Run the block (or, as a decorator, each call) with the bundled
+    OpenBLAS on `n` threads, restoring the previous count on exit, also on
     an exception. Nests; does nothing when no bundled OpenBLAS was found."""
     controls = _BLAS_CONTROLS
     saved = [get() for get, _ in controls]
@@ -166,26 +153,6 @@ def cholesky_damped(g, base_damping: float = DEFAULT_DAMPING) -> tuple[np.ndarra
         f"cholesky failed after {MAX_DAMPING_DOUBLINGS} damping doublings "
         f"(shape {a.shape}, final lambda {lam:.3e})"
     )
-
-
-def solve_lower_triangular(s, rhs, transpose_s: bool = False) -> np.ndarray:
-    """Solve S @ Z = rhs (or S.T @ Z = rhs with transpose_s) for lower-triangular S.
-
-    transpose_s lets callers right-multiply by S^{-1} without forming an
-    inverse: X @ S^{-1} = solve(S.T, X.T).T.
-    """
-    a = as_matrix(s, "triangular factor")
-    b = as_matrix(rhs, "rhs")
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"triangular factor must be square, got {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise ShapeError(f"rhs rows {b.shape[0]} != factor dim {a.shape[0]}")
-    diag = np.diag(a)
-    if np.any(diag == 0.0):
-        j = int(np.nonzero(diag == 0.0)[0][0])
-        raise SingularTriangularError(f"zero diagonal entry at index {j}")
-    z = scipy.linalg.solve_triangular(a, b, lower=True, trans="T" if transpose_s else "N")
-    return np.ascontiguousarray(z)
 
 
 def col_l2_norms(m) -> np.ndarray:

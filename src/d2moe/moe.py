@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DegenerateInputError, ShapeError
 from .linalg import as_matrix
@@ -59,7 +58,14 @@ def silu(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def silu_grad(z: np.ndarray) -> np.ndarray:
-    s = expit(z)
+    """d silu / dz = s (1 + z (1 - s)), s = 1 / (1 + exp(-z)) from the same
+    clipped exp as `silu`, so no warning is raised. The steps are repeated,
+    not shared, so that the forward's `silu` makes no extra call."""
+    s = np.negative(z)
+    np.minimum(s, 709.0, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    np.reciprocal(s, out=s)
     return s * (1.0 + z * (1.0 - s))
 
 

@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .config import CompressionConfig
 from .errors import ConfigError, NumericalError, ParameterError
@@ -193,6 +192,17 @@ class EvalResult:
     n_tokens: int
 
 
+def _logsumexp_columns(logits: np.ndarray) -> np.ndarray:
+    """log(sum(exp(logits), axis=0)) for finite logits, in the steps of
+    scipy.special.logsumexp (scipy >= 1.15), so the bytes match: the max
+    terms are split out of the sum, then log1p(rest / n_max) + log(n_max) + max."""
+    top = logits.max(axis=0, keepdims=True)
+    is_top = logits == top
+    n_top = is_top.sum(axis=0, keepdims=True, dtype=np.float64)
+    rest = np.exp(np.where(is_top, -np.inf, logits) - top).sum(axis=0, keepdims=True)
+    return (np.log1p(rest / n_top) + np.log(n_top) + top)[0]
+
+
 def mean_cross_entropy(logits: np.ndarray, labels, batch_size: int) -> float:
     """Mean cross-entropy of (classes, T) logits against T labels, summed in
     chunks of batch_size tokens as `evaluate` batches them, so one forward's
@@ -205,7 +215,7 @@ def mean_cross_entropy(logits: np.ndarray, labels, batch_size: int) -> float:
     if bad.size:
         raise NumericalError(f"logits are not finite for {bad.size} of {y.size} tokens "
                              f"(first: token {bad[0]}); the forward overflows")
-    per_token = logsumexp(logits, axis=0) - logits[y, np.arange(y.size)]
+    per_token = _logsumexp_columns(logits) - logits[y, np.arange(y.size)]
     total = 0.0
     for start in range(0, y.size, batch_size):
         total += float(np.sum(per_token[start:start + batch_size]))

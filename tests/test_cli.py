@@ -7,6 +7,10 @@ the values back out of the emitted run report.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +134,31 @@ class TestCompressEval:
                    *outputs[command]])
         assert rc == EXIT_CONFIG
         assert "calibration tokens rows 12 != d_model 16" in capsys.readouterr().err
+
+
+class TestNumpyOnlyRuntime:
+    def test_no_scipy_module_is_loaded(self, tmp_path):
+        """A fresh interpreter imports the package and runs gen-fixture,
+        a Fisher compress, eval and report through `cli.main` without
+        loading any scipy module."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = (
+            "import sys\n"
+            "import d2moe, d2moe.cli\n"
+            f"small = {SMALL!r}\n"
+            "io = ['--model', 'model.d2m', '--calib', 'calib.d2m']\n"
+            "for argv in (['gen-fixture', *small, '--out-model', 'model.d2m', '--out-calib', 'calib.d2m'],\n"
+            "             ['compress', *io, '--merge', 'fisher', '--out', 'c.d2m', '--report', 'run.jsonl'],\n"
+            "             ['eval', '--model', 'c.d2m', '--calib', 'calib.d2m'],\n"
+            "             ['report', '--report', 'run.jsonl']):\n"
+            "    assert d2moe.cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestConfigPrecedence:

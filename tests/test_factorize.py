@@ -1,9 +1,10 @@
 """Delta factorization tests.
 
 The whitened path is checked against an oracle assembled from scipy's
-Cholesky and numpy's raw SVD (only the damping constant is shared), and
-rank selection is checked against brute-force enumeration of the storage
-inequality.
+Cholesky, numpy's raw SVD and scipy's triangular solve, the formula
+u = U_k sqrt(Sigma_k), v = sqrt(Sigma_k) V_k^T S^{-1} (only the damping
+constant is shared), and rank selection is checked against brute-force
+enumeration of the storage inequality.
 """
 
 import numpy as np
@@ -28,6 +29,18 @@ def make_case(seed, m=6, n=6, t=40):
     d = rng.normal(size=(m, n))
     x = rng.normal(size=(n, t))
     return d, x, x @ x.T
+
+
+def solve_oracle(d, g, k):
+    """The whitened factors by the triangular-solve formula: S from scipy's
+    Cholesky at cholesky_damped's damping, then S^{-1} folded into v."""
+    n = g.shape[0]
+    _, lam = cholesky_damped(g)
+    s = scipy.linalg.cholesky(g + lam * np.eye(n), lower=True)
+    u, sig, vt = np.linalg.svd(d @ s, full_matrices=False)
+    root = np.sqrt(sig[:k])
+    v = scipy.linalg.solve_triangular(s, vt[:k].T * root, lower=True, trans="T").T
+    return u[:, :k] * root, v
 
 
 class TestRankForRatio:
@@ -91,14 +104,10 @@ class TestTruncationAwareSvd:
 
     def test_against_whitened_svd_oracle(self):
         d, _, g = make_case(3)
-        _, lam = cholesky_damped(g)
-        s = scipy.linalg.cholesky(g + lam * np.eye(6), lower=True)
-        u, sig, vt = np.linalg.svd(d @ s, full_matrices=False)
         for k in range(1, 7):
-            approx_white = (u[:, :k] * sig[:k]) @ vt[:k]
-            oracle = scipy.linalg.solve_triangular(s.T, approx_white.T, lower=False).T
+            u, v = solve_oracle(d, g, k)
             f = truncation_aware_svd(d, g, k)
-            np.testing.assert_allclose(f.product(), oracle, atol=1e-9)
+            np.testing.assert_allclose(f.product(), u @ v, atol=1e-9)
 
     def test_full_rank_is_lossless(self):
         d, _, g = make_case(4)
@@ -128,6 +137,55 @@ class TestTruncationAwareSvd:
             truncation_aware_svd(d, g, 0)
         with pytest.raises(ParameterError):
             truncation_aware_svd(d, g, 7)
+
+
+class TestProjectionAgainstSolveFormula:
+    """The stored u = U_k, v = U_k^T delta against the solve formula it
+    replaced, on the benchmark's shapes: Up delta 128x64 with a 64x64 Gram,
+    Down delta 64x128 with a 128x128 Gram, rank 21."""
+
+    SHAPES = [(128, 64), (64, 128)]
+    K = 21
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_product_matches_for_a_well_conditioned_gram(self, m, n):
+        rng = np.random.default_rng(m + 3 * n)
+        d = rng.normal(size=(m, n))
+        x = rng.normal(size=(n, 512))
+        g = x @ x.T
+        u, v = solve_oracle(d, g, self.K)
+        f = truncation_aware_svd(d, g, self.K)
+        oracle = u @ v
+        assert np.linalg.norm(f.product() - oracle) <= 1e-10 * np.linalg.norm(oracle)
+        assert f.u.shape == (m, self.K) and f.v.shape == (self.K, n)
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    @pytest.mark.parametrize("case", ["three_tokens", "zero_gram", "zero_delta", "rank_two_delta"])
+    def test_degenerate_inputs(self, m, n, case):
+        """Finite factors, orthonormal u, and an error on the Gram's tokens,
+        ||(delta - u v) X||_F, no larger than the solve formula's within 1e-9
+        of ||delta X||_F. The error is taken on the tokens, not through
+        `weighted_error`, whose round-off is larger than 1e-9 here."""
+        rng = np.random.default_rng(7 * m + n)
+        d = rng.normal(size=(m, n))
+        x = rng.normal(size=(n, 512))
+        if case == "three_tokens":
+            x = rng.normal(size=(n, 3))
+        elif case == "zero_gram":
+            x = np.zeros((n, 1))
+        elif case == "zero_delta":
+            d = np.zeros((m, n))
+        else:
+            d = rng.normal(size=(m, 2)) @ rng.normal(size=(2, n))
+        g = x @ x.T
+        f = truncation_aware_svd(d, g, self.K)
+        assert np.all(np.isfinite(f.u)) and np.all(np.isfinite(f.v))
+        np.testing.assert_allclose(f.u.T @ f.u, np.eye(self.K), rtol=0, atol=1e-12)
+        u, v = solve_oracle(d, g, self.K)
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
+        ours = np.linalg.norm((d - f.product()) @ x)
+        theirs = np.linalg.norm((d - u @ v) @ x)
+        assert ours <= theirs + 1e-9 * np.linalg.norm(d @ x)
 
 
 class TestVanillaSvd:

@@ -9,19 +9,13 @@ import numpy as np
 import pytest
 
 from d2moe import linalg
-from d2moe.errors import (
-    NotPositiveDefiniteError,
-    ParameterError,
-    ShapeError,
-    SingularTriangularError,
-)
+from d2moe.errors import NotPositiveDefiniteError, ParameterError, ShapeError
 from d2moe.linalg import (
     as_matrix,
     blas_threads,
     cholesky_damped,
     col_l2_norms,
     row_l2_norms,
-    solve_lower_triangular,
     svd,
 )
 
@@ -237,36 +231,6 @@ class TestCholeskyDamped:
         s1, l1 = cholesky_damped(g)
         s2, l2 = cholesky_damped(g)
         assert np.array_equal(s1, s2) and l1 == l2
-
-
-class TestTriangularSolve:
-    def test_identity_factor(self):
-        rhs = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_allclose(solve_lower_triangular(np.eye(3), rhs), rhs, atol=0)
-
-    def test_hand_arithmetic(self):
-        s = np.array([[2.0, 0.0], [1.0, 2.0]])
-        z = solve_lower_triangular(s, np.array([[2.0], [3.0]]))
-        np.testing.assert_allclose(z, [[1.0], [1.0]], atol=1e-15)
-
-    def test_seeded_residual(self):
-        rng = np.random.default_rng(19)
-        s = np.tril(rng.normal(size=(16, 16))) + 4.0 * np.eye(16)
-        rhs = rng.normal(size=(16, 5))
-        z = solve_lower_triangular(s, rhs)
-        assert np.linalg.norm(s @ z - rhs) <= 1e-11 * np.linalg.norm(rhs)
-
-    def test_transposed_solve(self):
-        rng = np.random.default_rng(23)
-        s = np.tril(rng.normal(size=(8, 8))) + 4.0 * np.eye(8)
-        rhs = rng.normal(size=(8, 3))
-        z = solve_lower_triangular(s, rhs, transpose_s=True)
-        assert np.linalg.norm(s.T @ z - rhs) <= 1e-11 * np.linalg.norm(rhs)
-
-    def test_zero_diagonal_rejected(self):
-        s = np.array([[1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(SingularTriangularError):
-            solve_lower_triangular(s, np.eye(2))
 
 
 class TestNorms:

@@ -25,6 +25,7 @@ from d2moe.moe import (
     route_batch,
     routed_forward,
     silu,
+    silu_grad,
 )
 
 
@@ -182,6 +183,29 @@ class TestSilu:
         before = z.copy()
         silu(z)
         assert z.tobytes() == before.tobytes()
+
+
+class TestSiluGrad:
+    """silu_grad takes the sigmoid from silu's clipped exp; the oracle takes
+    it from expit. The two sigmoids differ by an ulp or two, and the terms of
+    1 + z (1 - s) cancel near z = -1.28, so the bound is relative to the size
+    of the terms, s (1 + |z|), not to the result."""
+
+    def test_matches_expit_form(self):
+        z = np.concatenate([np.linspace(-700.0, 700.0, 20001), np.linspace(-2.0, 0.0, 2001),
+                            np.random.default_rng(45).normal(scale=8.0, size=5000), [0.0, -0.0]])
+        s = expit(z)
+        want = s * (1.0 + z * (1.0 - s))
+        assert np.all(np.abs(silu_grad(z) - want) <= 1e-15 * s * (1.0 + np.abs(z)))
+
+    def test_no_floating_point_warnings(self):
+        z = np.array([1000.0, -1000.0, -745.0, -709.9, 1e-300, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = silu_grad(z)
+        assert np.all(np.isfinite(got))
+        assert got[0] == 1.0 and got[5] == 0.5
+        assert np.all(np.abs(got[1:4]) <= 1e-300)
 
 
 class TestRoutedForward:

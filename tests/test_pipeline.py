@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from d2moe import linalg, moe, pipeline
 from d2moe.analysis import layer_sensitivity_scan
@@ -29,6 +30,7 @@ from d2moe.pipeline import (
     compress,
     compute_layer_stats,
     evaluate,
+    mean_cross_entropy,
     ratio_frontier,
 )
 from d2moe.pruning import dynamic_mask
@@ -106,6 +108,31 @@ class TestEvaluate:
         fx = small_fixture()
         want = evaluate(fx.model, fx.tokens, fx.labels).loss
         assert evaluate(fx.model, fx.tokens, fx.labels.astype(float)).loss == want
+
+
+class TestMeanCrossEntropy:
+    def test_matches_scipy_logsumexp_byte_for_byte(self):
+        """The numpy log-sum-exp gives scipy.special.logsumexp's bytes per
+        token, and so the loss is the same sum built on it: logits from 1e-3
+        to 1e3 in scale, and columns where two or three classes tie for the
+        max. The per-token check matters: the loss's sum absorbs last-ulp
+        differences between per-token terms."""
+        rng = np.random.default_rng(47)
+        n_tokens = 900
+        logits = rng.normal(size=(7, n_tokens)) * 10.0 ** rng.uniform(-3.0, 3.0, n_tokens)
+        logits = np.clip(logits, -1e3, 1e3)
+        logits[:, ::3] = np.round(logits[:, ::3])
+        top = logits.max(axis=0)
+        logits[2, 1::4] = top[1::4]
+        logits[5, 1::8] = top[1::8]
+        labels = rng.integers(0, 7, n_tokens)
+        assert pipeline._logsumexp_columns(logits).tobytes() == logsumexp(logits, axis=0).tobytes()
+        per_token = logsumexp(logits, axis=0) - logits[labels, np.arange(n_tokens)]
+        for batch_size in (1, 128, n_tokens):
+            total = 0.0
+            for start in range(0, n_tokens, batch_size):
+                total += float(np.sum(per_token[start:start + batch_size]))
+            assert mean_cross_entropy(logits, labels, batch_size) == total / n_tokens
 
 
 class TestCompress:
