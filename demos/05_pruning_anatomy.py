@@ -10,13 +10,13 @@ activity light up different columns.
 import numpy as np
 
 from d2moe import gen_fixture
-from d2moe.merge import mean_merge
+from d2moe.merge import weighted_merge
 from d2moe.moe import Role
 from d2moe.pruning import dynamic_mask, static_metric, static_prune
 
 fx = gen_fixture(seed=0)
 layer = fx.model.layers[0]
-base = mean_merge([e[Role.UP] for e in layer.experts])
+base, _ = weighted_merge([e[Role.UP] for e in layer.experts], np.ones(layer.n_experts))
 n = base.shape[1]
 
 metric = static_metric(base, fx.tokens)

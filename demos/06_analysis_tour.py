@@ -15,7 +15,7 @@ from d2moe.analysis import (
     energy_retention,
     layer_sensitivity_scan,
 )
-from d2moe.merge import mean_merge
+from d2moe.merge import weighted_merge
 from d2moe.moe import Role
 from d2moe.pipeline import compute_layer_stats
 from d2moe.runtime import CompressedModel, trim_deltas
@@ -28,7 +28,7 @@ print("expert-pair CKA (up weights):")
 for i in range(layer.n_experts):
     print("  " + " ".join(f"{cka(ups[i], ups[j]):.3f}" for j in range(layer.n_experts)))
 
-base = mean_merge(ups)
+base, _ = weighted_merge(ups, np.ones(len(ups)))  # equal weights: the plain mean
 print("\ndelta energy retention at k =", fx.rank_noise, "(per expert):")
 rets = [energy_retention(np.linalg.svd(w - base, compute_uv=False), fx.rank_noise) for w in ups]
 print("  " + " ".join(f"{r:.4f}" for r in rets))

@@ -44,7 +44,6 @@ from .errors import (
 )
 from .factorize import (
     DeltaFactor,
-    RankPolicy,
     rank_for_ratio,
     truncation_aware_svd,
     vanilla_svd_compress,
@@ -53,13 +52,7 @@ from .factorize import (
 from .fixtures import Fixture, gen_fixture
 from .gradients import FISHER_MODES, FisherInfo, GradientSet, backward_logloss, fisher_accumulate
 from .linalg import SvdResult, cholesky_damped, svd
-from .merge import (
-    MERGE_METHODS,
-    compute_deltas,
-    fisher_merge,
-    frequency_merge,
-    mean_merge,
-)
+from .merge import MERGE_METHODS, compute_deltas, weighted_merge
 from .moe import (
     LayerCapture,
     MoELayer,
@@ -104,13 +97,12 @@ from .runtime import (
     CompressedLayer,
     CompressedModel,
     ParamReport,
-    active_param_count,
     census_active_params,
     census_static_params,
+    closed_form_params,
     compressed_forward,
     compressed_model_forward,
     param_report,
-    static_param_count,
     trim_deltas,
 )
 

@@ -67,10 +67,6 @@ class SensitivityProfile:
     probe_ratio: float
     probe_config: dict
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.increases)
-
 
 @blas_threads(1)
 def layer_sensitivity_scan(model, calib_tokens, labels, probe_ratio: float,
@@ -80,7 +76,7 @@ def layer_sensitivity_scan(model, calib_tokens, labels, probe_ratio: float,
 
     The model is never mutated; each probe builds a hybrid model with a single
     compressed layer. Compression uses `config` (defaults: mean merge, no
-    pruning) with its rank policy forced to a plain ratio of probe_ratio.
+    pruning) with its rank mode forced to a plain ratio of probe_ratio.
     The baseline comes from the same calibration capture as the layer stats.
     The scan runs with OpenBLAS pinned to one thread, like `compress`.
     """

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
-from .factorize import RANK_MODES, RankPolicy
+from .errors import ConfigError, ParameterError
+from .factorize import RANK_MODES, rank_for_ratio
 from .gradients import FISHER_MODES
 from .linalg import DEFAULT_DAMPING
 from .merge import DEFAULT_EPSILON, MERGE_METHODS
@@ -49,6 +50,10 @@ class CompressionConfig:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if self.rank_mode not in RANK_MODES:
             raise ConfigError(f"rank_mode must be one of {RANK_MODES}, got {self.rank_mode!r}")
+        for name in ("delta_ratio", "damping", "epsilon"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.rank_mode == "ratio" and not 0.0 < self.delta_ratio <= 1.0:
             raise ConfigError(f"delta_ratio must lie in (0, 1], got {self.delta_ratio}")
         if self.rank_mode == "fixed" and self.delta_rank < 1:
@@ -69,18 +74,29 @@ class CompressionConfig:
             raise ConfigError(f"epsilon must be non-negative, got {self.epsilon}")
         return self
 
-    def rank_policy(self, layer_index: int = 0) -> RankPolicy:
-        """Policy for one layer, honoring per-layer ratio overrides."""
+    def delta_ratio_for(self, layer_index: int, m: int, n: int) -> float:
+        """Retained-parameter fraction p of one layer's m x n deltas, as the
+        report books it; per-layer ratios override the global one."""
         if self.per_layer_ratios is not None:
             if layer_index >= len(self.per_layer_ratios):
                 raise ConfigError(f"no per-layer ratio for layer {layer_index} "
                                   f"({len(self.per_layer_ratios)} listed)")
-            return RankPolicy(mode="ratio", p=self.per_layer_ratios[layer_index])
+            return self.per_layer_ratios[layer_index]
         if self.rank_mode == "ratio":
-            return RankPolicy(mode="ratio", p=self.delta_ratio)
+            return self.delta_ratio
+        if self.rank_mode == "lossless":
+            return 1.0
+        return min(1.0, self.delta_rank * (m + n) / (m * n))
+
+    def rank_for(self, layer_index: int, m: int, n: int) -> int:
+        """Truncation rank of one layer's m x n deltas."""
         if self.rank_mode == "fixed":
-            return RankPolicy(mode="fixed", k=self.delta_rank)
-        return RankPolicy(mode="lossless")
+            if self.delta_rank > min(m, n):
+                raise ParameterError(f"fixed rank {self.delta_rank} exceeds min(m,n)={min(m, n)}")
+            return self.delta_rank
+        if self.rank_mode == "lossless":
+            return min(m, n)
+        return rank_for_ratio(m, n, self.delta_ratio_for(layer_index, m, n))
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

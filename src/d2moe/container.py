@@ -246,7 +246,10 @@ def save_calibration(path, tokens: np.ndarray, labels: np.ndarray) -> None:
 
 def load_calibration(tensors: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     tokens = _tensor(tensors, "calib/tokens")
-    raw = _tensor(tensors, "calib/labels")[0]
+    raw = _tensor(tensors, "calib/labels")
+    if raw.shape[0] != 1:
+        raise ManifestError(f"tensor 'calib/labels' has shape {raw.shape}, expected 1 row")
+    raw = raw[0]
     labels = raw.astype(np.int64)
     if np.any(labels != raw):
         raise ManifestError("calibration labels are not integral")

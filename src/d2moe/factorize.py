@@ -45,39 +45,8 @@ class DeltaFactor:
     def shape(self) -> tuple[int, int]:
         return (self.u.shape[0], self.v.shape[1])
 
-    def param_count(self) -> int:
-        """Stored parameters: exactly (m + n) * k."""
-        return (self.u.shape[0] + self.v.shape[1]) * self.rank
-
     def product(self) -> np.ndarray:
         return self.u @ self.v
-
-
-@dataclass(frozen=True)
-class RankPolicy:
-    """How to pick the truncation rank for an m x n delta."""
-
-    mode: str = "ratio"
-    p: float | None = None
-    k: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in RANK_MODES:
-            raise ParameterError(f"rank mode must be one of {RANK_MODES}, got {self.mode!r}")
-        if self.mode == "ratio":
-            if self.p is None or not 0.0 < self.p <= 1.0:
-                raise ParameterError(f"ratio mode needs 0 < p <= 1, got {self.p}")
-        if self.mode == "fixed" and (self.k is None or self.k < 1):
-            raise ParameterError(f"fixed mode needs k >= 1, got {self.k}")
-
-    def rank_for(self, m: int, n: int) -> int:
-        if self.mode == "ratio":
-            return rank_for_ratio(m, n, self.p)
-        if self.mode == "fixed":
-            if self.k > min(m, n):
-                raise ParameterError(f"fixed rank {self.k} exceeds min(m,n)={min(m, n)}")
-            return self.k
-        return min(m, n)
 
 
 def rank_for_ratio(m: int, n: int, p: float) -> int:

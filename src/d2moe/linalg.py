@@ -96,9 +96,6 @@ class SvdResult:
             raise ParameterError(f"rank k={k} outside [1, {self.sigma.shape[0]}]")
         return SvdResult(self.u[:, :k], self.sigma[:k], self.v[:, :k])
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
-
 
 def svd(m) -> SvdResult:
     """Thin SVD with deterministic signs.

@@ -1,7 +1,10 @@
 """Shared-base construction from expert weights, and delta extraction.
 
-All mergers operate on one role at a time (Up with Up, Down with Down); the
-pipeline applies them per role across a layer's experts.
+Every merge method is one weighted average of the experts with its own
+coefficients: ones for the mean, routing frequencies for the frequency
+merge, per-expert Fisher means for fisher-scalar and the elementwise Fisher
+blocks for fisher. The pipeline applies it per role across a layer's
+experts (Up with Up, Down with Down).
 """
 from __future__ import annotations
 
@@ -25,69 +28,45 @@ def _check_stack(weights) -> np.ndarray:
     return np.stack(mats)
 
 
-def fisher_merge(weights, fishers, epsilon: float = DEFAULT_EPSILON, scalar: bool = False) -> np.ndarray:
-    """Fisher-weighted base: W_b = sum_i F_i * W_i / sum_i F_i, elementwise.
-
-    Denominator entries at or below epsilon are treated as zero Fisher and
-    fall back to the unweighted mean there (count them with
-    fisher_fallback_entries for reporting). scalar=True replaces each F_i by
-    the mean of its entries before weighting. Equal Fisher across experts is
-    definitionally the unweighted mean and is computed as exactly that.
-    """
-    w = _check_stack(weights)
-    f = _check_stack(fishers)
-    if f.shape != w.shape:
-        raise ShapeError(f"fisher stack shape {f.shape} != weight stack shape {w.shape}")
-    if np.any(f < 0):
-        raise ParameterError("fisher entries must be >= 0")
-    if scalar:
-        f = np.mean(f, axis=(1, 2))[:, None, None] * np.ones_like(w)
-    if all(np.array_equal(f[i], f[0]) for i in range(1, f.shape[0])):
-        return mean_merge(weights)
-    num = np.zeros_like(w[0])
-    den = np.zeros_like(w[0])
-    for i in range(w.shape[0]):
-        num += f[i] * w[i]
-        den += f[i]
-    fallback = den <= epsilon
-    if fallback.any():
-        mean = mean_merge(weights)
-        return np.where(fallback, mean, num / np.where(fallback, 1.0, den))
-    return num / den
-
-
-def fisher_fallback_entries(fishers, epsilon: float = DEFAULT_EPSILON) -> int:
-    """How many entries fisher_merge would resolve by mean fallback."""
-    f = _check_stack(fishers)
-    den = np.zeros_like(f[0])
-    for i in range(f.shape[0]):
-        den += f[i]
-    return int(np.count_nonzero(den <= epsilon))
-
-
-def mean_merge(weights) -> np.ndarray:
-    """Elementwise arithmetic mean of the expert weights."""
-    w = _check_stack(weights)
+def _mean(w: np.ndarray) -> np.ndarray:
     total = np.zeros_like(w[0])
     for i in range(w.shape[0]):
         total += w[i]
     return total / w.shape[0]
 
 
-def frequency_merge(weights, freq) -> np.ndarray:
-    """Routing-frequency-weighted average: W_b = sum_i freq_i * W_i."""
+def weighted_merge(weights, coeffs, epsilon: float = DEFAULT_EPSILON) -> tuple[np.ndarray, int]:
+    """Weighted base W_b = sum_i c_i * W_i / sum_i c_i, elementwise.
+
+    coeffs[i] is either a scalar or a matrix of W_i's shape; all are >= 0.
+    Coefficients equal across experts give exactly the unweighted mean.
+    Entries whose denominator is at or below epsilon fall back to the
+    unweighted mean. Returns (base, number of entries that fell back).
+    """
     w = _check_stack(weights)
-    f = np.asarray(freq, dtype=np.float64)
-    if f.shape != (w.shape[0],):
-        raise ShapeError(f"freq shape {f.shape} != ({w.shape[0]},)")
-    if np.any(f < 0):
-        raise ParameterError("frequencies must be >= 0")
-    if abs(float(f.sum()) - 1.0) > 1e-9:
-        raise ParameterError(f"frequencies must sum to 1, got {float(f.sum())!r}")
-    out = np.zeros_like(w[0])
+    if len(coeffs) != w.shape[0]:
+        raise ShapeError(f"{len(coeffs)} coefficients for {w.shape[0]} experts")
+    if all(np.ndim(c) == 0 for c in coeffs):
+        c = np.asarray(coeffs, dtype=np.float64).reshape(-1, 1, 1)
+    else:
+        c = _check_stack(coeffs)
+        if c.shape != w.shape:
+            raise ShapeError(f"coefficient stack shape {c.shape} != weight stack shape {w.shape}")
+    if not np.all(np.isfinite(c)) or np.any(c < 0):
+        raise ParameterError("merge coefficients must be finite and >= 0")
+    den = np.zeros_like(c[0])
     for i in range(w.shape[0]):
-        out += f[i] * w[i]
-    return out
+        den += c[i]
+    fallback = np.broadcast_to(den <= epsilon, w.shape[1:])
+    n_fallback = int(np.count_nonzero(fallback))
+    if all(np.array_equal(c[i], c[0]) for i in range(1, c.shape[0])):
+        return _mean(w), n_fallback
+    num = np.zeros_like(w[0])
+    for i in range(w.shape[0]):
+        num += c[i] * w[i]
+    if n_fallback:
+        return np.where(fallback, _mean(w), num / np.where(fallback, 1.0, den)), n_fallback
+    return num / den, 0
 
 
 def compute_deltas(weights, w_b) -> list[np.ndarray]:

@@ -24,16 +24,10 @@ import numpy as np
 
 from .config import CompressionConfig
 from .errors import ConfigError, NumericalError, ParameterError
-from .factorize import DeltaFactor, RankPolicy, truncation_aware_svd, weighted_error
+from .factorize import DeltaFactor, truncation_aware_svd, weighted_error
 from .gradients import check_labels, fisher_accumulate
 from .linalg import as_matrix, blas_threads
-from .merge import (
-    compute_deltas,
-    fisher_fallback_entries,
-    fisher_merge,
-    frequency_merge,
-    mean_merge,
-)
+from .merge import compute_deltas, weighted_merge
 from .moe import (
     MoELayer,
     MoEModel,
@@ -96,28 +90,28 @@ def compute_layer_stats(model: MoEModel, calib_tokens, cfg: CompressionConfig,
 
 def merge_layer(layer: MoELayer, stats: LayerStats, cfg: CompressionConfig):
     """Merge expert weights into a base per role; returns bases, deltas, and
-    the count of Fisher entries that fell back to the plain mean."""
+    the count of base entries that fell back to the plain mean."""
     bases: dict[Role, np.ndarray] = {}
     deltas: dict[Role, list[np.ndarray]] = {}
     fallback = 0
     for role in (Role.UP, Role.DOWN):
         weights = [expert[role] for expert in layer.experts]
         if cfg.merge_method == "mean":
-            base = mean_merge(weights)
+            coeffs = np.ones(layer.n_experts)
         elif cfg.merge_method == "frequency":
-            base = frequency_merge(weights, stats.frequency)
+            coeffs = stats.frequency
         else:
-            fishers = [stats.fisher[i][role] for i in range(layer.n_experts)]
-            base = fisher_merge(weights, fishers, epsilon=cfg.epsilon,
-                                scalar=(cfg.merge_method == "fisher-scalar"))
-            fallback += fisher_fallback_entries(fishers, epsilon=cfg.epsilon)
-        bases[role] = base
-        deltas[role] = compute_deltas(weights, base)
+            coeffs = [stats.fisher[i][role] for i in range(layer.n_experts)]
+            if cfg.merge_method == "fisher-scalar":
+                coeffs = np.mean(np.stack(coeffs), axis=(1, 2))
+        bases[role], n_fallback = weighted_merge(weights, coeffs, cfg.epsilon)
+        fallback += n_fallback
+        deltas[role] = compute_deltas(weights, bases[role])
     return bases, deltas, fallback
 
 
 def factorize_layer(deltas: dict[Role, list[np.ndarray]], stats: LayerStats,
-                    cfg: CompressionConfig, policy: RankPolicy):
+                    cfg: CompressionConfig, layer_index: int = 0):
     """Truncation-aware SVD of every expert delta; returns factors keyed by
     expert, the rank used per role, and per-expert whitened residuals."""
     factors: dict[int, dict[Role, DeltaFactor]] = {}
@@ -126,7 +120,7 @@ def factorize_layer(deltas: dict[Role, list[np.ndarray]], stats: LayerStats,
     for role in (Role.UP, Role.DOWN):
         role_deltas = deltas[role]
         m, n = role_deltas[0].shape
-        k = policy.rank_for(m, n)
+        k = cfg.rank_for(layer_index, m, n)
         ranks[role.value] = k
         errors[role.value] = []
         for i, delta in enumerate(role_deltas):
@@ -162,13 +156,12 @@ def build_compressed_layer(layer: MoELayer, stats: LayerStats, cfg: CompressionC
                            layer_index: int = 0) -> LayerBuild:
     """Merge, factorize, prune and package one layer.
 
-    `layer_index` selects the layer's rank policy (per-layer ratios).
+    `layer_index` selects the layer's delta ratio (per-layer ratios).
     """
-    policy = cfg.rank_policy(layer_index)
     marks = [time.perf_counter()]
     bases, deltas, fallback = merge_layer(layer, stats, cfg)
     marks.append(time.perf_counter())
-    factors, ranks, errors = factorize_layer(deltas, stats, cfg, policy)
+    factors, ranks, errors = factorize_layer(deltas, stats, cfg, layer_index)
     marks.append(time.perf_counter())
     pruned = prune_layer(bases, stats, cfg)
     marks.append(time.perf_counter())
@@ -253,14 +246,6 @@ def evaluate(model, tokens, labels, batch_size: int = 128) -> EvalResult:
 # full pipeline
 # ---------------------------------------------------------------------------
 
-def _report_ratio(policy: RankPolicy, m: int, n: int) -> float:
-    if policy.mode == "ratio":
-        return policy.p
-    if policy.mode == "lossless":
-        return 1.0
-    return min(1.0, policy.k * (m + n) / (m * n))
-
-
 @blas_threads(1)
 def compress(cfg: CompressionConfig, model: MoEModel, calib_tokens, labels=None):
     """Compress every layer of `model` and report what happened.
@@ -272,6 +257,9 @@ def compress(cfg: CompressionConfig, model: MoEModel, calib_tokens, labels=None)
     logits give `loss_after`, its first chunk's routing the active census.
     """
     cfg.validate()
+    if cfg.per_layer_ratios is not None and len(cfg.per_layer_ratios) != len(model.layers):
+        raise ConfigError(f"{len(cfg.per_layer_ratios)} per-layer ratios for "
+                          f"{len(model.layers)} layers")
     calib = as_matrix(calib_tokens, "calib_tokens")
     n_use = min(cfg.calib_samples, calib.shape[1])
     calib_use = calib[:, :n_use]
@@ -299,7 +287,7 @@ def compress(cfg: CompressionConfig, model: MoEModel, calib_tokens, labels=None)
     records = []
     for l, (layer, b, trace) in enumerate(zip(model.layers, builds, traces)):
         m, n = layer.experts[0][Role.UP].shape
-        p_used = _report_ratio(cfg.rank_policy(l), m, n)
+        p_used = cfg.delta_ratio_for(l, m, n)
         records.append(LayerRecord(
             layer=l,
             rank=b.ranks,

@@ -194,56 +194,17 @@ def trim_deltas(layer: CompressedLayer, freq, t: int) -> CompressedLayer:
 # parameter accounting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParamCounts:
-    """Closed-formula parameter counts plus the differing literal expression.
+def closed_form_params(count: int, m: float, p: float,
+                       base_fraction: float) -> tuple[float, float, float]:
+    """(original, total, literal) parameters of `count` experts of m each.
 
-    `total` is the census-consistent count (factors + surviving base mass);
-    `literal` is the published shorthand that books s-dependent base storage
-    as s/2*m (resp. s*m) instead of the surviving (1 - s/2)*m (resp.
-    (1 - s)*m). `literal_differs` flags the discrepancy.
+    Static storage takes count = n and base_fraction = s/2; active weights
+    per token take count = k_top and base_fraction = s. `total` is the
+    census-consistent count, count*p*m of factors plus the surviving base
+    (1 - base_fraction)*m; `literal` is the published shorthand, which books
+    the base as base_fraction*m instead.
     """
-
-    original: float
-    factors: float
-    base: float
-    total: float
-    literal: float
-    literal_differs: bool
-
-
-def static_param_count(n: int, m: float, p: float, s: float) -> ParamCounts:
-    """Stored parameters per layer for n experts of m parameters each.
-
-    original n*m; after decomposition (n+1)*m; compressed n*p*m of factors
-    plus the surviving base (1 - s/2)*m.
-    """
-    _check_ps(p, s)
-    factors = n * p * m
-    base = (1.0 - s / 2.0) * m
-    literal = (n * p + s / 2.0) * m
-    total = factors + base
-    return ParamCounts(original=n * m, factors=factors, base=base, total=total,
-                       literal=literal, literal_differs=bool(literal != total))
-
-
-def active_param_count(k_top: int, m: float, p: float, s: float) -> ParamCounts:
-    """Active multiply-weights per token: k_top*p*m of factors plus the base
-    surviving full static+dynamic masking, (1 - s)*m."""
-    _check_ps(p, s)
-    factors = k_top * p * m
-    base = (1.0 - s) * m
-    literal = (k_top * p + s) * m
-    total = factors + base
-    return ParamCounts(original=k_top * m, factors=factors, base=base, total=total,
-                       literal=literal, literal_differs=bool(literal != total))
-
-
-def _check_ps(p: float, s: float) -> None:
-    if not 0.0 < p <= 1.0:
-        raise ParameterError(f"p must be in (0, 1], got {p}")
-    if not 0.0 <= s < 1.0:
-        raise ParameterError(f"s must be in [0, 1), got {s}")
+    return count * m, count * p * m + (1.0 - base_fraction) * m, (count * p + base_fraction) * m
 
 
 @dataclass(frozen=True)
@@ -295,14 +256,15 @@ def param_report(layer: CompressedLayer, p: float, s: float, trace: RoutingTrace
     d, hidden, d_out = layer.d_model, layer.hidden, layer.d_out
     m = hidden * d + d_out * hidden  # per-expert parameters over both roles
     n = layer.n_experts
-    stat = static_param_count(n, m, p, s)
-    act = active_param_count(layer.top_k, m, p, s)
+    original_static, compressed_static, literal_static = closed_form_params(n, m, p, s / 2.0)
+    original_active, compressed_active, literal_active = closed_form_params(layer.top_k, m, p, s)
     return ParamReport(
         n=n, m=m, k_top=layer.top_k, p=p, s=s,
-        original_static=stat.original, compressed_static=stat.total,
-        original_active=act.original, compressed_active=act.total,
-        literal_static=stat.literal, literal_active=act.literal,
-        literal_differs=stat.literal_differs or act.literal_differs,
+        original_static=original_static, compressed_static=compressed_static,
+        original_active=original_active, compressed_active=compressed_active,
+        literal_static=literal_static, literal_active=literal_active,
+        literal_differs=bool(literal_static != compressed_static
+                             or literal_active != compressed_active),
         census_static=census_static_params(layer),
         census_active_per_token=census_active_params(layer, trace),
     )

@@ -39,7 +39,7 @@ from d2moe.errors import (
 from d2moe.factorize import truncation_aware_svd, vanilla_svd_compress, weighted_error
 from d2moe.fixtures import gen_fixture
 from d2moe.gradients import backward_logloss
-from d2moe.merge import fisher_merge, mean_merge
+from d2moe.merge import weighted_merge
 from d2moe.moe import MoELayer, MoEModel, Role, moe_forward_dense, silu
 from d2moe.pipeline import build_compressed_layer, compress, compute_layer_stats, evaluate
 from d2moe.pruning import static_metric, static_prune, dynamic_mask
@@ -112,14 +112,14 @@ def test_criterion_02_fisher_weighted_base_minimizes_objective():
             weights = [rng.normal(size=(m, n)) for _ in range(n_ex)]
             if inst % 7 == 3:  # equal information must reduce to the plain mean
                 fishers = [np.full((m, n), float(rng.uniform(0.5, 2.0)))] * n_ex
-                assert np.array_equal(fisher_merge(weights, fishers),
-                                      mean_merge(weights))
+                assert np.array_equal(weighted_merge(weights, fishers)[0],
+                                      weighted_merge(weights, np.ones(n_ex))[0])
             else:
                 fishers = [rng.lognormal(sigma=1.0, size=(m, n)) for _ in range(n_ex)]
                 if inst % 7 == 5:  # dead entries exercise the mean fallback
                     dead = rng.random((m, n)) < 0.1
                     fishers = [np.where(dead, 0.0, f) for f in fishers]
-            w_b = fisher_merge(weights, fishers)
+            w_b = weighted_merge(weights, fishers)[0]
 
             def objective(cand):
                 return sum(float(np.sum(f * (w - cand) ** 2))
@@ -361,7 +361,7 @@ def test_criterion_09_analysis_math():
         layer = fx.model.layers[0]
         worst = 1.0
         for role in (Role.UP, Role.DOWN):
-            base = mean_merge([e[role] for e in layer.experts])
+            base = weighted_merge([e[role] for e in layer.experts], np.ones(layer.n_experts))[0]
             for e in layer.experts:
                 sigma = svdvals(e[role] - base)
                 worst = min(worst, energy_retention(sigma, fx.rank_noise))

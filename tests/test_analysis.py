@@ -109,7 +109,7 @@ class TestSensitivityScan:
     def test_zero_delta_layer_scores_zero(self):
         model, x, labels = make_scan_model()
         prof = layer_sensitivity_scan(model, x, labels, probe_ratio=0.3)
-        assert prof.n_layers == 2
+        assert len(prof.increases) == 2
         assert abs(prof.increases[0]) <= 1e-9
         assert prof.increases[1] > max(prof.increases[0], 1e-5)
 

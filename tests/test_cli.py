@@ -357,6 +357,50 @@ class TestReportCommand:
         assert message in capsys.readouterr().err
 
 
+class TestRejectedBeforeCompute:
+    """Bad settings exit 2 before calibration starts and write no output."""
+
+    @pytest.fixture(autouse=True)
+    def no_calibration(self, monkeypatch):
+        def calibrated(*args, **kwargs):
+            raise AssertionError("calibration ran")
+        monkeypatch.setattr("d2moe.pipeline.compute_layer_stats", calibrated)
+
+    def compress(self, model_dir, tmp_path, *flags):
+        out = tmp_path / "out.d2m"
+        rc = main(["compress", "--model", str(model_dir / "model.d2m"),
+                   "--calib", str(model_dir / "calib.d2m"),
+                   "--out", str(out), "--report", str(tmp_path / "run.jsonl"), *flags])
+        assert not out.exists() and not (tmp_path / "run.jsonl").exists()
+        return rc
+
+    @pytest.mark.parametrize("flags", [
+        ["--set", "epsilon=nan"],
+        ["--set", "epsilon=inf"],
+        ["--damping", "inf"],
+        ["--damping", "nan"],
+        ["--ratio-delta", "nan"],
+        ["--rank-mode", "fixed", "--rank", "4", "--ratio-delta", "nan"],
+        ["--rank-mode", "lossless", "--ratio-delta", "inf"],
+    ])
+    def test_non_finite_float(self, workdir, tmp_path, capsys, flags):
+        assert self.compress(workdir, tmp_path, *flags) == EXIT_CONFIG
+        assert "must be a finite number" in capsys.readouterr().err
+
+    def test_too_many_per_layer_ratios(self, workdir, tmp_path, capsys):
+        rc = self.compress(workdir, tmp_path, "--set", "per_layer_ratios=0.5,0.1,0.9")
+        assert rc == EXIT_CONFIG
+        assert "3 per-layer ratios for 1 layers" in capsys.readouterr().err
+
+    def test_too_few_per_layer_ratios(self, tmp_path, capsys):
+        run_ok(["gen-fixture", "--seed", "0", *SMALL, "--layers", "2",
+                "--out-model", str(tmp_path / "model.d2m"),
+                "--out-calib", str(tmp_path / "calib.d2m")], capsys)
+        rc = self.compress(tmp_path, tmp_path, "--set", "per_layer_ratios=0.5")
+        assert rc == EXIT_CONFIG
+        assert "1 per-layer ratios for 2 layers" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_missing_model_file_is_io(self, workdir, tmp_path, capsys):
         rc = main(["eval", "--model", str(tmp_path / "nope.d2m"),
@@ -399,6 +443,17 @@ class TestExitCodes:
         tensors["meta/kind"] = np.array([[1.0]])
         assert self.eval_container(workdir, tmp_path, tensors) == EXIT_IO
         assert "layer0/meta" in capsys.readouterr().err
+
+    def test_two_row_calibration_labels_are_io(self, workdir, tmp_path, capsys):
+        tensors = container_load(workdir / "calib.d2m")
+        tensors["calib/labels"] = np.vstack([tensors["calib/labels"]] * 2)
+        container_save(tmp_path / "calib.d2m", tensors)
+        rc = main(["eval", "--model", str(workdir / "model.d2m"),
+                   "--calib", str(tmp_path / "calib.d2m")])
+        assert rc == EXIT_IO
+        captured = capsys.readouterr()
+        assert "'calib/labels' has shape" in captured.err
+        assert "loss=" not in captured.out
 
     def test_non_integral_meta_is_io(self, workdir, tmp_path, capsys):
         tensors = container_load(workdir / "model.d2m")

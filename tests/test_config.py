@@ -36,6 +36,14 @@ class TestValidation:
         {"trim": -1},
         {"damping": 0.0},
         {"epsilon": -1e-9},
+        {"damping": float("nan")},
+        {"damping": float("inf")},
+        {"epsilon": float("nan")},
+        {"epsilon": float("inf")},
+        {"delta_ratio": float("nan")},
+        {"rank_mode": "fixed", "delta_rank": 4, "delta_ratio": float("nan")},
+        {"rank_mode": "fixed", "delta_rank": 4, "delta_ratio": float("inf")},
+        {"rank_mode": "lossless", "delta_ratio": float("nan")},
     ])
     def test_each_field_checked(self, overrides):
         import dataclasses
@@ -49,17 +57,28 @@ class TestValidation:
 
 
 class TestRankPolicy:
+    """`rank_for` and `delta_ratio_for`: the rank and the booked ratio."""
+
     def test_mode_dispatch(self):
-        assert CompressionConfig(delta_ratio=0.25).rank_policy().p == 0.25
-        assert CompressionConfig(rank_mode="fixed", delta_rank=4).rank_policy().k == 4
-        assert CompressionConfig(rank_mode="lossless").rank_policy().mode == "lossless"
+        assert CompressionConfig(delta_ratio=0.25).delta_ratio_for(0, 100, 100) == 0.25
+        assert CompressionConfig(delta_ratio=0.25).rank_for(0, 100, 100) == 12
+        fixed = CompressionConfig(rank_mode="fixed", delta_rank=4)
+        assert fixed.rank_for(0, 100, 100) == 4
+        assert fixed.delta_ratio_for(0, 100, 100) == 4 * 200 / 10000
+        assert fixed.delta_ratio_for(0, 4, 4) == 1.0
+        lossless = CompressionConfig(rank_mode="lossless")
+        assert lossless.rank_for(0, 10, 20) == 10
+        assert lossless.delta_ratio_for(0, 10, 20) == 1.0
 
     def test_per_layer_override(self):
         cfg = CompressionConfig(per_layer_ratios=(0.3, 0.7))
-        assert cfg.rank_policy(0).p == 0.3
-        assert cfg.rank_policy(1).p == 0.7
+        assert cfg.delta_ratio_for(0, 100, 100) == 0.3
+        assert cfg.delta_ratio_for(1, 100, 100) == 0.7
+        assert cfg.rank_for(1, 100, 100) == 35
         with pytest.raises(ConfigError):
-            cfg.rank_policy(2)
+            cfg.delta_ratio_for(2, 100, 100)
+        with pytest.raises(ConfigError):
+            cfg.rank_for(2, 100, 100)
 
 
 class TestOverrides:

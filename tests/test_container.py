@@ -37,7 +37,7 @@ from d2moe.errors import (
     TruncatedPayloadError,
 )
 from d2moe.factorize import vanilla_svd_compress
-from d2moe.merge import compute_deltas, mean_merge
+from d2moe.merge import compute_deltas, weighted_merge
 from d2moe.moe import MoELayer, MoEModel, Role, moe_forward_dense
 from d2moe.pruning import static_metric, static_prune
 from d2moe.runtime import CompressedLayer, CompressedModel, compressed_forward
@@ -69,7 +69,8 @@ def make_compressed(seed=1, s=0.5, trimmed=(2,)):
     for layer in model.layers:
         up_w = [e[Role.UP] for e in layer.experts]
         down_w = [e[Role.DOWN] for e in layer.experts]
-        base_up, base_down = mean_merge(up_w), mean_merge(down_w)
+        base_up = weighted_merge(up_w, np.ones(len(up_w)))[0]
+        base_down = weighted_merge(down_w, np.ones(len(down_w)))[0]
         deltas = {
             i: {Role.UP: vanilla_svd_compress(du, 2),
                 Role.DOWN: vanilla_svd_compress(dd, 2)}
@@ -237,6 +238,14 @@ class TestModelSerialization:
         path = tmp_path / "calib.bin"
         save_calibration(path, np.ones((3, 4)), np.array([0.0, 1.5, 2.0, 0.0]))
         with pytest.raises(ManifestError):
+            load_calibration(container_load(path))
+
+    def test_label_rows_beyond_one_rejected(self, tmp_path):
+        path = tmp_path / "calib.bin"
+        container_save(path, {"meta/kind": [[KIND_CALIBRATION]],
+                              "calib/tokens": np.ones((3, 4)),
+                              "calib/labels": np.zeros((2, 4))})
+        with pytest.raises(ManifestError, match="expected 1 row"):
             load_calibration(container_load(path))
 
     def test_label_count_mismatch_rejected(self, tmp_path):

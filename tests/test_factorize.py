@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from d2moe.errors import ParameterError, ShapeError
+from d2moe.config import CompressionConfig
+from d2moe.errors import ConfigError, ParameterError, ShapeError
 from d2moe.factorize import (
     DeltaFactor,
-    RankPolicy,
     rank_for_ratio,
     truncation_aware_svd,
     vanilla_svd_compress,
@@ -69,22 +69,24 @@ class TestRankForRatio:
 
 
 class TestRankPolicy:
+    """The truncation rank chosen by `CompressionConfig.rank_for`."""
+
     def test_modes(self):
-        assert RankPolicy(mode="ratio", p=0.5).rank_for(100, 100) == 25
-        assert RankPolicy(mode="fixed", k=3).rank_for(10, 20) == 3
-        assert RankPolicy(mode="lossless").rank_for(10, 20) == 10
+        assert CompressionConfig(delta_ratio=0.5).rank_for(0, 100, 100) == 25
+        assert CompressionConfig(rank_mode="fixed", delta_rank=3).rank_for(0, 10, 20) == 3
+        assert CompressionConfig(rank_mode="lossless").rank_for(0, 10, 20) == 10
 
     def test_fixed_rank_exceeding_min_dim(self):
         with pytest.raises(ParameterError):
-            RankPolicy(mode="fixed", k=11).rank_for(10, 20)
+            CompressionConfig(rank_mode="fixed", delta_rank=11).rank_for(0, 10, 20)
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            RankPolicy(mode="ratio", p=None)
-        with pytest.raises(ParameterError):
-            RankPolicy(mode="fixed", k=0)
-        with pytest.raises(ParameterError):
-            RankPolicy(mode="banana")
+        with pytest.raises(ConfigError):
+            CompressionConfig(delta_ratio=None).validate()
+        with pytest.raises(ConfigError):
+            CompressionConfig(rank_mode="fixed", delta_rank=0).validate()
+        with pytest.raises(ConfigError):
+            CompressionConfig(rank_mode="banana").validate()
 
 
 class TestTruncationAwareSvd:
@@ -200,7 +202,8 @@ class TestVanillaSvd:
 
     def test_param_count(self):
         d, _, _ = make_case(8, m=10, n=4)
-        assert vanilla_svd_compress(d, 3).param_count() == (10 + 4) * 3
+        f = vanilla_svd_compress(d, 3)
+        assert f.u.size + f.v.size == (10 + 4) * 3
 
 
 class TestWeightedError:
@@ -254,5 +257,5 @@ class TestDeltaFactor:
 
     def test_storage_formula(self):
         f = DeltaFactor(u=np.zeros((8, 3)), v=np.zeros((3, 6)), rank=3)
-        assert f.param_count() == (8 + 6) * 3
+        assert f.u.size + f.v.size == (8 + 6) * 3
         assert f.shape == (8, 6)

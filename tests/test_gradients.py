@@ -31,7 +31,7 @@ from d2moe.gradients import (
     backward_logloss,
     fisher_accumulate,
 )
-from d2moe.merge import fisher_merge
+from d2moe.merge import weighted_merge
 from d2moe.moe import (MoELayer, MoEModel, Role, _softmax, capture_calibration, moe_forward_dense,
                        route_batch, silu, silu_grad)
 from d2moe.pipeline import compress
@@ -360,7 +360,8 @@ class TestFisher:
             assert all(np.all(block >= 0) for block in blocks)
             means = [float(block.mean()) for block in blocks]
             want = (means[0] * weights[0] + means[1] * weights[1]) / (means[0] + means[1])
-            np.testing.assert_allclose(fisher_merge(weights, blocks, scalar=True), want, rtol=1e-12)
+            coeffs = np.mean(np.stack(blocks), axis=(1, 2))
+            np.testing.assert_allclose(weighted_merge(weights, coeffs)[0], want, rtol=1e-12)
 
     def test_sample_count_recorded(self):
         model = make_model(16, layers=1)

@@ -19,9 +19,10 @@ import pytest
 from scipy.special import expit
 
 import d2moe.linalg
-from d2moe.errors import ParameterError, ShapeError
+from d2moe.config import CompressionConfig
+from d2moe.errors import ConfigError, ParameterError, ShapeError
 from d2moe.factorize import rank_for_ratio, truncation_aware_svd
-from d2moe.merge import mean_merge
+from d2moe.merge import weighted_merge
 from d2moe.moe import (MoELayer, MoEModel, Role, RoutingTrace, _layer_input, layer_forward_dense,
                        moe_forward_dense, route_batch, routed_forward, silu)
 from d2moe.pruning import _active_positions, static_metric, static_prune
@@ -29,13 +30,12 @@ from d2moe.runtime import (
     CompressedLayer,
     CompressedModel,
     _base_path,
-    active_param_count,
     census_active_params,
     census_static_params,
+    closed_form_params,
     compressed_forward,
     compressed_model_forward,
     param_report,
-    static_param_count,
     trim_deltas,
 )
 
@@ -51,7 +51,8 @@ def compress_by_hand(dense, x, p=0.5, s=0.0, lossless=False, trimmed=()):
     """Mean merge + whitened factors + static pruning, no pipeline involved."""
     up_w = [e[Role.UP] for e in dense.experts]
     down_w = [e[Role.DOWN] for e in dense.experts]
-    base_up, base_down = mean_merge(up_w), mean_merge(down_w)
+    base_up = weighted_merge(up_w, np.ones(len(up_w)))[0]
+    base_down = weighted_merge(down_w, np.ones(len(down_w)))[0]
     h = silu(base_up @ x)
     hidden, d = base_up.shape
     d_out = base_down.shape[0]
@@ -527,36 +528,40 @@ class TestTrim:
 
 
 class TestParamFormulas:
+    """`closed_form_params(count, m, p, base_fraction)`: static storage takes
+    (n, s/2), active weights per token take (k_top, s)."""
+
     def test_static_count_example(self):
-        c = static_param_count(8, 100.0, 0.5, 0.2)
-        assert c.original == pytest.approx(800.0)
-        assert c.factors == pytest.approx(400.0)
-        assert c.base == pytest.approx(90.0)
-        assert c.total == pytest.approx(490.0)
-        assert c.literal == pytest.approx(410.0)
-        assert c.literal_differs
+        original, total, literal = closed_form_params(8, 100.0, 0.5, 0.2 / 2)
+        assert original == pytest.approx(800.0)
+        assert total == pytest.approx(400.0 + 90.0)  # factors 8*0.5*100, base (1 - 0.1)*100
+        assert literal == pytest.approx(410.0)
+        assert literal != total
 
     def test_active_count_example(self):
-        c = active_param_count(2, 100.0, 0.5, 0.2)
-        assert c.original == pytest.approx(200.0)
-        assert c.factors == pytest.approx(100.0)
-        assert c.base == pytest.approx(80.0)
-        assert c.total == pytest.approx(180.0)
-        assert c.literal == pytest.approx(120.0)
+        original, total, literal = closed_form_params(2, 100.0, 0.5, 0.2)
+        assert original == pytest.approx(200.0)
+        assert total == pytest.approx(100.0 + 80.0)  # factors 2*0.5*100, base (1 - 0.2)*100
+        assert literal == pytest.approx(120.0)
 
     def test_literal_flagging(self):
+        def differs(count, m, p, base_fraction):
+            _, total, literal = closed_form_params(count, m, p, base_fraction)
+            return literal != total
         # the static shorthand never matches the survivor count (s/2 vs 1-s/2)
-        assert static_param_count(4, 10.0, 1.0, 0.0).literal_differs
-        assert static_param_count(4, 10.0, 0.5, 0.5).literal_differs
+        assert differs(4, 10.0, 1.0, 0.0 / 2)
+        assert differs(4, 10.0, 0.5, 0.5 / 2)
         # the active shorthand lines up exactly at s = 0.5 and nowhere else
-        assert not active_param_count(2, 10.0, 0.5, 0.5).literal_differs
-        assert active_param_count(2, 10.0, 0.5, 0.25).literal_differs
+        assert not differs(2, 10.0, 0.5, 0.5)
+        assert differs(2, 10.0, 0.5, 0.25)
 
     def test_parameter_ranges(self):
-        with pytest.raises(ParameterError):
-            static_param_count(4, 10.0, 0.0, 0.2)
-        with pytest.raises(ParameterError):
-            active_param_count(2, 10.0, 0.5, 1.0)
+        # p outside (0, 1] and s outside [0, 1) are rejected by the config
+        # before any count is formed
+        with pytest.raises(ConfigError):
+            CompressionConfig(delta_ratio=0.0, sparsity=0.2).validate()
+        with pytest.raises(ConfigError):
+            CompressionConfig(delta_ratio=0.5, sparsity=1.0).validate()
 
 
 class TestCensus:
