@@ -25,11 +25,11 @@ print("  weakest 8:", np.argsort(metric, kind="stable")[:8].tolist())
 
 s = 0.4
 pruned = static_prune(base, metric, s)
-quota = pruned.mask.dynamic_quota
-print(f"\ns={s}: {pruned.mask.static_removed.size} columns removed statically, "
+quota = pruned.dynamic_quota
+print(f"\ns={s}: {pruned.static_removed.size} columns removed statically, "
       f"quota of {quota} more per batch "
       f"(total floor(n*s) = {int(n * s)})")
-print("  statically removed:", pruned.mask.static_removed.tolist())
+print("  statically removed:", pruned.static_removed.tolist())
 
 # the fixture has bursty coordinates that fire on few tokens; split the
 # stream into tokens where they are silent vs tokens where one fired

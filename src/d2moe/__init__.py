@@ -76,7 +76,6 @@ from .pipeline import (
     ratio_frontier,
 )
 from .pruning import (
-    PruneMask,
     PrunedBase,
     dynamic_mask,
     static_metric,

@@ -195,7 +195,11 @@ def _cmd_analyze(args) -> int:
         n_use = min(cfg.calib_samples, tokens.shape[1])
         profile = layer_sensitivity_scan(model, tokens[:, :n_use], labels[:n_use],
                                          probe_ratio=args.probe_ratio, config=cfg)
-        alloc = allocate_adaptive_ratios(profile, budget=args.budget, p_min=args.p_min)
+        # --budget is a parameter-weighted mean ratio; weights are relative to
+        # layer 0's expert parameters, so equal-size layers weigh exactly 1
+        sizes = [layer.n_experts * layer.hidden * (layer.d_model + layer.d_out) for layer in model.layers]
+        alloc = allocate_adaptive_ratios(profile, budget=args.budget, p_min=args.p_min,
+                                         layer_params=[size / sizes[0] for size in sizes])
         write_sensitivity_csv(out_dir / "sensitivity.csv", profile.increases, alloc.ratios)
         print(f"wrote {out_dir / 'sensitivity.csv'}")
         wrote_any = True

@@ -29,8 +29,8 @@ from .errors import (
     TruncatedPayloadError,
 )
 from .factorize import DeltaFactor
-from .moe import MoELayer, MoEModel, Role
-from .pruning import PruneMask, PrunedBase
+from .moe import ROLES, MoELayer, MoEModel, Role
+from .pruning import PrunedBase
 from .runtime import CompressedLayer, CompressedModel
 
 MAGIC = b"D2MZ0001"
@@ -272,7 +272,7 @@ def save_compressed_model(path, model: CompressedModel) -> None:
             prefix = f"layer{l}/base_{role.value}"
             tensors[f"{prefix}/kept"] = base.kept
             tensors[f"{prefix}/kept_ids"] = _row(base.kept_col_ids)
-            tensors[f"{prefix}/meta"] = _row([base.mask.total_cols, base.mask.target_sparsity])
+            tensors[f"{prefix}/meta"] = _row([base.total_cols, base.target_sparsity])
         for j in sorted(layer.deltas):
             for role in (Role.UP, Role.DOWN):
                 factor = layer.deltas[j][role]
@@ -282,17 +282,13 @@ def save_compressed_model(path, model: CompressedModel) -> None:
     container_save(path, tensors)
 
 
-def _load_pruned_base(tensors: dict[str, np.ndarray], prefix: str) -> PrunedBase:
-    kept = _tensor(tensors, f"{prefix}/kept")
-    kept_ids = np.array(_meta_row(tensors, f"{prefix}/kept_ids"), dtype=np.int64)
+def _load_pruned_base(tensors: dict[str, np.ndarray], l: int, role: Role) -> PrunedBase:
+    prefix = f"layer{l}/base_{role.value}"
+    kept_ids = _meta_row(tensors, f"{prefix}/kept_ids")
     total_cols, sparsity = _meta_row(tensors, f"{prefix}/meta", 2, n_int=1)
-    # s in [0, 1) keeps more than half of the columns; check before sizing arrays
-    if not (0.0 <= sparsity < 1.0 and kept_ids.size <= total_cols <= 2 * kept_ids.size):
-        raise ManifestError(f"{prefix}/meta: {total_cols} columns at sparsity {sparsity} "
-                            f"cannot keep {kept_ids.size}")
-    removed = np.setdiff1d(np.arange(total_cols), kept_ids)
-    mask = PruneMask(total_cols=total_cols, static_removed=removed, target_sparsity=sparsity)
-    return PrunedBase(kept=kept, kept_col_ids=kept_ids, mask=mask)
+    with _assembling(f"layer {l}: {prefix}/meta"):
+        return PrunedBase(kept=_tensor(tensors, f"{prefix}/kept"), kept_col_ids=kept_ids,
+                          total_cols=total_cols, target_sparsity=sparsity)
 
 
 def load_compressed_model(tensors: dict[str, np.ndarray]) -> CompressedModel:
@@ -300,28 +296,23 @@ def load_compressed_model(tensors: dict[str, np.ndarray]) -> CompressedModel:
     l = 0
     while f"layer{l}/meta" in tensors:
         top_k, n_experts, n_trimmed = _meta_row(tensors, f"layer{l}/meta", 3)
-        trimmed: tuple[int, ...] = ()
-        if n_trimmed:
-            trimmed = tuple(_meta_row(tensors, f"layer{l}/trimmed", n_trimmed))
+        trimmed = tuple(_meta_row(tensors, f"layer{l}/trimmed", n_trimmed)) if n_trimmed else ()
         with _assembling(f"layer {l}"):
-            base = {role: _load_pruned_base(tensors, f"layer{l}/base_{role.value}")
-                    for role in (Role.UP, Role.DOWN)}
+            base = {role: _load_pruned_base(tensors, l, role) for role in (Role.UP, Role.DOWN)}
             gate = _tensor(tensors, f"layer{l}/gate")
             if n_experts != gate.shape[0]:
                 raise ManifestError(f"layer {l}: meta declares {n_experts} experts, gate has {gate.shape[0]} rows")
             deltas = {}
-            for j in range(n_experts):
-                key = f"layer{l}/expert{j}/up_u"
-                if key not in tensors:
-                    continue
-                factors = {}
-                for role in (Role.UP, Role.DOWN):
-                    u = _tensor(tensors, f"layer{l}/expert{j}/{role.value}_u")
-                    v = _tensor(tensors, f"layer{l}/expert{j}/{role.value}_v")
-                    factors[role] = DeltaFactor(u=u, v=v, rank=u.shape[1], expert_id=j, role=role)
-                deltas[j] = factors
-            layers.append(CompressedLayer(gate=gate, base=base,
-                                          deltas=deltas, top_k=top_k, trimmed=trimmed))
+            for j in range(n_experts):  # an expert stores all four factor tensors or none
+                prefix = f"layer{l}/expert{j}"
+                if any(f"{prefix}/{role.value}_{part}" in tensors for role in ROLES for part in "uv"):
+                    deltas[j] = {role: DeltaFactor(u=_tensor(tensors, f"{prefix}/{role.value}_u"),
+                                                   v=_tensor(tensors, f"{prefix}/{role.value}_v"))
+                                 for role in ROLES}
+            layers.append(CompressedLayer(gate=gate, base=base, deltas=deltas, top_k=top_k))
+        if layers[-1].trimmed != trimmed:
+            raise ManifestError(f"layer {l}: trimmed row {list(trimmed)} != experts without "
+                                f"factors {list(layers[-1].trimmed)}")
         l += 1
     if not layers:
         raise ManifestError("container holds no layers")

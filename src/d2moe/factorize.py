@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .linalg import DEFAULT_DAMPING, as_matrix, cholesky_damped, svd
-from .moe import Role
 
 RANK_MODES = ("ratio", "fixed", "lossless")
 
@@ -27,19 +26,20 @@ class DeltaFactor:
 
     u: np.ndarray
     v: np.ndarray
-    rank: int
-    expert_id: int = -1
-    role: Role | None = None
 
     def __post_init__(self):
         u = as_matrix(self.u, "delta factor u")
         v = as_matrix(self.v, "delta factor v")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-        if u.shape[1] != self.rank or v.shape[0] != self.rank:
-            raise ShapeError(f"factor shapes {u.shape}, {v.shape} inconsistent with rank {self.rank}")
-        if not 1 <= self.rank <= min(u.shape[0], v.shape[1]):
-            raise ParameterError(f"rank {self.rank} outside [1, {min(u.shape[0], v.shape[1])}]")
+        if u.shape[1] != v.shape[0]:
+            raise ShapeError(f"factor shapes {u.shape}, {v.shape} disagree on the rank")
+        if u.shape[1] > min(u.shape[0], v.shape[1]):
+            raise ParameterError(f"rank {u.shape[1]} outside [1, {min(u.shape[0], v.shape[1])}]")
+
+    @property
+    def rank(self) -> int:
+        return self.u.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -58,8 +58,7 @@ def rank_for_ratio(m: int, n: int, p: float) -> int:
     return max(1, math.floor(p * m * n / (m + n)))
 
 
-def truncation_aware_svd(delta, gram, k: int, damping: float = DEFAULT_DAMPING,
-                         expert_id: int = -1, role: Role | None = None) -> DeltaFactor:
+def truncation_aware_svd(delta, gram, k: int, damping: float = DEFAULT_DAMPING) -> DeltaFactor:
     """Whitened rank-k factorization of a delta weight.
 
     S = cholesky_damped(gram); (U, Sigma, V) = svd(delta @ S);
@@ -77,10 +76,10 @@ def truncation_aware_svd(delta, gram, k: int, damping: float = DEFAULT_DAMPING,
         raise ParameterError(f"rank k={k} outside [1, {min(m, n)}]")
     s, _lam = cholesky_damped(g, damping)
     u = np.ascontiguousarray(svd(d @ s).u[:, :k])
-    return DeltaFactor(u=u, v=u.T @ d, rank=k, expert_id=expert_id, role=role)
+    return DeltaFactor(u=u, v=u.T @ d)
 
 
-def vanilla_svd_compress(delta, k: int, expert_id: int = -1, role: Role | None = None) -> DeltaFactor:
+def vanilla_svd_compress(delta, k: int) -> DeltaFactor:
     """Plain truncated SVD split as U_k sqrt(Sigma_k), sqrt(Sigma_k) V_k^T."""
     d = as_matrix(delta, "delta")
     if not 1 <= k <= min(d.shape):
@@ -88,8 +87,7 @@ def vanilla_svd_compress(delta, k: int, expert_id: int = -1, role: Role | None =
     trunc = svd(d).truncate(k)
     root = np.sqrt(trunc.sigma)
     return DeltaFactor(u=np.ascontiguousarray(trunc.u * root),
-                       v=np.ascontiguousarray((trunc.v * root).T),
-                       rank=k, expert_id=expert_id, role=role)
+                       v=np.ascontiguousarray((trunc.v * root).T))
 
 
 def weighted_error(delta, factor: DeltaFactor, gram) -> float:

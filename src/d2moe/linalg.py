@@ -151,14 +151,3 @@ def cholesky_damped(g, base_damping: float = DEFAULT_DAMPING) -> tuple[np.ndarra
         f"(shape {a.shape}, final lambda {lam:.3e})"
     )
 
-
-def col_l2_norms(m) -> np.ndarray:
-    """Euclidean norm of every column."""
-    a = as_matrix(m, "col_l2_norms input")
-    return np.linalg.norm(a, axis=0)
-
-
-def row_l2_norms(m) -> np.ndarray:
-    """Euclidean norm of every row."""
-    a = as_matrix(m, "row_l2_norms input")
-    return np.linalg.norm(a, axis=1)

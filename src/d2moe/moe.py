@@ -118,6 +118,25 @@ class MoELayer:
         return self.experts[0][Role.DOWN].shape[0]
 
 
+def chained_head(layers, head) -> np.ndarray:
+    """`head` as a checked matrix, once the layer chain is checked: each
+    layer reads the previous layer's output and the head reads the last's.
+    Layers only need `d_model` and `d_out`, so dense and compressed mix."""
+    if not layers:
+        raise ShapeError("model needs at least one layer")
+    head = as_matrix(head, "head")
+    if head.shape[0] < 2:
+        raise ShapeError("head must produce at least 2 classes")
+    d = layers[0].d_model
+    for i, layer in enumerate(layers):
+        if layer.d_model != d:
+            raise ShapeError(f"layer {i} expects d_model {layer.d_model}, chain provides {d}")
+        d = layer.d_out
+    if head.shape[1] != d:
+        raise ShapeError(f"head cols {head.shape[1]} != final layer output dim {d}")
+    return head
+
+
 @dataclass(frozen=True)
 class MoEModel:
     """Stack of MoE layers followed by a linear classifier head."""
@@ -126,19 +145,7 @@ class MoEModel:
     head: np.ndarray  # (num_classes, d_model of last layer output)
 
     def __post_init__(self):
-        if not self.layers:
-            raise ShapeError("model needs at least one layer")
-        head = as_matrix(self.head, "head")
-        object.__setattr__(self, "head", head)
-        if head.shape[0] < 2:
-            raise ShapeError("head must produce at least 2 classes")
-        d = self.layers[0].d_model
-        for i, layer in enumerate(self.layers):
-            if layer.d_model != d:
-                raise ShapeError(f"layer {i} expects d_model {layer.d_model}, chain provides {d}")
-            d = layer.d_out
-        if head.shape[1] != d:
-            raise ShapeError(f"head cols {head.shape[1]} != final layer output dim {d}")
+        object.__setattr__(self, "head", chained_head(self.layers, self.head))
 
     @property
     def num_classes(self) -> int:

@@ -124,8 +124,7 @@ def factorize_layer(deltas: dict[Role, list[np.ndarray]], stats: LayerStats,
         ranks[role.value] = k
         errors[role.value] = []
         for i, delta in enumerate(role_deltas):
-            factor = truncation_aware_svd(delta, stats.grams[role][i], k,
-                                          damping=cfg.damping, expert_id=i, role=role)
+            factor = truncation_aware_svd(delta, stats.grams[role][i], k, damping=cfg.damping)
             factors.setdefault(i, {})[role] = factor
             errors[role.value].append(weighted_error(delta, factor, stats.grams[role][i]))
     return factors, ranks, errors
@@ -260,6 +259,9 @@ def compress(cfg: CompressionConfig, model: MoEModel, calib_tokens, labels=None)
     if cfg.per_layer_ratios is not None and len(cfg.per_layer_ratios) != len(model.layers):
         raise ConfigError(f"{len(cfg.per_layer_ratios)} per-layer ratios for "
                           f"{len(model.layers)} layers")
+    n_experts = min(layer.n_experts for layer in model.layers)
+    if cfg.trim > n_experts:
+        raise ConfigError(f"trim count {cfg.trim} outside [0, {n_experts}]")
     calib = as_matrix(calib_tokens, "calib_tokens")
     n_use = min(cfg.calib_samples, calib.shape[1])
     calib_use = calib[:, :n_use]

@@ -14,48 +14,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .linalg import as_matrix, col_l2_norms, row_l2_norms
-
-
-@dataclass(frozen=True)
-class PruneMask:
-    """Static removal set plus the per-batch deactivation quota."""
-
-    total_cols: int
-    static_removed: np.ndarray  # sorted unique original indices
-    target_sparsity: float
-
-    def __post_init__(self):
-        removed = np.asarray(self.static_removed, dtype=np.int64)
-        object.__setattr__(self, "static_removed", removed)
-        if removed.size != math.floor(self.total_cols * self.target_sparsity / 2):
-            raise ParameterError(
-                f"|static_removed|={removed.size} != floor(n*s/2)="
-                f"{math.floor(self.total_cols * self.target_sparsity / 2)}"
-            )
-        if removed.size and (removed.min() < 0 or removed.max() >= self.total_cols):
-            raise ParameterError("static_removed indices out of range")
-        if np.unique(removed).size != removed.size:
-            raise ParameterError("static_removed indices must be unique")
-        if self.dynamic_quota < 0:
-            raise ParameterError("dynamic quota negative")
-
-    @property
-    def dynamic_quota(self) -> int:
-        return math.floor(self.total_cols * self.target_sparsity) - self.static_removed.size
+from .linalg import as_matrix
 
 
 @dataclass(frozen=True)
 class PrunedBase:
-    """Base weight with statically removed columns dropped.
+    """Base weight with its statically removed columns dropped.
 
-    `col_norms` holds the column norms of `kept`, computed once here because
-    every dynamic mask scores the same stored columns.
+    `kept_col_ids` alone records which columns survive; the static removal
+    set and the per-batch dynamic quota are derived from it. `col_norms`
+    holds the column norms of `kept`, computed once here because every
+    dynamic mask scores the same stored columns.
     """
 
-    kept: np.ndarray          # (m, n - |static_removed|)
-    kept_col_ids: np.ndarray  # sorted original indices of the kept columns
-    mask: PruneMask
+    kept: np.ndarray          # (m, n - floor(n*s/2))
+    kept_col_ids: np.ndarray  # ascending original indices of the kept columns
+    total_cols: int
+    target_sparsity: float
     col_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -63,12 +38,34 @@ class PrunedBase:
         ids = np.asarray(self.kept_col_ids, dtype=np.int64)
         object.__setattr__(self, "kept", kept)
         object.__setattr__(self, "kept_col_ids", ids)
+        n, s = self.total_cols, self.target_sparsity
+        if not 0.0 <= s < 1.0:
+            raise ParameterError(f"target sparsity must be in [0, 1), got {s}")
+        n_kept = n - math.floor(n * s / 2)
+        if ids.shape != (n_kept,):
+            raise ParameterError(f"{ids.size} kept columns != n - floor(n*s/2) = {n_kept} (n={n}, s={s})")
+        if ids.size and (ids[0] < 0 or ids[-1] >= n or np.any(np.diff(ids) <= 0)):
+            raise ParameterError(f"kept_col_ids must be ascending, unique and in [0, {n})")
         if kept.shape[1] != ids.size:
             raise ShapeError(f"kept cols {kept.shape[1]} != id count {ids.size}")
-        expected = np.setdiff1d(np.arange(self.mask.total_cols), self.mask.static_removed)
-        if not np.array_equal(ids, expected):
-            raise ParameterError("kept_col_ids must complement static_removed exactly")
-        object.__setattr__(self, "col_norms", col_l2_norms(kept))
+        object.__setattr__(self, "col_norms", np.linalg.norm(kept, axis=0))
+
+    @property
+    def static_removed(self) -> np.ndarray:
+        """Ascending original indices of the statically removed columns."""
+        return np.setdiff1d(np.arange(self.total_cols), self.kept_col_ids)
+
+    @property
+    def dynamic_quota(self) -> int:
+        """Kept columns each batch deactivates: floor(n*s) less the static ones."""
+        n = self.total_cols
+        return math.floor(n * self.target_sparsity) - (n - self.kept_col_ids.size)
+
+
+def _keep_all_but_lowest(scores: np.ndarray, q: int) -> np.ndarray:
+    """Ascending positions of all but the q lowest scores. The sort is
+    stable, so ties drop the lower position first."""
+    return np.sort(np.argsort(scores, kind="stable")[q:])
 
 
 def static_metric(w_b, calib_x) -> np.ndarray:
@@ -77,7 +74,7 @@ def static_metric(w_b, calib_x) -> np.ndarray:
     x = as_matrix(calib_x, "calib_x")
     if x.shape[0] != w.shape[1]:
         raise ShapeError(f"calib_x rows {x.shape[0]} != w_b cols {w.shape[1]}")
-    return col_l2_norms(w) * row_l2_norms(x)
+    return np.linalg.norm(w, axis=0) * np.linalg.norm(x, axis=1)
 
 
 def static_metric_from_gram(w_b, gram) -> np.ndarray:
@@ -86,7 +83,7 @@ def static_metric_from_gram(w_b, gram) -> np.ndarray:
     g = as_matrix(gram, "gram")
     if g.shape != (w.shape[1], w.shape[1]):
         raise ShapeError(f"gram shape {g.shape} != ({w.shape[1]}, {w.shape[1]})")
-    return col_l2_norms(w) * np.sqrt(np.maximum(np.diag(g), 0.0))
+    return np.linalg.norm(w, axis=0) * np.sqrt(np.maximum(np.diag(g), 0.0))
 
 
 def static_prune(w_b, metric, s: float) -> PrunedBase:
@@ -98,12 +95,9 @@ def static_prune(w_b, metric, s: float) -> PrunedBase:
     if not 0.0 <= s < 1.0:
         raise ParameterError(f"target sparsity must be in [0, 1), got {s}")
     n = w.shape[1]
-    n_remove = math.floor(n * s / 2)
-    order = np.argsort(c, kind="stable")  # ascending metric, lower index first on ties
-    removed = np.sort(order[:n_remove])
-    kept_ids = np.setdiff1d(np.arange(n), removed)
-    mask = PruneMask(total_cols=n, static_removed=removed, target_sparsity=s)
-    return PrunedBase(kept=np.ascontiguousarray(w[:, kept_ids]), kept_col_ids=kept_ids, mask=mask)
+    kept_ids = _keep_all_but_lowest(c, math.floor(n * s / 2))
+    return PrunedBase(kept=np.ascontiguousarray(w[:, kept_ids]), kept_col_ids=kept_ids,
+                      total_cols=n, target_sparsity=s)
 
 
 def dynamic_mask(pruned: PrunedBase, x_batch) -> np.ndarray:
@@ -127,9 +121,8 @@ def _active_positions(pruned: PrunedBase, sumsq: np.ndarray) -> np.ndarray:
     """Ascending positions into kept_col_ids of the columns active for a
     batch whose per-kept-column sums of squares over the tokens are `sumsq`.
     """
-    quota = pruned.mask.dynamic_quota
+    quota = pruned.dynamic_quota
     if quota == 0:
         return np.arange(pruned.kept_col_ids.size)
-    c = pruned.col_norms * np.sqrt(sumsq)  # ||W_b[:, j]|| * ||X[j, :]||
-    # kept_col_ids is ascending, so stable sort ties resolve to lower original index
-    return np.sort(np.argsort(c, kind="stable")[quota:])
+    # ||W_b[:, j]|| * ||X[j, :]||; kept_col_ids is ascending, so ties drop the lower original index
+    return _keep_all_but_lowest(pruned.col_norms * np.sqrt(sumsq), quota)

@@ -24,14 +24,15 @@ through a transposed view; none is copied or stored transposed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .factorize import DeltaFactor
 from .linalg import as_matrix
-from .moe import MoELayer, Role, RoutingTrace, _layer_input, layer_forward_dense, routed_forward, silu
+from .moe import (MoELayer, Role, RoutingTrace, _layer_input, chained_head, layer_forward_dense,
+                  routed_forward, silu)
 from .pruning import PrunedBase, _active_positions
 
 
@@ -43,28 +44,24 @@ class CompressedLayer:
     base: dict[Role, PrunedBase]
     deltas: dict[int, dict[Role, DeltaFactor]]  # absent key = trimmed expert
     top_k: int
-    trimmed: tuple[int, ...] = ()
 
     def __post_init__(self):
         gate = as_matrix(self.gate, "gate")
         object.__setattr__(self, "gate", gate)
-        object.__setattr__(self, "trimmed", tuple(sorted(self.trimmed)))
         n, d = gate.shape
         if not 1 <= self.top_k <= n:
             raise ShapeError(f"top_k={self.top_k} outside [1, {n}]")
         if set(self.base) != {Role.UP, Role.DOWN}:
             raise ShapeError("base must define exactly the Up and Down roles")
         up, down = self.base[Role.UP], self.base[Role.DOWN]
-        if up.mask.total_cols != d:
-            raise ShapeError(f"up base covers {up.mask.total_cols} columns, d_model is {d}")
+        if up.total_cols != d:
+            raise ShapeError(f"up base covers {up.total_cols} columns, d_model is {d}")
         hidden = up.kept.shape[0]
-        if down.mask.total_cols != hidden:
-            raise ShapeError(f"down base covers {down.mask.total_cols} columns, hidden is {hidden}")
+        if down.total_cols != hidden:
+            raise ShapeError(f"down base covers {down.total_cols} columns, hidden is {hidden}")
         for i, factors in self.deltas.items():
             if not 0 <= i < n:
                 raise ShapeError(f"delta factor for unknown expert {i}")
-            if i in self.trimmed:
-                raise ParameterError(f"expert {i} is trimmed but still has factors")
             if factors[Role.UP].shape != (hidden, d):
                 raise ShapeError(f"expert {i} up factor shape {factors[Role.UP].shape} != ({hidden}, {d})")
             if factors[Role.DOWN].shape != (down.kept.shape[0], hidden):
@@ -72,6 +69,11 @@ class CompressedLayer:
                     f"expert {i} down factor shape {factors[Role.DOWN].shape} != "
                     f"({down.kept.shape[0]}, {hidden})"
                 )
+
+    @property
+    def trimmed(self) -> tuple[int, ...]:
+        """Experts without delta factors, ascending; they run on the base alone."""
+        return tuple(i for i in range(self.n_experts) if i not in self.deltas)
 
     @property
     def n_experts(self) -> int:
@@ -98,7 +100,7 @@ class CompressedModel:
     head: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "head", as_matrix(self.head, "head"))
+        object.__setattr__(self, "head", chained_head(self.layers, self.head))
 
 
 def _base_path(layer: CompressedLayer, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -184,10 +186,7 @@ def trim_deltas(layer: CompressedLayer, freq, t: int) -> CompressedLayer:
         return layer
     order = np.argsort(f, kind="stable")  # ascending frequency, lower index first
     to_trim = set(int(i) for i in order[:t])
-    deltas = {i: factors for i, factors in layer.deltas.items() if i not in to_trim}
-    trimmed = tuple(sorted(set(layer.trimmed) | to_trim))
-    return CompressedLayer(gate=layer.gate, base=layer.base, deltas=deltas,
-                           top_k=layer.top_k, trimmed=trimmed)
+    return replace(layer, deltas={i: f for i, f in layer.deltas.items() if i not in to_trim})
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +242,8 @@ def census_active_params(layer: CompressedLayer, trace: RoutingTrace) -> float:
     if trace.counts.shape != (layer.n_experts,):
         raise ShapeError(f"trace counts shape {trace.counts.shape} != ({layer.n_experts},)")
     up, down = layer.base[Role.UP], layer.base[Role.DOWN]
-    base_per_token = (layer.hidden * (up.kept_col_ids.size - up.mask.dynamic_quota)
-                      + layer.d_out * (down.kept_col_ids.size - down.mask.dynamic_quota))
+    base_per_token = (layer.hidden * (up.kept_col_ids.size - up.dynamic_quota)
+                      + layer.d_out * (down.kept_col_ids.size - down.dynamic_quota))
     factor_total = sum(int(trace.counts[i]) * sum(f[r].u.size + f[r].v.size for r in (Role.UP, Role.DOWN))
                        for i, f in layer.deltas.items())
     return base_per_token + factor_total / trace.n_tokens

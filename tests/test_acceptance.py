@@ -224,14 +224,14 @@ def test_criterion_05_pruning_count_law_and_selection():
         for tenths in range(1, 10):
             s = tenths / 10.0
             pruned = static_prune(w, metric, s)
-            removed = pruned.mask.static_removed.size
+            removed = pruned.static_removed.size
             assert removed == math.floor(64 * s / 2)
-            assert removed + pruned.mask.dynamic_quota == math.floor(64 * s)
+            assert removed + pruned.dynamic_quota == math.floor(64 * s)
             pruned_by_s[tenths] = pruned
 
         for batch in range(100):
             pruned = pruned_by_s[(batch % 9) + 1]
-            quota = pruned.mask.dynamic_quota
+            quota = pruned.dynamic_quota
             xb = rng.normal(size=(pruned.kept.shape[1], 16 + batch % 17))
             active = dynamic_mask(pruned, xb)
             # oracle: drop the quota lowest scores, ties to lower original id
@@ -244,7 +244,7 @@ def test_criterion_05_pruning_count_law_and_selection():
             expected = pruned.kept_col_ids[keep]
             assert np.array_equal(active, expected), f"batch {batch} selection"
             assert active.size == pruned.kept_col_ids.size - quota
-            assert not np.intersect1d(active, pruned.mask.static_removed).size
+            assert not np.intersect1d(active, pruned.static_removed).size
 
 
 def test_criterion_06_parameter_census_matches_formulas():

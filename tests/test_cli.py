@@ -18,7 +18,7 @@ import pytest
 from d2moe.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from d2moe.container import container_load, container_save, save_calibration, save_model
 from d2moe.errors import NumericalError
-from d2moe.moe import MoELayer, MoEModel, Role
+from d2moe.moe import MoELayer, MoEModel, Role, moe_forward_dense
 from d2moe.report import read_report
 
 SMALL = ["--experts", "4", "--d-model", "16", "--hidden", "24",
@@ -260,6 +260,27 @@ class TestAnalyze:
         assert sens[0] == "layer,loss_increase,allocated_ratio"
         assert len(sens) == 2
 
+    def test_budget_is_weighted_by_layer_parameters(self, tmp_path, capsys):
+        """Layers of hidden 64 and 16 hold expert parameters 4:1, so the
+        allocated ratios meet the budget as a 4:1 weighted mean."""
+        rng = np.random.default_rng(0)
+        d, n = 32, 8
+        layers = []
+        for hidden in (64, 16):
+            experts = [{Role.UP: rng.normal(size=(hidden, d)) / np.sqrt(d),
+                        Role.DOWN: rng.normal(size=(d, hidden)) / np.sqrt(hidden)} for _ in range(n)]
+            layers.append(MoELayer(gate=rng.normal(size=(n, d)), experts=experts, top_k=2))
+        model = MoEModel(layers=layers, head=rng.normal(size=(10, d)))
+        x = rng.normal(size=(d, 256))
+        save_model(tmp_path / "model.d2m", model)
+        save_calibration(tmp_path / "calib.d2m", x, np.argmax(moe_forward_dense(model, x)[0], axis=0))
+        run_ok(["analyze", "--model", str(tmp_path / "model.d2m"), "--calib", str(tmp_path / "calib.d2m"),
+                "--out-dir", str(tmp_path), "--sensitivity", "--budget", "0.5"], capsys)
+        rows = (tmp_path / "sensitivity.csv").read_text(encoding="utf-8").splitlines()[1:]
+        ratios = [float(row.split(",")[2]) for row in rows]
+        assert ratios[0] != ratios[1]
+        assert (4 * ratios[0] + ratios[1]) / 5 == pytest.approx(0.5, abs=1e-9)
+
     def test_requires_an_action(self, workdir, tmp_path, capsys):
         rc = main(["analyze", "--model", str(workdir / "model.d2m"),
                    "--out-dir", str(tmp_path)])
@@ -400,6 +421,10 @@ class TestRejectedBeforeCompute:
         assert rc == EXIT_CONFIG
         assert "1 per-layer ratios for 2 layers" in capsys.readouterr().err
 
+    def test_trim_above_expert_count(self, workdir, tmp_path, capsys):
+        assert self.compress(workdir, tmp_path, "--trim", "5") == EXIT_CONFIG
+        assert "trim count 5 outside [0, 4]" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_model_file_is_io(self, workdir, tmp_path, capsys):
@@ -528,3 +553,55 @@ class TestExitCodes:
         rc = main(["eval", "--model", str(workdir / "model.d2m"),
                    "--calib", str(workdir / "calib.d2m")])
         assert rc == EXIT_NUMERICAL
+
+
+class TestInconsistentCompressedContainer:
+    """A compressed container whose factors, trimmed row or head disagree
+    with the rest of the file fails to load: eval exits 3."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        """The default 8-expert fixture with two layers, compressed."""
+        root = tmp_path_factory.mktemp("two-layer")
+        assert main(["gen-fixture", "--seed", "0", "--layers", "2",
+                     "--out-model", str(root / "model.d2m"), "--out-calib", str(root / "calib.d2m")]) == EXIT_OK
+        assert main(["compress", "--model", str(root / "model.d2m"), "--calib", str(root / "calib.d2m"),
+                     "--merge", "mean", "--out", str(root / "c.d2m"),
+                     "--report", str(root / "c.jsonl")]) == EXIT_OK
+        return root, container_load(root / "c.d2m")
+
+    def eval_with(self, files, tmp_path, capsys, drop=(), replace=None):
+        """Exit code and stderr of eval on the compressed file less the
+        tensors named in `drop`, with those in `replace` swapped in."""
+        root, tensors = files
+        tensors = {name: a for name, a in tensors.items() if name not in drop}
+        tensors.update(replace or {})
+        container_save(tmp_path / "damaged.d2m", tensors)
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(tmp_path / "damaged.d2m"), "--calib", str(root / "calib.d2m")])
+        return rc, capsys.readouterr().err
+
+    def test_intact_file_loads(self, files, tmp_path, capsys):
+        assert self.eval_with(files, tmp_path, capsys)[0] == EXIT_OK
+
+    def test_head_too_narrow(self, files, tmp_path, capsys):
+        rc, err = self.eval_with(files, tmp_path, capsys, replace={"head": np.ones((10, 5))})
+        assert rc == EXIT_IO
+        assert "head cols 5 != final layer output dim 32" in err
+
+    def test_expert_without_factors_missing_from_trimmed_row(self, files, tmp_path, capsys):
+        drop = [f"layer0/expert5/{name}" for name in ("up_u", "up_v", "down_u", "down_v")]
+        rc, err = self.eval_with(files, tmp_path, capsys, drop=drop)
+        assert rc == EXIT_IO
+        assert "trimmed row [] != experts without factors [5]" in err
+
+    def test_expert_with_only_down_factors(self, files, tmp_path, capsys):
+        rc, err = self.eval_with(files, tmp_path, capsys, drop=["layer0/expert2/up_u", "layer0/expert2/up_v"])
+        assert rc == EXIT_IO
+        assert "layer0/expert2/up_u" in err
+
+    def test_trimmed_row_names_an_expert_with_factors(self, files, tmp_path, capsys):
+        rc, err = self.eval_with(files, tmp_path, capsys, replace={"layer0/meta": np.array([[2.0, 8.0, 1.0]]),
+                                                                  "layer0/trimmed": np.array([[99.0]])})
+        assert rc == EXIT_IO
+        assert "trimmed row [99] != experts without factors []" in err

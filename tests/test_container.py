@@ -82,7 +82,7 @@ def make_compressed(seed=1, s=0.5, trimmed=(2,)):
             gate=layer.gate,
             base={Role.UP: static_prune(base_up, static_metric(base_up, x), s),
                   Role.DOWN: static_prune(base_down, np.arange(7.0), s)},
-            deltas=deltas, top_k=layer.top_k, trimmed=trimmed))
+            deltas=deltas, top_k=layer.top_k))
     return CompressedModel(layers=comp_layers, head=model.head), rng
 
 
@@ -264,7 +264,7 @@ class TestModelSerialization:
         assert float(tensors["meta/kind"][0, 0]) == KIND_COMPRESSED_MODEL
         reloaded = load_compressed_model(tensors)
         assert reloaded.layers[0].trimmed == (2,)
-        assert reloaded.layers[0].base[Role.UP].mask.target_sparsity == 0.5
+        assert reloaded.layers[0].base[Role.UP].target_sparsity == 0.5
         x = rng.normal(size=(5, 15))
         ref, _ = compressed_forward(model.layers[0], x)
         got, _ = compressed_forward(reloaded.layers[0], x)

@@ -249,13 +249,14 @@ class TestWeightedError:
 class TestDeltaFactor:
     def test_inconsistent_rank_rejected(self):
         with pytest.raises(ShapeError):
-            DeltaFactor(u=np.zeros((4, 2)), v=np.zeros((3, 5)), rank=2)
+            DeltaFactor(u=np.zeros((4, 2)), v=np.zeros((3, 5)))
 
     def test_rank_bounds(self):
         with pytest.raises(ParameterError):
-            DeltaFactor(u=np.zeros((2, 5)), v=np.zeros((5, 2)), rank=5)
+            DeltaFactor(u=np.zeros((2, 5)), v=np.zeros((5, 2)))
 
     def test_storage_formula(self):
-        f = DeltaFactor(u=np.zeros((8, 3)), v=np.zeros((3, 6)), rank=3)
+        f = DeltaFactor(u=np.zeros((8, 3)), v=np.zeros((3, 6)))
+        assert f.rank == 3
         assert f.u.size + f.v.size == (8 + 6) * 3
         assert f.shape == (8, 6)

@@ -14,8 +14,6 @@ from d2moe.linalg import (
     as_matrix,
     blas_threads,
     cholesky_damped,
-    col_l2_norms,
-    row_l2_norms,
     svd,
 )
 
@@ -236,21 +234,6 @@ class TestCholeskyDamped:
         s1, l1 = cholesky_damped(g)
         s2, l2 = cholesky_damped(g)
         assert np.array_equal(s1, s2) and l1 == l2
-
-
-class TestNorms:
-    def test_zero_matrix(self):
-        np.testing.assert_array_equal(col_l2_norms(np.zeros((3, 4))), np.zeros(4))
-        np.testing.assert_array_equal(row_l2_norms(np.zeros((3, 4))), np.zeros(3))
-
-    def test_three_four_five(self):
-        np.testing.assert_allclose(col_l2_norms(np.array([[3.0], [4.0]])), [5.0], atol=0)
-
-    def test_seeded_against_square_sum_oracle(self):
-        rng = np.random.default_rng(29)
-        a = rng.normal(size=(10, 7))
-        np.testing.assert_allclose(col_l2_norms(a), np.sqrt((a * a).sum(axis=0)), atol=1e-12)
-        np.testing.assert_allclose(row_l2_norms(a), np.sqrt((a * a).sum(axis=1)), atol=1e-12)
 
 
 def blas_thread_counts():

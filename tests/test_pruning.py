@@ -11,10 +11,8 @@ import pytest
 
 from d2moe.container import container_load, load_compressed_model, save_compressed_model
 from d2moe.errors import ParameterError, ShapeError
-from d2moe.linalg import col_l2_norms
 from d2moe.moe import Role
 from d2moe.pruning import (
-    PruneMask,
     PrunedBase,
     _active_positions,
     dynamic_mask,
@@ -60,16 +58,16 @@ class TestStaticPrune:
             c = rng.uniform(size=n)
             for s in np.arange(0.1, 1.0, 0.1):
                 pruned = static_prune(w, c, float(s))
-                n_static = pruned.mask.static_removed.size
+                n_static = pruned.static_removed.size
                 assert n_static == math.floor(n * s / 2)
-                assert n_static + pruned.mask.dynamic_quota == math.floor(n * s)
+                assert n_static + pruned.dynamic_quota == math.floor(n * s)
                 assert pruned.kept.shape == (6, n - n_static)
 
     def test_removes_lowest_metric_columns(self):
         w = np.arange(20.0).reshape(4, 5)
         c = np.array([5.0, 1.0, 4.0, 0.5, 3.0])
         pruned = static_prune(w, c, 0.8)  # floor(5*0.8/2) = 2
-        np.testing.assert_array_equal(pruned.mask.static_removed, [1, 3])
+        np.testing.assert_array_equal(pruned.static_removed, [1, 3])
         np.testing.assert_array_equal(pruned.kept_col_ids, [0, 2, 4])
         np.testing.assert_array_equal(pruned.kept, w[:, [0, 2, 4]])
 
@@ -77,13 +75,13 @@ class TestStaticPrune:
         w = np.ones((3, 6))
         c = np.ones(6)
         pruned = static_prune(w, c, 0.7)  # floor(2.1) = 2 removed
-        np.testing.assert_array_equal(pruned.mask.static_removed, [0, 1])
+        np.testing.assert_array_equal(pruned.static_removed, [0, 1])
 
     def test_zero_sparsity_keeps_everything(self):
         w = np.random.default_rng(2).normal(size=(4, 10))
         pruned = static_prune(w, np.arange(10.0), 0.0)
-        assert pruned.mask.static_removed.size == 0
-        assert pruned.mask.dynamic_quota == 0
+        assert pruned.static_removed.size == 0
+        assert pruned.dynamic_quota == 0
         np.testing.assert_array_equal(pruned.kept, w)
 
     def test_sparsity_range(self):
@@ -106,12 +104,12 @@ class TestDynamicMask:
         batch = rng.normal(size=(pruned.kept.shape[1], 32))
         active = dynamic_mask(pruned, batch)
         assert active.size == 16 - math.floor(16 * 0.5)
-        assert np.intersect1d(active, pruned.mask.static_removed).size == 0
+        assert np.intersect1d(active, pruned.static_removed).size == 0
         assert np.all(np.isin(active, pruned.kept_col_ids))
 
     def test_matches_sort_oracle_on_seeded_batches(self):
         pruned, _ = self.make_pruned(seed=4, n=20, s=0.4)
-        quota = pruned.mask.dynamic_quota
+        quota = pruned.dynamic_quota
         for seed in range(100):
             batch = np.random.default_rng(100 + seed).normal(
                 size=(pruned.kept.shape[1], 24))
@@ -123,7 +121,7 @@ class TestDynamicMask:
         # equal metric everywhere: statics take 0..k-1, dynamics the next block
         n, s = 10, 0.6
         pruned = static_prune(np.ones((4, n)), np.ones(n), s)
-        np.testing.assert_array_equal(pruned.mask.static_removed, [0, 1, 2])
+        np.testing.assert_array_equal(pruned.static_removed, [0, 1, 2])
         batch = np.ones((pruned.kept.shape[1], 8))
         active = dynamic_mask(pruned, batch)
         np.testing.assert_array_equal(active, [6, 7, 8, 9])
@@ -161,7 +159,7 @@ class TestDynamicMask:
 def legacy_active_positions(pruned, rows):
     """The boolean-mask form: linalg.norm scores, drop the lowest quota, flatnonzero."""
     n = pruned.kept_col_ids.size
-    quota = pruned.mask.dynamic_quota
+    quota = pruned.dynamic_quota
     if quota == 0:
         return np.arange(n)
     c = pruned.col_norms * np.linalg.norm(rows, axis=1)
@@ -188,7 +186,7 @@ class TestActivePositions:
         rng = np.random.default_rng(50 + tokens)
         w = rng.normal(size=(8, 24))
         pruned = static_prune(w, static_metric(w, rng.normal(size=(24, 64))), s)
-        assert (pruned.mask.dynamic_quota == 0) == (s == 0.0)
+        assert (pruned.dynamic_quota == 0) == (s == 0.0)
         for _ in range(20):
             self.assert_same(pruned, rng.normal(size=(pruned.kept.shape[1], tokens)))
 
@@ -216,7 +214,7 @@ class TestColumnNorms:
         rng = np.random.default_rng(9)
         w = rng.normal(size=(7, 20))
         pruned = static_prune(w, static_metric(w, rng.normal(size=(20, 30))), s)
-        assert pruned.col_norms.tobytes() == col_l2_norms(pruned.kept).tobytes()
+        assert pruned.col_norms.tobytes() == np.linalg.norm(pruned.kept, axis=0).tobytes()
 
     def test_equal_to_col_l2_norms_after_container_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -224,34 +222,40 @@ class TestColumnNorms:
         base = {}
         for role, w in ((Role.UP, rng.normal(size=(hidden, d))), (Role.DOWN, rng.normal(size=(d, hidden)))):
             base[role] = static_prune(w, static_metric(w, rng.normal(size=(w.shape[1], 40))), 0.4)
-        layer = CompressedLayer(gate=rng.normal(size=(3, d)), base=base, deltas={}, top_k=2,
-                                trimmed=(0, 1, 2))
+        layer = CompressedLayer(gate=rng.normal(size=(3, d)), base=base, deltas={}, top_k=2)
         save_compressed_model(tmp_path / "c.d2m",
                               CompressedModel(layers=[layer], head=rng.normal(size=(2, d))))
         loaded = load_compressed_model(container_load(tmp_path / "c.d2m")).layers[0]
         for role in (Role.UP, Role.DOWN):
             kept = loaded.base[role]
-            assert kept.col_norms.tobytes() == col_l2_norms(kept.kept).tobytes()
+            assert kept.col_norms.tobytes() == np.linalg.norm(kept.kept, axis=0).tobytes()
             assert kept.col_norms.tobytes() == base[role].col_norms.tobytes()
 
 
 class TestMaskValidation:
+    """PrunedBase stores only the kept ids; the removal set and the quota
+    are derived, so construction checks the ids against the count law."""
+
     def test_size_must_match_count_law(self):
-        with pytest.raises(ParameterError):
-            PruneMask(total_cols=10, static_removed=np.array([0, 1, 2]),
-                      target_sparsity=0.4)
+        with pytest.raises(ParameterError):  # n=10, s=0.4 keeps 8 columns, not 7
+            PrunedBase(kept=np.ones((2, 7)), kept_col_ids=np.arange(3, 10),
+                       total_cols=10, target_sparsity=0.4)
 
     def test_out_of_range_and_duplicate_indices(self):
-        with pytest.raises(ParameterError):
-            PruneMask(total_cols=10, static_removed=np.array([0, 99]),
-                      target_sparsity=0.4)
-        with pytest.raises(ParameterError):
-            PruneMask(total_cols=10, static_removed=np.array([3, 3]),
-                      target_sparsity=0.4)
+        for ids in ([0, 1, 2, 3, 4, 5, 6, 99], [0, 1, 2, 3, 3, 5, 6, 7],
+                    [-1, 1, 2, 3, 4, 5, 6, 7], [1, 0, 2, 3, 4, 5, 6, 7]):
+            with pytest.raises(ParameterError):
+                PrunedBase(kept=np.ones((2, 8)), kept_col_ids=np.array(ids),
+                           total_cols=10, target_sparsity=0.4)
 
     def test_pruned_base_ids_must_complement_removed(self):
-        mask = PruneMask(total_cols=4, static_removed=np.array([0]),
-                         target_sparsity=0.5)
+        pruned = PrunedBase(kept=np.ones((2, 3)), kept_col_ids=np.array([0, 2, 3]),
+                            total_cols=4, target_sparsity=0.5)
+        np.testing.assert_array_equal(pruned.static_removed, [1])
+        assert pruned.dynamic_quota == 1
+        with pytest.raises(ShapeError):
+            PrunedBase(kept=np.ones((2, 2)), kept_col_ids=np.array([0, 2, 3]),
+                       total_cols=4, target_sparsity=0.5)
         with pytest.raises(ParameterError):
             PrunedBase(kept=np.ones((2, 3)), kept_col_ids=np.array([0, 2, 3]),
-                       mask=mask)
+                       total_cols=4, target_sparsity=1.0)

@@ -70,7 +70,7 @@ def compress_by_hand(dense, x, p=0.5, s=0.0, lossless=False, trimmed=()):
         gate=dense.gate,
         base={Role.UP: static_prune(base_up, static_metric(base_up, x), s),
               Role.DOWN: static_prune(base_down, static_metric(base_down, h), s)},
-        deltas=deltas, top_k=dense.top_k, trimmed=tuple(trimmed))
+        deltas=deltas, top_k=dense.top_k)
 
 
 def active_columns(layer, xb):
@@ -180,7 +180,7 @@ def legacy_routed_forward(layer, x, fill_slots):
 
 def legacy_dynamic_mask(pruned, rows):
     """Active original ids, with the metric (base column norms included) recomputed per call."""
-    quota = pruned.mask.dynamic_quota
+    quota = pruned.dynamic_quota
     if quota == 0:
         return pruned.kept_col_ids.copy()
     drop = np.argsort(static_metric(pruned.kept, rows), kind="stable")[:quota]
@@ -259,9 +259,9 @@ class TestSlowPathOracle:
     @pytest.mark.parametrize("batch", [1, 2, 7, 128, 1024])
     def test_model_forward_byte_identical(self, top_k, batch):
         model, rng = oracle_model(top_k)
-        assert model.layers[0].base[Role.UP].mask.dynamic_quota > 0
-        assert model.layers[2].base[Role.UP].mask.dynamic_quota == 0
-        assert model.layers[2].base[Role.DOWN].mask.dynamic_quota == 0
+        assert model.layers[0].base[Role.UP].dynamic_quota > 0
+        assert model.layers[2].base[Role.UP].dynamic_quota == 0
+        assert model.layers[2].base[Role.DOWN].dynamic_quota == 0
         for _ in range(3):
             x = rng.normal(size=(12, batch))
             logits, traces = compressed_model_forward(model, x)
@@ -522,9 +522,9 @@ class TestTrim:
             trim_deltas(layer, [0.25] * 4, 5)
         with pytest.raises(ShapeError):
             trim_deltas(layer, [0.5, 0.5], 1)
-        with pytest.raises(ParameterError):
-            CompressedLayer(gate=layer.gate, base=layer.base, deltas=layer.deltas,
-                            top_k=layer.top_k, trimmed=(0,))
+        with pytest.raises(ShapeError, match="unknown expert 4"):
+            CompressedLayer(gate=layer.gate, base=layer.base, deltas={**layer.deltas, 4: layer.deltas[0]},
+                            top_k=layer.top_k)
 
 
 class TestParamFormulas:
