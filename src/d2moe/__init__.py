@@ -48,6 +48,7 @@ from .factorize import (
     truncation_aware_svd,
     vanilla_svd_compress,
     weighted_error,
+    whitened_factors,
 )
 from .fixtures import Fixture, gen_fixture
 from .gradients import FISHER_MODES, FisherInfo, GradientSet, backward_logloss, fisher_accumulate

@@ -175,7 +175,8 @@ def _meta_row(tensors: dict[str, np.ndarray], name: str, length: int | None = No
               n_int: int | None = None) -> list:
     """Read one metadata row: `length` values (any number if None), the first
     `n_int` of them (all if None) integral. Returns ints, then floats; a row of
-    another shape or a fractional count is a ManifestError."""
+    another shape, or a count that is fractional or at least 2^53 in magnitude
+    (past the exact float64 integers), is a ManifestError."""
     row = _tensor(tensors, name)
     if row.shape[0] != 1 or (length is not None and row.shape[1] != length):
         want = "1 row" if length is None else f"1 row of {length} values"
@@ -184,6 +185,8 @@ def _meta_row(tensors: dict[str, np.ndarray], name: str, length: int | None = No
     n_int = values.size if n_int is None else n_int
     if np.any(values[:n_int] != np.trunc(values[:n_int])):
         raise ManifestError(f"tensor {name!r} holds non-integral metadata")
+    if np.any(np.abs(values[:n_int]) >= 2.0 ** 53):
+        raise ManifestError(f"tensor {name!r} holds integral metadata of magnitude 2^53 or more")
     return [int(v) for v in values[:n_int]] + [float(v) for v in values[n_int:]]
 
 

@@ -2,10 +2,25 @@
 
 The main route whitens each delta by the Cholesky factor of its expert's
 activation Gram before truncating: with S @ S.T = Gram, the rank-k SVD of
-delta @ S minimizes the activation-weighted error ||(delta - approx) @ S||_F.
+A = delta @ S minimizes the activation-weighted error ||(delta - approx) @ S||_F.
 That optimum is the projection of the delta onto the top-k left singular
-vectors of delta @ S, so it is stored as those vectors and the projected
-delta, with no inverse of S. A plain truncated SVD ships as the ablation.
+vectors U_k of A, so it is stored as U_k and U_k^T delta, with no inverse of S.
+A plain truncated SVD ships as the ablation.
+
+`whitened_factors` finds U_k for all experts of one layer and role in one
+stacked call, from eigendecompositions of the smaller Gram of A: U_k is the
+top-k eigenvectors of A @ A.T when m <= n, else the QR factor of A @ V_k with
+V_k the top-k eigenvectors of A.T @ A. That is exact in exact arithmetic
+(A @ A.T = U Sigma^2 U^T, A @ V_k = U_k Sigma_k) up to column signs, which
+the sign rule fixes, and nothing is divided by a singular value. But the
+Gram squares the condition number: a p x p eigensolver gets sigma_j^2 only
+to within ~p * eps * sigma_1^2, which for p = 64 is 1% of it at
+sigma_j ~ 1e-6 sigma_1, where a thin SVD resolves down to ~eps * sigma_1.
+Experts routed fewer tokens than their input width reach there at the cut
+(the damping alone sets that part of the spectrum), so eigenvectors whose
+eigenvalue is not resolved to 1% are recomputed on their own span
+(`_singular_basis`). Singular values within ~1% of each other can still be
+ordered differently than a thin SVD orders them.
 """
 from __future__ import annotations
 
@@ -15,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .linalg import DEFAULT_DAMPING, as_matrix, cholesky_damped, svd
+from .linalg import DEFAULT_DAMPING, as_matrix, cholesky_damped, first_nonzero_negative, svd
 
 RANK_MODES = ("ratio", "fixed", "lossless")
 
@@ -58,25 +73,64 @@ def rank_for_ratio(m: int, n: int, p: float) -> int:
     return max(1, math.floor(p * m * n / (m + n)))
 
 
-def truncation_aware_svd(delta, gram, k: int, damping: float = DEFAULT_DAMPING) -> DeltaFactor:
-    """Whitened rank-k factorization of a delta weight.
+def _singular_basis(m: np.ndarray, k: int) -> np.ndarray:
+    """(E, p, p) left singular bases of the stack m (E, p, q), descending,
+    from eigenvectors of m @ m.T, the first k resolved to 1% (module
+    docstring). Experts with j < k resolved pairs are grouped by j and their
+    other eigenvectors recomputed from m projected on their span; every
+    level resolves its top pair, so the recursion ends."""
+    p = m.shape[1]
+    w, x = np.linalg.eigh(m @ m.transpose(0, 2, 1))
+    w, x = np.maximum(w[:, ::-1], 0.0), x[..., ::-1]
+    resolved = np.sum(w >= 100 * p * np.finfo(np.float64).eps * w[:, :1], axis=1)
+    for j in np.unique(resolved[resolved < k]):
+        group = np.flatnonzero(resolved == j)
+        z = x[group, :, j:]
+        x[group, :, j:] = z @ _singular_basis(z.transpose(0, 2, 1) @ m[group], k - j)
+    return x
 
-    S = cholesky_damped(gram); (U, Sigma, V) = svd(delta @ S);
-    u = U_k, v = U_k^T delta. The damped S is invertible and
-    U_k^T (delta @ S) = Sigma_k V_k^T, so u @ v = U_k Sigma_k V_k^T S^{-1},
-    the whitened optimum, from one GEMM with no solve and no division by a
-    singular value. u has orthonormal columns; v carries the scale.
+
+def whitened_factors(deltas, grams, k: int,
+                     damping: float = DEFAULT_DAMPING) -> tuple[list[DeltaFactor], np.ndarray]:
+    """Whitened rank-k factors of same-shape deltas, and their weighted errors.
+
+    u_e holds the top-k left singular vectors of deltas[e] @ S_e, with
+    S_e = cholesky_damped(grams[e]), the first nonzero entry of each column
+    positive; v_e = u_e^T deltas[e]. After the Cholesky factors every step
+    runs on (E, ., .) stacks, and each row comes out as a call on that expert
+    alone makes it. Returns the factors and an (E,) array of their
+    `weighted_error` values.
     """
-    d = as_matrix(delta, "delta")
-    g = as_matrix(gram, "gram")
-    m, n = d.shape
-    if g.shape != (n, n):
-        raise ShapeError(f"gram shape {g.shape} != ({n}, {n}) for delta {d.shape}")
+    d = [as_matrix(x, "delta") for x in deltas]
+    g = [as_matrix(x, "gram") for x in grams]
+    if not d or len(d) != len(g):
+        raise ShapeError(f"{len(d)} deltas and {len(g)} grams; expected the same positive count")
+    m, n = d[0].shape
+    for i, (di, gi) in enumerate(zip(d, g)):
+        if di.shape != (m, n):
+            raise ShapeError(f"delta {i} shape {di.shape} != delta 0 shape {(m, n)}")
+        if gi.shape != (n, n):
+            raise ShapeError(f"gram shape {gi.shape} != ({n}, {n}) for delta {di.shape}")
     if not 1 <= k <= min(m, n):
         raise ParameterError(f"rank k={k} outside [1, {min(m, n)}]")
-    s, _lam = cholesky_damped(g, damping)
-    u = np.ascontiguousarray(svd(d @ s).u[:, :k])
-    return DeltaFactor(u=u, v=u.T @ d)
+    a = np.stack([di @ cholesky_damped(gi, damping)[0] for di, gi in zip(d, g)])
+    d = np.stack(d)
+    if m <= n:
+        u = _singular_basis(a, k)[..., :k]
+    else:
+        u = np.linalg.qr(a @ _singular_basis(a.transpose(0, 2, 1), k)[..., :k])[0]
+    del a
+    u = np.where(first_nonzero_negative(u)[:, None, :], -u, u)
+    v = u.transpose(0, 2, 1) @ d
+    e = d - u @ v
+    errors = np.sqrt(np.maximum([np.sum((ei @ gi) * ei) for ei, gi in zip(e, g)], 0.0))
+    return [DeltaFactor(u=ui, v=vi) for ui, vi in zip(u, v)], errors
+
+
+def truncation_aware_svd(delta, gram, k: int, damping: float = DEFAULT_DAMPING) -> DeltaFactor:
+    """Whitened rank-k factorization of one delta weight: `whitened_factors`
+    on a stack of one. u has orthonormal columns; v carries the scale."""
+    return whitened_factors([delta], [gram], k, damping)[0][0]
 
 
 def vanilla_svd_compress(delta, k: int) -> DeltaFactor:

@@ -97,6 +97,14 @@ class SvdResult:
         return SvdResult(self.u[:, :k], self.sigma[:k], self.v[:, :k])
 
 
+def first_nonzero_negative(u: np.ndarray) -> np.ndarray:
+    """Columns of u (..., m, r) whose first nonzero entry is negative, as an
+    (..., r) mask: the columns the sign convention flips. An all-zero
+    column reads its first entry, 0, and is not flipped."""
+    first = np.argmax(u != 0, axis=-2)
+    return np.take_along_axis(u, first[..., None, :], axis=-2)[..., 0, :] < 0
+
+
 def svd(m) -> SvdResult:
     """Thin SVD with deterministic signs.
 
@@ -109,8 +117,7 @@ def svd(m) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(f"SVD did not converge on shape {a.shape}") from exc
     v = vt.T
-    cols = np.arange(u.shape[1])
-    flip = u[np.argmax(u != 0, axis=0), cols] < 0  # all-zero columns read u[0] = 0
+    flip = first_nonzero_negative(u)
     u[:, flip] = -u[:, flip]
     v[:, flip] = -v[:, flip]
     return SvdResult(np.ascontiguousarray(u), sigma, np.ascontiguousarray(v))

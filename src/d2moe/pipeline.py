@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import CompressionConfig
 from .errors import ConfigError, NumericalError, ParameterError
-from .factorize import DeltaFactor, truncation_aware_svd, weighted_error
+from .factorize import DeltaFactor, whitened_factors
 from .gradients import check_labels, fisher_accumulate
 from .linalg import as_matrix, blas_threads
 from .merge import compute_deltas, weighted_merge
@@ -112,21 +112,21 @@ def merge_layer(layer: MoELayer, stats: LayerStats, cfg: CompressionConfig):
 
 def factorize_layer(deltas: dict[Role, list[np.ndarray]], stats: LayerStats,
                     cfg: CompressionConfig, layer_index: int = 0):
-    """Truncation-aware SVD of every expert delta; returns factors keyed by
-    expert, the rank used per role, and per-expert whitened residuals."""
+    """Truncation-aware SVD of every expert delta, one stacked call per role;
+    returns factors keyed by expert, the rank used per role, and per-expert
+    whitened residuals."""
     factors: dict[int, dict[Role, DeltaFactor]] = {}
     ranks: dict[str, int] = {}
     errors: dict[str, list[float]] = {}
     for role in (Role.UP, Role.DOWN):
-        role_deltas = deltas[role]
-        m, n = role_deltas[0].shape
+        m, n = deltas[role][0].shape
         k = cfg.rank_for(layer_index, m, n)
         ranks[role.value] = k
-        errors[role.value] = []
-        for i, delta in enumerate(role_deltas):
-            factor = truncation_aware_svd(delta, stats.grams[role][i], k, damping=cfg.damping)
+        role_factors, role_errors = whitened_factors(deltas[role], stats.grams[role], k,
+                                                     damping=cfg.damping)
+        for i, factor in enumerate(role_factors):
             factors.setdefault(i, {})[role] = factor
-            errors[role.value].append(weighted_error(delta, factor, stats.grams[role][i]))
+        errors[role.value] = role_errors.tolist()
     return factors, ranks, errors
 
 

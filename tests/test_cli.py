@@ -501,6 +501,15 @@ class TestExitCodes:
         assert self.eval_container(workdir, tmp_path, tensors) == EXIT_IO
         assert "layer 0" in capsys.readouterr().err
 
+    def test_kept_id_beyond_int64_is_io(self, workdir, compressed, tmp_path, capsys):
+        """An integral id no int64 holds is a ManifestError, not an OverflowError."""
+        tensors = dict(compressed)
+        ids = tensors["layer0/base_up/kept_ids"].copy()
+        ids[0, -1] = 3.0 * 2.0 ** 600
+        tensors["layer0/base_up/kept_ids"] = ids
+        assert self.eval_container(workdir, tmp_path, tensors) == EXIT_IO
+        assert "layer0/base_up/kept_ids" in capsys.readouterr().err
+
     def test_short_delta_factor_is_io(self, workdir, compressed, tmp_path, capsys):
         tensors = dict(compressed)
         tensors["layer0/expert0/up_u"] = tensors["layer0/expert0/up_u"][:-1]

@@ -3,8 +3,10 @@
 The whitened path is checked against an oracle assembled from scipy's
 Cholesky, numpy's raw SVD and scipy's triangular solve, the formula
 u = U_k sqrt(Sigma_k), v = sqrt(Sigma_k) V_k^T S^{-1} (only the damping
-constant is shared), and rank selection is checked against brute-force
-enumeration of the storage inequality.
+constant is shared), and, on the benchmark fixture's deltas, against the
+per-delta thin-SVD route it replaced, u = svd(delta @ S).u[:, :k]. Rank
+selection is checked against brute-force enumeration of the storage
+inequality.
 """
 
 import numpy as np
@@ -19,8 +21,12 @@ from d2moe.factorize import (
     truncation_aware_svd,
     vanilla_svd_compress,
     weighted_error,
+    whitened_factors,
 )
-from d2moe.linalg import cholesky_damped
+from d2moe.fixtures import gen_fixture
+from d2moe.linalg import blas_threads, cholesky_damped, svd
+from d2moe.moe import Role
+from d2moe.pipeline import compute_layer_stats, merge_layer
 
 
 def make_case(seed, m=6, n=6, t=40):
@@ -162,32 +168,165 @@ class TestProjectionAgainstSolveFormula:
         assert f.u.shape == (m, self.K) and f.v.shape == (self.K, n)
 
     @pytest.mark.parametrize("m,n", SHAPES)
-    @pytest.mark.parametrize("case", ["three_tokens", "zero_gram", "zero_delta", "rank_two_delta"])
+    @pytest.mark.parametrize("case", ["three_tokens", "zero_gram", "zero_delta", "rank_two_delta",
+                                      "full_rank"])
     def test_degenerate_inputs(self, m, n, case):
-        """Finite factors, orthonormal u, and an error on the Gram's tokens,
-        ||(delta - u v) X||_F, no larger than the solve formula's within 1e-9
-        of ||delta X||_F. The error is taken on the tokens, not through
-        `weighted_error`, whose round-off is larger than 1e-9 here."""
+        """A degenerate expert stacked between two healthy ones. All three
+        rows have finite factors and orthonormal u and equal their
+        single-expert calls byte for byte. The degenerate row's error on the
+        Gram's tokens, ||(delta - u v) X||_F, is no larger than the solve
+        formula's within 1e-9 of ||delta X||_F (taken on the tokens, not
+        through `weighted_error`, whose round-off is larger than 1e-9 here);
+        a zero delta gives a zero product, and a delta of rank below k or a
+        full rank k = min(m, n) reproduces the delta within 1e-7."""
         rng = np.random.default_rng(7 * m + n)
         d = rng.normal(size=(m, n))
         x = rng.normal(size=(n, 512))
+        k = self.K
         if case == "three_tokens":
             x = rng.normal(size=(n, 3))
         elif case == "zero_gram":
             x = np.zeros((n, 1))
         elif case == "zero_delta":
             d = np.zeros((m, n))
-        else:
+        elif case == "rank_two_delta":
             d = rng.normal(size=(m, 2)) @ rng.normal(size=(2, n))
+        else:
+            k = min(m, n)
         g = x @ x.T
-        f = truncation_aware_svd(d, g, self.K)
-        assert np.all(np.isfinite(f.u)) and np.all(np.isfinite(f.v))
-        np.testing.assert_allclose(f.u.T @ f.u, np.eye(self.K), rtol=0, atol=1e-12)
-        u, v = solve_oracle(d, g, self.K)
+        healthy = [(rng.normal(size=(m, n)), h @ h.T)
+                   for h in (rng.normal(size=(n, 512)) for _ in range(2))]
+        stack = [healthy[0], (d, g), healthy[1]]
+        factors, errors = whitened_factors([a for a, _ in stack], [b for _, b in stack], k)
+        assert np.all(np.isfinite(errors))
+        for f, (di, gi) in zip(factors, stack):
+            assert np.all(np.isfinite(f.u)) and np.all(np.isfinite(f.v))
+            np.testing.assert_allclose(f.u.T @ f.u, np.eye(k), rtol=0, atol=1e-12)
+            single = truncation_aware_svd(di, gi, k)
+            assert f.u.tobytes() == single.u.tobytes() and f.v.tobytes() == single.v.tobytes()
+        f = factors[1]
+        u, v = solve_oracle(d, g, k)
         assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
         ours = np.linalg.norm((d - f.product()) @ x)
         theirs = np.linalg.norm((d - u @ v) @ x)
         assert ours <= theirs + 1e-9 * np.linalg.norm(d @ x)
+        if case == "zero_delta":
+            assert np.all(f.product() == 0.0)
+        elif case in ("rank_two_delta", "full_rank"):
+            assert np.max(np.abs(f.product() - d)) <= 1e-7
+
+
+@pytest.fixture(scope="module")
+def bench_deltas():
+    """Per merge, (layer, role, deltas, grams, k) for every layer and role of
+    the benchmark fixture, calibrated as the benchmark compresses it: Up
+    deltas are 128 x 64 with 64 x 64 Grams, Down deltas 64 x 128 with
+    128 x 128 Grams, rank 21."""
+    fx = gen_fixture(0, layers=4, d_model=64, hidden=128, n_experts=16, tokens=8192)
+    cases = {}
+    for merge in ("fisher", "mean"):
+        cfg = CompressionConfig(merge_method=merge, delta_ratio=0.5, sparsity=0.4)
+        stats, _ = compute_layer_stats(fx.model, fx.tokens[:, :512], cfg, labels=fx.labels[:512])
+        cases[merge] = []
+        for l, (layer, st) in enumerate(zip(fx.model.layers, stats)):
+            _, deltas, _ = merge_layer(layer, st, cfg)
+            for role in (Role.UP, Role.DOWN):
+                k = cfg.rank_for(l, *deltas[role][0].shape)
+                cases[merge].append((l, role, deltas[role], st.grams[role], k))
+    assert {(deltas[0].shape, k) for _, _, deltas, _, k in cases["fisher"]} == \
+        {((128, 64), 21), ((64, 128), 21)}
+    return cases
+
+
+def whitened_residuals(deltas, grams, us):
+    """||(delta - u u^T delta) @ S||_F per expert, S = cholesky_damped(gram):
+    the objective the whitened truncation minimizes, taken directly rather
+    than through `weighted_error`'s squared trace, whose round-off (~1e-9 on
+    near-lossless experts) is larger than the differences compared here.
+    Also returns the largest singular value of each delta @ S."""
+    resid, top = [], []
+    for d, g, u in zip(deltas, grams, us):
+        s, _ = cholesky_damped(g)
+        resid.append(np.linalg.norm((d - u @ (u.T @ d)) @ s))
+        top.append(np.linalg.norm(d @ s, 2))
+    return np.array(resid), np.array(top)
+
+
+def svd_oracle_u(deltas, grams, k):
+    """The per-delta route the stacked call replaced: U_k of a thin SVD."""
+    return [svd(d @ cholesky_damped(g)[0]).u[:, :k] for d, g in zip(deltas, grams)]
+
+
+class TestWhitenedFactors:
+    """The stacked Gram-eigendecomposition route on the benchmark fixture's
+    deltas, against the thin-SVD oracle and against itself one expert at a time."""
+
+    @pytest.mark.parametrize("merge", ["fisher", "mean"])
+    def test_no_worse_than_the_svd_oracle(self, bench_deltas, merge):
+        """Every expert's whitened residual is at most the oracle's plus 1e-9
+        of the largest residual of its layer and role, plus 100 eps sigma_1
+        of its own whitened delta. The last term is the round-off of a
+        residual that is itself round-off: with the mean merge, every Down
+        delta is reproduced to ~1e-15. Many mean-merge Up experts keep
+        sigma_k ~ 1e-7 sigma_1, where the Gram of the first eigensolve cannot
+        order the spectrum and the recomputed tail must."""
+        eps = np.finfo(np.float64).eps
+        for l, role, deltas, grams, k in bench_deltas[merge]:
+            with blas_threads(1):
+                factors, _ = whitened_factors(deltas, grams, k)
+            ours, top = whitened_residuals(deltas, grams, [f.u for f in factors])
+            oracle, _ = whitened_residuals(deltas, grams, svd_oracle_u(deltas, grams, k))
+            assert np.all(ours <= oracle + 1e-9 * oracle.max() + 100 * eps * top), (l, role)
+
+    @pytest.mark.parametrize("m,n", [(128, 64), (64, 128)])
+    def test_graded_spectrum_keeps_the_svd_subspace(self, m, n):
+        """Singular values graded from 1 down to 1e-12, with sigma_21 = 1e-7
+        and sigma_22 = 0.9e-7 at the cut, and an identity Gram: the squared
+        values at the cut differ by 1.9e-15 of the largest, below what one
+        Gram eigensolve resolves (the kept subspace is then off by 0.04 to
+        0.4), and the recomputed tail keeps the thin SVD's within 1e-3."""
+        rng = np.random.default_rng(m)
+        p, k = min(m, n), 21
+        sigma = np.concatenate([np.logspace(0, -7, k), np.logspace(np.log10(0.9e-7), -12, p - k)])
+        left = np.linalg.qr(rng.normal(size=(m, p)))[0]
+        right = np.linalg.qr(rng.normal(size=(n, p)))[0]
+        d = (left * sigma) @ right.T
+        g = np.eye(n)
+        f = truncation_aware_svd(d, g, k)
+        want = svd(d @ cholesky_damped(g)[0]).u[:, :k]
+        assert np.linalg.norm(f.u @ f.u.T - want @ want.T, 2) <= 1e-3
+
+    @pytest.mark.parametrize("merge", ["fisher", "mean"])
+    def test_stack_rows_equal_single_calls_byte_for_byte(self, bench_deltas, merge):
+        for l, role, deltas, grams, k in bench_deltas[merge]:
+            with blas_threads(1):
+                factors, errors = whitened_factors(deltas, grams, k)
+                for i, (d, g) in enumerate(zip(deltas, grams)):
+                    single = truncation_aware_svd(d, g, k)
+                    assert factors[i].u.tobytes() == single.u.tobytes(), (l, role, i)
+                    assert factors[i].v.tobytes() == single.v.tobytes(), (l, role, i)
+                    assert errors[i] == weighted_error(d, single, g), (l, role, i)
+
+    @pytest.mark.parametrize("merge", ["fisher", "mean"])
+    def test_sign_rule(self, bench_deltas, merge):
+        """The first nonzero entry of every u column is positive."""
+        for _, _, deltas, grams, k in bench_deltas[merge]:
+            for f in whitened_factors(deltas, grams, k)[0]:
+                first = f.u[np.argmax(f.u != 0, axis=0), np.arange(k)]
+                assert np.all(first > 0)
+
+    def test_stack_validation(self):
+        d, _, g = make_case(6)
+        with pytest.raises(ShapeError):
+            whitened_factors([], [], 2)
+        with pytest.raises(ShapeError):
+            whitened_factors([d, d], [g], 2)
+        with pytest.raises(ShapeError):
+            whitened_factors([d, d[:, :5]], [g, g[:5, :5]], 2)
+        with pytest.raises(ShapeError):
+            whitened_factors([d, d], [g, np.eye(5)], 2)
+        with pytest.raises(ParameterError):
+            whitened_factors([d, d], [g, g], 7)
 
 
 class TestVanillaSvd:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from d2moe import linalg, moe, pipeline
+from d2moe import factorize, linalg, moe, pipeline
 from d2moe.analysis import layer_sensitivity_scan
 from d2moe.cli import EXIT_OK, main
 from d2moe.config import CompressionConfig
@@ -30,7 +30,9 @@ from d2moe.pipeline import (
     compress,
     compute_layer_stats,
     evaluate,
+    factorize_layer,
     mean_cross_entropy,
+    merge_layer,
     ratio_frontier,
 )
 from d2moe.pruning import dynamic_mask
@@ -294,6 +296,37 @@ class TestCompress:
         want = evaluate(fx.model, fx.tokens[:, :96], fx.labels[:96],
                         batch_size=cfg.batch_size)
         assert rep.loss_before == pytest.approx(want.loss, abs=1e-12)
+
+
+class TestFactorizeLayer:
+    """Each role of a layer is factorized by one stacked call, and the
+    residuals it reports are `weighted_error` of the factors it returns."""
+
+    @pytest.mark.parametrize("merge", ["fisher", "mean"])
+    def test_errors_match_weighted_error(self, monkeypatch, merge):
+        fx = gen_fixture(0, n_experts=6, d_model=16, hidden=24, layers=3,
+                         tokens=192, rank_noise=2)
+        cfg = CompressionConfig(merge_method=merge, delta_ratio=0.5)
+        stats, _ = compute_layer_stats(fx.model, fx.tokens, cfg, labels=fx.labels)
+        calls = []
+        real = pipeline.whitened_factors
+
+        def counting(deltas, grams, k, damping):
+            calls.append(len(deltas))
+            return real(deltas, grams, k, damping)
+
+        monkeypatch.setattr(pipeline, "whitened_factors", counting)
+        for l, (layer, st) in enumerate(zip(fx.model.layers, stats)):
+            _, deltas, _ = merge_layer(layer, st, cfg)
+            with blas_threads(1):
+                factors, ranks, errors = factorize_layer(deltas, st, cfg, l)
+            for role in (Role.UP, Role.DOWN):
+                assert ranks[role.value] == cfg.rank_for(l, *deltas[role][0].shape)
+                want = [factorize.weighted_error(deltas[role][i], factors[i][role],
+                                                 st.grams[role][i])
+                        for i in range(layer.n_experts)]
+                np.testing.assert_allclose(errors[role.value], want, rtol=1e-12, atol=0)
+        assert calls == [6] * (2 * len(fx.model.layers))
 
 
 class TestOneDensePass:
