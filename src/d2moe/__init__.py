@@ -39,20 +39,18 @@ from .errors import (
     OverlappingPayloadError,
     ParameterError,
     ShapeError,
-    SvdConvergenceError,
     TruncatedPayloadError,
 )
 from .factorize import (
     DeltaFactor,
     rank_for_ratio,
-    truncation_aware_svd,
     vanilla_svd_compress,
     weighted_error,
     whitened_factors,
 )
 from .fixtures import Fixture, gen_fixture
 from .gradients import FISHER_MODES, FisherInfo, GradientSet, backward_logloss, fisher_accumulate
-from .linalg import SvdResult, cholesky_damped, svd
+from .linalg import cholesky_damped
 from .merge import MERGE_METHODS, compute_deltas, weighted_merge
 from .moe import (
     LayerCapture,

@@ -70,7 +70,7 @@ class SensitivityProfile:
 
 @blas_threads(1)
 def layer_sensitivity_scan(model, calib_tokens, labels, probe_ratio: float,
-                           config=None, batch_size: int | None = None) -> SensitivityProfile:
+                           config=None) -> SensitivityProfile:
     """Compress one layer at a time at probe_ratio and measure the calibration
     cross-entropy increase over the dense baseline.
 
@@ -92,11 +92,9 @@ def layer_sensitivity_scan(model, calib_tokens, labels, probe_ratio: float,
     cfg = config if config is not None else CompressionConfig(merge_method="mean", sparsity=0.0)
     cfg = replace(cfg, rank_mode="ratio", delta_ratio=probe_ratio, per_layer_ratios=None)
     cfg.validate()
-    if batch_size is None:
-        batch_size = cfg.batch_size
 
     stats, logits = compute_layer_stats(model, calib_tokens, cfg, labels=labels)
-    baseline = mean_cross_entropy(logits, labels, batch_size)
+    baseline = mean_cross_entropy(logits, labels, cfg.batch_size)
     increases = []
     for probe_layer in range(len(model.layers)):
         try:
@@ -107,7 +105,7 @@ def layer_sensitivity_scan(model, calib_tokens, labels, probe_ratio: float,
         hybrid_layers = list(model.layers)
         hybrid_layers[probe_layer] = compressed
         hybrid = CompressedModel(layers=hybrid_layers, head=model.head)
-        loss = evaluate(hybrid, calib_tokens, labels, batch_size=batch_size).loss
+        loss = evaluate(hybrid, calib_tokens, labels, batch_size=cfg.batch_size).loss
         increases.append(loss - baseline)
     return SensitivityProfile(baseline_loss=baseline, increases=tuple(increases),
                               probe_ratio=probe_ratio, probe_config=cfg.to_dict())

@@ -75,8 +75,8 @@ class CompressionConfig:
         return self
 
     def delta_ratio_for(self, layer_index: int, m: int, n: int) -> float:
-        """Retained-parameter fraction p of one layer's m x n deltas, as the
-        report books it; per-layer ratios override the global one."""
+        """Retained-parameter fraction p of one layer's m x n deltas, as the report
+        books it: the (per-layer) ratio, else the rank's own k(m+n)/(mn)."""
         if self.per_layer_ratios is not None:
             if layer_index >= len(self.per_layer_ratios):
                 raise ConfigError(f"no per-layer ratio for layer {layer_index} "
@@ -84,9 +84,7 @@ class CompressionConfig:
             return self.per_layer_ratios[layer_index]
         if self.rank_mode == "ratio":
             return self.delta_ratio
-        if self.rank_mode == "lossless":
-            return 1.0
-        return min(1.0, self.delta_rank * (m + n) / (m * n))
+        return self.rank_for(layer_index, m, n) * (m + n) / (m * n)
 
     def rank_for(self, layer_index: int, m: int, n: int) -> int:
         """Truncation rank of one layer's m x n deltas."""

@@ -27,10 +27,6 @@ class NumericalError(D2MoeError):
     """A numerical routine failed to produce a usable result."""
 
 
-class SvdConvergenceError(NumericalError):
-    """SVD iteration did not converge within the backend's iteration cap."""
-
-
 class NotPositiveDefiniteError(NumericalError):
     """Damped Cholesky still failed after the full doubling schedule."""
 

@@ -5,7 +5,8 @@ activation Gram before truncating: with S @ S.T = Gram, the rank-k SVD of
 A = delta @ S minimizes the activation-weighted error ||(delta - approx) @ S||_F.
 That optimum is the projection of the delta onto the top-k left singular
 vectors U_k of A, so it is stored as U_k and U_k^T delta, with no inverse of S.
-A plain truncated SVD ships as the ablation.
+The ablation, `vanilla_svd_compress`, truncates LAPACK's thin SVD of the
+unwhitened delta.
 
 `whitened_factors` finds U_k for all experts of one layer and role in one
 stacked call, from eigendecompositions of the smaller Gram of A: U_k is the
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .linalg import DEFAULT_DAMPING, as_matrix, cholesky_damped, first_nonzero_negative, svd
+from .linalg import DEFAULT_DAMPING, as_matrix, cholesky_damped, first_nonzero_negative
 
 RANK_MODES = ("ratio", "fixed", "lossless")
 
@@ -127,21 +128,15 @@ def whitened_factors(deltas, grams, k: int,
     return [DeltaFactor(u=ui, v=vi) for ui, vi in zip(u, v)], errors
 
 
-def truncation_aware_svd(delta, gram, k: int, damping: float = DEFAULT_DAMPING) -> DeltaFactor:
-    """Whitened rank-k factorization of one delta weight: `whitened_factors`
-    on a stack of one. u has orthonormal columns; v carries the scale."""
-    return whitened_factors([delta], [gram], k, damping)[0][0]
-
-
 def vanilla_svd_compress(delta, k: int) -> DeltaFactor:
-    """Plain truncated SVD split as U_k sqrt(Sigma_k), sqrt(Sigma_k) V_k^T."""
+    """Plain truncated SVD, LAPACK's thin SVD of the delta with no whitening,
+    split as U_k sqrt(Sigma_k), sqrt(Sigma_k) V_k^T."""
     d = as_matrix(delta, "delta")
     if not 1 <= k <= min(d.shape):
         raise ParameterError(f"rank k={k} outside [1, {min(d.shape)}]")
-    trunc = svd(d).truncate(k)
-    root = np.sqrt(trunc.sigma)
-    return DeltaFactor(u=np.ascontiguousarray(trunc.u * root),
-                       v=np.ascontiguousarray((trunc.v * root).T))
+    u, sigma, vt = np.linalg.svd(d, full_matrices=False)
+    root = np.sqrt(sigma[:k])
+    return DeltaFactor(u=u[:, :k] * root, v=root[:, None] * vt[:k])
 
 
 def weighted_error(delta, factor: DeltaFactor, gram) -> float:

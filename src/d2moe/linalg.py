@@ -1,8 +1,9 @@
 """Deterministic dense linear-algebra primitives.
 
 Everything here operates on plain numpy float64 arrays in C order ("matrices"
-below). Results are deterministic for identical inputs: the SVD applies a
-fixed sign convention so factor files are reproducible across runs.
+below). Results are deterministic for identical inputs; `first_nonzero_negative`
+is the sign rule that makes `factorize.whitened_factors`' singular vectors
+reproducible across runs.
 
 OpenBLAS may split a product differently at different thread counts, which
 changes its last bits, so `blas_threads` pins the OpenBLAS bundled with numpy
@@ -15,12 +16,11 @@ from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, ParameterError, ShapeError, SvdConvergenceError
+from .errors import NotPositiveDefiniteError, ParameterError, ShapeError
 
 # Damped-Cholesky schedule: lambda0 = DEFAULT_DAMPING * trace/dim, doubled on
 # failure, at most MAX_DAMPING_DOUBLINGS attempts.
@@ -78,49 +78,12 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD M = u @ diag(sigma) @ v.T with sigma descending.
-
-    u is m x r, sigma has length r = min(m, n), v is n x r. The sign of each
-    (u column, v column) pair is fixed so the first nonzero entry of the u
-    column is positive.
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-    def truncate(self, k: int) -> "SvdResult":
-        if not 1 <= k <= self.sigma.shape[0]:
-            raise ParameterError(f"rank k={k} outside [1, {self.sigma.shape[0]}]")
-        return SvdResult(self.u[:, :k], self.sigma[:k], self.v[:, :k])
-
-
 def first_nonzero_negative(u: np.ndarray) -> np.ndarray:
     """Columns of u (..., m, r) whose first nonzero entry is negative, as an
     (..., r) mask: the columns the sign convention flips. An all-zero
     column reads its first entry, 0, and is not flipped."""
     first = np.argmax(u != 0, axis=-2)
     return np.take_along_axis(u, first[..., None, :], axis=-2)[..., 0, :] < 0
-
-
-def svd(m) -> SvdResult:
-    """Thin SVD with deterministic signs.
-
-    Sign convention: the first nonzero entry of every u column is made
-    positive, with the matching v column flipped alongside.
-    """
-    a = as_matrix(m, "svd input")
-    try:
-        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(f"SVD did not converge on shape {a.shape}") from exc
-    v = vt.T
-    flip = first_nonzero_negative(u)
-    u[:, flip] = -u[:, flip]
-    v[:, flip] = -v[:, flip]
-    return SvdResult(np.ascontiguousarray(u), sigma, np.ascontiguousarray(v))
 
 
 def cholesky_damped(g, base_damping: float = DEFAULT_DAMPING) -> tuple[np.ndarray, float]:

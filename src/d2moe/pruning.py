@@ -114,7 +114,13 @@ def dynamic_mask(pruned: PrunedBase, x_batch) -> np.ndarray:
             f"x_batch rows {x.shape[0]} != kept column count {pruned.kept.shape[1]} "
             "(rows must align with kept_col_ids)"
         )
-    return pruned.kept_col_ids[_active_positions(pruned, (x * x).sum(axis=1))]
+    return pruned.kept_col_ids[_active_positions(pruned, _column_sumsq(np.ascontiguousarray(x.T)))]
+
+
+def _column_sumsq(a: np.ndarray) -> np.ndarray:
+    """Per-column sum of squares of a C-order token-major matrix over its tokens:
+    the one column statistic, so `dynamic_mask` and the runtime agree bitwise."""
+    return np.einsum("ij,ij->j", a, a)
 
 
 def _active_positions(pruned: PrunedBase, sumsq: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from .factorize import DeltaFactor
 from .linalg import as_matrix
 from .moe import (MoELayer, Role, RoutingTrace, _layer_input, chained_head, layer_forward_dense,
                   routed_forward, silu)
-from .pruning import PrunedBase, _active_positions
+from .pruning import PrunedBase, _active_positions, _column_sumsq
 
 
 @dataclass(frozen=True)
@@ -116,11 +116,6 @@ def _base_path(layer: CompressedLayer, x: np.ndarray) -> tuple[np.ndarray, np.nd
     u_base = x.take(up.kept_col_ids[up_pos], axis=1) @ up.kept[:, up_pos].T
     down_pos = _active_positions(down, _column_sumsq(silu(u_base))[down.kept_col_ids])
     return up_pos, down_pos, u_base
-
-
-def _column_sumsq(a: np.ndarray) -> np.ndarray:
-    """Per-column sum of squares of a token-major matrix, over its tokens."""
-    return np.einsum("ij,ij->j", a, a)
 
 
 def compressed_forward(layer: CompressedLayer, x_batch) -> tuple[np.ndarray, RoutingTrace]:

@@ -36,7 +36,7 @@ from d2moe.errors import (
     OverlappingPayloadError,
     TruncatedPayloadError,
 )
-from d2moe.factorize import truncation_aware_svd, vanilla_svd_compress, weighted_error
+from d2moe.factorize import vanilla_svd_compress, weighted_error, whitened_factors
 from d2moe.fixtures import gen_fixture
 from d2moe.gradients import backward_logloss
 from d2moe.merge import weighted_merge
@@ -153,7 +153,7 @@ def test_criterion_03_whitened_svd_dominates_vanilla():
                 lam = 10.0 ** rng.uniform(-1.5, 1.5, size=n)
                 gram = (q * lam) @ q.T
                 gram = 0.5 * (gram + gram.T)
-            e_white = weighted_error(delta, truncation_aware_svd(delta, gram, k), gram)
+            e_white = weighted_error(delta, whitened_factors([delta], [gram], k)[0][0], gram)
             e_plain = weighted_error(delta, vanilla_svd_compress(delta, k), gram)
             assert e_white <= e_plain + 1e-9, \
                 f"instance {inst}: {e_white:.6e} > {e_plain:.6e}"

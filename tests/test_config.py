@@ -65,10 +65,10 @@ class TestRankPolicy:
         fixed = CompressionConfig(rank_mode="fixed", delta_rank=4)
         assert fixed.rank_for(0, 100, 100) == 4
         assert fixed.delta_ratio_for(0, 100, 100) == 4 * 200 / 10000
-        assert fixed.delta_ratio_for(0, 4, 4) == 1.0
+        assert fixed.delta_ratio_for(0, 4, 4) == 2.0  # rank 4 books 4*(4+4)/(4*4), as stored
         lossless = CompressionConfig(rank_mode="lossless")
         assert lossless.rank_for(0, 10, 20) == 10
-        assert lossless.delta_ratio_for(0, 10, 20) == 1.0
+        assert lossless.delta_ratio_for(0, 10, 20) == 1.5  # rank 10 books 10*(10+20)/(10*20)
 
     def test_per_layer_override(self):
         cfg = CompressionConfig(per_layer_ratios=(0.3, 0.7))

@@ -4,7 +4,7 @@ The whitened path is checked against an oracle assembled from scipy's
 Cholesky, numpy's raw SVD and scipy's triangular solve, the formula
 u = U_k sqrt(Sigma_k), v = sqrt(Sigma_k) V_k^T S^{-1} (only the damping
 constant is shared), and, on the benchmark fixture's deltas, against the
-per-delta thin-SVD route it replaced, u = svd(delta @ S).u[:, :k]. Rank
+per-delta thin-SVD route it replaced, U_k of numpy's SVD of delta @ S. Rank
 selection is checked against brute-force enumeration of the storage
 inequality.
 """
@@ -18,13 +18,12 @@ from d2moe.errors import ConfigError, ParameterError, ShapeError
 from d2moe.factorize import (
     DeltaFactor,
     rank_for_ratio,
-    truncation_aware_svd,
     vanilla_svd_compress,
     weighted_error,
     whitened_factors,
 )
 from d2moe.fixtures import gen_fixture
-from d2moe.linalg import blas_threads, cholesky_damped, svd
+from d2moe.linalg import blas_threads, cholesky_damped
 from d2moe.moe import Role
 from d2moe.pipeline import compute_layer_stats, merge_layer
 
@@ -35,6 +34,11 @@ def make_case(seed, m=6, n=6, t=40):
     d = rng.normal(size=(m, n))
     x = rng.normal(size=(n, t))
     return d, x, x @ x.T
+
+
+def whitened(d, g, k):
+    """The whitened rank-k factor of one delta: `whitened_factors` on a stack of one."""
+    return whitened_factors([d], [g], k)[0][0]
 
 
 def solve_oracle(d, g, k):
@@ -98,7 +102,7 @@ class TestRankPolicy:
 class TestTruncationAwareSvd:
     def test_identity_gram_matches_vanilla_product(self):
         d, _, _ = make_case(0)
-        white = truncation_aware_svd(d, np.eye(6), 3)
+        white = whitened(d, np.eye(6), 3)
         plain = vanilla_svd_compress(d, 3)
         np.testing.assert_allclose(white.product(), plain.product(),
                                    rtol=1e-6, atol=1e-9)
@@ -107,32 +111,32 @@ class TestTruncationAwareSvd:
         rng = np.random.default_rng(1)
         d = np.outer(rng.normal(size=8), rng.normal(size=5))
         _, x, g = make_case(2, m=8, n=5, t=30)
-        f = truncation_aware_svd(d, g, 1)
+        f = whitened(d, g, 1)
         np.testing.assert_allclose(f.product(), d, atol=1e-9)
 
     def test_against_whitened_svd_oracle(self):
         d, _, g = make_case(3)
         for k in range(1, 7):
             u, v = solve_oracle(d, g, k)
-            f = truncation_aware_svd(d, g, k)
+            f = whitened(d, g, k)
             np.testing.assert_allclose(f.product(), u @ v, atol=1e-9)
 
     def test_full_rank_is_lossless(self):
         d, _, g = make_case(4)
-        f = truncation_aware_svd(d, g, 6)
+        f = whitened(d, g, 6)
         assert np.max(np.abs(f.product() - d)) <= 1e-7
 
     def test_dominates_vanilla_in_weighted_error(self):
         for seed in range(5):
             d, _, g = make_case(seed, m=8, n=6, t=50)
             for k in range(1, 7):
-                e_white = weighted_error(d, truncation_aware_svd(d, g, k), g)
+                e_white = weighted_error(d, whitened(d, g, k), g)
                 e_plain = weighted_error(d, vanilla_svd_compress(d, k), g)
                 assert e_white <= e_plain + 1e-9
 
     def test_error_monotone_in_rank(self):
         d, _, g = make_case(5, m=7, n=7)
-        errors = [weighted_error(d, truncation_aware_svd(d, g, k), g)
+        errors = [weighted_error(d, whitened(d, g, k), g)
                   for k in range(1, 8)]
         for lo, hi in zip(errors[1:], errors[:-1]):
             assert lo <= hi + 1e-9
@@ -140,11 +144,11 @@ class TestTruncationAwareSvd:
     def test_shape_and_rank_validation(self):
         d, _, g = make_case(6)
         with pytest.raises(ShapeError):
-            truncation_aware_svd(d, np.eye(5), 2)
+            whitened(d, np.eye(5), 2)
         with pytest.raises(ParameterError):
-            truncation_aware_svd(d, g, 0)
+            whitened(d, g, 0)
         with pytest.raises(ParameterError):
-            truncation_aware_svd(d, g, 7)
+            whitened(d, g, 7)
 
 
 class TestProjectionAgainstSolveFormula:
@@ -162,7 +166,7 @@ class TestProjectionAgainstSolveFormula:
         x = rng.normal(size=(n, 512))
         g = x @ x.T
         u, v = solve_oracle(d, g, self.K)
-        f = truncation_aware_svd(d, g, self.K)
+        f = whitened(d, g, self.K)
         oracle = u @ v
         assert np.linalg.norm(f.product() - oracle) <= 1e-10 * np.linalg.norm(oracle)
         assert f.u.shape == (m, self.K) and f.v.shape == (self.K, n)
@@ -202,7 +206,7 @@ class TestProjectionAgainstSolveFormula:
         for f, (di, gi) in zip(factors, stack):
             assert np.all(np.isfinite(f.u)) and np.all(np.isfinite(f.v))
             np.testing.assert_allclose(f.u.T @ f.u, np.eye(k), rtol=0, atol=1e-12)
-            single = truncation_aware_svd(di, gi, k)
+            single = whitened(di, gi, k)
             assert f.u.tobytes() == single.u.tobytes() and f.v.tobytes() == single.v.tobytes()
         f = factors[1]
         u, v = solve_oracle(d, g, k)
@@ -254,7 +258,8 @@ def whitened_residuals(deltas, grams, us):
 
 def svd_oracle_u(deltas, grams, k):
     """The per-delta route the stacked call replaced: U_k of a thin SVD."""
-    return [svd(d @ cholesky_damped(g)[0]).u[:, :k] for d, g in zip(deltas, grams)]
+    return [np.linalg.svd(d @ cholesky_damped(g)[0], full_matrices=False)[0][:, :k]
+            for d, g in zip(deltas, grams)]
 
 
 class TestWhitenedFactors:
@@ -292,8 +297,8 @@ class TestWhitenedFactors:
         right = np.linalg.qr(rng.normal(size=(n, p)))[0]
         d = (left * sigma) @ right.T
         g = np.eye(n)
-        f = truncation_aware_svd(d, g, k)
-        want = svd(d @ cholesky_damped(g)[0]).u[:, :k]
+        f = whitened(d, g, k)
+        want = np.linalg.svd(d @ cholesky_damped(g)[0], full_matrices=False)[0][:, :k]
         assert np.linalg.norm(f.u @ f.u.T - want @ want.T, 2) <= 1e-3
 
     @pytest.mark.parametrize("merge", ["fisher", "mean"])
@@ -302,7 +307,7 @@ class TestWhitenedFactors:
             with blas_threads(1):
                 factors, errors = whitened_factors(deltas, grams, k)
                 for i, (d, g) in enumerate(zip(deltas, grams)):
-                    single = truncation_aware_svd(d, g, k)
+                    single = whitened(d, g, k)
                     assert factors[i].u.tobytes() == single.u.tobytes(), (l, role, i)
                     assert factors[i].v.tobytes() == single.v.tobytes(), (l, role, i)
                     assert errors[i] == weighted_error(d, single, g), (l, role, i)
@@ -348,7 +353,7 @@ class TestVanillaSvd:
 class TestWeightedError:
     def test_exact_factorization_zero(self):
         d, _, g = make_case(11)
-        f = truncation_aware_svd(d, g, 6)
+        f = whitened(d, g, 6)
         assert weighted_error(d, f, g) <= 1e-7
 
     def test_identity_gram_is_frobenius(self):
@@ -370,7 +375,7 @@ class TestWeightedError:
         the span of the t tokens, so the true trace is round-off around zero
         and only this absolute bound holds."""
         d, _, g = make_case(15 + t, m=m, n=n, t=t)
-        f = truncation_aware_svd(d, g, k)
+        f = whitened(d, g, k)
         e = d - f.product()
         oracle = float(np.einsum("ij,jk,ik->", e, g, e))
         bound = 1e-12 * float(np.sum(e * e)) * float(np.linalg.norm(g, 2))

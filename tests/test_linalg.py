@@ -1,8 +1,8 @@
 """Linear-algebra kernel tests.
 
-The SVD checks compare against an independently coded one-sided Jacobi
-rotation oracle, not against the library routine under test, so a shared
-dependency bug cannot self-certify.
+The plain-SVD ablation's singular values are checked against an
+independently coded one-sided Jacobi rotation oracle, not against the
+library routine it calls, so a shared dependency bug cannot self-certify.
 """
 
 import numpy as np
@@ -10,17 +10,19 @@ import pytest
 
 from d2moe import linalg
 from d2moe.errors import NotPositiveDefiniteError, ParameterError, ShapeError
+from d2moe.factorize import vanilla_svd_compress
 from d2moe.linalg import (
     as_matrix,
     blas_threads,
     cholesky_damped,
-    svd,
+    first_nonzero_negative,
 )
 
 
-def reconstruct(res):
-    """u @ diag(sigma) @ v.T of an SvdResult."""
-    return (res.u * res.sigma) @ res.v.T
+def split_sigma(f):
+    """Singular values of a `vanilla_svd_compress` factor, read from its
+    split u = U_k sqrt(Sigma_k): the squared norms of the u columns."""
+    return np.sum(f.u * f.u, axis=0)
 
 
 def jacobi_svd_sigma(a, sweeps=60, tol=1e-14):
@@ -77,34 +79,38 @@ class TestMatrixValidation:
 
 
 class TestSvd:
+    """`vanilla_svd_compress`, the plain truncated SVD that criterion 3
+    measures against, and the sign rule of the whitened factors."""
+
     def test_identity(self):
-        res = svd(np.eye(3))
-        np.testing.assert_allclose(res.sigma, [1.0, 1.0, 1.0], atol=0)
-        np.testing.assert_allclose(res.u @ res.v.T, np.eye(3), atol=1e-12)
+        f = vanilla_svd_compress(np.eye(3), 3)
+        np.testing.assert_allclose(split_sigma(f), [1.0, 1.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(f.product(), np.eye(3), atol=1e-12)
 
     def test_diagonal(self):
-        res = svd(np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(res.sigma, [2.0, 1.0], atol=0)
+        f = vanilla_svd_compress(np.diag([2.0, 1.0]), 2)
+        np.testing.assert_allclose(split_sigma(f), [2.0, 1.0], atol=1e-15)
 
     def test_seeded_8x5_matches_jacobi_oracle(self):
         rng = np.random.default_rng(42)
         a = rng.normal(size=(8, 5))
-        res = svd(a)
+        f = vanilla_svd_compress(a, 5)
         oracle = jacobi_svd_sigma(a)
-        np.testing.assert_allclose(res.sigma, oracle, atol=1e-9)
+        np.testing.assert_allclose(split_sigma(f), oracle, atol=1e-9)
         # values frozen from a standalone run of the oracle above
         np.testing.assert_allclose(
             oracle,
             [3.580677839386747, 2.7140611328933635, 1.940602189807862,
              1.5899572826204404, 0.4199711285012267],
             rtol=1e-12)
-        resid = np.linalg.norm(a - reconstruct(res))
+        resid = np.linalg.norm(a - f.product())
         assert resid <= 1e-10 * np.linalg.norm(a)
 
     def test_jacobi_oracle_agrees_on_wide_matrices(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(5, 9))
-        np.testing.assert_allclose(svd(a).sigma, jacobi_svd_sigma(a.T), atol=1e-9)
+        np.testing.assert_allclose(split_sigma(vanilla_svd_compress(a, 5)),
+                                   jacobi_svd_sigma(a.T), atol=1e-9)
 
     def test_reconstruction_property(self):
         rng = np.random.default_rng(0)
@@ -112,24 +118,26 @@ class TestSvd:
             m = int(rng.integers(1, 65))
             n = int(rng.integers(1, 65))
             a = rng.normal(size=(m, n)) * rng.choice([1e-3, 1.0, 1e3])
-            res = svd(a)
-            assert np.linalg.norm(a - reconstruct(res)) <= 1e-10 * np.linalg.norm(a) + 1e-300
+            f = vanilla_svd_compress(a, min(m, n))
+            assert np.linalg.norm(a - f.product()) <= 1e-10 * np.linalg.norm(a) + 1e-300
 
     def test_orthonormal_columns(self):
+        """The split is balanced: u and v^T are orthonormal columns scaled by
+        the same sqrt(sigma), descending and non-negative."""
         rng = np.random.default_rng(1)
         a = rng.normal(size=(12, 6))
-        res = svd(a)
-        np.testing.assert_allclose(res.u.T @ res.u, np.eye(6), atol=1e-9)
-        np.testing.assert_allclose(res.v.T @ res.v, np.eye(6), atol=1e-9)
-        assert np.all(np.diff(res.sigma) <= 0)
-        assert np.all(res.sigma >= 0)
+        f = vanilla_svd_compress(a, 6)
+        root = np.sqrt(split_sigma(f))
+        np.testing.assert_allclose(np.sum(f.v * f.v, axis=1), root ** 2, rtol=1e-12)
+        np.testing.assert_allclose((f.u / root).T @ (f.u / root), np.eye(6), atol=1e-9)
+        np.testing.assert_allclose((f.v.T / root).T @ (f.v.T / root), np.eye(6), atol=1e-9)
+        assert np.all(np.diff(root) <= 0)
 
     def test_eckart_young_truncation_beats_random_candidates(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(6, 6))
-        res = svd(a)
         for k in range(1, 7):
-            best = np.linalg.norm(a - reconstruct(res.truncate(k)))
+            best = np.linalg.norm(a - vanilla_svd_compress(a, k).product())
             for _ in range(200):
                 cand = rng.normal(size=(6, k)) @ rng.normal(size=(k, 6))
                 # scale the candidate optimally toward a before comparing
@@ -137,17 +145,19 @@ class TestSvd:
                 assert best <= np.linalg.norm(a - scale * cand) + 1e-12
 
     def test_sign_convention(self):
+        """Flipping the columns `first_nonzero_negative` marks leaves every
+        column's first nonzero entry positive."""
         rng = np.random.default_rng(5)
-        a = rng.normal(size=(7, 4))
-        res = svd(a)
-        for j in range(res.u.shape[1]):
-            col = res.u[:, j]
+        u = np.linalg.svd(rng.normal(size=(7, 4)), full_matrices=False)[0]
+        u = np.where(first_nonzero_negative(u), -u, u)
+        for j in range(u.shape[1]):
+            col = u[:, j]
             nz = np.nonzero(col)[0]
             assert col[nz[0]] > 0
 
     def test_sign_rule_matches_per_column_loop(self):
-        """The vectorized sign fix gives the bytes of the per-column loop it
-        replaced, also for columns with leading zeros."""
+        """The vectorized sign rule flips the columns of the per-column loop
+        it replaced, also columns with leading zeros, on 2-D and stacked u."""
         rng = np.random.default_rng(11)
         # block-diagonal: some u columns start with exact zeros
         block = np.zeros((4, 4))
@@ -156,32 +166,27 @@ class TestSvd:
         cases = [rng.normal(size=(128, 64)), rng.normal(size=(64, 128)),
                  np.diag([0.0, 2.0, -3.0]), block, block.T]
         for a in cases:
-            u, sigma, vt = np.linalg.svd(a, full_matrices=False)
-            v = vt.T.copy()
+            u = np.linalg.svd(a, full_matrices=False)[0]
+            want = np.zeros(u.shape[1], dtype=bool)
             for j in range(u.shape[1]):
                 nz = np.nonzero(u[:, j])[0]
-                if nz.size and u[nz[0], j] < 0:
-                    u[:, j] = -u[:, j]
-                    v[:, j] = -v[:, j]
-            res = svd(a)
-            assert res.u.tobytes() == u.tobytes()
-            assert res.sigma.tobytes() == sigma.tobytes()
-            assert res.v.tobytes() == np.ascontiguousarray(v).tobytes()
+                want[j] = bool(nz.size and u[nz[0], j] < 0)
+            assert np.array_equal(first_nonzero_negative(u), want)
+            flipped = ~want & np.any(u != 0, axis=0)
+            assert np.array_equal(first_nonzero_negative(np.stack([u, -u])), [want, flipped])
 
     def test_bit_identical_repeat(self):
         rng = np.random.default_rng(9)
         a = rng.normal(size=(10, 10))
-        r1, r2 = svd(a), svd(a)
-        assert np.array_equal(r1.u, r2.u)
-        assert np.array_equal(r1.sigma, r2.sigma)
-        assert np.array_equal(r1.v, r2.v)
+        f1, f2 = vanilla_svd_compress(a, 4), vanilla_svd_compress(a, 4)
+        assert f1.u.tobytes() == f2.u.tobytes()
+        assert f1.v.tobytes() == f2.v.tobytes()
 
     def test_truncate_bounds(self):
-        res = svd(np.eye(3))
         with pytest.raises(ParameterError):
-            res.truncate(0)
+            vanilla_svd_compress(np.eye(3), 0)
         with pytest.raises(ParameterError):
-            res.truncate(4)
+            vanilla_svd_compress(np.eye(3), 4)
 
 
 class TestCholeskyDamped:

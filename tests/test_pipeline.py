@@ -229,6 +229,20 @@ class TestCompress:
         _, rep = compress(cfg, fx.model, fx.tokens, labels=fx.labels)
         assert abs(rep.loss_after - rep.loss_before) < 1e-9
 
+    @pytest.mark.parametrize("mode,rank", [("lossless", 1), ("fixed", 30)])
+    def test_closed_form_matches_the_census_in_rank_modes(self, mode, rank):
+        """Without trimming, the closed-form static and active counts equal
+        the census in the fixed and lossless modes too: the report books the
+        rank's own ratio k(m+n)/(mn), which exceeds 1 for these ranks of the
+        default fixture's 64 x 32 deltas."""
+        fx = gen_fixture(0)
+        cfg = CompressionConfig(merge_method="mean", sparsity=0.0, rank_mode=mode, delta_rank=rank)
+        _, rep = compress(cfg, fx.model, fx.tokens, labels=fx.labels)
+        for rec in rep.layers:
+            assert rec.params.p > 1.0
+            assert rec.params.compressed_static == rec.params.census_static
+            assert rec.params.compressed_active == rec.params.census_active_per_token
+
     def test_no_fisher_fallback_on_healthy_fixture(self):
         fx = small_fixture()
         _, rep = compress(CompressionConfig(), fx.model, fx.tokens, labels=fx.labels)

@@ -11,16 +11,17 @@ import pytest
 
 from d2moe.container import container_load, load_compressed_model, save_compressed_model
 from d2moe.errors import ParameterError, ShapeError
-from d2moe.moe import Role
+from d2moe.moe import Role, _layer_input
 from d2moe.pruning import (
     PrunedBase,
     _active_positions,
+    _column_sumsq,
     dynamic_mask,
     static_metric,
     static_metric_from_gram,
     static_prune,
 )
-from d2moe.runtime import CompressedLayer, CompressedModel, _column_sumsq
+from d2moe.runtime import CompressedLayer, CompressedModel, _base_path
 
 
 def drop_oracle(metric, ids, quota):
@@ -142,6 +143,28 @@ class TestDynamicMask:
         active[0] = -1
         assert pruned.kept_col_ids[0] == 0
 
+    def test_picks_the_columns_the_compressed_forward_picks(self):
+        """`dynamic_mask` and the compressed forward's Up mask agree bit for
+        bit. Rows 0 and 1 hold the same 128 values in different token order,
+        so their scores tie in exact arithmetic and the last bits of the two
+        sums decide which is parked; the other rows score far above them.
+        Eight unit-norm kept columns at s = 0.2 park one column per batch."""
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            w = rng.normal(size=(4, 8))
+            up = PrunedBase(kept=w / np.linalg.norm(w, axis=0), kept_col_ids=np.arange(8),
+                            total_cols=8, target_sparsity=0.2)
+            down = PrunedBase(kept=rng.normal(size=(8, 4)), kept_col_ids=np.arange(4),
+                              total_cols=4, target_sparsity=0.0)
+            layer = CompressedLayer(gate=rng.normal(size=(2, 8)), base={Role.UP: up, Role.DOWN: down},
+                                    deltas={}, top_k=1)
+            x = 3.0 + rng.normal(size=(8, 128))
+            x[0] = rng.normal(size=128)
+            x[1] = rng.permutation(x[0])
+            up_pos = _base_path(layer, _layer_input(layer, x))[0]
+            assert up.dynamic_quota == 1 and up_pos.size == 7
+            np.testing.assert_array_equal(dynamic_mask(up, x), up.kept_col_ids[up_pos], err_msg=str(seed))
+
     def test_batch_must_align_with_kept_columns(self):
         pruned, rng = self.make_pruned(seed=7, n=16, s=0.5)
         with pytest.raises(ShapeError):
@@ -170,8 +193,8 @@ def legacy_active_positions(pruned, rows):
 
 class TestActivePositions:
     """_active_positions against the boolean-mask form it replaced, byte for
-    byte, fed the sums of squares both as `dynamic_mask` forms them from
-    (kept, T) rows and as the token-major runtime forms them from (T, kept)."""
+    byte, fed the sums of squares both summed along (kept, T) rows and as
+    `_column_sumsq` forms them from the token-major (T, kept) copy."""
 
     def assert_same(self, pruned, rows):
         want = legacy_active_positions(pruned, rows)

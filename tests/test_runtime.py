@@ -21,7 +21,7 @@ from scipy.special import expit
 import d2moe.linalg
 from d2moe.config import CompressionConfig
 from d2moe.errors import ConfigError, ParameterError, ShapeError
-from d2moe.factorize import rank_for_ratio, truncation_aware_svd
+from d2moe.factorize import rank_for_ratio, whitened_factors
 from d2moe.merge import weighted_merge
 from d2moe.moe import (MoELayer, MoEModel, Role, RoutingTrace, _layer_input, layer_forward_dense,
                        moe_forward_dense, route_batch, routed_forward, silu)
@@ -63,8 +63,8 @@ def compress_by_hand(dense, x, p=0.5, s=0.0, lossless=False, trimmed=()):
         if i in trimmed:
             continue
         deltas[i] = {
-            Role.UP: truncation_aware_svd(up_w[i] - base_up, x @ x.T, k_up),
-            Role.DOWN: truncation_aware_svd(down_w[i] - base_down, h @ h.T, k_down),
+            Role.UP: whitened_factors([up_w[i] - base_up], [x @ x.T], k_up)[0][0],
+            Role.DOWN: whitened_factors([down_w[i] - base_down], [h @ h.T], k_down)[0][0],
         }
     return CompressedLayer(
         gate=dense.gate,
