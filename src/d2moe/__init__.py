@@ -49,9 +49,9 @@ from .factorize import (
     whitened_factors,
 )
 from .fixtures import Fixture, gen_fixture
-from .gradients import FISHER_MODES, FisherInfo, GradientSet, backward_logloss, fisher_accumulate
+from .gradients import FISHER_MODES, GradientSet, backward_logloss, fisher_accumulate
 from .linalg import cholesky_damped
-from .merge import MERGE_METHODS, compute_deltas, weighted_merge
+from .merge import MERGE_METHODS, weighted_merge
 from .moe import (
     LayerCapture,
     MoELayer,

@@ -46,8 +46,8 @@ def energy_retention(sigma, k: int) -> float:
     s = np.asarray(sigma, dtype=np.float64)
     if s.ndim != 1 or s.size < 1:
         raise ShapeError("sigma must be a non-empty vector")
-    if np.any(s < 0):
-        raise ParameterError("singular values must be >= 0")
+    if not np.all(np.isfinite(s) & (s >= 0)):
+        raise ParameterError("singular values must be finite and >= 0")
     if np.any(np.diff(s) > 0):
         raise ParameterError("sigma must be sorted non-increasing")
     if not 0 <= k <= s.size:
@@ -139,12 +139,14 @@ def allocate_adaptive_ratios(profile, budget: float, p_min: float = 0.05,
     sens = np.asarray(getattr(profile, "increases", profile), dtype=np.float64)
     if sens.ndim != 1 or sens.size < 1:
         raise ShapeError("need at least one sensitivity value")
+    if not np.all(np.isfinite(sens)):
+        raise ParameterError("sensitivities must be finite")
     if layer_params is None:
         w = np.ones(sens.size)
     else:
         w = np.asarray(layer_params, dtype=np.float64)
-        if w.shape != sens.shape or np.any(w <= 0):
-            raise ParameterError("layer_params must be positive and match the profile length")
+        if w.shape != sens.shape or not np.all(np.isfinite(w) & (w > 0)):
+            raise ParameterError("layer_params must be finite, positive and one per layer")
     if not 0.0 < p_min <= 1.0:
         raise ParameterError(f"p_min must be in (0, 1], got {p_min}")
     if not p_min <= budget <= 1.0:

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .linalg import DEFAULT_DAMPING, as_matrix, cholesky_damped, first_nonzero_negative
+from .linalg import (DEFAULT_DAMPING, _cholesky_schedule, as_gram_stack, as_matrix, as_stack,
+                     first_nonzero_negative)
 
 RANK_MODES = ("ratio", "fixed", "lossless")
 
@@ -93,29 +94,26 @@ def _singular_basis(m: np.ndarray, k: int) -> np.ndarray:
 
 def whitened_factors(deltas, grams, k: int,
                      damping: float = DEFAULT_DAMPING) -> tuple[list[DeltaFactor], np.ndarray]:
-    """Whitened rank-k factors of same-shape deltas, and their weighted errors.
+    """Whitened rank-k factors of an (E, m, n) delta stack, and their weighted errors.
 
-    u_e holds the top-k left singular vectors of deltas[e] @ S_e, with
-    S_e = cholesky_damped(grams[e]), the first nonzero entry of each column
-    positive; v_e = u_e^T deltas[e]. After the Cholesky factors every step
-    runs on (E, ., .) stacks, and each row comes out as a call on that expert
-    alone makes it. Returns the factors and an (E,) array of their
-    `weighted_error` values.
+    `grams` is the matching (E, n, n) Gram stack; either argument may be a
+    sequence of E matrices instead. Each stack is checked once (`as_stack`,
+    `as_gram_stack`). u_e holds the top-k left singular vectors of
+    deltas[e] @ S_e, with S_e from `cholesky_damped`'s schedule on grams[e],
+    the first nonzero entry of each column positive; v_e = u_e^T deltas[e].
+    After the Cholesky factors every step runs on the stacks, and each row
+    comes out as a call on that expert alone makes it. Returns the factors
+    and an (E,) array of their `weighted_error` values.
     """
-    d = [as_matrix(x, "delta") for x in deltas]
-    g = [as_matrix(x, "gram") for x in grams]
-    if not d or len(d) != len(g):
-        raise ShapeError(f"{len(d)} deltas and {len(g)} grams; expected the same positive count")
-    m, n = d[0].shape
-    for i, (di, gi) in enumerate(zip(d, g)):
-        if di.shape != (m, n):
-            raise ShapeError(f"delta {i} shape {di.shape} != delta 0 shape {(m, n)}")
-        if gi.shape != (n, n):
-            raise ShapeError(f"gram shape {gi.shape} != ({n}, {n}) for delta {di.shape}")
+    d = as_stack(deltas, "deltas")
+    g = as_gram_stack(grams, "grams")
+    n_experts, m, n = d.shape
+    if g.shape != (n_experts, n, n):
+        raise ShapeError(f"gram stack shape {g.shape} != {(n_experts, n, n)} "
+                         f"for delta stack {d.shape}")
     if not 1 <= k <= min(m, n):
         raise ParameterError(f"rank k={k} outside [1, {min(m, n)}]")
-    a = np.stack([di @ cholesky_damped(gi, damping)[0] for di, gi in zip(d, g)])
-    d = np.stack(d)
+    a = np.stack([de @ _cholesky_schedule(ge, damping)[0] for de, ge in zip(d, g)])
     if m <= n:
         u = _singular_basis(a, k)[..., :k]
     else:

@@ -47,19 +47,6 @@ class GradientSet:
     head_grad: np.ndarray
 
 
-@dataclass
-class FisherInfo:
-    """Elementwise accumulated squared gradients per layer/expert/role.
-
-    Entries are averages over sample_count calibration inputs; experts never
-    routed during calibration have exactly-zero blocks.
-    """
-
-    fisher: list[list[dict[Role, np.ndarray]]]
-    sample_count: int
-    mode: str
-
-
 def backward_logloss(model: MoEModel, x, y: int) -> GradientSet:
     """Exact analytic gradient of log softmax(head @ MoE(x))[y] with respect
     to every gate, expert, and head entry."""
@@ -102,9 +89,11 @@ def check_labels(labels, num_classes: int, n_tokens: int) -> np.ndarray:
 
 
 def fisher_accumulate(model: MoEModel, capture, mode: str = "sampled-label",
-                      seed: int = 0, labels=None) -> FisherInfo:
+                      seed: int = 0, labels=None) -> list[dict[Role, np.ndarray]]:
     """Average elementwise squared log-likelihood gradients over calibration
-    tokens.
+    tokens: per layer, one (E, m, n) Fisher stack per role, stack[i] the
+    block of expert i's weight in that role. Experts never routed during
+    calibration have exactly-zero blocks.
 
     `capture` is `moe.capture_calibration(model, calib)`; no forward runs
     here. sampled-label mode draws one label per input from the model's own
@@ -134,15 +123,15 @@ def fisher_accumulate(model: MoEModel, capture, mode: str = "sampled-label",
     lbar = -p
     lbar[labels, np.arange(n_tokens)] += 1.0  # d log p(y|x) / d logits = onehot(y) - softmax
 
-    fisher = [[{role: np.zeros_like(expert[role]) for role in ROLES} for expert in layer.experts]
-              for layer in model.layers]
+    fisher = [{role: np.zeros((layer.n_experts, *layer.experts[0][role].shape))
+               for role in ROLES} for layer in model.layers]
 
     def expert(l, i, x_i, ebar, hid, abar):
-        fisher[l][i][Role.DOWN] = (ebar * ebar).T @ (hid * hid) / n_tokens
-        fisher[l][i][Role.UP] = (abar * abar).T @ (x_i * x_i) / n_tokens
+        fisher[l][Role.DOWN][i] = (ebar * ebar).T @ (hid * hid) / n_tokens
+        fisher[l][Role.UP][i] = (abar * abar).T @ (x_i * x_i) / n_tokens
 
     _reverse_sweep(model, captures, lbar.T @ model.head, expert)
-    return FisherInfo(fisher=fisher, sample_count=n_tokens, mode=mode)
+    return fisher
 
 
 def _reverse_sweep(model: MoEModel, captures, ybar: np.ndarray, expert_fn) -> list[np.ndarray]:

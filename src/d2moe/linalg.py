@@ -86,32 +86,59 @@ def first_nonzero_negative(u: np.ndarray) -> np.ndarray:
     return np.take_along_axis(u, first[..., None, :], axis=-2)[..., 0, :] < 0
 
 
+def as_stack(a, name: str = "stack") -> np.ndarray:
+    """Validate and return `a` as a finite float64 (E, m, n) C-order stack,
+    one matrix per expert of a layer and role, E, m, n >= 1. A C-order
+    float64 array is checked in place and returned itself; a sequence of
+    same-shape matrices is stacked into one new array."""
+    try:
+        s = np.ascontiguousarray(a, dtype=np.float64)
+    except ValueError as exc:
+        raise ShapeError(f"{name}: not a stack of same-shape matrices ({exc})") from None
+    if s.ndim != 3 or 0 in s.shape:
+        raise ShapeError(f"{name}: expected a non-empty (E, m, n) stack, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise ShapeError(f"{name}: contains non-finite entries")
+    return s
+
+
+def as_gram_stack(g, name: str = "grams") -> np.ndarray:
+    """`as_stack` for Grams: each matrix must also be square and symmetric
+    to within 1e-9 of its largest entry magnitude (or of 1, if larger)."""
+    s = as_stack(g, name)
+    if s.shape[1] != s.shape[2]:
+        raise ShapeError(f"{name} must be square, got {s.shape[1:]}")
+    gap = np.max(np.abs(s - s.transpose(0, 2, 1)), axis=(1, 2))
+    bad = np.flatnonzero(gap > 1e-9 * np.maximum(np.max(np.abs(s), axis=(1, 2)), 1.0))
+    if bad.size:
+        raise ShapeError(f"{name}[{bad[0]}] not symmetric within tolerance "
+                         f"(gap {gap[bad[0]]:.3e})")
+    return s
+
+
 def cholesky_damped(g, base_damping: float = DEFAULT_DAMPING) -> tuple[np.ndarray, float]:
     """Lower-triangular S with S @ S.T = G + lambda*I, returned as (S, lambda).
 
     lambda starts at base_damping * trace(G)/dim (floored at base_damping when
     the trace vanishes, e.g. the all-zero Gram of a never-routed expert) and
     doubles until the factorization succeeds, at most MAX_DAMPING_DOUBLINGS
-    attempts.
+    attempts. G is checked as `as_gram_stack` checks each Gram.
     """
-    a = as_matrix(g, "gram")
-    n_rows, n_cols = a.shape
-    if n_rows != n_cols:
-        raise ShapeError(f"gram must be square, got {a.shape}")
-    sym_gap = float(np.max(np.abs(a - a.T), initial=0.0))
-    scale = float(np.max(np.abs(a), initial=0.0))
-    if sym_gap > 1e-9 * max(scale, 1.0):
-        raise ShapeError(f"gram not symmetric within tolerance (gap {sym_gap:.3e})")
-    if base_damping < 0:
-        raise ParameterError(f"base_damping must be >= 0, got {base_damping}")
+    return _cholesky_schedule(as_gram_stack(as_matrix(g, "gram")[None], "gram")[0], base_damping)
 
-    trace = float(np.trace(a))
-    lam = base_damping * trace / n_rows
+
+def _cholesky_schedule(a: np.ndarray, base_damping: float) -> tuple[np.ndarray, float]:
+    """`cholesky_damped`'s schedule on a checked Gram; the damping must be
+    finite and >= 0."""
+    if not 0.0 <= base_damping < np.inf:
+        raise ParameterError(f"damping must be finite and >= 0, got {base_damping}")
+    n = a.shape[0]
+    lam = base_damping * float(np.trace(a)) / n
     if lam <= 0.0:
         lam = base_damping if base_damping > 0.0 else np.finfo(np.float64).tiny
     for _ in range(MAX_DAMPING_DOUBLINGS):
         try:
-            s = np.linalg.cholesky(a + lam * np.eye(n_rows))
+            s = np.linalg.cholesky(a + lam * np.eye(n))
         except np.linalg.LinAlgError:
             lam *= 2.0
             continue
@@ -120,4 +147,3 @@ def cholesky_damped(g, base_damping: float = DEFAULT_DAMPING) -> tuple[np.ndarra
         f"cholesky failed after {MAX_DAMPING_DOUBLINGS} damping doublings "
         f"(shape {a.shape}, final lambda {lam:.3e})"
     )
-

@@ -168,23 +168,17 @@ class RoutingTrace:
 @dataclass(frozen=True)
 class LayerCapture:
     """One layer of the calibration forward: input `x` (d_model, T), its
-    routing, and per routed expert i, acts[i] = (rows, x_i @ W_up^T) and
-    grams[role][i] = X_i^T X_i, where x_i = x[:, rows].T is token-major and
-    X_i is x_i for Up and silu(x_i @ W_up^T) for Down. `x` is the transposed
-    view of the token-major input, so `x.T` is C-order.
+    routing, per routed expert i acts[i] = (rows, x_i @ W_up^T), and per
+    role an (E, n, n) Gram stack with grams[role][i] = X_i^T X_i, where
+    x_i = x[:, rows].T is token-major and X_i is x_i for Up and
+    silu(x_i @ W_up^T) for Down; a never-routed expert's Gram is zero. `x`
+    is the transposed view of the token-major input, so `x.T` is C-order.
     """
 
     x: np.ndarray
     trace: RoutingTrace
     acts: dict[int, tuple[np.ndarray, np.ndarray]]
-    grams: dict[Role, list[np.ndarray]]
-
-    def total_gram(self, role: Role) -> np.ndarray:
-        """Sum of per-expert Grams, in expert order (deterministic)."""
-        out = np.zeros_like(self.grams[role][0])
-        for g in self.grams[role]:
-            out += g
-        return out
+    grams: dict[Role, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +311,8 @@ def capture_calibration(model: MoEModel, calib) -> tuple[np.ndarray, list[LayerC
     captures: list[LayerCapture] = []
     for layer in model.layers:
         acts = {}
-        grams = {Role.UP: [np.zeros((layer.d_model, layer.d_model)) for _ in range(layer.n_experts)],
-                 Role.DOWN: [np.zeros((layer.hidden, layer.hidden)) for _ in range(layer.n_experts)]}
+        grams = {Role.UP: np.zeros((layer.n_experts, layer.d_model, layer.d_model)),
+                 Role.DOWN: np.zeros((layer.n_experts, layer.hidden, layer.hidden))}
 
         def fill(rows, groups, slots):
             for i, start, stop in groups:

@@ -27,7 +27,7 @@ from .errors import ConfigError, NumericalError, ParameterError
 from .factorize import DeltaFactor, whitened_factors
 from .gradients import check_labels, fisher_accumulate
 from .linalg import as_matrix, blas_threads
-from .merge import compute_deltas, weighted_merge
+from .merge import weighted_merge
 from .moe import (
     MoELayer,
     MoEModel,
@@ -53,12 +53,14 @@ LAYER_STAGES = ("merge", "factorize", "prune", "package")
 
 @dataclass(frozen=True)
 class LayerStats:
-    """Calibration statistics one layer's compression depends on."""
+    """Calibration statistics one layer's compression depends on: per role
+    the (E, n, n) Gram stack, the experts' routing frequencies, and (for the
+    Fisher merges) per role the (E, m, n) Fisher stack; stack[i] belongs to
+    expert i."""
 
-    grams: dict[Role, list[np.ndarray]]
-    total_gram: dict[Role, np.ndarray]
+    grams: dict[Role, np.ndarray]
     frequency: np.ndarray
-    fisher: list[dict[Role, np.ndarray]] | None
+    fisher: dict[Role, np.ndarray] | None
 
 
 @blas_threads(1)
@@ -77,9 +79,8 @@ def compute_layer_stats(model: MoEModel, calib_tokens, cfg: CompressionConfig,
                                    seed=cfg.seed, labels=labels)
     hidden, captures = capture
     stats = [LayerStats(grams=cap.grams,
-                        total_gram={role: cap.total_gram(role) for role in (Role.UP, Role.DOWN)},
                         frequency=expert_frequency(cap.trace),
-                        fisher=fisher.fisher[l] if fisher is not None else None)
+                        fisher=fisher[l] if fisher is not None else None)
              for l, cap in enumerate(captures)]
     return stats, model.head @ hidden
 
@@ -89,28 +90,29 @@ def compute_layer_stats(model: MoEModel, calib_tokens, cfg: CompressionConfig,
 # ---------------------------------------------------------------------------
 
 def merge_layer(layer: MoELayer, stats: LayerStats, cfg: CompressionConfig):
-    """Merge expert weights into a base per role; returns bases, deltas, and
-    the count of base entries that fell back to the plain mean."""
+    """Merge expert weights into a base per role; returns the bases, the
+    (E, m, n) delta stacks W_i - W_b per role, and the count of base entries
+    that fell back to the plain mean."""
     bases: dict[Role, np.ndarray] = {}
-    deltas: dict[Role, list[np.ndarray]] = {}
+    deltas: dict[Role, np.ndarray] = {}
     fallback = 0
     for role in (Role.UP, Role.DOWN):
-        weights = [expert[role] for expert in layer.experts]
+        weights = np.stack([expert[role] for expert in layer.experts])
         if cfg.merge_method == "mean":
             coeffs = np.ones(layer.n_experts)
         elif cfg.merge_method == "frequency":
             coeffs = stats.frequency
+        elif cfg.merge_method == "fisher-scalar":
+            coeffs = np.mean(stats.fisher[role], axis=(1, 2))
         else:
-            coeffs = [stats.fisher[i][role] for i in range(layer.n_experts)]
-            if cfg.merge_method == "fisher-scalar":
-                coeffs = np.mean(np.stack(coeffs), axis=(1, 2))
+            coeffs = stats.fisher[role]
         bases[role], n_fallback = weighted_merge(weights, coeffs, cfg.epsilon)
         fallback += n_fallback
-        deltas[role] = compute_deltas(weights, bases[role])
+        deltas[role] = weights - bases[role]
     return bases, deltas, fallback
 
 
-def factorize_layer(deltas: dict[Role, list[np.ndarray]], stats: LayerStats,
+def factorize_layer(deltas: dict[Role, np.ndarray], stats: LayerStats,
                     cfg: CompressionConfig, layer_index: int = 0):
     """Truncation-aware SVD of every expert delta, one stacked call per role;
     returns factors keyed by expert, the rank used per role, and per-expert
@@ -119,7 +121,7 @@ def factorize_layer(deltas: dict[Role, list[np.ndarray]], stats: LayerStats,
     ranks: dict[str, int] = {}
     errors: dict[str, list[float]] = {}
     for role in (Role.UP, Role.DOWN):
-        m, n = deltas[role][0].shape
+        m, n = deltas[role].shape[1:]
         k = cfg.rank_for(layer_index, m, n)
         ranks[role.value] = k
         role_factors, role_errors = whitened_factors(deltas[role], stats.grams[role], k,
@@ -132,10 +134,11 @@ def factorize_layer(deltas: dict[Role, list[np.ndarray]], stats: LayerStats,
 
 def prune_layer(bases: dict[Role, np.ndarray], stats: LayerStats,
                 cfg: CompressionConfig) -> dict[Role, PrunedBase]:
-    """Static half of semi-dynamic pruning for both base matrices."""
+    """Static half of semi-dynamic pruning for both base matrices, scored
+    with the total Gram (Python's `sum` of the Gram stack, in expert order)."""
     pruned = {}
     for role in (Role.UP, Role.DOWN):
-        metric = static_metric_from_gram(bases[role], stats.total_gram[role])
+        metric = static_metric_from_gram(bases[role], sum(stats.grams[role]))
         pruned[role] = static_prune(bases[role], metric, cfg.sparsity)
     return pruned
 

@@ -83,6 +83,12 @@ class TestEnergyRetention:
         with pytest.raises(DegenerateInputError):
             energy_retention([0.0, 0.0], 1)
 
+    @pytest.mark.parametrize("sigma", [[1.0, np.nan], [np.inf, 1.0], [np.nan, np.nan]])
+    def test_rejects_non_finite(self, sigma):
+        """These used to return NaN."""
+        with pytest.raises(ParameterError, match="finite"):
+            energy_retention(sigma, 1)
+
 
 def make_scan_model(seed=6, d=6, hidden=8, n_experts=4, classes=5, tokens=256):
     """Layer 0 has identical experts (zero deltas); layer 1 diverse ones."""
@@ -176,3 +182,15 @@ class TestAllocation:
                                      layer_params=[1.0, -2.0])
         with pytest.raises(ShapeError):
             allocate_adaptive_ratios(np.ones((2, 2)), budget=0.5)
+
+    @pytest.mark.parametrize("sens", [[0.1, np.nan], [np.inf, 0.2], [-np.inf, 0.2]])
+    def test_rejects_non_finite_sensitivities(self, sens):
+        """[0.1, nan] used to give the ratios (1.0, nan)."""
+        with pytest.raises(ParameterError, match="finite"):
+            allocate_adaptive_ratios(sens, 0.5)
+
+    @pytest.mark.parametrize("params", [[1.0, np.inf], [np.nan, 1.0]])
+    def test_rejects_non_finite_layer_params(self, params):
+        """[1, inf] used to give (0.05, 0.05), far below the 0.5 budget."""
+        with pytest.raises(ParameterError, match="finite"):
+            allocate_adaptive_ratios([0.1, 0.2], 0.5, layer_params=params)

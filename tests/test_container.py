@@ -37,7 +37,7 @@ from d2moe.errors import (
     TruncatedPayloadError,
 )
 from d2moe.factorize import vanilla_svd_compress
-from d2moe.merge import compute_deltas, weighted_merge
+from d2moe.merge import weighted_merge
 from d2moe.moe import MoELayer, MoEModel, Role, moe_forward_dense
 from d2moe.pruning import static_metric, static_prune
 from d2moe.runtime import CompressedLayer, CompressedModel, compressed_forward
@@ -67,15 +67,14 @@ def make_compressed(seed=1, s=0.5, trimmed=(2,)):
     x = rng.normal(size=(5, 30))
     comp_layers = []
     for layer in model.layers:
-        up_w = [e[Role.UP] for e in layer.experts]
-        down_w = [e[Role.DOWN] for e in layer.experts]
+        up_w = np.stack([e[Role.UP] for e in layer.experts])
+        down_w = np.stack([e[Role.DOWN] for e in layer.experts])
         base_up = weighted_merge(up_w, np.ones(len(up_w)))[0]
         base_down = weighted_merge(down_w, np.ones(len(down_w)))[0]
         deltas = {
             i: {Role.UP: vanilla_svd_compress(du, 2),
                 Role.DOWN: vanilla_svd_compress(dd, 2)}
-            for i, (du, dd) in enumerate(zip(compute_deltas(up_w, base_up),
-                                             compute_deltas(down_w, base_down)))
+            for i, (du, dd) in enumerate(zip(up_w - base_up, down_w - base_down))
             if i not in trimmed
         }
         comp_layers.append(CompressedLayer(

@@ -333,6 +333,46 @@ class TestWhitenedFactors:
         with pytest.raises(ParameterError):
             whitened_factors([d, d], [g, g], 7)
 
+    def test_list_and_stack_give_the_same_bytes(self, bench_deltas):
+        """A sequence of matrices is stacked once; the factors, the weighted
+        errors and the exceptions equal those of the (E, m, n) arrays."""
+        for _, _, deltas, grams, k in bench_deltas["fisher"]:
+            stacked = whitened_factors(deltas, grams, k)
+            listed = whitened_factors(list(deltas), list(grams), k)
+            assert stacked[1].tobytes() == listed[1].tobytes()
+            for a, b in zip(stacked[0], listed[0], strict=True):
+                assert a.u.tobytes() == b.u.tobytes() and a.v.tobytes() == b.v.tobytes()
+        bad = grams.copy()
+        bad[3, 0, 1] += 1.0
+        messages = []
+        for args in [(deltas, bad), (list(deltas), list(bad))]:
+            with pytest.raises(ShapeError) as err:
+                whitened_factors(*args, k)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_one_bad_matrix_in_a_stack_raises(self):
+        rng = np.random.default_rng(21)
+        d = rng.normal(size=(4, 6, 5))
+        x = rng.normal(size=(4, 5, 30))
+        g = x @ x.transpose(0, 2, 1)
+        whitened_factors(d, g, 2)
+        asym = g.copy()
+        asym[2, 4, 0] += 1e-3
+        with pytest.raises(ShapeError, match="symmetric"):
+            whitened_factors(d, asym, 2)
+        nonfinite = d.copy()
+        nonfinite[1, 0, 3] = np.nan
+        with pytest.raises(ShapeError, match="non-finite"):
+            whitened_factors(nonfinite, g, 2)
+
+    @pytest.mark.parametrize("damping", [np.nan, np.inf, -1e-8])
+    def test_rejects_non_finite_or_negative_damping(self, damping):
+        """A NaN damping used to surface as numpy's own LinAlgError."""
+        d, _, g = make_case(22)
+        with pytest.raises(ParameterError, match="damping"):
+            whitened_factors([d, d], [g, g], 2, damping=damping)
+
 
 class TestVanillaSvd:
     def test_diag_truncation(self):

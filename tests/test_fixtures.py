@@ -7,7 +7,7 @@ from d2moe import fixtures, linalg
 from d2moe.analysis import energy_retention
 from d2moe.errors import ParameterError
 from d2moe.fixtures import _TARGET_MARGIN, gen_fixture
-from d2moe.merge import compute_deltas, weighted_merge
+from d2moe.merge import weighted_merge
 from d2moe.moe import Role, moe_forward_dense
 
 
@@ -58,8 +58,8 @@ class TestStructure:
         fx = gen_fixture(seed=0, rank_noise=4)
         for layer in fx.model.layers:
             for role in (Role.UP, Role.DOWN):
-                weights = [e[role] for e in layer.experts]
-                for d in compute_deltas(weights, weighted_merge(weights, np.ones(len(weights)))[0]):
+                weights = np.stack([e[role] for e in layer.experts])
+                for d in weights - weighted_merge(weights, np.ones(len(weights)))[0]:
                     assert energy_retention(np.linalg.svd(d, compute_uv=False), 4) >= 0.99
 
     def test_routing_traffic_imbalanced(self):

@@ -25,7 +25,6 @@ from d2moe.config import CompressionConfig
 from d2moe.errors import NumericalError, ParameterError
 from d2moe.fixtures import gen_fixture
 from d2moe.gradients import (
-    FisherInfo,
     GradientSet,
     _draw_labels,
     backward_logloss,
@@ -105,10 +104,11 @@ def legacy_backward_logloss(model, x, y):
 
 
 def per_token_fisher(model, calib, mode="sampled-label", seed=0, labels=None):
-    """Fisher blocks and labels from one forward and one legacy backward per token."""
+    """Fisher stacks (per layer and role, block i for expert i) and labels
+    from one forward and one legacy backward per token."""
     rng = np.random.default_rng(seed)
-    acc = [[{role: np.zeros_like(expert[role]) for role in (Role.UP, Role.DOWN)}
-            for expert in layer.experts] for layer in model.layers]
+    acc = [{role: np.zeros((layer.n_experts, *layer.experts[0][role].shape))
+            for role in (Role.UP, Role.DOWN)} for layer in model.layers]
     drawn = []
     for t in range(calib.shape[1]):
         x = calib[:, t]
@@ -122,11 +122,10 @@ def per_token_fisher(model, calib, mode="sampled-label", seed=0, labels=None):
         for l, layer_grads in enumerate(grads.expert_grads):
             for i, expert in enumerate(layer_grads):
                 for role in (Role.UP, Role.DOWN):
-                    acc[l][i][role] += expert[role] * expert[role]
+                    acc[l][role][i] += expert[role] * expert[role]
     for layer_acc in acc:
-        for expert in layer_acc:
-            for role in (Role.UP, Role.DOWN):
-                expert[role] /= calib.shape[1]
+        for role in (Role.UP, Role.DOWN):
+            layer_acc[role] /= calib.shape[1]
     return acc, drawn
 
 
@@ -138,9 +137,10 @@ def assert_block_matches(a, b, rel=1e-12):
 
 def assert_fisher_matches(got, want):
     for got_layer, want_layer in zip(got, want, strict=True):
-        for got_expert, want_expert in zip(got_layer, want_layer, strict=True):
-            for role in (Role.UP, Role.DOWN):
-                assert_block_matches(got_expert[role], want_expert[role])
+        for role in (Role.UP, Role.DOWN):
+            assert got_layer[role].shape == want_layer[role].shape
+            for got_block, want_block in zip(got_layer[role], want_layer[role]):
+                assert_block_matches(got_block, want_block)
 
 
 def log_likelihood(model, x, y):
@@ -282,7 +282,7 @@ class TestBackward:
                 for i in range(4):
                     for role in (Role.UP, Role.DOWN):
                         g = grads.expert_grads[l][i][role]
-                        assert_block_matches(fi.fisher[l][i][role], g * g, rel=1e-15)
+                        assert_block_matches(fi[l][role][i], g * g, rel=1e-15)
 
 
 class TestFisher:
@@ -298,8 +298,8 @@ class TestFisher:
         x = np.abs(rng.normal(size=(4, 12)))  # positive coords keep expert 2 unreachable
         fi = fisher_accumulate(model, capture_calibration(model, x), mode="sampled-label", seed=0)
         for role in (Role.UP, Role.DOWN):
-            assert not fi.fisher[0][2][role].any()
-            assert fi.fisher[0][0][role].any()
+            assert not fi[0][role][2].any()
+            assert fi[0][role][0].any()
 
     def test_identical_inputs_average_to_single_input_fisher(self):
         model = make_model(12, layers=1)
@@ -310,8 +310,7 @@ class TestFisher:
                                    mode="data-label", labels=[1, 1])
         for i in range(2):
             for role in (Role.UP, Role.DOWN):
-                np.testing.assert_allclose(fi_two.fisher[0][i][role],
-                                           fi_one.fisher[0][i][role], atol=1e-15)
+                np.testing.assert_allclose(fi_two[0][role][i], fi_one[0][role][i], atol=1e-15)
 
     def test_sampled_label_reproducible(self):
         model = make_model(13, layers=2)
@@ -322,7 +321,7 @@ class TestFisher:
         for l in range(2):
             for i in range(2):
                 for role in (Role.UP, Role.DOWN):
-                    assert np.array_equal(a.fisher[l][i][role], b.fisher[l][i][role])
+                    assert np.array_equal(a[l][role][i], b[l][role][i])
 
     def test_data_label_matches_squared_fd_oracle(self):
         """Fisher equals mean of squared central-difference gradients."""
@@ -343,7 +342,7 @@ class TestFisher:
         for i in range(2):
             for role in (Role.UP, Role.DOWN):
                 ref = acc[i][role] / 32.0
-                got = fi.fisher[0][i][role]
+                got = fi[0][role][i]
                 mask = ref > 1e-8
                 np.testing.assert_allclose(got[mask], ref[mask], rtol=1e-3)
 
@@ -355,22 +354,13 @@ class TestFisher:
         x = rng.normal(size=(4, 6))
         fi = fisher_accumulate(model, capture_calibration(model, x), mode="sampled-label", seed=1)
         for role in (Role.UP, Role.DOWN):
-            blocks = [fi.fisher[0][i][role] for i in range(2)]
+            blocks = fi[0][role]
             weights = [model.layers[0].experts[i][role] for i in range(2)]
             assert all(np.all(block >= 0) for block in blocks)
             means = [float(block.mean()) for block in blocks]
             want = (means[0] * weights[0] + means[1] * weights[1]) / (means[0] + means[1])
-            coeffs = np.mean(np.stack(blocks), axis=(1, 2))
+            coeffs = np.mean(blocks, axis=(1, 2))
             np.testing.assert_allclose(weighted_merge(weights, coeffs)[0], want, rtol=1e-12)
-
-    def test_sample_count_recorded(self):
-        model = make_model(16, layers=1)
-        rng = np.random.default_rng(108)
-        fi = fisher_accumulate(model, capture_calibration(model, rng.normal(size=(4, 7))),
-                               mode="sampled-label", seed=2)
-        assert isinstance(fi, FisherInfo)
-        assert fi.sample_count == 7
-        assert fi.mode == "sampled-label"
 
 
 class TestBatchedFisher:
@@ -385,7 +375,7 @@ class TestBatchedFisher:
         got = fisher_accumulate(model, capture_calibration(model, x), mode=mode, seed=4,
                                 labels=labels)
         want, _ = per_token_fisher(model, x, mode=mode, seed=4, labels=labels)
-        assert_fisher_matches(got.fisher, want)
+        assert_fisher_matches(got, want)
 
     def test_never_routed_expert_matches_oracle(self):
         rng = np.random.default_rng(111)
@@ -400,9 +390,9 @@ class TestBatchedFisher:
         x = np.abs(rng.normal(size=(4, 40)))  # positive coords keep expert 2 unreachable
         got = fisher_accumulate(model, capture_calibration(model, x), mode="sampled-label", seed=3)
         want, _ = per_token_fisher(model, x, mode="sampled-label", seed=3)
-        assert_fisher_matches(got.fisher, want)
+        assert_fisher_matches(got, want)
         for role in (Role.UP, Role.DOWN):
-            assert not got.fisher[0][2][role].any()
+            assert not got[0][role][2].any()
 
     def test_labels_match_per_token_choice(self):
         """Fed the same probabilities, the single draw and one rng.choice per
@@ -426,10 +416,9 @@ class TestBatchedFisher:
         sampled = fisher_accumulate(model, capture_calibration(model, x), mode="sampled-label", seed=5)
         labelled = fisher_accumulate(model, capture_calibration(model, x), mode="data-label",
                                      labels=drawn)
-        for a, b in zip(sampled.fisher, labelled.fisher):
-            for ea, eb in zip(a, b):
-                for role in (Role.UP, Role.DOWN):
-                    assert np.array_equal(ea[role], eb[role])
+        for a, b in zip(sampled, labelled, strict=True):
+            for role in (Role.UP, Role.DOWN):
+                assert np.array_equal(a[role], b[role])
 
     @pytest.mark.parametrize("mode", ["sampled-label", "data-label"])
     def test_two_calls_byte_identical(self, mode):
@@ -438,10 +427,9 @@ class TestBatchedFisher:
                               seed=2, labels=fx.labels)
         b = fisher_accumulate(fx.model, capture_calibration(fx.model, fx.tokens), mode=mode,
                               seed=2, labels=fx.labels)
-        for la, lb in zip(a.fisher, b.fisher):
-            for ea, eb in zip(la, lb):
-                for role in (Role.UP, Role.DOWN):
-                    assert ea[role].tobytes() == eb[role].tobytes()
+        for la, lb in zip(a, b, strict=True):
+            for role in (Role.UP, Role.DOWN):
+                assert la[role].tobytes() == lb[role].tobytes()
 
     @pytest.mark.parametrize("mode", ["sampled-label", "data-label"])
     def test_non_finite_probabilities_raise(self, mode):
@@ -481,9 +469,7 @@ class TestBatchedFisher:
         _, rep = compress(cfg, fx.model, x, labels=fx.labels)
 
         def oracle(model, capture, mode="sampled-label", seed=0, labels=None):
-            calib = capture[1][0].x
-            fisher, _ = per_token_fisher(model, calib, mode=mode, seed=seed, labels=labels)
-            return FisherInfo(fisher=fisher, sample_count=calib.shape[1], mode=mode)
+            return per_token_fisher(model, capture[1][0].x, mode=mode, seed=seed, labels=labels)[0]
 
         monkeypatch.setattr("d2moe.pipeline.fisher_accumulate", oracle)
         _, ref = compress(cfg, fx.model, x, labels=fx.labels)

@@ -12,7 +12,9 @@ from d2moe import linalg
 from d2moe.errors import NotPositiveDefiniteError, ParameterError, ShapeError
 from d2moe.factorize import vanilla_svd_compress
 from d2moe.linalg import (
+    as_gram_stack,
     as_matrix,
+    as_stack,
     blas_threads,
     cholesky_damped,
     first_nonzero_negative,
@@ -53,6 +55,48 @@ def jacobi_svd_sigma(a, sweeps=60, tol=1e-14):
         if not rotated:
             break
     return np.sort(np.sqrt(np.sum(work * work, axis=0)))[::-1]
+
+
+class TestStackValidation:
+    def test_checks_a_c_order_stack_in_place(self):
+        s = np.arange(24.0).reshape(2, 3, 4)
+        assert as_stack(s) is s
+
+    def test_stacks_a_sequence(self):
+        mats = [np.eye(2), 2 * np.eye(2), np.asfortranarray(np.ones((2, 2)))]
+        s = as_stack(mats)
+        assert s.shape == (3, 2, 2) and s.flags["C_CONTIGUOUS"] and s.dtype == np.float64
+        assert np.array_equal(s, np.stack(mats))
+
+    @pytest.mark.parametrize("bad", [
+        [np.eye(2), np.eye(3)],          # ragged
+        [],                              # empty
+        np.zeros((0, 2, 2)),             # no experts
+        np.zeros((2, 0, 2)),             # degenerate matrices
+        np.eye(2),                       # one matrix, not a stack
+        np.zeros((2, 2, 2, 2)),
+    ])
+    def test_rejects_shapes(self, bad):
+        with pytest.raises(ShapeError):
+            as_stack(bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_one_non_finite_entry(self, value):
+        s = np.zeros((3, 2, 2))
+        s[2, 1, 0] = value
+        with pytest.raises(ShapeError, match="non-finite"):
+            as_stack(s)
+
+    def test_gram_stack_checks_each_gram(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(4, 5, 5))
+        g = a @ a.transpose(0, 2, 1)
+        assert as_gram_stack(g) is g
+        g[2, 0, 1] += 1e-3
+        with pytest.raises(ShapeError, match=r"grams\[2\] not symmetric"):
+            as_gram_stack(g)
+        with pytest.raises(ShapeError, match="square"):
+            as_gram_stack(np.zeros((2, 3, 4)))
 
 
 class TestMatrixValidation:
@@ -231,6 +275,13 @@ class TestCholeskyDamped:
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):
             cholesky_damped(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("damping", [np.nan, np.inf, -1e-8])
+    def test_rejects_non_finite_or_negative_damping(self, damping):
+        """A NaN damping used to return an all-NaN factor, an infinite one
+        an infinite factor."""
+        with pytest.raises(ParameterError, match="damping"):
+            cholesky_damped(np.eye(3), damping)
 
     def test_deterministic(self):
         rng = np.random.default_rng(17)

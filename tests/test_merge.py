@@ -16,9 +16,9 @@ from d2moe.config import CompressionConfig
 from d2moe.errors import ParameterError, ShapeError
 from d2moe.fixtures import gen_fixture
 from d2moe.analysis import energy_retention
-from d2moe.merge import compute_deltas, weighted_merge
-from d2moe.moe import Role
-from d2moe.pipeline import compute_layer_stats, merge_layer
+from d2moe.merge import weighted_merge
+from d2moe.moe import MoELayer, Role
+from d2moe.pipeline import LayerStats, compute_layer_stats, merge_layer
 
 
 def weighted_objective(w_stack, f_stack, cand):
@@ -27,6 +27,21 @@ def weighted_objective(w_stack, f_stack, cand):
 
 def mean_base(weights):
     return weighted_merge(weights, np.ones(len(weights)))[0]
+
+
+def layer_deltas(layer, method="mean", frequency=None):
+    """The (E, m, n) delta stacks `merge_layer` returns per role; the mean
+    and frequency merges read no calibration statistic but the frequency."""
+    stats = LayerStats(grams={}, frequency=frequency, fisher=None)
+    return merge_layer(layer, stats, CompressionConfig(merge_method=method))[1]
+
+
+def up_deltas(weights, method="mean", frequency=None):
+    """`merge_layer`'s Up deltas for experts with these Up weights (Down:
+    their transposes)."""
+    layer = MoELayer(gate=np.zeros((len(weights), weights[0].shape[1])), top_k=1,
+                     experts=[{Role.UP: w, Role.DOWN: w.T} for w in weights])
+    return layer_deltas(layer, method, frequency)[Role.UP]
 
 
 class TestFisherMerge:
@@ -171,20 +186,20 @@ class TestFallbackCount:
 class TestDeltas:
     def test_identical_weights_zero_deltas(self):
         w = np.ones((3, 3))
-        for d in compute_deltas([w, w, w], w):
-            assert not d.any()
+        assert not up_deltas([w, w, w]).any()
 
     def test_mean_merge_deltas_center(self):
         rng = np.random.default_rng(8)
         weights = [rng.normal(size=(6, 6)) for _ in range(5)]
-        deltas = compute_deltas(weights, mean_base(weights))
+        deltas = up_deltas(weights)
+        assert deltas.shape == (5, 6, 6)
         np.testing.assert_allclose(sum(deltas), np.zeros((6, 6)), atol=1e-12)
 
     def test_frequency_merge_deltas_center_weighted(self):
         rng = np.random.default_rng(9)
         weights = [rng.normal(size=(4, 4)) for _ in range(3)]
         freq = np.array([0.6, 0.3, 0.1])
-        deltas = compute_deltas(weights, weighted_merge(weights, freq)[0])
+        deltas = up_deltas(weights, "frequency", freq)
         weighted = sum(f * d for f, d in zip(freq, deltas))
         np.testing.assert_allclose(weighted, np.zeros((4, 4)), atol=1e-12)
 
@@ -192,7 +207,7 @@ class TestDeltas:
         rng = np.random.default_rng(10)
         weights = [rng.normal(size=(8, 8)) for _ in range(4)]
         w_b = mean_base(weights)
-        for w, d in zip(weights, compute_deltas(weights, w_b)):
+        for w, d in zip(weights, up_deltas(weights), strict=True):
             np.testing.assert_allclose(w_b + d, w, rtol=1e-15, atol=1e-15)
 
 
@@ -204,7 +219,7 @@ class TestLowerRankTendency:
         for layer in fx.model.layers:
             for role in (Role.UP, Role.DOWN):
                 weights = [e[role] for e in layer.experts]
-                deltas = compute_deltas(weights, mean_base(weights))
+                deltas = layer_deltas(layer)[role]
                 m, n = weights[0].shape
                 k = -(-min(m, n) // 4)
                 for w, d in zip(weights, deltas):

@@ -361,12 +361,22 @@ class TestCalibrationCapture:
             capture_calibration(model, np.zeros((3, 0)))
 
     def test_total_gram_sums_expert_grams(self):
+        """With top_k = 1 every token reaches one expert, so the Up Gram
+        stack sums to X X^T of all tokens. The total the static pruning
+        reads is Python's `sum` of the stack: the expert loop, to the byte."""
         rng = np.random.default_rng(13)
-        layer = make_layer(rng, 3, 4, 5, 4, top_k=1)
+        layer = make_layer(rng, 6, 4, 5, 4, top_k=1)
         model = MoEModel(layers=[layer], head=np.eye(4))
-        _, stats = capture_calibration(model, rng.normal(size=(4, 16)))
-        total = stats[0].total_gram(Role.UP)
-        np.testing.assert_allclose(total, sum(stats[0].grams[Role.UP]), atol=1e-12)
+        x = rng.normal(size=(4, 16))
+        _, stats = capture_calibration(model, x)
+        for role in (Role.UP, Role.DOWN):
+            grams = stats[0].grams[role]
+            assert grams.shape == (6, *grams.shape[1:]) and grams.flags["C_CONTIGUOUS"]
+            total = np.zeros_like(grams[0])
+            for g in grams:
+                total += g
+            assert sum(grams).tobytes() == total.tobytes()
+        np.testing.assert_allclose(sum(stats[0].grams[Role.UP]), x @ x.T, atol=1e-12)
 
     def test_capture_records_the_dense_forward(self):
         """The capture is the dense forward: the same final hidden state and
