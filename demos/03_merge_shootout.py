@@ -30,21 +30,19 @@ budget = census // n
 print(f"\nstored expert params: {census} total, {budget} per expert")
 print("prune-only variants at that exact budget (keep u up-cols, v down-cols):")
 
-h_all = {i: silu(layer.experts[i][Role.UP] @ fx.tokens) for i in range(n)}
+h_all = {i: silu(layer.weights[Role.UP][i] @ fx.tokens) for i in range(n)}
 results = []
 for u in range(d + 1):
     rem = budget - hidden * u
     if rem < 0 or rem % d or rem // d > hidden:
         continue
     v = rem // d
-    experts = []
+    weights = {r: w.copy() for r, w in layer.weights.items()}
     for i in range(n):
-        up = layer.experts[i][Role.UP].copy()
-        down = layer.experts[i][Role.DOWN].copy()
+        up, down = weights[Role.UP][i], weights[Role.DOWN][i]  # views, pruned in place
         up[:, np.argsort(static_metric(up, fx.tokens), kind="stable")[:d - u]] = 0.0
         down[:, np.argsort(static_metric(down, h_all[i]), kind="stable")[:hidden - v]] = 0.0
-        experts.append({Role.UP: up, Role.DOWN: down})
-    model = MoEModel(layers=[MoELayer(gate=layer.gate, experts=experts,
+    model = MoEModel(layers=[MoELayer(gate=layer.gate, weights=weights,
                                       top_k=layer.top_k)], head=fx.model.head)
     results.append((u, v, evaluate(model, fx.tokens, fx.labels).loss))
 

@@ -16,7 +16,7 @@ from d2moe.pruning import dynamic_mask, static_metric, static_prune
 
 fx = gen_fixture(seed=0)
 layer = fx.model.layers[0]
-base, _ = weighted_merge([e[Role.UP] for e in layer.experts], np.ones(layer.n_experts))
+base, _ = weighted_merge(layer.weights[Role.UP], np.ones(layer.n_experts))
 n = base.shape[1]
 
 metric = static_metric(base, fx.tokens)

@@ -22,7 +22,7 @@ from d2moe.runtime import CompressedModel, trim_deltas
 
 fx = gen_fixture(seed=0)
 layer = fx.model.layers[0]
-ups = [e[Role.UP] for e in layer.experts]
+ups = layer.weights[Role.UP]
 
 print("expert-pair CKA (up weights):")
 for i in range(layer.n_experts):

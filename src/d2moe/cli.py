@@ -181,11 +181,8 @@ def _cmd_analyze(args) -> int:
     wrote_any = False
 
     if args.cka:
-        layer = model.layers[args.layer]
-        role = Role(args.role)
-        n = layer.n_experts
-        matrix = [[cka(layer.experts[i][role], layer.experts[j][role])
-                   for j in range(n)] for i in range(n)]
+        w = model.layers[args.layer].weights[Role(args.role)]
+        matrix = [[cka(a, b) for b in w] for a in w]
         write_cka_csv(out_dir / "cka.csv", matrix)
         print(f"wrote {out_dir / 'cka.csv'}")
         wrote_any = True

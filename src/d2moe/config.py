@@ -42,7 +42,11 @@ class CompressionConfig:
             raise ConfigError(f"merge_method must be one of {MERGE_METHODS}, got {self.merge_method!r}")
         if self.fisher_mode not in FISHER_MODES:
             raise ConfigError(f"fisher_mode must be one of {FISHER_MODES}, got {self.fisher_mode!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        for name in sorted(_INT_FIELDS):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool, numpy integers and floats are rejected
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.calib_samples < 1:
             raise ConfigError(f"calib_samples must be positive, got {self.calib_samples}")
@@ -50,7 +54,7 @@ class CompressionConfig:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if self.rank_mode not in RANK_MODES:
             raise ConfigError(f"rank_mode must be one of {RANK_MODES}, got {self.rank_mode!r}")
-        for name in ("delta_ratio", "damping", "epsilon"):
+        for name in ("delta_ratio", "sparsity", "damping", "epsilon"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")

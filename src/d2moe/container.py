@@ -211,9 +211,9 @@ def save_model(path, model: MoEModel) -> None:
     for l, layer in enumerate(model.layers):
         tensors[f"layer{l}/meta"] = _row([layer.top_k, layer.n_experts])
         tensors[f"layer{l}/gate"] = layer.gate
-        for j, expert in enumerate(layer.experts):
-            tensors[f"layer{l}/expert{j}/up"] = expert[Role.UP]
-            tensors[f"layer{l}/expert{j}/down"] = expert[Role.DOWN]
+        for j in range(layer.n_experts):
+            for role in ROLES:
+                tensors[f"layer{l}/expert{j}/{role.value}"] = layer.weights[role][j]
     tensors["head"] = model.head
     container_save(path, tensors)
 
@@ -223,13 +223,10 @@ def load_model(tensors: dict[str, np.ndarray]) -> MoEModel:
     l = 0
     while f"layer{l}/meta" in tensors:
         top_k, n_experts = _meta_row(tensors, f"layer{l}/meta", 2)
-        experts = [
-            {Role.UP: _tensor(tensors, f"layer{l}/expert{j}/up"),
-             Role.DOWN: _tensor(tensors, f"layer{l}/expert{j}/down")}
-            for j in range(n_experts)
-        ]
+        weights = {role: [_tensor(tensors, f"layer{l}/expert{j}/{role.value}")
+                          for j in range(n_experts)] for role in ROLES}
         with _assembling(f"layer {l}"):
-            layers.append(MoELayer(gate=_tensor(tensors, f"layer{l}/gate"), experts=experts,
+            layers.append(MoELayer(gate=_tensor(tensors, f"layer{l}/gate"), weights=weights,
                                    top_k=top_k))
         l += 1
     if not layers:

@@ -172,8 +172,8 @@ def gen_fixture(seed: int, n_experts: int = 8, d_model: int = 32, hidden: int = 
             gate[2 + j, j % n_burst] = beta_burst
         ups = expert_bank(h, d, sig, burst_cols=True, dormant=True)
         downs = expert_bank(d, h, sig * _DOWN_SCALE, burst_cols=False, dormant=False)
-        experts = [{Role.UP: ups[i], Role.DOWN: downs[i]} for i in range(n)]
-        model_layers.append(MoELayer(gate=gate, experts=experts, top_k=top_k))
+        model_layers.append(MoELayer(gate=gate, weights={Role.UP: ups, Role.DOWN: downs},
+                                     top_k=top_k))
     head = rng.normal(0.0, 1.0 / np.sqrt(d), size=(num_classes, d))
 
     x = np.zeros((d, tokens))

@@ -40,10 +40,13 @@ FISHER_MODES = ("sampled-label", "data-label")
 
 @dataclass
 class GradientSet:
-    """Per-parameter gradients mirroring the model structure."""
+    """Gradients laid out like the parameters they belong to: per layer the
+    gate's (N, d_model) gradient and, per role, an (E, m, n) stack with
+    expert_grads[l][role][i] the gradient of expert i's weight (the layout
+    of `MoELayer.weights` and of the Fisher); then the head's."""
 
-    gate_grads: list[np.ndarray]                      # per layer (N, d)
-    expert_grads: list[list[dict[Role, np.ndarray]]]  # per layer, expert, role
+    gate_grads: list[np.ndarray]
+    expert_grads: list[dict[Role, np.ndarray]]
     head_grad: np.ndarray
 
 
@@ -61,16 +64,8 @@ def backward_logloss(model: MoEModel, x, y: int) -> GradientSet:
     lbar[y] += 1.0  # d log p(y|x) / d logits = onehot(y) - softmax
     lbar = lbar[None, :]
 
-    expert_grads = [
-        [{role: np.zeros_like(expert[role]) for role in ROLES} for expert in layer.experts]
-        for layer in model.layers
-    ]
-
-    def expert(l, i, x_i, ebar, hid, abar):
-        expert_grads[l][i][Role.DOWN] = ebar.T @ hid
-        expert_grads[l][i][Role.UP] = abar.T @ x_i
-
-    zbars = _reverse_sweep(model, captures, lbar @ model.head, expert)
+    zbars, expert_grads = _reverse_sweep(model, captures, lbar @ model.head,
+                                         lambda bar, act: bar.T @ act)
     gate_grads = [zbar.T @ cap.x.T for zbar, cap in zip(zbars, captures)]
     return GradientSet(gate_grads=gate_grads, expert_grads=expert_grads, head_grad=lbar.T @ h.T)
 
@@ -122,30 +117,25 @@ def fisher_accumulate(model: MoEModel, capture, mode: str = "sampled-label",
 
     lbar = -p
     lbar[labels, np.arange(n_tokens)] += 1.0  # d log p(y|x) / d logits = onehot(y) - softmax
-
-    fisher = [{role: np.zeros((layer.n_experts, *layer.experts[0][role].shape))
-               for role in ROLES} for layer in model.layers]
-
-    def expert(l, i, x_i, ebar, hid, abar):
-        fisher[l][Role.DOWN][i] = (ebar * ebar).T @ (hid * hid) / n_tokens
-        fisher[l][Role.UP][i] = (abar * abar).T @ (x_i * x_i) / n_tokens
-
-    _reverse_sweep(model, captures, lbar.T @ model.head, expert)
-    return fisher
+    return _reverse_sweep(model, captures, lbar.T @ model.head,
+                          lambda bar, act: (bar * bar).T @ (act * act) / n_tokens)[1]
 
 
-def _reverse_sweep(model: MoEModel, captures, ybar: np.ndarray, expert_fn) -> list[np.ndarray]:
+def _reverse_sweep(model: MoEModel, captures, ybar: np.ndarray, block):
     """Backpropagate ybar (T, d_out), the token-major gradient at the final
     hidden state, from the last layer down. Returns each layer's gate-logit
-    gradient zbar (T, N), zero off each token's selection.
+    gradient zbar (T, N), zero off each token's selection, and per layer and
+    role a stack shaped like `MoELayer.weights`.
 
-    For every routed expert i of layer l, in ascending order, calls
-    expert_fn(l, i, x_i, ebar, hid, abar) with that expert's tokens along the
-    rows. Token t's gradient is ebar_t^T hid_t for the expert's Down weight
-    and abar_t^T x_t for its Up weight.
+    Block i of a stack is zero for an expert never routed, else
+    block(bar, act), with the expert's tokens along the rows of bar and act:
+    token t's gradient of the expert's weight is bar_t^T act_t, with
+    (bar, act) = (ebar, hid) for Down and (abar, x) for Up.
     """
     toks = np.arange(ybar.shape[0])[:, None]
     zbars = [None] * len(model.layers)
+    stacks = [{role: np.zeros_like(layer.weights[role]) for role in ROLES}
+              for layer in model.layers]
     for l in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[l]
         xin, trace, acts = captures[l].x.T, captures[l].trace, captures[l].acts
@@ -153,20 +143,21 @@ def _reverse_sweep(model: MoEModel, captures, ybar: np.ndarray, expert_fn) -> li
         g[toks, trace.selected] = trace.weights
         gbar = np.zeros_like(g)
         xbar = np.zeros_like(xin)
+        up, down = layer.weights[Role.UP], layer.weights[Role.DOWN]
         for i, (rows, a) in acts.items():
-            up, down = layer.experts[i][Role.UP], layer.experts[i][Role.DOWN]
             hid = silu(a)
             g_i = g[rows, i][:, None]
             ybar_i = ybar[rows]
-            q = ybar_i @ down  # d (ybar . expert output) / d hid
+            q = ybar_i @ down[i]  # d (ybar . expert output) / d hid
             gbar[rows, i] = np.sum(hid * q, axis=1)
             abar = g_i * q * silu_grad(a)
-            expert_fn(l, i, xin[rows], g_i * ybar_i, hid, abar)
-            xbar[rows] += abar @ up
+            stacks[l][Role.DOWN][i] = block(g_i * ybar_i, hid)
+            stacks[l][Role.UP][i] = block(abar, xin[rows])
+            xbar[rows] += abar @ up[i]
         # gating weights are softmax over the surviving logits
         zbars[l] = zbar = g * (gbar - np.sum(g * gbar, axis=1, keepdims=True))
         ybar = xbar + zbar @ layer.gate
-    return zbars
+    return zbars, stacks
 
 
 def _draw_labels(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:

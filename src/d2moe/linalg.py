@@ -66,16 +66,24 @@ def blas_threads(n: int):
             put(count)
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return `a` as a finite float64 2-D C-order array."""
-    m = np.ascontiguousarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"{name}: expected 2-D array, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ShapeError(f"{name}: degenerate shape {m.shape}")
+def _as_array(a, ndim: int, name: str) -> np.ndarray:
+    """`a` as a finite float64 C-order array of `ndim` non-empty dimensions
+    (the array itself if it already is one); every failure, numpy's own
+    conversion errors included, is a ShapeError."""
+    try:
+        m = np.ascontiguousarray(a, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"{name}: not convertible to one float64 array ({exc})") from None
+    if m.ndim != ndim or 0 in m.shape:
+        raise ShapeError(f"{name}: expected a non-degenerate {ndim}-D array, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ShapeError(f"{name}: contains non-finite entries")
     return m
+
+
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Validate and return `a` as a finite float64 2-D C-order array."""
+    return _as_array(a, 2, name)
 
 
 def first_nonzero_negative(u: np.ndarray) -> np.ndarray:
@@ -91,15 +99,7 @@ def as_stack(a, name: str = "stack") -> np.ndarray:
     one matrix per expert of a layer and role, E, m, n >= 1. A C-order
     float64 array is checked in place and returned itself; a sequence of
     same-shape matrices is stacked into one new array."""
-    try:
-        s = np.ascontiguousarray(a, dtype=np.float64)
-    except ValueError as exc:
-        raise ShapeError(f"{name}: not a stack of same-shape matrices ({exc})") from None
-    if s.ndim != 3 or 0 in s.shape:
-        raise ShapeError(f"{name}: expected a non-empty (E, m, n) stack, got shape {s.shape}")
-    if not np.isfinite(s).all():
-        raise ShapeError(f"{name}: contains non-finite entries")
-    return s
+    return _as_array(a, 3, name)
 
 
 def as_gram_stack(g, name: str = "grams") -> np.ndarray:

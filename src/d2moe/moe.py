@@ -9,8 +9,9 @@ contiguous rows; a layer transposes once on entry and returns its output as
 the transposed view of a token-major array, which the next layer takes
 without a copy. Each expert is a two-matrix FFN
 E(x) = W_down @ silu(W_up @ x), with roles Up (hidden x d_model) and
-Down (d_model x hidden); token-major code reads both weights through
-transposed views. The router W_g and the classifier head are never
+Down (d_model x hidden); a layer holds each role's weights of all its
+experts as one (E, ., .) stack, and token-major code reads every expert's
+weights through transposed views. The router W_g and the classifier head are never
 compressed, only the expert weights.
 
 `routed_forward` is the single dispatch path for batches: it routes, groups
@@ -28,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
-from .linalg import as_matrix
+from .linalg import as_matrix, as_stack
 
 
 class Role(Enum):
@@ -71,35 +72,34 @@ def silu_grad(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MoELayer:
-    """One MoE block: router weights plus N two-matrix experts."""
+    """One MoE block: router weights (N, d_model) and per role one weight
+    stack, weights[Role.UP] (N, hidden, d_model) and weights[Role.DOWN]
+    (N, d_out, hidden); weights[role][i] is expert i's matrix. Each stack
+    is checked once by `linalg.as_stack` (a C-order float64 stack is kept,
+    not copied) into a dict of the layer's own; the caller's is not touched.
+    """
 
-    gate: np.ndarray                      # (N, d_model)
-    experts: list[dict[Role, np.ndarray]]
+    gate: np.ndarray
+    weights: dict[Role, np.ndarray]
     top_k: int
 
     def __post_init__(self):
         gate = as_matrix(self.gate, "gate")
-        object.__setattr__(self, "gate", gate)
+        if not isinstance(self.weights, dict) or set(self.weights) != set(ROLES):
+            raise ShapeError(f"weights must define exactly the roles {[r.value for r in ROLES]}")
+        up = as_stack(self.weights[Role.UP], "up weights")
+        down = as_stack(self.weights[Role.DOWN], "down weights")
         n = gate.shape[0]
-        if len(self.experts) != n:
-            raise ShapeError(f"gate rows {n} != expert count {len(self.experts)}")
+        if up.shape[0] != n or down.shape[0] != n:
+            raise ShapeError(f"gate rows {n} != expert count {up.shape[0]} (up), {down.shape[0]} (down)")
         if not 1 <= self.top_k <= n:
             raise ShapeError(f"top_k={self.top_k} outside [1, {n}]")
-        up_shape = down_shape = None
-        for i, expert in enumerate(self.experts):
-            if set(expert) != set(ROLES):
-                raise ShapeError(f"expert {i} must define exactly the roles {[r.value for r in ROLES]}")
-            up = as_matrix(expert[Role.UP], f"expert {i} up")
-            down = as_matrix(expert[Role.DOWN], f"expert {i} down")
-            expert[Role.UP], expert[Role.DOWN] = up, down
-            if up_shape is None:
-                up_shape, down_shape = up.shape, down.shape
-            elif up.shape != up_shape or down.shape != down_shape:
-                raise ShapeError(f"expert {i} shapes differ from expert 0")
-            if up.shape[1] != gate.shape[1]:
-                raise ShapeError(f"expert {i} up cols {up.shape[1]} != d_model {gate.shape[1]}")
-            if down.shape[1] != up.shape[0]:
-                raise ShapeError(f"expert {i} down cols {down.shape[1]} != hidden {up.shape[0]}")
+        if up.shape[2] != gate.shape[1]:
+            raise ShapeError(f"up cols {up.shape[2]} != d_model {gate.shape[1]}")
+        if down.shape[2] != up.shape[1]:
+            raise ShapeError(f"down cols {down.shape[2]} != hidden {up.shape[1]}")
+        object.__setattr__(self, "gate", gate)
+        object.__setattr__(self, "weights", {Role.UP: up, Role.DOWN: down})
 
     @property
     def n_experts(self) -> int:
@@ -111,11 +111,11 @@ class MoELayer:
 
     @property
     def hidden(self) -> int:
-        return self.experts[0][Role.UP].shape[0]
+        return self.weights[Role.UP].shape[1]
 
     @property
     def d_out(self) -> int:
-        return self.experts[0][Role.DOWN].shape[0]
+        return self.weights[Role.DOWN].shape[1]
 
 
 def chained_head(layers, head) -> np.ndarray:
@@ -168,11 +168,12 @@ class RoutingTrace:
 @dataclass(frozen=True)
 class LayerCapture:
     """One layer of the calibration forward: input `x` (d_model, T), its
-    routing, per routed expert i acts[i] = (rows, x_i @ W_up^T), and per
-    role an (E, n, n) Gram stack with grams[role][i] = X_i^T X_i, where
-    x_i = x[:, rows].T is token-major and X_i is x_i for Up and
-    silu(x_i @ W_up^T) for Down; a never-routed expert's Gram is zero. `x`
-    is the transposed view of the token-major input, so `x.T` is C-order.
+    routing, per routed expert i acts[i] = (rows, x_i @ up[i]^T) with
+    up = weights[Role.UP], and per role an (E, n, n) Gram stack laid out
+    like the weights, grams[role][i] = X_i^T X_i, where x_i = x[:, rows].T
+    is token-major and X_i is x_i for Up and silu(x_i @ up[i]^T) for Down;
+    a never-routed expert's Gram is zero. `x` is the transposed view of the
+    token-major input, so `x.T` is C-order.
     """
 
     x: np.ndarray
@@ -265,11 +266,12 @@ def _layer_input(layer, x_batch, name: str = "x_batch") -> np.ndarray:
 def layer_forward_dense(layer: MoELayer, x_batch: np.ndarray) -> tuple[np.ndarray, RoutingTrace]:
     """One dense MoE layer over a token batch: y = sum_i G(x)_i E_i(x)."""
     x = _layer_input(layer, x_batch)
+    up, down = layer.weights[Role.UP], layer.weights[Role.DOWN]
 
     def fill(rows, groups, slots):
         for i, start, stop in groups:
-            h = x.take(rows[start:stop], axis=0) @ layer.experts[i][Role.UP].T
-            np.matmul(silu(h, out=h), layer.experts[i][Role.DOWN].T, out=slots[start:stop])
+            h = x.take(rows[start:stop], axis=0) @ up[i].T
+            np.matmul(silu(h, out=h), down[i].T, out=slots[start:stop])
 
     y, trace = routed_forward(layer, x, fill)
     return y.T, trace
@@ -313,16 +315,17 @@ def capture_calibration(model: MoEModel, calib) -> tuple[np.ndarray, list[LayerC
         acts = {}
         grams = {Role.UP: np.zeros((layer.n_experts, layer.d_model, layer.d_model)),
                  Role.DOWN: np.zeros((layer.n_experts, layer.hidden, layer.hidden))}
+        up, down = layer.weights[Role.UP], layer.weights[Role.DOWN]
 
         def fill(rows, groups, slots):
             for i, start, stop in groups:
                 xi = h.take(rows[start:stop], axis=0)
-                a = xi @ layer.experts[i][Role.UP].T
+                a = xi @ up[i].T
                 acts[i] = (rows[start:stop], a)
                 hid = silu(a)
                 grams[Role.UP][i] += xi.T @ xi
                 grams[Role.DOWN][i] += hid.T @ hid
-                np.matmul(hid, layer.experts[i][Role.DOWN].T, out=slots[start:stop])
+                np.matmul(hid, down[i].T, out=slots[start:stop])
 
         y, trace = routed_forward(layer, h, fill)
         captures.append(LayerCapture(x=h.T, trace=trace, acts=acts, grams=grams))

@@ -97,7 +97,7 @@ def merge_layer(layer: MoELayer, stats: LayerStats, cfg: CompressionConfig):
     deltas: dict[Role, np.ndarray] = {}
     fallback = 0
     for role in (Role.UP, Role.DOWN):
-        weights = np.stack([expert[role] for expert in layer.experts])
+        weights = layer.weights[role]
         if cfg.merge_method == "mean":
             coeffs = np.ones(layer.n_experts)
         elif cfg.merge_method == "frequency":
@@ -291,7 +291,7 @@ def compress(cfg: CompressionConfig, model: MoEModel, calib_tokens, labels=None)
 
     records = []
     for l, (layer, b, trace) in enumerate(zip(model.layers, builds, traces)):
-        m, n = layer.experts[0][Role.UP].shape
+        m, n = layer.weights[Role.UP].shape[1:]
         p_used = cfg.delta_ratio_for(l, m, n)
         records.append(LayerRecord(
             layer=l,

@@ -174,12 +174,12 @@ def bumped(model, where, entry, h):
     layers = []
     for l, layer in enumerate(model.layers):
         gate = layer.gate.copy()
-        experts = [{r: e[r].copy() for r in (Role.UP, Role.DOWN)} for e in layer.experts]
+        weights = {r: w.copy() for r, w in layer.weights.items()}
         if where == ("gate", l):
             gate[entry] += h
         elif where[0] == "expert" and where[1] == l:
-            experts[where[2]][where[3]][entry] += h
-        layers.append(MoELayer(gate=gate, experts=experts, top_k=layer.top_k))
+            weights[where[3]][where[2]][entry] += h
+        layers.append(MoELayer(gate=gate, weights=weights, top_k=layer.top_k))
     head = model.head.copy()
     if where == ("head",):
         head[entry] += h
@@ -189,9 +189,10 @@ def bumped(model, where, entry, h):
 def test_criterion_04_analytic_gradients_match_finite_differences():
     with criterion(4, "gradient fidelity vs central differences", 10.0):
         rng = np.random.default_rng(404)
-        experts = [{Role.UP: rng.normal(size=(6, 4)) / 2.0,
-                    Role.DOWN: rng.normal(size=(4, 6)) / 2.0} for _ in range(2)]
-        layer = MoELayer(gate=rng.normal(size=(2, 4)), experts=experts, top_k=2)
+        ups, downs = zip(*[(rng.normal(size=(6, 4)) / 2.0, rng.normal(size=(4, 6)) / 2.0)
+                           for _ in range(2)])
+        layer = MoELayer(gate=rng.normal(size=(2, 4)), weights={Role.UP: ups, Role.DOWN: downs},
+                         top_k=2)
         model = MoEModel(layers=[layer], head=rng.normal(size=(3, 4)))
         x = rng.normal(size=4)
         y = 1
@@ -201,8 +202,8 @@ def test_criterion_04_analytic_gradients_match_finite_differences():
         sites = [(("gate", 0), layer.gate.shape, grads.gate_grads[0])]
         for i in range(2):
             for role in (Role.UP, Role.DOWN):
-                sites.append((("expert", 0, i, role), experts[i][role].shape,
-                              grads.expert_grads[0][i][role]))
+                sites.append((("expert", 0, i, role), layer.weights[role][i].shape,
+                              grads.expert_grads[0][role][i]))
         sites.append((("head",), model.head.shape, grads.head_grad))
 
         worst = 0.0
@@ -297,7 +298,7 @@ def test_criterion_07_merge_ordering_and_prune_only_baseline():
         assert census % n == 0
         budget = census // n  # stored entries available to each dense expert
 
-        h_all = {i: silu(layer.experts[i][Role.UP] @ fx.tokens) for i in range(n)}
+        h_all = {i: silu(layer.weights[Role.UP][i] @ fx.tokens) for i in range(n)}
         variant_losses = []
         for u_keep in range(d + 1):
             rem = budget - hidden * u_keep
@@ -306,17 +307,15 @@ def test_criterion_07_merge_ordering_and_prune_only_baseline():
             v_keep = rem // d
             if v_keep > hidden:
                 continue
-            experts = []
+            weights = {r: w.copy() for r, w in layer.weights.items()}
             for i in range(n):
-                up = layer.experts[i][Role.UP].copy()
-                down = layer.experts[i][Role.DOWN].copy()
+                up, down = weights[Role.UP][i], weights[Role.DOWN][i]  # views, pruned in place
                 up_scores = static_metric(up, fx.tokens)
                 down_scores = static_metric(down, h_all[i])
                 up[:, np.argsort(up_scores, kind="stable")[:d - u_keep]] = 0.0
                 down[:, np.argsort(down_scores, kind="stable")[:hidden - v_keep]] = 0.0
-                experts.append({Role.UP: up, Role.DOWN: down})
             pruned_model = MoEModel(
-                layers=[MoELayer(gate=layer.gate, experts=experts, top_k=layer.top_k)],
+                layers=[MoELayer(gate=layer.gate, weights=weights, top_k=layer.top_k)],
                 head=fx.model.head)
             variant_losses.append(
                 evaluate(pruned_model, fx.tokens, fx.labels).loss)
@@ -361,9 +360,9 @@ def test_criterion_09_analysis_math():
         layer = fx.model.layers[0]
         worst = 1.0
         for role in (Role.UP, Role.DOWN):
-            base = weighted_merge([e[role] for e in layer.experts], np.ones(layer.n_experts))[0]
-            for e in layer.experts:
-                sigma = svdvals(e[role] - base)
+            base = weighted_merge(layer.weights[role], np.ones(layer.n_experts))[0]
+            for w in layer.weights[role]:
+                sigma = svdvals(w - base)
                 worst = min(worst, energy_retention(sigma, fx.rank_noise))
         assert worst >= 0.99, f"retention {worst:.4f}"
 

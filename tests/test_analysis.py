@@ -97,14 +97,12 @@ def make_scan_model(seed=6, d=6, hidden=8, n_experts=4, classes=5, tokens=256):
               Role.DOWN: rng.normal(size=(d, hidden)) / np.sqrt(hidden)}
     uniform = MoELayer(
         gate=rng.normal(size=(n_experts, d)),
-        experts=[{r: shared[r].copy() for r in shared} for _ in range(n_experts)],
+        weights={r: np.stack([w] * n_experts) for r, w in shared.items()},
         top_k=2)
-    diverse = MoELayer(
-        gate=rng.normal(size=(n_experts, d)),
-        experts=[{Role.UP: rng.normal(size=(hidden, d)) / np.sqrt(d),
-                  Role.DOWN: rng.normal(size=(d, hidden)) / np.sqrt(hidden)}
-                 for _ in range(n_experts)],
-        top_k=2)
+    gate = rng.normal(size=(n_experts, d))
+    ups, downs = zip(*[(rng.normal(size=(hidden, d)) / np.sqrt(d),
+                        rng.normal(size=(d, hidden)) / np.sqrt(hidden)) for _ in range(n_experts)])
+    diverse = MoELayer(gate=gate, weights={Role.UP: ups, Role.DOWN: downs}, top_k=2)
     model = MoEModel(layers=[uniform, diverse], head=rng.normal(size=(classes, d)))
     x = rng.normal(size=(d, tokens))
     logits, _ = moe_forward_dense(model, x)

@@ -92,10 +92,11 @@ class TestCompressEval:
         rng = np.random.default_rng(5)
 
         def layer(d_in, hidden, d_out, n=4):
-            experts = [{Role.UP: rng.normal(size=(hidden, d_in)) / np.sqrt(d_in),
-                        Role.DOWN: rng.normal(size=(d_out, hidden)) / np.sqrt(hidden)}
-                       for _ in range(n)]
-            return MoELayer(gate=rng.normal(size=(n, d_in)), experts=experts, top_k=2)
+            ups, downs = zip(*[(rng.normal(size=(hidden, d_in)) / np.sqrt(d_in),
+                                rng.normal(size=(d_out, hidden)) / np.sqrt(hidden))
+                               for _ in range(n)])
+            return MoELayer(gate=rng.normal(size=(n, d_in)),
+                            weights={Role.UP: ups, Role.DOWN: downs}, top_k=2)
 
         model = MoEModel(layers=[layer(8, 16, 12), layer(12, 16, 8)], head=rng.normal(size=(5, 8)))
         save_model(tmp_path / "model.d2m", model)
@@ -267,9 +268,10 @@ class TestAnalyze:
         d, n = 32, 8
         layers = []
         for hidden in (64, 16):
-            experts = [{Role.UP: rng.normal(size=(hidden, d)) / np.sqrt(d),
-                        Role.DOWN: rng.normal(size=(d, hidden)) / np.sqrt(hidden)} for _ in range(n)]
-            layers.append(MoELayer(gate=rng.normal(size=(n, d)), experts=experts, top_k=2))
+            ups, downs = zip(*[(rng.normal(size=(hidden, d)) / np.sqrt(d),
+                                rng.normal(size=(d, hidden)) / np.sqrt(hidden)) for _ in range(n)])
+            layers.append(MoELayer(gate=rng.normal(size=(n, d)),
+                                   weights={Role.UP: ups, Role.DOWN: downs}, top_k=2))
         model = MoEModel(layers=layers, head=rng.normal(size=(10, d)))
         x = rng.normal(size=(d, 256))
         save_model(tmp_path / "model.d2m", model)
@@ -461,6 +463,12 @@ class TestExitCodes:
                    if "/expert" not in name}
         assert self.eval_container(workdir, tmp_path, tensors) == EXIT_IO
         assert "layer0/expert0/up" in capsys.readouterr().err
+
+    def test_dense_experts_of_different_shapes_are_io(self, workdir, tmp_path, capsys):
+        tensors = container_load(workdir / "model.d2m")
+        tensors["layer0/expert1/down"] = tensors["layer0/expert1/down"][:, :-1]
+        assert self.eval_container(workdir, tmp_path, tensors) == EXIT_IO
+        assert "layer 0: down weights" in capsys.readouterr().err
 
     def test_short_meta_row_is_io(self, workdir, tmp_path, capsys):
         """A dense container relabelled compressed has 2-value layer meta rows."""

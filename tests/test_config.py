@@ -1,5 +1,8 @@
 """Config validation, coercion, presets, and file parsing."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from d2moe.config import (
@@ -47,6 +50,23 @@ class TestValidation:
     ])
     def test_each_field_checked(self, overrides):
         import dataclasses
+        cfg = dataclasses.replace(CompressionConfig(), **overrides)
+        with pytest.raises(ConfigError):
+            cfg.validate()
+
+    @pytest.mark.parametrize("overrides", [
+        {"batch_size": 1.5},
+        {"calib_samples": 2.5},
+        {"trim": 1.5},
+        {"rank_mode": "fixed", "delta_rank": 2.5},
+        {"delta_rank": 2.0},
+        {"batch_size": True},
+        {"seed": True},
+        {"trim": True},
+        {"calib_samples": np.int64(64)},
+        {"sparsity": "0.4"},
+    ], ids=repr)
+    def test_integer_fields_take_python_ints_and_sparsity_a_number(self, overrides):
         cfg = dataclasses.replace(CompressionConfig(), **overrides)
         with pytest.raises(ConfigError):
             cfg.validate()

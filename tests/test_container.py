@@ -54,11 +54,10 @@ def make_model(seed=0, n_experts=3, d=5, hidden=7, layers=2, classes=4, top_k=2)
     rng = np.random.default_rng(seed)
     stack = []
     for _ in range(layers):
-        experts = [{Role.UP: rng.normal(size=(hidden, d)),
-                    Role.DOWN: rng.normal(size=(d, hidden))}
-                   for _ in range(n_experts)]
+        ups, downs = zip(*[(rng.normal(size=(hidden, d)), rng.normal(size=(d, hidden)))
+                           for _ in range(n_experts)])
         stack.append(MoELayer(gate=rng.normal(size=(n_experts, d)),
-                              experts=experts, top_k=top_k))
+                              weights={Role.UP: ups, Role.DOWN: downs}, top_k=top_k))
     return MoEModel(layers=stack, head=rng.normal(size=(classes, d))), rng
 
 
@@ -67,8 +66,7 @@ def make_compressed(seed=1, s=0.5, trimmed=(2,)):
     x = rng.normal(size=(5, 30))
     comp_layers = []
     for layer in model.layers:
-        up_w = np.stack([e[Role.UP] for e in layer.experts])
-        down_w = np.stack([e[Role.DOWN] for e in layer.experts])
+        up_w, down_w = layer.weights[Role.UP], layer.weights[Role.DOWN]
         base_up = weighted_merge(up_w, np.ones(len(up_w)))[0]
         base_down = weighted_merge(down_w, np.ones(len(down_w)))[0]
         deltas = {
@@ -219,6 +217,30 @@ class TestModelSerialization:
         ref, _ = moe_forward_dense(model, x)
         got, _ = moe_forward_dense(reloaded, x)
         assert np.array_equal(ref, got)
+
+    def test_reload_stacks_each_role_once(self, tmp_path):
+        """Per-expert tensors on disk, one C-order stack per role in memory."""
+        model, _ = make_model()
+        path = tmp_path / "model.bin"
+        save_model(path, model)
+        tensors = container_load(path)
+        assert np.array_equal(tensors["layer1/expert2/down"], model.layers[1].weights[Role.DOWN][2])
+        for got, want in zip(load_model(tensors).layers, model.layers, strict=True):
+            for role in (Role.UP, Role.DOWN):
+                assert got.weights[role].flags["C_CONTIGUOUS"]
+                assert got.weights[role].tobytes() == want.weights[role].tobytes()
+
+    @pytest.mark.parametrize("name", ["layer0/expert1/up", "layer1/expert2/down"])
+    @pytest.mark.parametrize("cut", ["row", "col"])
+    def test_experts_of_different_shapes_rejected(self, tmp_path, name, cut):
+        model, _ = make_model()
+        path = tmp_path / "model.bin"
+        save_model(path, model)
+        tensors = container_load(path)
+        tensors[name] = tensors[name][:-1] if cut == "row" else tensors[name][:, :-1]
+        container_save(path, tensors)
+        with pytest.raises(ManifestError, match=f"layer {name[5]}"):
+            load_any(path)
 
     def test_calibration_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)

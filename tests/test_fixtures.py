@@ -19,9 +19,8 @@ class TestDeterminism:
         assert np.array_equal(a.labels, b.labels)
         for la, lb in zip(a.model.layers, b.model.layers):
             assert np.array_equal(la.gate, lb.gate)
-            for ea, eb in zip(la.experts, lb.experts):
-                for role in (Role.UP, Role.DOWN):
-                    assert np.array_equal(ea[role], eb[role])
+            for role in (Role.UP, Role.DOWN):
+                assert np.array_equal(la.weights[role], lb.weights[role])
 
     def test_different_seeds_differ(self):
         a = gen_fixture(seed=1, layers=1, tokens=32)
@@ -40,17 +39,16 @@ class TestStructure:
         assert np.all((fx.labels >= 0) & (fx.labels < 6))
         layer = fx.model.layers[0]
         assert layer.gate.shape == (4, 16)
-        assert len(layer.experts) == 4
-        assert layer.experts[0][Role.UP].shape == (24, 16)
-        assert layer.experts[0][Role.DOWN].shape == (16, 24)
+        assert layer.weights[Role.UP].shape == (4, 24, 16)
+        assert layer.weights[Role.DOWN].shape == (4, 16, 24)
 
     def test_zero_rank_noise_makes_experts_identical(self):
         fx = gen_fixture(seed=5, rank_noise=0, layers=1, tokens=32)
         layer = fx.model.layers[0]
         for role in (Role.UP, Role.DOWN):
-            ref = layer.experts[0][role]
-            for expert in layer.experts[1:]:
-                assert np.array_equal(expert[role], ref)
+            ref = layer.weights[role][0]
+            for w in layer.weights[role][1:]:
+                assert np.array_equal(w, ref)
 
     def test_mean_of_experts_recovers_common_part_with_low_rank_deltas(self):
         """Deltas against the mean must be rank `rank_noise` up to the small
@@ -58,7 +56,7 @@ class TestStructure:
         fx = gen_fixture(seed=0, rank_noise=4)
         for layer in fx.model.layers:
             for role in (Role.UP, Role.DOWN):
-                weights = np.stack([e[role] for e in layer.experts])
+                weights = layer.weights[role]
                 for d in weights - weighted_merge(weights, np.ones(len(weights)))[0]:
                     assert energy_retention(np.linalg.svd(d, compute_uv=False), 4) >= 0.99
 

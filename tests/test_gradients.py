@@ -42,11 +42,10 @@ def make_model(seed, n_experts=2, d_model=4, hidden=5, layers=2, classes=3, top_
     rng = np.random.default_rng(seed)
     lys = []
     for _ in range(layers):
-        experts = [{Role.UP: rng.normal(size=(hidden, d_model)),
-                    Role.DOWN: rng.normal(size=(d_model, hidden))}
-                   for _ in range(n_experts)]
+        ups, downs = zip(*[(rng.normal(size=(hidden, d_model)), rng.normal(size=(d_model, hidden)))
+                           for _ in range(n_experts)])
         lys.append(MoELayer(gate=rng.normal(size=(n_experts, d_model)),
-                            experts=experts, top_k=top_k))
+                            weights={Role.UP: ups, Role.DOWN: downs}, top_k=top_k))
     return MoEModel(layers=lys, head=rng.normal(size=(classes, d_model)))
 
 
@@ -60,9 +59,9 @@ def _forward_with_cache(model, x):
         per_expert = {}
         y = np.zeros(layer.d_out)
         for j, i in enumerate(sel):
-            a = layer.experts[i][Role.UP] @ h
+            a = layer.weights[Role.UP][i] @ h
             hid = silu(a)
-            e = layer.experts[i][Role.DOWN] @ hid
+            e = layer.weights[Role.DOWN][i] @ hid
             per_expert[int(i)] = (a, hid, e)
             y += g[j] * e
         caches.append((h, sel, g, per_expert))
@@ -80,8 +79,8 @@ def legacy_backward_logloss(model, x, y):
     head_grad = np.outer(lbar, final_h)
     ybar = model.head.T @ lbar
     gate_grads = [np.zeros_like(layer.gate) for layer in model.layers]
-    expert_grads = [[{role: np.zeros_like(expert[role]) for role in (Role.UP, Role.DOWN)}
-                     for expert in layer.experts] for layer in model.layers]
+    expert_grads = [{role: np.zeros_like(layer.weights[role]) for role in (Role.UP, Role.DOWN)}
+                    for layer in model.layers]
     for l in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[l]
         xin, sel, g, per_expert = caches[l]
@@ -94,11 +93,11 @@ def legacy_backward_logloss(model, x, y):
             i = int(i)
             a, hid, _ = per_expert[i]
             ebar = g[j] * ybar
-            expert_grads[l][i][Role.DOWN] += np.outer(ebar, hid)
-            hbar = layer.experts[i][Role.DOWN].T @ ebar
+            expert_grads[l][Role.DOWN][i] += np.outer(ebar, hid)
+            hbar = layer.weights[Role.DOWN][i].T @ ebar
             abar = hbar * silu_grad(a)
-            expert_grads[l][i][Role.UP] += np.outer(abar, xin)
-            xbar += layer.experts[i][Role.UP].T @ abar
+            expert_grads[l][Role.UP][i] += np.outer(abar, xin)
+            xbar += layer.weights[Role.UP][i].T @ abar
         ybar = xbar
     return GradientSet(gate_grads=gate_grads, expert_grads=expert_grads, head_grad=head_grad)
 
@@ -107,8 +106,8 @@ def per_token_fisher(model, calib, mode="sampled-label", seed=0, labels=None):
     """Fisher stacks (per layer and role, block i for expert i) and labels
     from one forward and one legacy backward per token."""
     rng = np.random.default_rng(seed)
-    acc = [{role: np.zeros((layer.n_experts, *layer.experts[0][role].shape))
-            for role in (Role.UP, Role.DOWN)} for layer in model.layers]
+    acc = [{role: np.zeros_like(layer.weights[role]) for role in (Role.UP, Role.DOWN)}
+           for layer in model.layers]
     drawn = []
     for t in range(calib.shape[1]):
         x = calib[:, t]
@@ -120,9 +119,8 @@ def per_token_fisher(model, calib, mode="sampled-label", seed=0, labels=None):
         drawn.append(y)
         grads = legacy_backward_logloss(model, x, y)
         for l, layer_grads in enumerate(grads.expert_grads):
-            for i, expert in enumerate(layer_grads):
-                for role in (Role.UP, Role.DOWN):
-                    acc[l][role][i] += expert[role] * expert[role]
+            for role in (Role.UP, Role.DOWN):
+                acc[l][role] += layer_grads[role] * layer_grads[role]
     for layer_acc in acc:
         for role in (Role.UP, Role.DOWN):
             layer_acc[role] /= calib.shape[1]
@@ -158,13 +156,13 @@ def rebuild(model, layer_idx, expert_idx, role, entry, delta):
     layers = []
     for l, layer in enumerate(model.layers):
         gate = layer.gate.copy()
-        experts = [{r: e[r].copy() for r in (Role.UP, Role.DOWN)} for e in layer.experts]
+        weights = {r: w.copy() for r, w in layer.weights.items()}
         if l == layer_idx:
             if expert_idx is None:
                 gate[entry] += delta
             else:
-                experts[expert_idx][role][entry] += delta
-        layers.append(MoELayer(gate=gate, experts=experts, top_k=layer.top_k))
+                weights[role][expert_idx][entry] += delta
+        layers.append(MoELayer(gate=gate, weights=weights, top_k=layer.top_k))
     if layer_idx is None:
         head[entry] += delta
     return MoEModel(layers=layers, head=head)
@@ -186,9 +184,9 @@ def max_relative_error(model, x, y):
             worst = max(worst, abs(an - fd) / max(abs(fd), 1e-6))
         for i in range(layer.n_experts):
             for role in (Role.UP, Role.DOWN):
-                for entry in np.ndindex(layer.experts[i][role].shape):
+                for entry in np.ndindex(layer.weights[role][i].shape):
                     fd = central_difference(model, x, y, l, i, role, entry)
-                    an = grads.expert_grads[l][i][role][entry]
+                    an = grads.expert_grads[l][role][i][entry]
                     worst = max(worst, abs(an - fd) / max(abs(fd), 1e-6))
     for entry in np.ndindex(model.head.shape):
         fd = central_difference(model, x, y, None, None, None, entry)
@@ -219,7 +217,7 @@ class TestBackward:
         grads = backward_logloss(model, x, 0)
         for i in range(4):
             for role in (Role.UP, Role.DOWN):
-                block = grads.expert_grads[0][i][role]
+                block = grads.expert_grads[0][role][i]
                 if i in chosen:
                     assert block.any()
                 else:
@@ -262,8 +260,8 @@ class TestBackward:
                 assert_block_matches(got.gate_grads[l], want.gate_grads[l])
                 for i in range(4):
                     for role in (Role.UP, Role.DOWN):
-                        assert_block_matches(got.expert_grads[l][i][role],
-                                             want.expert_grads[l][i][role])
+                        assert_block_matches(got.expert_grads[l][role][i],
+                                             want.expert_grads[l][role][i])
             assert_block_matches(got.head_grad, want.head_grad)
 
     @pytest.mark.parametrize("top_k", [1, 2, 3])
@@ -281,7 +279,7 @@ class TestBackward:
             for l in range(3):
                 for i in range(4):
                     for role in (Role.UP, Role.DOWN):
-                        g = grads.expert_grads[l][i][role]
+                        g = grads.expert_grads[l][role][i]
                         assert_block_matches(fi[l][role][i], g * g, rel=1e-15)
 
 
@@ -291,9 +289,8 @@ class TestFisher:
         gate = np.array([[5.0, 5.0, 5.0, 5.0],
                          [4.0, 4.0, 4.0, 4.0],
                          [-50.0, -50.0, -50.0, -50.0]])
-        experts = [{Role.UP: rng.normal(size=(5, 4)), Role.DOWN: rng.normal(size=(4, 5))}
-                   for _ in range(3)]
-        layer = MoELayer(gate=gate, experts=experts, top_k=2)
+        ups, downs = zip(*[(rng.normal(size=(5, 4)), rng.normal(size=(4, 5))) for _ in range(3)])
+        layer = MoELayer(gate=gate, weights={Role.UP: ups, Role.DOWN: downs}, top_k=2)
         model = MoEModel(layers=[layer], head=rng.normal(size=(3, 4)))
         x = np.abs(rng.normal(size=(4, 12)))  # positive coords keep expert 2 unreachable
         fi = fisher_accumulate(model, capture_calibration(model, x), mode="sampled-label", seed=0)
@@ -331,7 +328,7 @@ class TestFisher:
         labels = rng.integers(0, 3, size=32)
         fi = fisher_accumulate(model, capture_calibration(model, x), mode="data-label", labels=labels)
 
-        acc = [{role: np.zeros_like(model.layers[0].experts[i][role])
+        acc = [{role: np.zeros_like(model.layers[0].weights[role][i])
                 for role in (Role.UP, Role.DOWN)} for i in range(2)]
         for t in range(32):
             for i in range(2):
@@ -355,7 +352,7 @@ class TestFisher:
         fi = fisher_accumulate(model, capture_calibration(model, x), mode="sampled-label", seed=1)
         for role in (Role.UP, Role.DOWN):
             blocks = fi[0][role]
-            weights = [model.layers[0].experts[i][role] for i in range(2)]
+            weights = [model.layers[0].weights[role][i] for i in range(2)]
             assert all(np.all(block >= 0) for block in blocks)
             means = [float(block.mean()) for block in blocks]
             want = (means[0] * weights[0] + means[1] * weights[1]) / (means[0] + means[1])
@@ -382,9 +379,8 @@ class TestBatchedFisher:
         gate = np.array([[5.0, 5.0, 5.0, 5.0],
                          [4.0, 4.0, 4.0, 4.0],
                          [-50.0, -50.0, -50.0, -50.0]])
-        first = MoELayer(gate=gate, top_k=2,
-                         experts=[{Role.UP: rng.normal(size=(5, 4)),
-                                   Role.DOWN: rng.normal(size=(4, 5))} for _ in range(3)])
+        ups, downs = zip(*[(rng.normal(size=(5, 4)), rng.normal(size=(4, 5))) for _ in range(3)])
+        first = MoELayer(gate=gate, top_k=2, weights={Role.UP: ups, Role.DOWN: downs})
         rest = make_model(112, n_experts=3, d_model=4, hidden=5, layers=2, top_k=2)
         model = MoEModel(layers=[first, *rest.layers], head=rest.head)
         x = np.abs(rng.normal(size=(4, 40)))  # positive coords keep expert 2 unreachable
@@ -435,8 +431,7 @@ class TestBatchedFisher:
     def test_non_finite_probabilities_raise(self, mode):
         model = make_model(32, layers=2)
         huge = MoEModel(layers=[MoELayer(gate=layer.gate, top_k=layer.top_k,
-                                         experts=[{r: e[r] * 1e150 for r in e}
-                                                  for e in layer.experts])
+                                         weights={r: w * 1e150 for r, w in layer.weights.items()})
                                 for layer in model.layers],
                         head=model.head * 1e150)
         x = np.random.default_rng(115).normal(size=(4, 8))

@@ -121,6 +121,19 @@ class TestMatrixValidation:
         assert m.flags["C_CONTIGUOUS"]
         assert m.dtype == np.float64
 
+    @pytest.mark.parametrize("check, bad", [
+        (as_matrix, "x"),
+        (as_matrix, [[1], [1, 2]]),
+        (as_matrix, {}),
+        (as_matrix, [[1j]]),
+        (as_stack, {}),
+        (as_stack, [[[1j]]]),
+    ], ids=["matrix-str", "matrix-ragged", "matrix-dict", "matrix-complex", "stack-dict",
+            "stack-complex"])
+    def test_unconvertible_input_is_a_shape_error(self, check, bad):
+        with pytest.raises(ShapeError, match="bad: not convertible to one float64 array"):
+            check(bad, "bad")
+
 
 class TestSvd:
     """`vanilla_svd_compress`, the plain truncated SVD that criterion 3

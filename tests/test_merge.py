@@ -40,7 +40,7 @@ def up_deltas(weights, method="mean", frequency=None):
     """`merge_layer`'s Up deltas for experts with these Up weights (Down:
     their transposes)."""
     layer = MoELayer(gate=np.zeros((len(weights), weights[0].shape[1])), top_k=1,
-                     experts=[{Role.UP: w, Role.DOWN: w.T} for w in weights])
+                     weights={Role.UP: weights, Role.DOWN: [w.T for w in weights]})
     return layer_deltas(layer, method, frequency)[Role.UP]
 
 
@@ -169,7 +169,7 @@ class TestFallbackCount:
         tokens = fx.tokens.copy()
         tokens[5] = 0.0
         layer = fx.model.layers[0]
-        mean_col = mean_base([e[Role.UP] for e in layer.experts])[:, 5]
+        mean_col = mean_base(layer.weights[Role.UP])[:, 5]
         cfg = CompressionConfig()
         stats, _ = compute_layer_stats(fx.model, tokens, cfg, labels=fx.labels)
 
@@ -218,7 +218,7 @@ class TestLowerRankTendency:
         fx = gen_fixture(seed=0)
         for layer in fx.model.layers:
             for role in (Role.UP, Role.DOWN):
-                weights = [e[role] for e in layer.experts]
+                weights = layer.weights[role]
                 deltas = layer_deltas(layer)[role]
                 m, n = weights[0].shape
                 k = -(-min(m, n) // 4)

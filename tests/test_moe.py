@@ -45,10 +45,10 @@ def subset_oracle(logits, k):
 
 
 def make_layer(rng, n_experts, d_model, hidden, d_out, top_k):
-    experts = [{Role.UP: rng.normal(size=(hidden, d_model)),
-                Role.DOWN: rng.normal(size=(d_out, hidden))}
-               for _ in range(n_experts)]
-    return MoELayer(gate=rng.normal(size=(n_experts, d_model)), experts=experts, top_k=top_k)
+    ups, downs = zip(*[(rng.normal(size=(hidden, d_model)), rng.normal(size=(d_out, hidden)))
+                       for _ in range(n_experts)])
+    return MoELayer(gate=rng.normal(size=(n_experts, d_model)),
+                    weights={Role.UP: ups, Role.DOWN: downs}, top_k=top_k)
 
 
 def route_logits(logits, k):
@@ -57,12 +57,59 @@ def route_logits(logits, k):
     return sel[0], w[0]
 
 
+UP, DOWN = np.ones((3, 5, 4)), np.ones((3, 4, 5))  # 3 experts, d_model 4, hidden 5
+
+
+def with_entry(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+class TestLayerValidation:
+    def test_keeps_a_c_order_stack_and_copies_the_callers_dict(self):
+        weights = {Role.UP: UP, Role.DOWN: DOWN}
+        layer = MoELayer(gate=np.ones((3, 4)), weights=weights, top_k=1)
+        assert layer.weights[Role.UP] is UP and layer.weights[Role.DOWN] is DOWN
+        assert layer.weights is not weights
+        assert weights[Role.UP] is UP and weights[Role.DOWN] is DOWN and len(weights) == 2
+        assert (layer.n_experts, layer.d_model, layer.hidden, layer.d_out) == (3, 4, 5, 4)
+
+    def test_converts_a_sequence_without_touching_it(self):
+        rng = np.random.default_rng(20)
+        ups = [np.asfortranarray(rng.normal(size=(5, 4))) for _ in range(3)]
+        downs = [rng.normal(size=(4, 5)).astype(np.float32) for _ in range(3)]
+        weights = {Role.UP: ups, Role.DOWN: downs}
+        layer = MoELayer(gate=np.ones((3, 4)), weights=weights, top_k=1)
+        assert weights[Role.UP] is ups and weights[Role.DOWN] is downs
+        assert all(w.flags["F_CONTIGUOUS"] for w in ups) and downs[0].dtype == np.float32
+        for role, mats in ((Role.UP, ups), (Role.DOWN, downs)):
+            got = layer.weights[role]
+            assert got.dtype == np.float64 and got.flags["C_CONTIGUOUS"]
+            assert np.array_equal(got, np.stack(mats).astype(np.float64))
+
+    @pytest.mark.parametrize("weights, match", [
+        ({Role.UP: UP}, "roles"),
+        ({Role.UP: UP[:2], Role.DOWN: DOWN[:2]}, "expert count"),
+        ({Role.UP: UP, Role.DOWN: DOWN[:2]}, "expert count"),
+        ({Role.UP: UP, Role.DOWN: np.ones((3, 4, 6))}, "hidden"),
+        ({Role.UP: np.ones((3, 5, 3)), Role.DOWN: DOWN}, "d_model"),
+        ({Role.UP: with_entry(UP, (1, 2, 3), np.nan), Role.DOWN: DOWN}, "non-finite"),
+        ({Role.UP: UP, Role.DOWN: with_entry(DOWN, (2, 0, 0), np.inf)}, "non-finite"),
+        ({Role.UP: [np.ones((5, 4)), np.ones((5, 3)), np.ones((5, 4))], Role.DOWN: DOWN}, "float64 array"),
+        ({Role.UP: UP[0], Role.DOWN: DOWN}, "3-D"),
+    ], ids=["missing-role", "stack-length", "down-length", "hidden", "d-model", "nan", "inf",
+            "ragged", "one-matrix"])
+    def test_rejects_bad_stacks(self, weights, match):
+        with pytest.raises(ShapeError, match=match):
+            MoELayer(gate=np.ones((3, 4)), weights=weights, top_k=1)
+
+
 class TestGating:
     def test_two_logit_softmax(self):
         # router logits [1,2,3] via d_model=1 and x=[1]
         layer = MoELayer(gate=np.array([[1.0], [2.0], [3.0]]),
-                         experts=[{Role.UP: np.ones((2, 1)), Role.DOWN: np.ones((1, 2))}
-                                  for _ in range(3)],
+                         weights={Role.UP: np.ones((3, 2, 1)), Role.DOWN: np.ones((3, 1, 2))},
                          top_k=2)
         sel, w = route_batch(layer.gate, layer.top_k, np.array([[1.0]]))
         assert sel[0].tolist() == [2, 1]
@@ -240,15 +287,14 @@ class TestDenseForward:
         layer = make_layer(rng, 1, 3, 6, 3, top_k=1)
         x = rng.normal(size=(3, 5))
         y, _ = layer_forward_dense(layer, x)
-        expected = layer.experts[0][Role.DOWN] @ silu(layer.experts[0][Role.UP] @ x)
+        expected = layer.weights[Role.DOWN][0] @ silu(layer.weights[Role.UP][0] @ x)
         np.testing.assert_allclose(y, expected, atol=1e-14)
 
     def test_identical_experts_ignore_routing(self):
         rng = np.random.default_rng(5)
         up, down = rng.normal(size=(6, 3)), rng.normal(size=(3, 6))
         layer = MoELayer(gate=rng.normal(size=(4, 3)),
-                         experts=[{Role.UP: up.copy(), Role.DOWN: down.copy()}
-                                  for _ in range(4)],
+                         weights={Role.UP: np.stack([up] * 4), Role.DOWN: np.stack([down] * 4)},
                          top_k=2)
         x = rng.normal(size=(3, 7))
         y, _ = layer_forward_dense(layer, x)
@@ -266,7 +312,7 @@ class TestDenseForward:
         for t in range(3):
             gl = [sum(layer.gate[i][a] * x[a][t] for a in range(3)) for i in range(2)]
             win = 0 if gl[0] >= gl[1] else 1
-            e = layer.experts[win]
+            e = {role: layer.weights[role][win] for role in (Role.UP, Role.DOWN)}
             hid = []
             for r in range(4):
                 z = sum(e[Role.UP][r][a] * x[a][t] for a in range(3))
@@ -301,10 +347,9 @@ class TestCalibrationCapture:
     def test_single_token_single_gram(self):
         rng = np.random.default_rng(9)
         # gate forces expert 0: its row dominates every x with positive first coord
+        ups, downs = zip(*[(rng.normal(size=(4, 2)), rng.normal(size=(2, 4))) for _ in range(3)])
         layer = MoELayer(gate=np.array([[100.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
-                         experts=[{Role.UP: rng.normal(size=(4, 2)),
-                                   Role.DOWN: rng.normal(size=(2, 4))} for _ in range(3)],
-                         top_k=1)
+                         weights={Role.UP: ups, Role.DOWN: downs}, top_k=1)
         model = MoEModel(layers=[layer], head=np.eye(2))
         x = np.array([[1.0], [0.5]])
         _, stats = capture_calibration(model, x)
@@ -334,7 +379,7 @@ class TestCalibrationCapture:
             for t in range(h.shape[1]):
                 for i in trace.selected[t]:
                     xi = h[:, t:t + 1]
-                    hi = silu(layer.experts[i][Role.UP] @ xi)
+                    hi = silu(layer.weights[Role.UP][i] @ xi)
                     up_ref[i] += xi @ xi.T
                     down_ref[i] += hi @ hi.T
             for i in range(layer.n_experts):
@@ -402,7 +447,7 @@ class TestCalibrationCapture:
                     continue
                 got_rows, a = st.acts[i]
                 assert np.array_equal(got_rows, rows)
-                assert np.array_equal(a, np.ascontiguousarray(h.T)[rows] @ layer.experts[i][Role.UP].T)
+                assert np.array_equal(a, np.ascontiguousarray(h.T)[rows] @ layer.weights[Role.UP][i].T)
             h, _ = layer_forward_dense(layer, h)
 
 

@@ -41,16 +41,16 @@ from d2moe.runtime import (
 
 
 def make_dense_layer(rng, n_experts=4, d=6, hidden=8, top_k=2):
-    experts = [{Role.UP: rng.normal(size=(hidden, d)) / np.sqrt(d),
-                Role.DOWN: rng.normal(size=(d, hidden)) / np.sqrt(hidden)}
-               for _ in range(n_experts)]
-    return MoELayer(gate=rng.normal(size=(n_experts, d)), experts=experts, top_k=top_k)
+    ups, downs = zip(*[(rng.normal(size=(hidden, d)) / np.sqrt(d),
+                        rng.normal(size=(d, hidden)) / np.sqrt(hidden))
+                       for _ in range(n_experts)])
+    return MoELayer(gate=rng.normal(size=(n_experts, d)),
+                    weights={Role.UP: ups, Role.DOWN: downs}, top_k=top_k)
 
 
 def compress_by_hand(dense, x, p=0.5, s=0.0, lossless=False, trimmed=()):
     """Mean merge + whitened factors + static pruning, no pipeline involved."""
-    up_w = [e[Role.UP] for e in dense.experts]
-    down_w = [e[Role.DOWN] for e in dense.experts]
+    up_w, down_w = dense.weights[Role.UP], dense.weights[Role.DOWN]
     base_up = weighted_merge(up_w, np.ones(len(up_w)))[0]
     base_down = weighted_merge(down_w, np.ones(len(down_w)))[0]
     h = silu(base_up @ x)
@@ -227,8 +227,8 @@ def legacy_model_forward(model, x, silu=silu):
         if isinstance(layer, MoELayer):
             def fill(rows, groups, slots, layer=layer, h=h):
                 for i, start, stop in groups:
-                    e = layer.experts[i]
-                    slots[start:stop] = silu(h[rows[start:stop]] @ e[Role.UP].T) @ e[Role.DOWN].T
+                    up, down = layer.weights[Role.UP][i], layer.weights[Role.DOWN][i]
+                    slots[start:stop] = silu(h[rows[start:stop]] @ up.T) @ down.T
             h, trace = legacy_routed_forward(layer, h, fill)
         else:
             h, trace = legacy_compressed_forward(layer, h, silu)
@@ -348,8 +348,8 @@ def colmajor_routed_forward(layer, x_batch, expert_fn):
 
 def colmajor_layer_forward_dense(layer, xb):
     def expert(i, rows):
-        h = layer.experts[i][Role.UP] @ xb[:, rows]
-        return layer.experts[i][Role.DOWN] @ silu(h, out=h)
+        h = layer.weights[Role.UP][i] @ xb[:, rows]
+        return layer.weights[Role.DOWN][i] @ silu(h, out=h)
 
     return colmajor_routed_forward(layer, xb, expert)
 
