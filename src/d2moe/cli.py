@@ -12,6 +12,8 @@ failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import sys
 from pathlib import Path
 
@@ -22,8 +24,9 @@ from .config import CompressionConfig, apply_overrides, apply_preset, parse_conf
 from .container import load_any, save_calibration, save_compressed_model, save_model
 from .errors import ConfigError, ContainerError, D2MoeError, NumericalError
 from .fixtures import gen_fixture
-from .moe import MoEModel, Role
-from .pipeline import compress, compute_layer_stats, evaluate, ratio_frontier
+from .linalg import blas_threads
+from .moe import MoEModel, Role, capture_calibration, expert_frequency
+from .pipeline import compress, evaluate, ratio_frontier
 from .report import (
     read_report,
     write_cka_csv,
@@ -63,10 +66,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--damping", type=float, help="Gram Cholesky damping floor")
 
 
-_FLAG_KEYS = ("merge_method", "fisher_mode", "delta_ratio", "rank_mode", "delta_rank",
-              "sparsity", "trim", "seed", "calib_samples", "batch_size", "damping")
-
-
 def _resolve_config(args: argparse.Namespace) -> CompressionConfig:
     cfg = parse_config_file(args.config) if args.config else CompressionConfig()
     if args.preset:
@@ -79,8 +78,8 @@ def _resolve_config(args: argparse.Namespace) -> CompressionConfig:
         pairs[key.strip()] = value.strip()
     if pairs:
         cfg = apply_overrides(cfg, pairs)
-    flags = {key: getattr(args, key) for key in _FLAG_KEYS
-             if getattr(args, key, None) is not None}
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(CompressionConfig)
+             if getattr(args, f.name, None) is not None}
     if flags:
         cfg = apply_overrides(cfg, flags)
     return cfg.validate()
@@ -107,15 +106,14 @@ def _load_calib_file(path) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_fixture(args) -> int:
-    fx = gen_fixture(seed=args.seed, n_experts=args.experts, d_model=args.d_model,
-                     hidden=args.hidden, layers=args.layers, rank_noise=args.rank_noise,
-                     tokens=args.tokens, top_k=args.top_k, num_classes=args.classes,
-                     delta_scale=args.delta_scale, dense_noise=args.dense_noise,
-                     noise_spread=args.noise_spread, gate_spread=args.gate_spread)
+    # flags the user left out are absent from args, so gen_fixture's defaults apply
+    fx = gen_fixture(**{name: getattr(args, name) for name in inspect.signature(gen_fixture).parameters
+                        if hasattr(args, name)})
     save_model(args.out_model, fx.model)
     save_calibration(args.out_calib, fx.tokens, fx.labels)
-    print(f"fixture seed={fx.seed} layers={args.layers} experts={args.experts} "
-          f"d={args.d_model} hidden={args.hidden} tokens={fx.n_tokens}")
+    first = fx.model.layers[0]
+    print(f"fixture seed={fx.seed} layers={len(fx.model.layers)} experts={first.n_experts} "
+          f"d={first.d_model} hidden={first.hidden} tokens={fx.n_tokens}")
     print(f"wrote {args.out_model}")
     print(f"wrote {args.out_calib}")
     return EXIT_OK
@@ -124,14 +122,16 @@ def _cmd_gen_fixture(args) -> int:
 def _cmd_calibrate(args) -> int:
     cfg = _resolve_config(args)
     model = _load_model_file(args.model)
-    tokens, labels = _load_calib_file(args.calib)
+    tokens, _ = _load_calib_file(args.calib)
     n_use = min(cfg.calib_samples, tokens.shape[1])
-    stats, _ = compute_layer_stats(model, tokens[:, :n_use], cfg, labels=labels[:n_use])
+    # the capture alone: the CSV holds frequencies and Gram traces, no Fisher block
+    with blas_threads(1):
+        _, captures = capture_calibration(model, tokens[:, :n_use])
     lines = ["layer,expert,frequency,gram_trace_up,gram_trace_down"]
-    for l, st in enumerate(stats):
-        for i, freq in enumerate(st.frequency):
-            tr_up = float(np.trace(st.grams[Role.UP][i]))
-            tr_down = float(np.trace(st.grams[Role.DOWN][i]))
+    for l, cap in enumerate(captures):
+        for i, freq in enumerate(expert_frequency(cap.trace)):
+            tr_up = float(np.trace(cap.grams[Role.UP][i]))
+            tr_down = float(np.trace(cap.grams[Role.DOWN][i]))
             lines.append(f"{l},{i},{float(freq)!r},{tr_up!r},{tr_down!r}")
     Path(args.out).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     print(f"wrote {args.out} ({n_use} tokens)")
@@ -234,21 +234,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "plus low-rank per-expert deltas.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-fixture", help="generate a seeded synthetic model + calibration set")
+    p = sub.add_parser("gen-fixture", help="generate a seeded synthetic model + calibration set",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--experts", type=int, default=8)
-    p.add_argument("--d-model", type=int, default=32)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--rank-noise", type=int, default=4,
+    p.add_argument("--experts", dest="n_experts", type=int, metavar="EXPERTS")
+    p.add_argument("--d-model", type=int)
+    p.add_argument("--hidden", type=int)
+    p.add_argument("--layers", type=int)
+    p.add_argument("--rank-noise", type=int,
                    help="rank of the shared-structure deviation per expert")
-    p.add_argument("--tokens", type=int, default=512)
-    p.add_argument("--top-k", type=int, default=2)
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--delta-scale", type=float, default=0.5)
-    p.add_argument("--dense-noise", type=float, default=0.15)
-    p.add_argument("--noise-spread", type=float, default=2.0)
-    p.add_argument("--gate-spread", type=float, default=2.0)
+    p.add_argument("--tokens", type=int)
+    p.add_argument("--top-k", type=int)
+    p.add_argument("--classes", dest="num_classes", type=int, metavar="CLASSES")
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-calib", required=True)
     p.set_defaults(func=_cmd_gen_fixture)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,9 +66,11 @@ class CompressionConfig:
         if self.per_layer_ratios is not None:
             if self.rank_mode != "ratio":
                 raise ConfigError("per_layer_ratios requires rank_mode=ratio")
-            for p in self.per_layer_ratios:
-                if not 0.0 < p <= 1.0:
-                    raise ConfigError(f"per-layer ratio {p} outside (0, 1]")
+            if not isinstance(self.per_layer_ratios, Sequence):
+                raise ConfigError(f"per_layer_ratios must be a sequence, got {self.per_layer_ratios!r}")
+            for p in self.per_layer_ratios:  # the range check also rejects NaN and inf
+                if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 < p <= 1.0:
+                    raise ConfigError(f"per-layer ratio {p!r} is not a number in (0, 1]")
         if not 0.0 <= self.sparsity < 1.0:
             raise ConfigError(f"sparsity must lie in [0, 1), got {self.sparsity}")
         if self.trim < 0:

@@ -57,7 +57,11 @@ _SHARED_BURST_STD = 0.065   # shared base content on burst coords
 _DENSE_FLOOR = 0.35    # weakest dense coord scale
 _DEAD_SCALE = 1e-3
 _DOWN_SCALE = 0.03     # down-projection divergence relative to up
-_SIG_GAIN = 12.0       # delta_scale -> rank-noise amplitude
+_SIG_GAIN = 12.0       # delta scale -> rank-noise amplitude
+_DELTA_SCALE = 0.5     # rank-noise amplitude, in units of _SIG_GAIN
+_DENSE_NOISE = 0.15    # dense individuality relative to the rank noise
+_NOISE_SPREAD = 2.0    # generalist/specialist contrast of that individuality
+_GATE_SPREAD = 2.0     # router temperature
 _TARGET_MARGIN = 0.8   # median top-2 logit gap after head rescale
 
 
@@ -87,18 +91,13 @@ def _coord_layout(n_experts: int, d_model: int):
 @blas_threads(1)
 def gen_fixture(seed: int, n_experts: int = 8, d_model: int = 32, hidden: int = 64,
                 layers: int = 1, rank_noise: int = 4, tokens: int = DEFAULT_TOKENS,
-                top_k: int = 2, num_classes: int = 10, delta_scale: float = 0.5,
-                dense_noise: float = 0.15, noise_spread: float = 2.0,
-                gate_spread: float = 2.0) -> Fixture:
+                top_k: int = 2, num_classes: int = 10) -> Fixture:
     """Generate a deterministic model + calibration pair for one seed.
 
-    `delta_scale` sets the rank-noise amplitude, `dense_noise` the dense
-    individuality relative to it, `noise_spread` the generalist/specialist
-    contrast, and `gate_spread` the router temperature. Defaults are tuned
-    so mean-merge deltas retain >=99% energy at k=rank_noise while the
-    merge weightings still measurably disagree. Like `compress`, it runs
-    with OpenBLAS pinned to one thread, so the fixture bytes do not depend
-    on OPENBLAS_NUM_THREADS.
+    The noise and gate constants above are tuned so mean-merge deltas
+    retain >=99% energy at k=rank_noise while the merge weightings still
+    measurably disagree. Like `compress`, it runs with OpenBLAS pinned to
+    one thread, so the fixture bytes do not depend on OPENBLAS_NUM_THREADS.
     """
     if rank_noise < 0 or rank_noise >= min(d_model, hidden):
         raise ParameterError(f"rank_noise must lie in [0, {min(d_model, hidden)}), got {rank_noise}")
@@ -108,8 +107,6 @@ def gen_fixture(seed: int, n_experts: int = 8, d_model: int = 32, hidden: int = 
         raise ParameterError(f"top_k {top_k} exceeds n_experts {n_experts}")
     if num_classes < 2:
         raise ParameterError(f"need at least 2 classes, got {num_classes}")
-    if delta_scale < 0 or dense_noise < 0 or noise_spread < 1 or gate_spread < 1:
-        raise ParameterError("scales must be non-negative and spreads at least 1")
 
     rng = np.random.default_rng(seed + _STREAM_SALT)
     n, d, h, r = n_experts, d_model, hidden, rank_noise
@@ -119,12 +116,12 @@ def gen_fixture(seed: int, n_experts: int = 8, d_model: int = 32, hidden: int = 
     dead_h = int(0.41 * h)
     live_h = h - dead_h
 
-    sig = _SIG_GAIN * delta_scale
-    person_std = 0.0071 * sig * (dense_noise / 0.15)
-    broad_amp = 0.75 * noise_spread
-    loner_amp = 0.6 / noise_spread ** 2
-    beta_broad = gate_spread
-    beta_burst = 3.0 * gate_spread
+    sig = _SIG_GAIN * _DELTA_SCALE
+    person_std = 0.0071 * sig * (_DENSE_NOISE / 0.15)
+    broad_amp = 0.75 * _NOISE_SPREAD
+    loner_amp = 0.6 / _NOISE_SPREAD ** 2
+    beta_broad = _GATE_SPREAD
+    beta_burst = 3.0 * _GATE_SPREAD
 
     def expert_bank(m, k, scale, burst_cols, dormant):
         # dormant=True confines the rank-r factor B to the near-dead

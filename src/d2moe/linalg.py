@@ -69,8 +69,11 @@ def blas_threads(n: int):
 def _as_array(a, ndim: int, name: str) -> np.ndarray:
     """`a` as a finite float64 C-order array of `ndim` non-empty dimensions
     (the array itself if it already is one); every failure, numpy's own
-    conversion errors included, is a ShapeError."""
+    conversion errors included, is a ShapeError. Complex input is refused
+    before the conversion, which would drop the imaginary part."""
     try:
+        if np.iscomplexobj(a):
+            raise TypeError("complex values")
         m = np.ascontiguousarray(a, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ShapeError(f"{name}: not convertible to one float64 array ({exc})") from None

@@ -70,6 +70,16 @@ def silu_grad(z: np.ndarray) -> np.ndarray:
     return s * (1.0 + z * (1.0 - s))
 
 
+def _checked_top_k(top_k, n_experts: int) -> int:
+    """`top_k` as a Python int in [1, n_experts]; a bool, a float or any other
+    non-integer is a ShapeError, as is a value outside the range."""
+    if isinstance(top_k, bool) or not isinstance(top_k, (int, np.integer)):
+        raise ShapeError(f"top_k must be an integer, got {top_k!r}")
+    if not 1 <= top_k <= n_experts:
+        raise ShapeError(f"top_k={top_k} outside [1, {n_experts}]")
+    return int(top_k)
+
+
 @dataclass(frozen=True)
 class MoELayer:
     """One MoE block: router weights (N, d_model) and per role one weight
@@ -92,14 +102,13 @@ class MoELayer:
         n = gate.shape[0]
         if up.shape[0] != n or down.shape[0] != n:
             raise ShapeError(f"gate rows {n} != expert count {up.shape[0]} (up), {down.shape[0]} (down)")
-        if not 1 <= self.top_k <= n:
-            raise ShapeError(f"top_k={self.top_k} outside [1, {n}]")
         if up.shape[2] != gate.shape[1]:
             raise ShapeError(f"up cols {up.shape[2]} != d_model {gate.shape[1]}")
         if down.shape[2] != up.shape[1]:
             raise ShapeError(f"down cols {down.shape[2]} != hidden {up.shape[1]}")
         object.__setattr__(self, "gate", gate)
         object.__setattr__(self, "weights", {Role.UP: up, Role.DOWN: down})
+        object.__setattr__(self, "top_k", _checked_top_k(self.top_k, n))
 
     @property
     def n_experts(self) -> int:

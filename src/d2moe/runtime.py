@@ -31,8 +31,8 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .factorize import DeltaFactor
 from .linalg import as_matrix
-from .moe import (MoELayer, Role, RoutingTrace, _layer_input, chained_head, layer_forward_dense,
-                  routed_forward, silu)
+from .moe import (MoELayer, Role, RoutingTrace, _checked_top_k, _layer_input, chained_head,
+                  layer_forward_dense, routed_forward, silu)
 from .pruning import PrunedBase, _active_positions, _column_sumsq
 
 
@@ -47,10 +47,9 @@ class CompressedLayer:
 
     def __post_init__(self):
         gate = as_matrix(self.gate, "gate")
-        object.__setattr__(self, "gate", gate)
         n, d = gate.shape
-        if not 1 <= self.top_k <= n:
-            raise ShapeError(f"top_k={self.top_k} outside [1, {n}]")
+        object.__setattr__(self, "gate", gate)
+        object.__setattr__(self, "top_k", _checked_top_k(self.top_k, n))
         if set(self.base) != {Role.UP, Role.DOWN}:
             raise ShapeError("base must define exactly the Up and Down roles")
         up, down = self.base[Role.UP], self.base[Role.DOWN]

@@ -223,6 +223,20 @@ class TestCalibrate:
         traces = [float(v) for line in lines[1:] for v in line.split(",")[3:]]
         assert all(t >= 0.0 for t in traces)
 
+    def test_runs_no_fisher_whatever_the_merge(self, workdir, tmp_path, capsys, monkeypatch):
+        """The CSV holds frequencies and Gram traces only, so a Fisher merge
+        setting must not start a Fisher pass, and the bytes match a mean run."""
+        argv = ["calibrate", "--model", str(workdir / "model.d2m"), "--calib", str(workdir / "calib.d2m")]
+        run_ok([*argv, "--merge", "mean", "--out", str(tmp_path / "mean.csv")], capsys)
+
+        def no_fisher(*args, **kwargs):
+            raise AssertionError("calibrate ran fisher_accumulate")
+
+        monkeypatch.setattr("d2moe.gradients.fisher_accumulate", no_fisher)
+        monkeypatch.setattr("d2moe.pipeline.fisher_accumulate", no_fisher)
+        run_ok([*argv, "--merge", "fisher", "--out", str(tmp_path / "fisher.csv")], capsys)
+        assert (tmp_path / "fisher.csv").read_bytes() == (tmp_path / "mean.csv").read_bytes()
+
 
 class TestAnalyze:
     def test_cka_csv(self, workdir, tmp_path, capsys):

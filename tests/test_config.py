@@ -71,6 +71,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("ratios", [
+        ("0.5",), 0.5, "0.5", (True,), (0.5, None), (float("nan"),), (float("inf"),),
+        np.array([0.5]), {0.5},
+    ], ids=repr)
+    def test_per_layer_ratios_are_a_sequence_of_numbers(self, ratios):
+        with pytest.raises(ConfigError, match="per.layer.ratio"):
+            CompressionConfig(per_layer_ratios=ratios).validate()
+
+    def test_per_layer_ratios_take_ints_and_floats(self):
+        for ratios in ((0.5, 1), [0.25, 1.0], (np.float64(0.5),)):
+            CompressionConfig(per_layer_ratios=ratios).validate()
+
     def test_fixed_mode_ignores_ratio_bounds(self):
         cfg = CompressionConfig(rank_mode="fixed", delta_rank=3, delta_ratio=0.0)
         cfg.validate()

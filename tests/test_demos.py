@@ -12,15 +12,29 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import d2moe
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SHELL_DEMOS = sorted((ROOT / "demos").glob("*.sh"))
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"),
-                           flags=re.MULTILINE | re.DOTALL)
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, flags=re.MULTILINE | re.DOTALL)
+
+# what the README, the demos and the benchmark reach through the package;
+# everything else is imported from its module
+PUBLIC_NAMES = {
+    "CompressionConfig", "compress", "evaluate", "ratio_frontier", "gen_fixture",
+    "moe_forward_dense", "compressed_model_forward", "load_any", "save_model",
+    "save_compressed_model", "container_load", "container_save",
+    "D2MoeError", "ShapeError", "ParameterError", "DegenerateInputError", "NumericalError",
+    "NotPositiveDefiniteError", "ConfigError", "ContainerError", "BadMagicError",
+    "ManifestError", "TruncatedPayloadError", "OverlappingPayloadError", "NonFinitePayloadError",
+}
 
 
 def run_ok(argv, cwd, env=None):
@@ -36,6 +50,13 @@ def test_demo_runs(demo, tmp_path):
 
 def test_readme_has_a_python_example():
     assert README_BLOCKS
+
+
+def test_package_exports_exactly_the_public_names():
+    exported = {name for name, value in vars(d2moe).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == PUBLIC_NAMES
+    assert all(f"`{name}`" in README for name in PUBLIC_NAMES)
 
 
 @pytest.mark.parametrize("block", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))])

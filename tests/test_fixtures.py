@@ -134,6 +134,4 @@ class TestValidation:
         with pytest.raises(ParameterError):
             gen_fixture(seed=0, num_classes=1)
         with pytest.raises(ParameterError):
-            gen_fixture(seed=0, noise_spread=0.5)
-        with pytest.raises(ParameterError):
             gen_fixture(seed=0, tokens=0)

@@ -128,8 +128,12 @@ class TestMatrixValidation:
         (as_matrix, [[1j]]),
         (as_stack, {}),
         (as_stack, [[[1j]]]),
+        (as_matrix, np.array([[1j]])),
+        (as_matrix, np.array([[1.0 + 0j]])),
+        (as_stack, np.ones((2, 2, 2), dtype=np.complex64)),
     ], ids=["matrix-str", "matrix-ragged", "matrix-dict", "matrix-complex", "stack-dict",
-            "stack-complex"])
+            "stack-complex", "matrix-complex-array", "matrix-real-valued-complex-array",
+            "stack-complex-array"])
     def test_unconvertible_input_is_a_shape_error(self, check, bad):
         with pytest.raises(ShapeError, match="bad: not convertible to one float64 array"):
             check(bad, "bad")

@@ -98,11 +98,28 @@ class TestLayerValidation:
         ({Role.UP: UP, Role.DOWN: with_entry(DOWN, (2, 0, 0), np.inf)}, "non-finite"),
         ({Role.UP: [np.ones((5, 4)), np.ones((5, 3)), np.ones((5, 4))], Role.DOWN: DOWN}, "float64 array"),
         ({Role.UP: UP[0], Role.DOWN: DOWN}, "3-D"),
+        ({Role.UP: UP.astype(complex), Role.DOWN: DOWN}, "float64 array"),
     ], ids=["missing-role", "stack-length", "down-length", "hidden", "d-model", "nan", "inf",
-            "ragged", "one-matrix"])
+            "ragged", "one-matrix", "complex"])
     def test_rejects_bad_stacks(self, weights, match):
         with pytest.raises(ShapeError, match=match):
             MoELayer(gate=np.ones((3, 4)), weights=weights, top_k=1)
+
+    def test_rejects_a_complex_gate(self):
+        with pytest.raises(ShapeError, match="gate: not convertible"):
+            MoELayer(gate=np.ones((3, 4)) * (1 + 1j), weights={Role.UP: UP, Role.DOWN: DOWN}, top_k=1)
+
+    @pytest.mark.parametrize("top_k", [1.5, 2.0, True, np.bool_(True), "2", None, 0, 4, np.int64(4)],
+                             ids=repr)
+    def test_top_k_must_be_an_integer_in_range(self, top_k):
+        with pytest.raises(ShapeError, match="top_k"):
+            MoELayer(gate=np.ones((3, 4)), weights={Role.UP: UP, Role.DOWN: DOWN}, top_k=top_k)
+
+    def test_numpy_integer_top_k_is_stored_as_an_int(self):
+        layer = MoELayer(gate=np.ones((3, 4)), weights={Role.UP: UP, Role.DOWN: DOWN},
+                         top_k=np.int32(2))
+        assert type(layer.top_k) is int and layer.top_k == 2
+        assert layer_forward_dense(layer, np.ones((4, 2)))[0].shape == (4, 2)
 
 
 class TestGating:

@@ -12,6 +12,7 @@ far the exp-form silu may move the logits. The column-major forwards that
 the token-major ones replaced are kept here too, as oracles within 1e-12.
 """
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -609,3 +610,19 @@ class TestCensus:
         with pytest.raises(ShapeError):
             census_active_params(layer, layer_forward_dense(make_dense_layer(rng, n_experts=3),
                                                             rng.normal(size=(6, 4)))[1])
+
+    @pytest.mark.parametrize("top_k", [1.5, 2.0, True, np.bool_(True), "2", None, 0, 5, np.int64(5)],
+                             ids=repr)
+    def test_top_k_must_be_an_integer_in_range(self, top_k):
+        layer = compress_by_hand(make_dense_layer(np.random.default_rng(9)),
+                                 np.random.default_rng(10).normal(size=(6, 40)))
+        with pytest.raises(ShapeError, match="top_k"):
+            dataclasses.replace(layer, top_k=top_k)
+
+    def test_numpy_integer_top_k_is_stored_as_an_int(self):
+        rng = np.random.default_rng(9)
+        layer = compress_by_hand(make_dense_layer(rng), rng.normal(size=(6, 40)))
+        again = dataclasses.replace(layer, top_k=np.int64(2))
+        assert type(again.top_k) is int and again.top_k == 2
+        x = rng.normal(size=(6, 3))
+        assert np.array_equal(compressed_forward(again, x)[0], compressed_forward(layer, x)[0])
