@@ -24,9 +24,8 @@ from .config import CompressionConfig, apply_overrides, apply_preset, parse_conf
 from .container import load_any, save_calibration, save_compressed_model, save_model
 from .errors import ConfigError, ContainerError, D2MoeError, NumericalError
 from .fixtures import gen_fixture
-from .linalg import blas_threads
-from .moe import MoEModel, Role, capture_calibration, expert_frequency
-from .pipeline import compress, evaluate, ratio_frontier
+from .moe import MoEModel, Role
+from .pipeline import compress, compute_layer_stats, evaluate, ratio_frontier
 from .report import (
     read_report,
     write_cka_csv,
@@ -124,14 +123,14 @@ def _cmd_calibrate(args) -> int:
     model = _load_model_file(args.model)
     tokens, _ = _load_calib_file(args.calib)
     n_use = min(cfg.calib_samples, tokens.shape[1])
-    # the capture alone: the CSV holds frequencies and Gram traces, no Fisher block
-    with blas_threads(1):
-        _, captures = capture_calibration(model, tokens[:, :n_use])
+    # the CSV holds frequencies and Gram traces, so no merge needs a Fisher block
+    stats, _ = compute_layer_stats(model, tokens[:, :n_use],
+                                   dataclasses.replace(cfg, merge_method="mean"))
     lines = ["layer,expert,frequency,gram_trace_up,gram_trace_down"]
-    for l, cap in enumerate(captures):
-        for i, freq in enumerate(expert_frequency(cap.trace)):
-            tr_up = float(np.trace(cap.grams[Role.UP][i]))
-            tr_down = float(np.trace(cap.grams[Role.DOWN][i]))
+    for l, st in enumerate(stats):
+        for i, freq in enumerate(st.frequency):
+            tr_up = float(np.trace(st.grams[Role.UP][i]))
+            tr_down = float(np.trace(st.grams[Role.DOWN][i]))
             lines.append(f"{l},{i},{float(freq)!r},{tr_up!r},{tr_down!r}")
     Path(args.out).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     print(f"wrote {args.out} ({n_use} tokens)")
@@ -142,6 +141,9 @@ def _cmd_compress(args) -> int:
     cfg = _resolve_config(args)
     model = _load_model_file(args.model)
     tokens, labels = _load_calib_file(args.calib)
+    # compress reads the first calib_samples tokens; the rest are freed now
+    n_use = min(cfg.calib_samples, tokens.shape[1])
+    tokens, labels = np.ascontiguousarray(tokens[:, :n_use]), labels[:n_use]
     compressed, rep = compress(cfg, model, tokens, labels=labels)
     save_compressed_model(args.out, compressed)
     write_report(args.report, rep)

@@ -55,9 +55,10 @@ class CompressionConfig:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if self.rank_mode not in RANK_MODES:
             raise ConfigError(f"rank_mode must be one of {RANK_MODES}, got {self.rank_mode!r}")
-        for name in ("delta_ratio", "sparsity", "damping", "epsilon"):
+        for name in sorted(_FLOAT_FIELDS):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.rank_mode == "ratio" and not 0.0 < self.delta_ratio <= 1.0:
             raise ConfigError(f"delta_ratio must lie in (0, 1], got {self.delta_ratio}")

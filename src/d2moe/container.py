@@ -10,12 +10,15 @@ File layout:
 
 Offsets in the manifest are absolute file offsets. Saving the mapping
 returned by container_load reproduces the original file byte for byte.
+Both directions stream: a save writes each payload from its array's own
+buffer, and a load reads each payload straight into its new array, so
+neither holds a second copy of the file.
 """
 from __future__ import annotations
 
+import os
 import re
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
@@ -54,7 +57,8 @@ def _manifest_text(names, shapes, offsets) -> str:
 
 
 def container_save(path, tensors) -> None:
-    """Write named float64 matrices to `path` in the container format."""
+    """Write named float64 matrices to `path` in the container format. Every
+    tensor is checked before the file is opened."""
     names = list(tensors)
     if len(set(names)) != len(names):
         raise ParameterError("tensor names must be unique")
@@ -86,32 +90,55 @@ def container_save(path, tensors) -> None:
     else:
         raise ParameterError("container layout failed to stabilize")
 
-    blob = bytearray()
-    blob += MAGIC
-    blob += len(manifest).to_bytes(8, "little")
-    blob += manifest
-    for a, offset in zip(arrays, offsets):
-        blob += b"\x00" * (offset - len(blob))
-        blob += a.tobytes()
-    Path(path).write_bytes(bytes(blob))
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(len(manifest).to_bytes(8, "little"))
+        fh.write(manifest)
+        cursor = len(MAGIC) + 8 + len(manifest)
+        for a, offset in zip(arrays, offsets):
+            fh.write(b"\x00" * (offset - cursor))
+            fh.write(a)
+            cursor = offset + a.nbytes
 
 
 def container_load(path) -> dict[str, np.ndarray]:
-    """Read a container back into an ordered name -> matrix mapping."""
-    data = Path(path).read_bytes()
-    if len(data) < len(MAGIC) or data[: len(MAGIC)] != MAGIC:
-        raise BadMagicError(f"{path}: not a tensor container (bad magic)")
-    if len(data) < len(MAGIC) + 8:
-        raise ManifestError(f"{path}: missing manifest length")
-    manifest_len = int.from_bytes(data[len(MAGIC): len(MAGIC) + 8], "little")
-    manifest_end = len(MAGIC) + 8 + manifest_len
-    if manifest_end > len(data):
-        raise ManifestError(f"{path}: manifest extends past end of file")
-    try:
-        manifest = data[len(MAGIC) + 8: manifest_end].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"{path}: manifest is not valid UTF-8") from exc
+    """Read a container back into an ordered name -> matrix mapping. The
+    framing is checked against the file size before any payload is read;
+    each payload is then read into its own array."""
+    with open(path, "rb") as fh:
+        head = fh.read(len(MAGIC) + 8)
+        if len(head) < len(MAGIC) or head[: len(MAGIC)] != MAGIC:
+            raise BadMagicError(f"{path}: not a tensor container (bad magic)")
+        if len(head) < len(MAGIC) + 8:
+            raise ManifestError(f"{path}: missing manifest length")
+        size = os.fstat(fh.fileno()).st_size
+        manifest_len = int.from_bytes(head[len(MAGIC):], "little")
+        manifest_end = len(MAGIC) + 8 + manifest_len
+        if manifest_end > size:
+            raise ManifestError(f"{path}: manifest extends past end of file")
+        try:
+            manifest = fh.read(manifest_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"{path}: manifest is not valid UTF-8") from exc
+        entries = _manifest_entries(path, manifest, manifest_end, size)
 
+        out: dict[str, np.ndarray] = {}
+        for name, rows, cols, offset in entries:
+            a = np.empty((rows, cols), dtype="<f8")
+            fh.seek(offset)
+            if fh.readinto(a) != a.nbytes:
+                raise TruncatedPayloadError(f"{path}: tensor {name!r} payload is truncated")
+            a = a.astype(np.float64, copy=False)
+            if not np.all(np.isfinite(a)):
+                raise NonFinitePayloadError(f"{path}: tensor {name!r} contains NaN or Inf")
+            out[name] = a
+    return out
+
+
+def _manifest_entries(path, manifest: str, manifest_end: int, size: int) -> list:
+    """The manifest's (name, rows, cols, offset) entries, checked: well-formed
+    lines, unique names, and payloads that lie past the manifest, inside
+    the `size`-byte file and clear of each other."""
     entries = []
     for line_no, line in enumerate(manifest.splitlines(), 1):
         parts = line.split(" ")
@@ -135,21 +162,13 @@ def container_load(path) -> dict[str, np.ndarray]:
         nbytes = rows * cols * 8
         if offset < manifest_end:
             raise OverlappingPayloadError(f"{path}: tensor {name!r} overlaps the manifest region")
-        if offset + nbytes > len(data):
+        if offset + nbytes > size:
             raise TruncatedPayloadError(f"{path}: tensor {name!r} payload is truncated")
         spans.append((offset, offset + nbytes, name))
     for (s0, e0, n0), (s1, e1, n1) in zip(sorted(spans), sorted(spans)[1:]):
         if e0 > s1:
             raise OverlappingPayloadError(f"{path}: tensors {n0!r} and {n1!r} overlap")
-
-    out: dict[str, np.ndarray] = {}
-    for name, rows, cols, offset in entries:
-        a = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=offset)
-        a = a.reshape(rows, cols).astype(np.float64, copy=True)
-        if not np.all(np.isfinite(a)):
-            raise NonFinitePayloadError(f"{path}: tensor {name!r} contains NaN or Inf")
-        out[name] = a
-    return out
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .linalg import blas_threads
-from .moe import MoELayer, MoEModel, Role, layer_forward_dense
+from .moe import MoELayer, MoEModel, Role, layer_forward_dense, token_chunks
 
 DEFAULT_TOKENS = 512
 
@@ -98,7 +98,17 @@ def gen_fixture(seed: int, n_experts: int = 8, d_model: int = 32, hidden: int = 
     retain >=99% energy at k=rank_noise while the merge weightings still
     measurably disagree. Like `compress`, it runs with OpenBLAS pinned to
     one thread, so the fixture bytes do not depend on OPENBLAS_NUM_THREADS.
+    The seed and every size must be integers (a bool is not), the seed
+    non-negative; anything else is a ParameterError.
     """
+    sizes = {"seed": seed, "n_experts": n_experts, "d_model": d_model, "hidden": hidden,
+             "layers": layers, "rank_noise": rank_noise, "tokens": tokens, "top_k": top_k,
+             "num_classes": num_classes}
+    for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     if rank_noise < 0 or rank_noise >= min(d_model, hidden):
         raise ParameterError(f"rank_noise must lie in [0, {min(d_model, hidden)}), got {rank_noise}")
     if min(n_experts, d_model, hidden, layers, tokens, top_k) < 1:
@@ -124,9 +134,10 @@ def gen_fixture(seed: int, n_experts: int = 8, d_model: int = 32, hidden: int = 
     beta_burst = 3.0 * _GATE_SPREAD
 
     def expert_bank(m, k, scale, burst_cols, dormant):
-        # dormant=True confines the rank-r factor B to the near-dead
-        # input coords; the down projection has no such coords on its
-        # input side, so its divergence stays small and dense instead.
+        # One (n, m, k) weight stack. dormant=True confines the rank-r
+        # factor B to the near-dead input coords; the down projection has
+        # no such coords on its input side, so its divergence stays small
+        # and dense instead.
         base_std = 1.0 / np.sqrt(k)
         w_common = rng.normal(0.0, base_std, size=(m, k))
         if burst_cols:
@@ -134,7 +145,7 @@ def gen_fixture(seed: int, n_experts: int = 8, d_model: int = 32, hidden: int = 
             w_common[:, dead0:] *= _DEAD_SCALE
             w_common[live_h:, :] *= _DEAD_SCALE
         if r == 0:
-            return [w_common.copy() for _ in range(n)]
+            return np.repeat(w_common[None], n, axis=0)
         if dormant:
             b = np.zeros((r, k))
             b[:, dead0:] = rng.normal(0.0, base_std, size=(r, n_dead))
@@ -145,9 +156,9 @@ def gen_fixture(seed: int, n_experts: int = 8, d_model: int = 32, hidden: int = 
             b[:, :live_h] = rng.normal(0.0, base_std, size=(r, live_h))
             a = rng.normal(0.0, scale / np.sqrt(r), size=(n, m, r))
         a -= a.mean(axis=0)
-        banks = [w_common + a[i] @ b for i in range(n)]
+        bank = w_common + a @ b
         if not burst_cols:
-            return banks
+            return bank
         amps = np.full(n, loner_amp)
         amps[:2] = broad_amp
         p = np.zeros((n, m, k))
@@ -155,7 +166,7 @@ def gen_fixture(seed: int, n_experts: int = 8, d_model: int = 32, hidden: int = 
             0.0, person_std, size=(n, live_h, dead0 - bias_c))
         p *= amps[:, None, None]
         p -= p.mean(axis=0)
-        return [banks[i] + p[i] for i in range(n)]
+        return bank + p
 
     model_layers = []
     for _ in range(layers):
@@ -183,10 +194,15 @@ def gen_fixture(seed: int, n_experts: int = 8, d_model: int = 32, hidden: int = 
     x[bias_c] = 1.0 + 0.1 * rng.normal(size=tokens)
     x[dead0:] = _DEAD_SCALE * rng.normal(size=(n_dead, tokens))
 
-    # one dense pass: rescaling the head leaves the final hidden state as it is
-    final = x
-    for layer in model_layers:
-        final, _ = layer_forward_dense(layer, final)
+    # one dense pass in token chunks: rescaling the head leaves the final
+    # hidden state as it is; it is kept token-major, as a layer returns it
+    final = np.empty((tokens, d))
+    for cols in token_chunks(tokens):
+        h = x[:, cols]
+        for layer in model_layers:
+            h, _ = layer_forward_dense(layer, h)
+        final[cols] = h.T
+    final = final.T
     srt = np.sort(head @ final, axis=0)
     gap = np.median(srt[-1] - srt[-2])
     head *= _TARGET_MARGIN / gap

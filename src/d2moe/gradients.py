@@ -9,22 +9,25 @@ Both callers run the same code: the calibration forward
 `moe.capture_calibration`, which records every layer's input, routing and
 Up pre-activations, then one reverse sweep over the layers
 (`_reverse_sweep`). `fisher_accumulate` takes that capture from its caller,
-so the Grams, the routing frequencies and the Fisher all come from one dense
-pass over the calibration tokens. A token routed to expert i contributes a
-single outer product to each of that expert's gradients, ebar hid^T (Down)
-and abar x^T (Up). `backward_logloss` runs the sweep on one token and forms
-those outer products. `fisher_accumulate` runs it on the whole calibration
-batch and sums their elementwise squares over each expert's routed tokens in
-closed form:
+so the Grams, the routing counts and the Fisher all come from one dense
+pass over each chunk of calibration tokens. A token routed to expert i
+contributes a single outer product to each of that expert's gradients,
+ebar hid^T (Down) and abar x^T (Up). `backward_logloss` runs the sweep on
+one token and forms those outer products. `fisher_accumulate` runs it on one
+chunk of the calibration tokens and adds the sums of their elementwise
+squares over each expert's routed tokens, in closed form, into running
+totals:
 
-    F_down[i] = (Ebar∘Ebar) (Hid∘Hid)^T,    F_up[i] = (Abar∘Abar) (X∘X)^T,
+    F_down[i] += (Ebar∘Ebar) (Hid∘Hid)^T,    F_up[i] += (Abar∘Abar) (X∘X)^T,
 
 with those tokens along the rows of each token-major matrix (the sweep
-runs token-major, like the forward). sampled-label mode draws
-every label from one `u = rng.random(T)`: label t is the number of entries
-of `cdf_t` at or below u[t], where `cdf_t` is `cumsum(p_t)` divided by its
-last entry. That is exactly what `rng.choice(classes, p=p_t)` returns when
-called once per token in calibration order.
+runs token-major, like the forward); `pipeline.compute_layer_stats` divides
+the totals by the token count once. sampled-label mode draws every label
+from one `u = rng.random(T)` over all T calibration tokens, sliced per
+chunk: label t is the number of entries of `cdf_t` at or below u[t], where
+`cdf_t` is `cumsum(p_t)` divided by its last entry. That is exactly what
+`rng.choice(classes, p=p_t)` returns when called once per token in
+calibration order, whatever the chunk size.
 """
 from __future__ import annotations
 
@@ -64,8 +67,10 @@ def backward_logloss(model: MoEModel, x, y: int) -> GradientSet:
     lbar[y] += 1.0  # d log p(y|x) / d logits = onehot(y) - softmax
     lbar = lbar[None, :]
 
-    zbars, expert_grads = _reverse_sweep(model, captures, lbar @ model.head,
-                                         lambda bar, act: bar.T @ act)
+    expert_grads = [{role: np.zeros_like(layer.weights[role]) for role in ROLES}
+                    for layer in model.layers]
+    zbars = _reverse_sweep(model, captures, lbar @ model.head, lambda bar, act: bar.T @ act,
+                           expert_grads)
     gate_grads = [zbar.T @ cap.x.T for zbar, cap in zip(zbars, captures)]
     return GradientSet(gate_grads=gate_grads, expert_grads=expert_grads, head_grad=lbar.T @ h.T)
 
@@ -83,59 +88,54 @@ def check_labels(labels, num_classes: int, n_tokens: int) -> np.ndarray:
     return y.astype(np.int64, copy=False)
 
 
-def fisher_accumulate(model: MoEModel, capture, mode: str = "sampled-label",
-                      seed: int = 0, labels=None) -> list[dict[Role, np.ndarray]]:
-    """Average elementwise squared log-likelihood gradients over calibration
-    tokens: per layer, one (E, m, n) Fisher stack per role, stack[i] the
-    block of expert i's weight in that role. Experts never routed during
-    calibration have exactly-zero blocks.
-
-    `capture` is `moe.capture_calibration(model, calib)`; no forward runs
-    here. sampled-label mode draws one label per input from the model's own
-    predictive distribution (seeded, in calibration order); data-label mode
-    uses the provided labels. Non-finite output probabilities raise
-    NumericalError.
-    """
-    if mode not in FISHER_MODES:
-        raise ParameterError(f"fisher mode must be one of {FISHER_MODES}, got {mode!r}")
-    hidden, captures = capture
-    n_tokens = hidden.shape[1]
-    if mode == "data-label":
-        if labels is None:
-            raise ParameterError("data-label mode requires labels")
-        labels = check_labels(labels, model.num_classes, n_tokens)
-
-    logits = model.head @ hidden
+def output_probabilities(logits: np.ndarray, first: int, n_total: int) -> np.ndarray:
+    """Softmax over the classes of the (classes, T) logits of calibration
+    tokens first .. first + T - 1 of n_total. Tokens whose probabilities are
+    not finite raise NumericalError naming the first one by its index among
+    all n_total."""
+    n_tokens = logits.shape[1]
     e = np.exp(logits - np.max(logits, axis=0))
     p = e / np.sum(e, axis=0)
     bad = np.flatnonzero(~np.all(np.isfinite(p), axis=0))
     if bad.size:
-        raise NumericalError(f"output probabilities are not finite for {bad.size} of {n_tokens} "
-                             f"calibration tokens (first: token {bad[0]}); the logits overflow")
-    if mode == "sampled-label":
-        labels = _draw_labels(p, np.random.default_rng(seed))
+        raise NumericalError(f"output probabilities are not finite for {bad.size} of calibration "
+                             f"tokens {first}..{first + n_tokens - 1} ({n_total} in all; first: "
+                             f"token {first + bad[0]}); the logits overflow")
+    return p
 
+
+def fisher_accumulate(model: MoEModel, captures, p: np.ndarray, labels: np.ndarray,
+                      fisher: list[dict[Role, np.ndarray]]) -> None:
+    """Add one chunk's sums of elementwise squared log-likelihood gradients
+    into `fisher`: per layer, one (E, m, n) stack per role, stack[i] the
+    block of expert i's weight in that role. An expert the chunk never
+    routes gets nothing added, so one never routed at all keeps an
+    exactly-zero block.
+
+    `captures` are the chunk's `moe.capture_calibration` records (no
+    forward runs here), `p` its (classes, T) `output_probabilities` and
+    `labels` its T checked class indices: the data labels, or in
+    sampled-label mode `_draw_labels` of p.
+    """
     lbar = -p
-    lbar[labels, np.arange(n_tokens)] += 1.0  # d log p(y|x) / d logits = onehot(y) - softmax
-    return _reverse_sweep(model, captures, lbar.T @ model.head,
-                          lambda bar, act: (bar * bar).T @ (act * act) / n_tokens)[1]
+    lbar[labels, np.arange(labels.size)] += 1.0  # d log p(y|x) / d logits = onehot(y) - softmax
+    _reverse_sweep(model, captures, lbar.T @ model.head,
+                   lambda bar, act: (bar * bar).T @ (act * act), fisher)
 
 
-def _reverse_sweep(model: MoEModel, captures, ybar: np.ndarray, block):
+def _reverse_sweep(model: MoEModel, captures, ybar: np.ndarray, block, stacks):
     """Backpropagate ybar (T, d_out), the token-major gradient at the final
     hidden state, from the last layer down. Returns each layer's gate-logit
-    gradient zbar (T, N), zero off each token's selection, and per layer and
-    role a stack shaped like `MoELayer.weights`.
+    gradient zbar (T, N), zero off each token's selection.
 
-    Block i of a stack is zero for an expert never routed, else
-    block(bar, act), with the expert's tokens along the rows of bar and act:
-    token t's gradient of the expert's weight is bar_t^T act_t, with
-    (bar, act) = (ebar, hid) for Down and (abar, x) for Up.
+    `stacks` holds per layer and role a stack shaped like
+    `MoELayer.weights`; block(bar, act) is added into block i of it for
+    every routed expert i, with the expert's tokens along the rows of bar
+    and act: token t's gradient of the expert's weight is bar_t^T act_t,
+    with (bar, act) = (ebar, hid) for Down and (abar, x) for Up.
     """
     toks = np.arange(ybar.shape[0])[:, None]
     zbars = [None] * len(model.layers)
-    stacks = [{role: np.zeros_like(layer.weights[role]) for role in ROLES}
-              for layer in model.layers]
     for l in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[l]
         xin, trace, acts = captures[l].x.T, captures[l].trace, captures[l].acts
@@ -151,21 +151,21 @@ def _reverse_sweep(model: MoEModel, captures, ybar: np.ndarray, block):
             q = ybar_i @ down[i]  # d (ybar . expert output) / d hid
             gbar[rows, i] = np.sum(hid * q, axis=1)
             abar = g_i * q * silu_grad(a)
-            stacks[l][Role.DOWN][i] = block(g_i * ybar_i, hid)
-            stacks[l][Role.UP][i] = block(abar, xin[rows])
+            stacks[l][Role.DOWN][i] += block(g_i * ybar_i, hid)
+            stacks[l][Role.UP][i] += block(abar, xin[rows])
             xbar[rows] += abar @ up[i]
         # gating weights are softmax over the surviving logits
         zbars[l] = zbar = g * (gbar - np.sum(g * gbar, axis=1, keepdims=True))
         ybar = xbar + zbar @ layer.gate
-    return zbars, stacks
+    return zbars
 
 
-def _draw_labels(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One label per column of the (classes, T) probabilities p, the same
-    labels T successive `rng.choice(classes, p=p[:, t])` calls return: each
-    cdf column is non-decreasing and ends at exactly 1.0, so its count of
-    entries <= u[t] is its `searchsorted(u[t], side="right")`."""
+def _draw_labels(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One label per column of the (classes, T) probabilities p from T
+    uniform draws u: with u = rng.random(T), the labels T successive
+    `rng.choice(classes, p=p[:, t])` calls return. Each cdf column is
+    non-decreasing and ends at exactly 1.0, so its count of entries <= u[t]
+    is its `searchsorted(u[t], side="right")`."""
     cdf = np.cumsum(p, axis=0)
     cdf /= cdf[-1]
-    u = rng.random(p.shape[1])
     return (cdf <= u).sum(axis=0)

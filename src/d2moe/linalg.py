@@ -107,12 +107,13 @@ def as_stack(a, name: str = "stack") -> np.ndarray:
 
 def as_gram_stack(g, name: str = "grams") -> np.ndarray:
     """`as_stack` for Grams: each matrix must also be square and symmetric
-    to within 1e-9 of its largest entry magnitude (or of 1, if larger)."""
+    to within 1e-9 of its largest entry magnitude (or of 1, if larger). The
+    check runs one matrix at a time, so its temporaries are one Gram's."""
     s = as_stack(g, name)
     if s.shape[1] != s.shape[2]:
         raise ShapeError(f"{name} must be square, got {s.shape[1:]}")
-    gap = np.max(np.abs(s - s.transpose(0, 2, 1)), axis=(1, 2))
-    bad = np.flatnonzero(gap > 1e-9 * np.maximum(np.max(np.abs(s), axis=(1, 2)), 1.0))
+    gap = np.array([np.max(np.abs(m - m.T)) for m in s])
+    bad = np.flatnonzero(gap > 1e-9 * np.maximum([np.max(np.abs(m)) for m in s], 1.0))
     if bad.size:
         raise ShapeError(f"{name}[{bad[0]}] not symmetric within tolerance "
                          f"(gap {gap[bad[0]]:.3e})")

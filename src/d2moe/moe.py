@@ -18,8 +18,11 @@ compressed, only the expert weights.
 the (token, expert) pairs by expert into one slot buffer, and combines the
 gated slots per token. The dense forward, calibration capture and the
 compressed runtime differ only in the callback that fills the slots. The
-capture is the one dense pass over calibration tokens; the Fisher
-(`gradients`) sweeps its records backwards.
+capture is the dense pass over one chunk of calibration tokens; the Fisher
+(`gradients`) sweeps its records backwards. Passes over a whole token set
+(`pipeline.compute_layer_stats`, the fixture's label pass) run in
+`token_chunks` of TOKEN_CHUNK tokens, so their peak memory is set by one
+chunk, not by the token count.
 """
 from __future__ import annotations
 
@@ -30,6 +33,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
 from .linalg import as_matrix, as_stack
+
+TOKEN_CHUNK = 512
 
 
 class Role(Enum):
@@ -179,10 +184,10 @@ class LayerCapture:
     """One layer of the calibration forward: input `x` (d_model, T), its
     routing, per routed expert i acts[i] = (rows, x_i @ up[i]^T) with
     up = weights[Role.UP], and per role an (E, n, n) Gram stack laid out
-    like the weights, grams[role][i] = X_i^T X_i, where x_i = x[:, rows].T
-    is token-major and X_i is x_i for Up and silu(x_i @ up[i]^T) for Down;
-    a never-routed expert's Gram is zero. `x` is the transposed view of the
-    token-major input, so `x.T` is C-order.
+    like the weights, to which the capture added X_i^T X_i at grams[role][i],
+    where x_i = x[:, rows].T is token-major and X_i is x_i for Up and
+    silu(x_i @ up[i]^T) for Down; a never-routed expert's Gram gets nothing.
+    `x` is the transposed view of the token-major input, so `x.T` is C-order.
     """
 
     x: np.ndarray
@@ -299,31 +304,44 @@ def moe_forward_dense(model: MoEModel, x_batch) -> tuple[np.ndarray, list[Routin
     return model.head @ h, traces
 
 
-def expert_frequency(trace: RoutingTrace) -> np.ndarray:
-    """Per-expert selection frequency; proportional to counts, sums to 1."""
-    total = int(trace.counts.sum())
+def expert_frequency(counts: np.ndarray) -> np.ndarray:
+    """Per-expert selection frequency from selection counts (a trace's, or
+    their sum over chunks); proportional to counts, sums to 1."""
+    total = int(counts.sum())
     if total < 1:
         raise DegenerateInputError("routing trace covers no tokens")
-    return trace.counts / float(total)
+    return counts / float(total)
+
+
+def token_chunks(n_tokens: int) -> list[slice]:
+    """Column slices of consecutive TOKEN_CHUNK-token chunks covering
+    n_tokens tokens, in order; the last may be shorter."""
+    return [slice(start, min(start + TOKEN_CHUNK, n_tokens))
+            for start in range(0, n_tokens, TOKEN_CHUNK)]
 
 
 # ---------------------------------------------------------------------------
 # calibration capture
 # ---------------------------------------------------------------------------
 
-def capture_calibration(model: MoEModel, calib) -> tuple[np.ndarray, list[LayerCapture]]:
-    """The one dense forward over calibration tokens (d_model, T): the final
-    hidden state (d_out, T) and a `LayerCapture` per layer, which supplies
-    the Grams, the routing frequencies and the Fisher's reverse sweep.
+def capture_calibration(model: MoEModel, calib, grams=None) -> tuple[np.ndarray, list[LayerCapture]]:
+    """The dense forward over calibration tokens (d_model, T), one chunk of
+    them in `pipeline.compute_layer_stats`: the final hidden state (d_out, T)
+    and a `LayerCapture` per layer, which supplies the Grams, the routing
+    counts and the Fisher's reverse sweep. The Grams are added into
+    `grams`, per layer a dict of Gram stacks (the running totals over
+    chunks), or into zeros when it is None.
     Accumulation order is layer -> expert -> token, so results are
     run-to-run identical.
     """
     h = _layer_input(model.layers[0], calib, "calibration tokens")
     captures: list[LayerCapture] = []
-    for layer in model.layers:
+    if grams is None:
+        grams = [{Role.UP: np.zeros((layer.n_experts, layer.d_model, layer.d_model)),
+                  Role.DOWN: np.zeros((layer.n_experts, layer.hidden, layer.hidden))}
+                 for layer in model.layers]
+    for layer, gram in zip(model.layers, grams):
         acts = {}
-        grams = {Role.UP: np.zeros((layer.n_experts, layer.d_model, layer.d_model)),
-                 Role.DOWN: np.zeros((layer.n_experts, layer.hidden, layer.hidden))}
         up, down = layer.weights[Role.UP], layer.weights[Role.DOWN]
 
         def fill(rows, groups, slots):
@@ -332,11 +350,11 @@ def capture_calibration(model: MoEModel, calib) -> tuple[np.ndarray, list[LayerC
                 a = xi @ up[i].T
                 acts[i] = (rows[start:stop], a)
                 hid = silu(a)
-                grams[Role.UP][i] += xi.T @ xi
-                grams[Role.DOWN][i] += hid.T @ hid
+                gram[Role.UP][i] += xi.T @ xi
+                gram[Role.DOWN][i] += hid.T @ hid
                 np.matmul(hid, down[i].T, out=slots[start:stop])
 
         y, trace = routed_forward(layer, h, fill)
-        captures.append(LayerCapture(x=h.T, trace=trace, acts=acts, grams=grams))
+        captures.append(LayerCapture(x=h.T, trace=trace, acts=acts, grams=gram))
         h = y
     return h.T, captures

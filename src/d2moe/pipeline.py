@@ -1,10 +1,11 @@
 """End-to-end compression: calibrate, merge, factorize, prune, evaluate.
 
 Stage order is fixed, and the report's `timing` records follow it:
-`calibrate` (one dense capture of the calibration tokens, which also gives
-`loss_before`, then the Fisher's reverse sweep over it when the merge needs
-one), then `merge`, `factorize`, `prune` and `package` in one serial pass
-over the layers, then `evaluate-compressed` (one compressed pass, for
+`calibrate` (one dense pass over the calibration tokens in chunks of
+`moe.TOKEN_CHUNK`: each chunk's capture, then the Fisher's reverse sweep
+over it when the merge needs one; the logits also give `loss_before`),
+then `merge`, `factorize`, `prune` and `package` in one serial pass over
+the layers, then `evaluate-compressed` (one compressed pass, for
 `loss_after` and the active-parameter census). Layers are independent once
 calibration statistics exist; `build_compressed_layer` runs merging, delta
 factorization, base pruning and packaging for one layer, and is the only
@@ -23,12 +24,14 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .config import CompressionConfig
-from .errors import ConfigError, NumericalError, ParameterError
+from .errors import ConfigError, NumericalError, ParameterError, ShapeError
 from .factorize import DeltaFactor, whitened_factors
-from .gradients import check_labels, fisher_accumulate
+from .gradients import (FISHER_MODES, _draw_labels, check_labels, fisher_accumulate,
+                        output_probabilities)
 from .linalg import as_matrix, blas_threads
 from .merge import weighted_merge
 from .moe import (
+    ROLES,
     MoELayer,
     MoEModel,
     Role,
@@ -36,6 +39,7 @@ from .moe import (
     capture_calibration,
     expert_frequency,
     moe_forward_dense,
+    token_chunks,
 )
 from .pruning import PrunedBase, static_metric_from_gram, static_prune
 from .report import CompressionReport, LayerRecord
@@ -68,21 +72,59 @@ def compute_layer_stats(model: MoEModel, calib_tokens, cfg: CompressionConfig,
                         labels=None) -> tuple[list[LayerStats], np.ndarray]:
     """Grams, routing frequencies and (if the merge needs it) Fisher blocks
     for every layer, plus the dense calibration logits (classes, T), all
-    from one capture of the calibration tokens."""
+    from one dense pass over the calibration tokens.
+
+    The pass runs in `moe.token_chunks`: each chunk's capture adds its
+    Grams, routing counts and Fisher sums to the running totals and keeps
+    only its head logits, so peak memory is the model, its statistics and
+    one chunk, whatever T is. The Fisher sums are divided by T once, at the
+    end. Sampled labels come from one `default_rng(seed).random(T)`, sliced
+    per chunk, so they do not depend on the chunk size. Up to TOKEN_CHUNK
+    tokens the bytes are those of a single capture; past it, the Grams and
+    the Fisher differ from that only in summation order.
+    """
     need_fisher = cfg.merge_method in ("fisher", "fisher-scalar")
+    if need_fisher and cfg.fisher_mode not in FISHER_MODES:
+        raise ParameterError(f"fisher mode must be one of {FISHER_MODES}, got {cfg.fisher_mode!r}")
     if need_fisher and cfg.fisher_mode == "data-label" and labels is None:
         raise ConfigError("fisher_mode=data-label requires calibration labels")
-    capture = capture_calibration(model, calib_tokens)
-    fisher = None
+    # an array is not copied: the capture checks each chunk as it copies it
+    x = calib_tokens
+    if not isinstance(x, np.ndarray):
+        x = as_matrix(x, "calibration tokens")
+    if x.ndim != 2 or 0 in x.shape:
+        raise ShapeError(f"calibration tokens: expected a non-degenerate 2-D array, "
+                         f"got shape {x.shape}")
+    n_tokens = x.shape[1]
+    fisher = draws = None
     if need_fisher:
-        fisher = fisher_accumulate(model, capture, mode=cfg.fisher_mode,
-                                   seed=cfg.seed, labels=labels)
-    hidden, captures = capture
-    stats = [LayerStats(grams=cap.grams,
-                        frequency=expert_frequency(cap.trace),
+        fisher = [{role: np.zeros_like(layer.weights[role]) for role in ROLES}
+                  for layer in model.layers]
+        if cfg.fisher_mode == "data-label":
+            labels = check_labels(labels, model.num_classes, n_tokens)
+        else:
+            draws = np.random.default_rng(cfg.seed).random(n_tokens)
+    logits = np.empty((model.num_classes, n_tokens))
+    counts = [np.zeros(layer.n_experts, dtype=np.int64) for layer in model.layers]
+    grams = None  # the first chunk's capture allocates the Gram totals
+    for cols in token_chunks(n_tokens):
+        hidden, captures = capture_calibration(model, x[:, cols], grams)
+        grams = [cap.grams for cap in captures]
+        counts = [total + cap.trace.counts for total, cap in zip(counts, captures)]
+        logits[:, cols] = chunk_logits = model.head @ hidden
+        if fisher is not None:
+            p = output_probabilities(chunk_logits, cols.start, n_tokens)
+            y = labels[cols] if draws is None else _draw_labels(p, draws[cols])
+            fisher_accumulate(model, captures, p, y, fisher)
+        del hidden, captures  # drop the chunk before the next one is captured
+    if fisher is not None:
+        for stacks in fisher:
+            for role in ROLES:
+                stacks[role] /= n_tokens
+    stats = [LayerStats(grams=g, frequency=expert_frequency(c),
                         fisher=fisher[l] if fisher is not None else None)
-             for l, cap in enumerate(captures)]
-    return stats, model.head @ hidden
+             for l, (g, c) in enumerate(zip(grams, counts))]
+    return stats, logits
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +319,10 @@ def compress(cfg: CompressionConfig, model: MoEModel, calib_tokens, labels=None)
         loss_before = mean_cross_entropy(logits, labels_use, cfg.batch_size)
     timings = [("calibrate", time.perf_counter() - t0)]
 
-    builds = [build_compressed_layer(layer, st, cfg, l)
-              for l, (layer, st) in enumerate(zip(model.layers, stats))]
+    builds = []
+    for l, layer in enumerate(model.layers):
+        builds.append(build_compressed_layer(layer, stats[l], cfg, l))
+        stats[l] = None  # a built layer's statistics are not needed again
     compressed = CompressedModel(layers=[b.layer for b in builds], head=model.head)
     timings += [(stage, sum(b.seconds[stage] for b in builds)) for stage in LAYER_STAGES]
 

@@ -15,10 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from d2moe import pipeline
 from d2moe.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
-from d2moe.container import container_load, container_save, save_calibration, save_model
+from d2moe.config import CompressionConfig
+from d2moe.container import container_load, container_save, load_any, save_calibration, save_model
 from d2moe.errors import NumericalError
 from d2moe.moe import MoELayer, MoEModel, Role, moe_forward_dense
+from d2moe.pipeline import compute_layer_stats
 from d2moe.report import read_report
 
 SMALL = ["--experts", "4", "--d-model", "16", "--hidden", "24",
@@ -56,6 +59,19 @@ class TestGenFixture:
                     "--out-calib", str(tmp_path / f"c{tag}.d2m")], capsys)
         assert (tmp_path / "ma.d2m").read_bytes() == (tmp_path / "mb.d2m").read_bytes()
         assert (tmp_path / "ca.d2m").read_bytes() == (tmp_path / "cb.d2m").read_bytes()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--seed", "-100"], "seed must be non-negative, got -100"),
+        (["--tokens", "0"], "fixture dimensions must be positive"),
+    ])
+    def test_bad_seed_or_size_is_config_error(self, tmp_path, capsys, flags, message):
+        """A seed or size gen_fixture rejects exits 2 with the named error and
+        writes nothing."""
+        rc = main(["gen-fixture", *flags, "--out-model", str(tmp_path / "m.d2m"),
+                   "--out-calib", str(tmp_path / "c.d2m")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
 
     def test_bad_expert_count_is_config_error(self, tmp_path, capsys):
         rc = main(["gen-fixture", "--experts", "1",
@@ -236,6 +252,32 @@ class TestCalibrate:
         monkeypatch.setattr("d2moe.pipeline.fisher_accumulate", no_fisher)
         run_ok([*argv, "--merge", "fisher", "--out", str(tmp_path / "fisher.csv")], capsys)
         assert (tmp_path / "fisher.csv").read_bytes() == (tmp_path / "mean.csv").read_bytes()
+
+
+    def test_runs_in_token_chunks(self, tmp_path, capsys, monkeypatch):
+        """Past one chunk, calibrate captures chunk by chunk and writes the
+        statistics `compute_layer_stats` sums over the chunks."""
+        argv = ["--experts", "4", "--d-model", "8", "--hidden", "12", "--rank-noise", "2"]
+        model_path, calib_path = tmp_path / "m.d2m", tmp_path / "c.d2m"
+        run_ok(["gen-fixture", "--seed", "1", *argv, "--tokens", "1100",
+                "--out-model", str(model_path), "--out-calib", str(calib_path)], capsys)
+        chunks = []
+        real = pipeline.capture_calibration
+
+        def spy(model, x, grams=None):
+            chunks.append(x.shape[1])
+            return real(model, x, grams)
+
+        monkeypatch.setattr(pipeline, "capture_calibration", spy)
+        run_ok(["calibrate", "--model", str(model_path), "--calib", str(calib_path),
+                "--calib-samples", "1100", "--out", str(tmp_path / "calib.csv")], capsys)
+        assert chunks == [512, 512, 76]
+        model, (tokens, _) = load_any(model_path), load_any(calib_path)
+        stats, _ = compute_layer_stats(model, tokens, CompressionConfig(merge_method="mean"))
+        want = [f"0,{i},{float(f)!r},{float(np.trace(stats[0].grams[Role.UP][i]))!r},"
+                f"{float(np.trace(stats[0].grams[Role.DOWN][i]))!r}"
+                for i, f in enumerate(stats[0].frequency)]
+        assert (tmp_path / "calib.csv").read_text(encoding="utf-8").splitlines()[1:] == want
 
 
 class TestAnalyze:

@@ -71,6 +71,17 @@ class TestValidation:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("overrides", [
+        {"delta_ratio": True}, {"damping": True}, {"epsilon": False}, {"sparsity": False},
+        {"sparsity": np.bool_(False)},
+    ], ids=repr)
+    def test_float_fields_reject_bools(self, overrides):
+        """A bool is not a number here, as in the integer fields:
+        delta_ratio=True would otherwise run as 1.0."""
+        cfg = dataclasses.replace(CompressionConfig(), **overrides)
+        with pytest.raises(ConfigError, match=f"{next(iter(overrides))} must be a finite number"):
+            cfg.validate()
+
     @pytest.mark.parametrize("ratios", [
         ("0.5",), 0.5, "0.5", (True,), (0.5, None), (float("nan"),), (float("inf"),),
         np.array([0.5]), {0.5},

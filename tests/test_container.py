@@ -3,8 +3,13 @@
 The byte layout is checked by hand-parsing files with int.from_bytes and
 np.frombuffer only, so a format drift cannot hide behind the loader. Error
 cases are crafted as raw byte strings, and damaged copies of valid files
-are fuzzed through load_any.
+are fuzzed through load_any. `whole_file_save` and `whole_file_load` are the
+whole-file writer and reader the streaming ones replaced, kept as oracles.
 """
+
+import os
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,7 +41,9 @@ from d2moe.errors import (
     ShapeError,
     TruncatedPayloadError,
 )
+from d2moe import container
 from d2moe.factorize import vanilla_svd_compress
+from d2moe.fixtures import gen_fixture
 from d2moe.merge import weighted_merge
 from d2moe.moe import MoELayer, MoEModel, Role, moe_forward_dense
 from d2moe.pruning import static_metric, static_prune
@@ -81,6 +88,107 @@ def make_compressed(seed=1, s=0.5, trimmed=(2,)):
                   Role.DOWN: static_prune(base_down, np.arange(7.0), s)},
             deltas=deltas, top_k=layer.top_k))
     return CompressedModel(layers=comp_layers, head=model.head), rng
+
+
+def whole_file_save(path, tensors):
+    """The file container_save writes, built as one blob at the offsets of
+    the same layout rule."""
+    names = list(tensors)
+    arrays = [np.ascontiguousarray(tensors[name], dtype="<f8") for name in names]
+    offsets = [0] * len(arrays)
+    while True:
+        manifest = "".join(f"{name} {a.shape[0]} {a.shape[1]} {offset}\n"
+                           for name, a, offset in zip(names, arrays, offsets)).encode()
+        cursor = -(-(len(MAGIC) + 8 + len(manifest)) // ALIGNMENT) * ALIGNMENT
+        new_offsets = []
+        for a in arrays:
+            new_offsets.append(cursor)
+            cursor = -(-(cursor + a.nbytes) // ALIGNMENT) * ALIGNMENT
+        if new_offsets == offsets:
+            break
+        offsets = new_offsets
+    blob = bytearray(MAGIC + len(manifest).to_bytes(8, "little") + manifest)
+    for a, offset in zip(arrays, offsets):
+        blob += b"\x00" * (offset - len(blob))
+        blob += a.tobytes()
+    path.write_bytes(bytes(blob))
+
+
+def whole_file_load(path):
+    """The tensors of a valid container, read from one bytes object."""
+    data = path.read_bytes()
+    mlen = int.from_bytes(data[8:16], "little")
+    out = {}
+    for line in data[16:16 + mlen].decode("utf-8").splitlines():
+        name, rows, cols, offset = line.split(" ")
+        out[name] = np.frombuffer(data, dtype="<f8", count=int(rows) * int(cols),
+                                  offset=int(offset)).reshape(int(rows), int(cols)).copy()
+    return out
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreaming:
+    """The streaming writer and reader against the whole-file oracles, and
+    their traced peak memory against the file size."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        rng = np.random.default_rng(5)
+        raw = {"a": rng.normal(size=(3, 5)), "b/c": rng.normal(size=(1, 1)),
+               "d": np.asfortranarray(rng.normal(size=(7, 9)))}
+        model, _ = make_model()
+        compressed, _ = make_compressed()
+        paths = {"raw": tmp_path / "raw.d2m", "dense": tmp_path / "dense.d2m",
+                 "compressed": tmp_path / "compressed.d2m"}
+        container_save(paths["raw"], raw)
+        save_model(paths["dense"], model)
+        save_compressed_model(paths["compressed"], compressed)
+        return paths
+
+    def test_save_writes_the_whole_file_oracle_bytes(self, files, tmp_path):
+        for name, path in files.items():
+            oracle = tmp_path / f"{name}.oracle"
+            whole_file_save(oracle, whole_file_load(path))
+            assert path.read_bytes() == oracle.read_bytes(), name
+
+    def test_load_matches_the_whole_file_oracle(self, files):
+        for path in files.values():
+            got, want = container_load(path), whole_file_load(path)
+            assert list(got) == list(want)
+            for name, a in got.items():
+                assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
+                assert a.tobytes() == want[name].tobytes()
+
+    def test_short_read_is_a_truncated_payload(self, tmp_path, monkeypatch):
+        """A file that is shorter than `fstat` said when a payload is read
+        (it shrank in between) fails as truncated, not with a short array."""
+        path = tmp_path / "t.d2m"
+        container_save(path, {"x": np.ones((4, 4))})
+        path.write_bytes(path.read_bytes()[:-16])
+        real = os.fstat
+        monkeypatch.setattr(container.os, "fstat",
+                            lambda fd: SimpleNamespace(st_size=real(fd).st_size + 16))
+        with pytest.raises(TruncatedPayloadError, match="'x' payload is truncated"):
+            container_load(path)
+
+    def test_peak_memory_against_the_file_size(self, tmp_path):
+        """Saving holds no copy of the file (at most 0.1x its size), loading
+        only the arrays it returns (at most 1.1x)."""
+        model = gen_fixture(0).model
+        path = tmp_path / "model.d2m"
+        save_peak = traced_peak(lambda: save_model(path, model))
+        size = path.stat().st_size
+        load_peak = traced_peak(lambda: container_load(path))
+        assert save_peak <= 0.1 * size, (save_peak, size)
+        assert load_peak <= 1.1 * size, (load_peak, size)
 
 
 class TestRawContainer:

@@ -8,7 +8,7 @@ from d2moe.analysis import energy_retention
 from d2moe.errors import ParameterError
 from d2moe.fixtures import _TARGET_MARGIN, gen_fixture
 from d2moe.merge import weighted_merge
-from d2moe.moe import Role, moe_forward_dense
+from d2moe.moe import TOKEN_CHUNK, Role, moe_forward_dense, token_chunks
 
 
 class TestDeterminism:
@@ -100,6 +100,26 @@ class TestStructure:
         assert np.median(srt[-1] - srt[-2]) == pytest.approx(_TARGET_MARGIN, rel=1e-12)
 
 
+    def test_label_pass_runs_in_token_chunks(self, monkeypatch):
+        """Past one chunk, the label pass runs chunk by chunk: no layer call
+        sees more than TOKEN_CHUNK tokens, and the labels and the margin are
+        those of the chunked forwards of the returned model."""
+        seen = []
+        real = fixtures.layer_forward_dense
+
+        def spy(layer, x):
+            seen.append(x.shape[1])
+            return real(layer, x)
+
+        monkeypatch.setattr(fixtures, "layer_forward_dense", spy)
+        fx = gen_fixture(seed=6, layers=2, d_model=16, hidden=24, tokens=2 * TOKEN_CHUNK + 50)
+        assert seen == [TOKEN_CHUNK] * 4 + [50] * 2
+        logits = np.hstack([moe_forward_dense(fx.model, fx.tokens[:, cols])[0]
+                            for cols in token_chunks(fx.n_tokens)])
+        assert np.array_equal(fx.labels, logits.argmax(axis=0))
+        srt = np.sort(logits, axis=0)
+        assert np.median(srt[-1] - srt[-2]) == pytest.approx(_TARGET_MARGIN, rel=1e-12)
+
     def test_runs_on_one_blas_thread_and_restores_the_counts(self, monkeypatch):
         """The fixture's dense pass sees one OpenBLAS thread, and the counts
         in effect before the call are back once it returns."""
@@ -135,3 +155,20 @@ class TestValidation:
             gen_fixture(seed=0, num_classes=1)
         with pytest.raises(ParameterError):
             gen_fixture(seed=0, tokens=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"layers": 1.5}, {"tokens": 64.5}, {"seed": -100}, {"seed": 0.0}, {"seed": True},
+        {"n_experts": True}, {"d_model": np.float64(32)}, {"hidden": "64"},
+        {"rank_noise": False}, {"top_k": 2.0}, {"num_classes": None},
+    ], ids=repr)
+    def test_seed_and_sizes_must_be_integers(self, kwargs):
+        """A non-integral or bool size or seed, or a negative seed, is a
+        ParameterError naming the argument."""
+        name = next(iter(kwargs))
+        with pytest.raises(ParameterError, match=name):
+            gen_fixture(**{"seed": 0, **kwargs})
+
+    def test_numpy_integers_are_accepted(self):
+        a = gen_fixture(np.int64(3), tokens=np.int32(40), layers=np.uint8(1))
+        b = gen_fixture(3, tokens=40, layers=1)
+        assert np.array_equal(a.tokens, b.tokens) and np.array_equal(a.labels, b.labels)

@@ -24,16 +24,11 @@ import pytest
 from d2moe.config import CompressionConfig
 from d2moe.errors import NumericalError, ParameterError
 from d2moe.fixtures import gen_fixture
-from d2moe.gradients import (
-    GradientSet,
-    _draw_labels,
-    backward_logloss,
-    fisher_accumulate,
-)
+from d2moe.gradients import GradientSet, _draw_labels, backward_logloss
 from d2moe.merge import weighted_merge
-from d2moe.moe import (MoELayer, MoEModel, Role, _softmax, capture_calibration, moe_forward_dense,
+from d2moe.moe import (MoELayer, MoEModel, Role, _softmax, moe_forward_dense,
                        route_batch, silu, silu_grad)
-from d2moe.pipeline import compress
+from d2moe.pipeline import compress, compute_layer_stats
 
 H = 1e-5
 
@@ -125,6 +120,14 @@ def per_token_fisher(model, calib, mode="sampled-label", seed=0, labels=None):
         for role in (Role.UP, Role.DOWN):
             layer_acc[role] /= calib.shape[1]
     return acc, drawn
+
+
+def batched_fisher(model, calib, mode="sampled-label", seed=0, labels=None):
+    """The Fisher stacks `compress` merges with: those of
+    `compute_layer_stats`, whose chunks `fisher_accumulate` sums."""
+    cfg = CompressionConfig(merge_method="fisher", fisher_mode=mode, seed=seed)
+    stats, _ = compute_layer_stats(model, calib, cfg, labels=labels)
+    return [st.fisher for st in stats]
 
 
 def assert_block_matches(a, b, rel=1e-12):
@@ -273,8 +276,7 @@ class TestBackward:
         rng = np.random.default_rng(130)
         for _ in range(4):
             x, y = rng.normal(size=6), int(rng.integers(0, 5))
-            fi = fisher_accumulate(model, capture_calibration(model, x[:, None]),
-                                   mode="data-label", labels=[y])
+            fi = batched_fisher(model, x[:, None], mode="data-label", labels=[y])
             grads = backward_logloss(model, x, y)
             for l in range(3):
                 for i in range(4):
@@ -293,7 +295,7 @@ class TestFisher:
         layer = MoELayer(gate=gate, weights={Role.UP: ups, Role.DOWN: downs}, top_k=2)
         model = MoEModel(layers=[layer], head=rng.normal(size=(3, 4)))
         x = np.abs(rng.normal(size=(4, 12)))  # positive coords keep expert 2 unreachable
-        fi = fisher_accumulate(model, capture_calibration(model, x), mode="sampled-label", seed=0)
+        fi = batched_fisher(model, x, mode="sampled-label", seed=0)
         for role in (Role.UP, Role.DOWN):
             assert not fi[0][role][2].any()
             assert fi[0][role][0].any()
@@ -302,9 +304,8 @@ class TestFisher:
         model = make_model(12, layers=1)
         rng = np.random.default_rng(104)
         x = rng.normal(size=(4, 1))
-        fi_one = fisher_accumulate(model, capture_calibration(model, x), mode="data-label", labels=[1])
-        fi_two = fisher_accumulate(model, capture_calibration(model, np.hstack([x, x])),
-                                   mode="data-label", labels=[1, 1])
+        fi_one = batched_fisher(model, x, mode="data-label", labels=[1])
+        fi_two = batched_fisher(model, np.hstack([x, x]), mode="data-label", labels=[1, 1])
         for i in range(2):
             for role in (Role.UP, Role.DOWN):
                 np.testing.assert_allclose(fi_two[0][role][i], fi_one[0][role][i], atol=1e-15)
@@ -313,8 +314,8 @@ class TestFisher:
         model = make_model(13, layers=2)
         rng = np.random.default_rng(105)
         x = rng.normal(size=(4, 10))
-        a = fisher_accumulate(model, capture_calibration(model, x), mode="sampled-label", seed=9)
-        b = fisher_accumulate(model, capture_calibration(model, x), mode="sampled-label", seed=9)
+        a = batched_fisher(model, x, mode="sampled-label", seed=9)
+        b = batched_fisher(model, x, mode="sampled-label", seed=9)
         for l in range(2):
             for i in range(2):
                 for role in (Role.UP, Role.DOWN):
@@ -326,7 +327,7 @@ class TestFisher:
         rng = np.random.default_rng(106)
         x = rng.normal(size=(4, 32))
         labels = rng.integers(0, 3, size=32)
-        fi = fisher_accumulate(model, capture_calibration(model, x), mode="data-label", labels=labels)
+        fi = batched_fisher(model, x, mode="data-label", labels=labels)
 
         acc = [{role: np.zeros_like(model.layers[0].weights[role][i])
                 for role in (Role.UP, Role.DOWN)} for i in range(2)]
@@ -349,7 +350,7 @@ class TestFisher:
         model = make_model(15, layers=1)
         rng = np.random.default_rng(107)
         x = rng.normal(size=(4, 6))
-        fi = fisher_accumulate(model, capture_calibration(model, x), mode="sampled-label", seed=1)
+        fi = batched_fisher(model, x, mode="sampled-label", seed=1)
         for role in (Role.UP, Role.DOWN):
             blocks = fi[0][role]
             weights = [model.layers[0].weights[role][i] for i in range(2)]
@@ -369,8 +370,7 @@ class TestBatchedFisher:
         rng = np.random.default_rng(110)
         x = rng.normal(size=(6, 48))
         labels = rng.integers(0, 5, size=48)
-        got = fisher_accumulate(model, capture_calibration(model, x), mode=mode, seed=4,
-                                labels=labels)
+        got = batched_fisher(model, x, mode=mode, seed=4, labels=labels)
         want, _ = per_token_fisher(model, x, mode=mode, seed=4, labels=labels)
         assert_fisher_matches(got, want)
 
@@ -384,7 +384,7 @@ class TestBatchedFisher:
         rest = make_model(112, n_experts=3, d_model=4, hidden=5, layers=2, top_k=2)
         model = MoEModel(layers=[first, *rest.layers], head=rest.head)
         x = np.abs(rng.normal(size=(4, 40)))  # positive coords keep expert 2 unreachable
-        got = fisher_accumulate(model, capture_calibration(model, x), mode="sampled-label", seed=3)
+        got = batched_fisher(model, x, mode="sampled-label", seed=3)
         want, _ = per_token_fisher(model, x, mode="sampled-label", seed=3)
         assert_fisher_matches(got, want)
         for role in (Role.UP, Role.DOWN):
@@ -398,7 +398,7 @@ class TestBatchedFisher:
         logits, _ = moe_forward_dense(model, rng.normal(size=(6, 300)))
         p = np.stack([_softmax(logits[:, t]) for t in range(300)], axis=1)
         one, many = np.random.default_rng(8), np.random.default_rng(8)
-        drawn = _draw_labels(p, one)
+        drawn = _draw_labels(p, one.random(300))
         chosen = [int(many.choice(7, p=p[:, t])) for t in range(300)]
         assert drawn.tolist() == chosen
         assert one.random() == many.random()
@@ -409,9 +409,8 @@ class TestBatchedFisher:
         model = make_model(31, n_experts=4, d_model=6, hidden=7, layers=2, classes=6, top_k=2)
         x = np.random.default_rng(114).normal(size=(6, 64))
         _, drawn = per_token_fisher(model, x, mode="sampled-label", seed=5)
-        sampled = fisher_accumulate(model, capture_calibration(model, x), mode="sampled-label", seed=5)
-        labelled = fisher_accumulate(model, capture_calibration(model, x), mode="data-label",
-                                     labels=drawn)
+        sampled = batched_fisher(model, x, mode="sampled-label", seed=5)
+        labelled = batched_fisher(model, x, mode="data-label", labels=drawn)
         for a, b in zip(sampled, labelled, strict=True):
             for role in (Role.UP, Role.DOWN):
                 assert np.array_equal(a[role], b[role])
@@ -419,10 +418,8 @@ class TestBatchedFisher:
     @pytest.mark.parametrize("mode", ["sampled-label", "data-label"])
     def test_two_calls_byte_identical(self, mode):
         fx = gen_fixture(1, n_experts=6, d_model=12, hidden=16, layers=3, tokens=96, rank_noise=2)
-        a = fisher_accumulate(fx.model, capture_calibration(fx.model, fx.tokens), mode=mode,
-                              seed=2, labels=fx.labels)
-        b = fisher_accumulate(fx.model, capture_calibration(fx.model, fx.tokens), mode=mode,
-                              seed=2, labels=fx.labels)
+        a = batched_fisher(fx.model, fx.tokens, mode=mode, seed=2, labels=fx.labels)
+        b = batched_fisher(fx.model, fx.tokens, mode=mode, seed=2, labels=fx.labels)
         for la, lb in zip(a, b, strict=True):
             for role in (Role.UP, Role.DOWN):
                 assert la[role].tobytes() == lb[role].tobytes()
@@ -437,21 +434,18 @@ class TestBatchedFisher:
         x = np.random.default_rng(115).normal(size=(4, 8))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="not finite"):
-                fisher_accumulate(huge, capture_calibration(huge, x), mode=mode,
-                                  labels=np.zeros(8, dtype=int))
+                batched_fisher(huge, x, mode=mode, labels=np.zeros(8, dtype=int))
 
     def test_out_of_range_data_label_rejected(self):
         model = make_model(33, layers=1, classes=3)
         with pytest.raises(ParameterError, match="labels"):
-            fisher_accumulate(model, capture_calibration(model, np.zeros((4, 2))),
-                              mode="data-label", labels=[0, 3])
+            batched_fisher(model, np.zeros((4, 2)), mode="data-label", labels=[0, 3])
 
     def test_fractional_data_label_rejected(self):
         """A fractional label is rejected, not truncated to a class index."""
         model = make_model(34, layers=1, classes=3)
-        capture = capture_calibration(model, np.zeros((4, 2)))
         with pytest.raises(ParameterError, match="integral"):
-            fisher_accumulate(model, capture, mode="data-label", labels=[0, 0.5])
+            batched_fisher(model, np.zeros((4, 2)), mode="data-label", labels=[0, 0.5])
 
     def test_compress_matches_oracle_fisher(self, monkeypatch):
         """`compress --merge fisher` builds the same layers as with the
@@ -463,8 +457,14 @@ class TestBatchedFisher:
         cfg = CompressionConfig(merge_method="fisher", delta_ratio=0.5, sparsity=0.4)
         _, rep = compress(cfg, fx.model, x, labels=fx.labels)
 
-        def oracle(model, capture, mode="sampled-label", seed=0, labels=None):
-            return per_token_fisher(model, capture[1][0].x, mode=mode, seed=seed, labels=labels)[0]
+        def oracle(model, captures, p, labels, fisher):
+            # 64 tokens are one chunk, so the oracle draws its own labels
+            # for all of them with the config's seed
+            x = captures[0].x
+            want, _ = per_token_fisher(model, x, mode="sampled-label", seed=cfg.seed)
+            for total, layer in zip(fisher, want, strict=True):
+                for role in (Role.UP, Role.DOWN):
+                    total[role] += layer[role] * x.shape[1]
 
         monkeypatch.setattr("d2moe.pipeline.fisher_accumulate", oracle)
         _, ref = compress(cfg, fx.model, x, labels=fx.labels)

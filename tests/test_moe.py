@@ -471,24 +471,24 @@ class TestCalibrationCapture:
 class TestExpertFrequency:
     def test_counts_3_1(self):
         tr = make_trace(counts=[3, 1])
-        np.testing.assert_allclose(expert_frequency(tr), [0.75, 0.25], atol=0)
+        np.testing.assert_allclose(expert_frequency(tr.counts), [0.75, 0.25], atol=0)
 
     def test_uniform(self):
         tr = make_trace(counts=[5, 5, 5, 5])
-        np.testing.assert_allclose(expert_frequency(tr), [0.25] * 4, atol=0)
+        np.testing.assert_allclose(expert_frequency(tr.counts), [0.25] * 4, atol=0)
 
     def test_seeded_count_oracle(self):
         rng = np.random.default_rng(14)
         layer = make_layer(rng, 4, 3, 5, 3, top_k=2)
         x = rng.normal(size=(3, 50))
         _, trace = layer_forward_dense(layer, x)
-        freq = expert_frequency(trace)
+        freq = expert_frequency(trace.counts)
         np.testing.assert_allclose(freq, trace.counts / 100.0, atol=0)
         assert abs(freq.sum() - 1.0) <= 1e-12
 
     def test_zero_tokens_rejected(self):
         with pytest.raises(DegenerateInputError):
-            expert_frequency(make_trace(counts=[0, 0]))
+            expert_frequency(make_trace(counts=[0, 0]).counts)
 
 
 def make_trace(counts):
