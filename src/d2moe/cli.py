@@ -8,10 +8,19 @@ then dedicated flags.
 Exit codes: 0 success; 2 usage or configuration problems (also bad
 shapes/values in inputs); 3 file and container problems; 4 numerical
 failures.
+
+When a subcommand ends, the C heap's free pages go back to the operating
+system (glibc's `malloc_trim`; nothing where the C library lacks it). A
+command's temporaries are tens of MB in blocks of a few MB, which glibc
+keeps resident in its heap once freed; without the trim, a process that
+runs several commands in turn (the benchmark runs them in-process) would
+stay resident at its largest command's peak, and any larger block it
+allocated later would add to that.
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import inspect
 import sys
@@ -302,6 +311,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _heap_trim():
+    """glibc's malloc_trim, or None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+_HEAP_TRIM = _heap_trim()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -316,6 +338,9 @@ def main(argv=None) -> int:
     except D2MoeError as exc:  # ConfigError, ShapeError, ParameterError, DegenerateInputError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        if _HEAP_TRIM is not None:
+            _HEAP_TRIM(0)
 
 
 if __name__ == "__main__":

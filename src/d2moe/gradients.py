@@ -6,17 +6,17 @@ piecewise constant in the parameters, so this is the exact gradient almost
 everywhere); the softmax over the surviving logits is differentiated exactly.
 
 Both callers run the same code: the calibration forward
-`moe.capture_calibration`, which records every layer's input, routing and
-Up pre-activations, then one reverse sweep over the layers
-(`_reverse_sweep`). `fisher_accumulate` takes that capture from its caller,
-so the Grams, the routing counts and the Fisher all come from one dense
-pass over each chunk of calibration tokens. A token routed to expert i
-contributes a single outer product to each of that expert's gradients,
-ebar hid^T (Down) and abar x^T (Up). `backward_logloss` runs the sweep on
-one token and forms those outer products. `fisher_accumulate` runs it on one
-chunk of the calibration tokens and adds the sums of their elementwise
-squares over each expert's routed tokens, in closed form, into running
-totals:
+`moe.capture_calibration`, which records every layer's input and routing,
+then one reverse sweep over the layers (`_reverse_sweep`), which recomputes
+each expert's Up pre-activations as it reaches them. `fisher_accumulate`
+takes that capture from its caller, so the Grams, the routing counts and
+the Fisher all come from one dense pass over each chunk of calibration
+tokens. A token routed to expert i contributes a single outer product to
+each of that expert's gradients, ebar hid^T (Down) and abar x^T (Up).
+`backward_logloss` runs the sweep on one token and forms those outer
+products. `fisher_accumulate` runs it on one chunk of the calibration
+tokens and adds the sums of their elementwise squares over each expert's
+routed tokens, in closed form, into running totals:
 
     F_down[i] += (Ebar∘Ebar) (Hid∘Hid)^T,    F_up[i] += (Abar∘Abar) (X∘X)^T,
 
@@ -138,21 +138,24 @@ def _reverse_sweep(model: MoEModel, captures, ybar: np.ndarray, block, stacks):
     zbars = [None] * len(model.layers)
     for l in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[l]
-        xin, trace, acts = captures[l].x.T, captures[l].trace, captures[l].acts
+        xin, trace = captures[l].x.T, captures[l].trace
         g = np.zeros((toks.size, layer.n_experts))  # gating weights, zero off the selection
         g[toks, trace.selected] = trace.weights
         gbar = np.zeros_like(g)
         xbar = np.zeros_like(xin)
         up, down = layer.weights[Role.UP], layer.weights[Role.DOWN]
-        for i, (rows, a) in acts.items():
+        for i, rows in captures[l].rows.items():
+            x_i = xin[rows]
+            a = x_i @ up[i].T  # the capture's Up pre-activations, recomputed
             hid = silu(a)
             g_i = g[rows, i][:, None]
             ybar_i = ybar[rows]
             q = ybar_i @ down[i]  # d (ybar . expert output) / d hid
             gbar[rows, i] = np.sum(hid * q, axis=1)
-            abar = g_i * q * silu_grad(a)
+            abar = g_i * q
+            abar *= silu_grad(a)
             stacks[l][Role.DOWN][i] += block(g_i * ybar_i, hid)
-            stacks[l][Role.UP][i] += block(abar, xin[rows])
+            stacks[l][Role.UP][i] += block(abar, x_i)
             xbar[rows] += abar @ up[i]
         # gating weights are softmax over the surviving logits
         zbars[l] = zbar = g * (gbar - np.sum(g * gbar, axis=1, keepdims=True))

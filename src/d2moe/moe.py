@@ -66,13 +66,18 @@ def silu(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def silu_grad(z: np.ndarray) -> np.ndarray:
     """d silu / dz = s (1 + z (1 - s)), s = 1 / (1 + exp(-z)) from the same
     clipped exp as `silu`, so no warning is raised. The steps are repeated,
-    not shared, so that the forward's `silu` makes no extra call."""
+    not shared, so that the forward's `silu` makes no extra call; they run
+    in place, with two temporaries."""
     s = np.negative(z)
     np.minimum(s, 709.0, out=s)
     np.exp(s, out=s)
     s += 1.0
     np.reciprocal(s, out=s)
-    return s * (1.0 + z * (1.0 - s))
+    t = np.subtract(1.0, s)
+    t *= z
+    t += 1.0
+    t *= s
+    return t
 
 
 def _checked_top_k(top_k, n_experts: int) -> int:
@@ -182,17 +187,20 @@ class RoutingTrace:
 @dataclass(frozen=True)
 class LayerCapture:
     """One layer of the calibration forward: input `x` (d_model, T), its
-    routing, per routed expert i acts[i] = (rows, x_i @ up[i]^T) with
-    up = weights[Role.UP], and per role an (E, n, n) Gram stack laid out
-    like the weights, to which the capture added X_i^T X_i at grams[role][i],
-    where x_i = x[:, rows].T is token-major and X_i is x_i for Up and
-    silu(x_i @ up[i]^T) for Down; a never-routed expert's Gram gets nothing.
-    `x` is the transposed view of the token-major input, so `x.T` is C-order.
+    routing, per routed expert i the ascending token rows[i] it received,
+    and per role an (E, n, n) Gram stack laid out like the weights, to
+    which the capture added X_i^T X_i at grams[role][i], where
+    x_i = x[:, rows[i]].T is token-major and X_i is x_i for Up and
+    silu(x_i @ up[i]^T) for Down (up = weights[Role.UP]); a never-routed
+    expert's Gram gets nothing. The Up pre-activations x_i @ up[i]^T are
+    not kept: the reverse sweep recomputes them, to the byte, one expert at
+    a time. `x` is the transposed view of the token-major input, so `x.T`
+    is C-order.
     """
 
     x: np.ndarray
     trace: RoutingTrace
-    acts: dict[int, tuple[np.ndarray, np.ndarray]]
+    rows: dict[int, np.ndarray]
     grams: dict[Role, np.ndarray]
 
 
@@ -341,20 +349,20 @@ def capture_calibration(model: MoEModel, calib, grams=None) -> tuple[np.ndarray,
                   Role.DOWN: np.zeros((layer.n_experts, layer.hidden, layer.hidden))}
                  for layer in model.layers]
     for layer, gram in zip(model.layers, grams):
-        acts = {}
+        routed = {}
         up, down = layer.weights[Role.UP], layer.weights[Role.DOWN]
 
         def fill(rows, groups, slots):
             for i, start, stop in groups:
-                xi = h.take(rows[start:stop], axis=0)
-                a = xi @ up[i].T
-                acts[i] = (rows[start:stop], a)
-                hid = silu(a)
+                routed[i] = rows[start:stop]
+                xi = h.take(routed[i], axis=0)
+                hid = xi @ up[i].T
+                silu(hid, out=hid)
                 gram[Role.UP][i] += xi.T @ xi
                 gram[Role.DOWN][i] += hid.T @ hid
                 np.matmul(hid, down[i].T, out=slots[start:stop])
 
         y, trace = routed_forward(layer, h, fill)
-        captures.append(LayerCapture(x=h.T, trace=trace, acts=acts, grams=gram))
+        captures.append(LayerCapture(x=h.T, trace=trace, rows=routed, grams=gram))
         h = y
     return h.T, captures

@@ -8,6 +8,7 @@ the values back out of the emitted run report.
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from d2moe import pipeline
+from d2moe import cli, pipeline
 from d2moe.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from d2moe.config import CompressionConfig
 from d2moe.container import container_load, container_save, load_any, save_calibration, save_model
@@ -253,7 +254,6 @@ class TestCalibrate:
         run_ok([*argv, "--merge", "fisher", "--out", str(tmp_path / "fisher.csv")], capsys)
         assert (tmp_path / "fisher.csv").read_bytes() == (tmp_path / "mean.csv").read_bytes()
 
-
     def test_runs_in_token_chunks(self, tmp_path, capsys, monkeypatch):
         """Past one chunk, calibrate captures chunk by chunk and writes the
         statistics `compute_layer_stats` sums over the chunks."""
@@ -482,6 +482,29 @@ class TestRejectedBeforeCompute:
     def test_trim_above_expert_count(self, workdir, tmp_path, capsys):
         assert self.compress(workdir, tmp_path, "--trim", "5") == EXIT_CONFIG
         assert "trim count 5 outside [0, 4]" in capsys.readouterr().err
+
+
+class TestHeapTrim:
+    """Every command ends by handing the C heap's free pages back to the
+    operating system, after a success and after an error exit alike."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
+    def test_found_with_glibc(self):
+        assert cli._HEAP_TRIM is not None
+
+    def test_each_command_ends_with_one_trim(self, workdir, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_HEAP_TRIM", calls.append)
+        calib = str(workdir / "calib.d2m")
+        assert main(["eval", "--model", str(workdir / "model.d2m"), "--calib", calib]) == EXIT_OK
+        assert calls == [0]
+        assert main(["eval", "--model", str(tmp_path / "nope.d2m"), "--calib", calib]) == EXIT_IO
+        assert calls == [0, 0]
+
+    def test_runs_without_one(self, workdir, monkeypatch):
+        monkeypatch.setattr(cli, "_HEAP_TRIM", None)
+        assert main(["eval", "--model", str(workdir / "model.d2m"),
+                     "--calib", str(workdir / "calib.d2m")]) == EXIT_OK
 
 
 class TestExitCodes:

@@ -99,7 +99,6 @@ class TestStructure:
         srt = np.sort(logits, axis=0)
         assert np.median(srt[-1] - srt[-2]) == pytest.approx(_TARGET_MARGIN, rel=1e-12)
 
-
     def test_label_pass_runs_in_token_chunks(self, monkeypatch):
         """Past one chunk, the label pass runs chunk by chunk: no layer call
         sees more than TOKEN_CHUNK tokens, and the labels and the margin are

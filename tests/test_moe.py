@@ -402,7 +402,7 @@ class TestCalibrationCapture:
             for i in range(layer.n_experts):
                 np.testing.assert_allclose(st.grams[Role.UP][i], up_ref[i], atol=1e-10)
                 np.testing.assert_allclose(st.grams[Role.DOWN][i], down_ref[i], atol=1e-10)
-                assert (st.acts[i][0].size if i in st.acts else 0) == trace.counts[i]
+                assert (st.rows[i].size if i in st.rows else 0) == trace.counts[i]
             h, _ = layer_forward_dense(layer, h)
 
     def test_gram_symmetry_and_psd(self):
@@ -443,7 +443,7 @@ class TestCalibrationCapture:
     def test_capture_records_the_dense_forward(self):
         """The capture is the dense forward: the same final hidden state and
         routing, each layer's input, and for every routed expert its token
-        rows and token-major Up pre-activations."""
+        rows."""
         rng = np.random.default_rng(14)
         l0 = make_layer(rng, 4, 5, 6, 5, top_k=2)
         l1 = make_layer(rng, 3, 5, 7, 5, top_k=1)
@@ -460,11 +460,9 @@ class TestCalibrationCapture:
             for i in range(layer.n_experts):
                 rows = np.flatnonzero((trace.selected == i).any(axis=1))
                 if rows.size == 0:
-                    assert i not in st.acts
+                    assert i not in st.rows
                     continue
-                got_rows, a = st.acts[i]
-                assert np.array_equal(got_rows, rows)
-                assert np.array_equal(a, np.ascontiguousarray(h.T)[rows] @ layer.weights[Role.UP][i].T)
+                assert np.array_equal(st.rows[i], rows)
             h, _ = layer_forward_dense(layer, h)
 
 
