@@ -10,12 +10,9 @@ shapes/values in inputs); 3 file and container problems; 4 numerical
 failures.
 
 When a subcommand ends, the C heap's free pages go back to the operating
-system (glibc's `malloc_trim`; nothing where the C library lacks it). A
-command's temporaries are tens of MB in blocks of a few MB, which glibc
-keeps resident in its heap once freed; without the trim, a process that
-runs several commands in turn (the benchmark runs them in-process) would
-stay resident at its largest command's peak, and any larger block it
-allocated later would add to that.
+system (glibc's `malloc_trim`): glibc keeps a command's freed temporaries
+resident, so a process running several commands in turn, like the
+benchmark, would otherwise stay at its largest command's peak.
 """
 from __future__ import annotations
 
