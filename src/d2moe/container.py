@@ -12,7 +12,8 @@ Offsets in the manifest are absolute file offsets. Saving the mapping
 returned by container_load reproduces the original file byte for byte.
 Both directions stream: a save writes each payload from its array's own
 buffer, and a load reads each payload straight into its new array, so
-neither holds a second copy of the file.
+neither holds a second copy of the file; `load_any` reads each payload
+when its loader asks, so a dense model's experts go straight into stacks.
 """
 from __future__ import annotations
 
@@ -105,6 +106,42 @@ def container_load(path) -> dict[str, np.ndarray]:
     """Read a container back into an ordered name -> matrix mapping. The
     framing is checked against the file size before any payload is read;
     each payload is then read into its own array."""
+    with _open_container(path) as tensors:
+        return {name: tensors[name] for name in tensors}
+
+
+class _Payloads:
+    """An open container's tensors by name, in manifest order; looking one
+    up reads its payload into a new array and checks it."""
+
+    def __init__(self, path, fh, entries):
+        self.path, self.fh = path, fh
+        self.entries = {name: (rows, cols, offset) for name, rows, cols, offset in entries}
+        self.unread = dict.fromkeys(self.entries)
+
+    def __contains__(self, name) -> bool:
+        return name in self.entries
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        rows, cols, offset = self.entries[name]
+        a = np.empty((rows, cols), dtype="<f8")
+        self.fh.seek(offset)
+        if self.fh.readinto(a) != a.nbytes:
+            raise TruncatedPayloadError(f"{self.path}: tensor {name!r} payload is truncated")
+        a = a.astype(np.float64, copy=False)
+        if not np.all(np.isfinite(a)):
+            raise NonFinitePayloadError(f"{self.path}: tensor {name!r} contains NaN or Inf")
+        self.unread.pop(name, None)
+        return a
+
+
+@contextmanager
+def _open_container(path):
+    """The container at `path` as `_Payloads`, its framing checked against
+    the file size; the file stays open while the block runs."""
     with open(path, "rb") as fh:
         head = fh.read(len(MAGIC) + 8)
         if len(head) < len(MAGIC) or head[: len(MAGIC)] != MAGIC:
@@ -120,19 +157,7 @@ def container_load(path) -> dict[str, np.ndarray]:
             manifest = fh.read(manifest_len).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ManifestError(f"{path}: manifest is not valid UTF-8") from exc
-        entries = _manifest_entries(path, manifest, manifest_end, size)
-
-        out: dict[str, np.ndarray] = {}
-        for name, rows, cols, offset in entries:
-            a = np.empty((rows, cols), dtype="<f8")
-            fh.seek(offset)
-            if fh.readinto(a) != a.nbytes:
-                raise TruncatedPayloadError(f"{path}: tensor {name!r} payload is truncated")
-            a = a.astype(np.float64, copy=False)
-            if not np.all(np.isfinite(a)):
-                raise NonFinitePayloadError(f"{path}: tensor {name!r} contains NaN or Inf")
-            out[name] = a
-    return out
+        yield _Payloads(path, fh, _manifest_entries(path, manifest, manifest_end, size))
 
 
 def _manifest_entries(path, manifest: str, manifest_end: int, size: int) -> list:
@@ -183,11 +208,16 @@ def _row(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).reshape(1, -1)
 
 
-def _tensor(tensors: dict[str, np.ndarray], name: str) -> np.ndarray:
-    """Look up one tensor a loader needs; a missing one is a ManifestError."""
+def _present(tensors, name: str) -> str:
+    """`name`, if the container holds it; a missing tensor is a ManifestError."""
     if name not in tensors:
         raise ManifestError(f"container is missing tensor {name!r}")
-    return tensors[name]
+    return name
+
+
+def _tensor(tensors, name: str) -> np.ndarray:
+    """Look up one tensor a loader needs; a missing one is a ManifestError."""
+    return tensors[_present(tensors, name)]
 
 
 def _meta_row(tensors: dict[str, np.ndarray], name: str, length: int | None = None,
@@ -219,12 +249,6 @@ def _assembling(part: str):
         raise ManifestError(f"{part}: {exc}") from exc
 
 
-def container_kind(tensors: dict[str, np.ndarray]) -> float:
-    if "meta/kind" not in tensors:
-        raise ManifestError("container has no meta/kind tensor")
-    return float(tensors["meta/kind"][0, 0])
-
-
 def save_model(path, model: MoEModel) -> None:
     tensors: dict[str, np.ndarray] = {"meta/kind": _scalar(KIND_DENSE_MODEL)}
     for l, layer in enumerate(model.layers):
@@ -237,14 +261,31 @@ def save_model(path, model: MoEModel) -> None:
     container_save(path, tensors)
 
 
-def load_model(tensors: dict[str, np.ndarray]) -> MoEModel:
+def _expert_stack(tensors, l: int, role: Role, n_experts: int):
+    """Layer l's `role` weights of all experts as one (E, m, n) stack, filled
+    one tensor at a time, so a lazily read container never holds a layer
+    twice. Every name is checked present first; a shape other than expert
+    0's is a ShapeError, and no experts give [] for `MoELayer` to reject."""
+    names = [_present(tensors, f"layer{l}/expert{j}/{role.value}") for j in range(n_experts)]
+    stack = []
+    for j, name in enumerate(names):
+        a = tensors[name]
+        if j == 0:
+            stack = np.empty((len(names), *a.shape))
+        elif a.shape != stack.shape[1:]:
+            raise ShapeError(f"{role.value} weights: tensor {name!r} has shape {a.shape}, "
+                             f"expert 0 {stack.shape[1:]}")
+        stack[j] = a
+    return stack
+
+
+def load_model(tensors) -> MoEModel:
     layers = []
     l = 0
     while f"layer{l}/meta" in tensors:
         top_k, n_experts = _meta_row(tensors, f"layer{l}/meta", 2)
-        weights = {role: [_tensor(tensors, f"layer{l}/expert{j}/{role.value}")
-                          for j in range(n_experts)] for role in ROLES}
         with _assembling(f"layer {l}"):
+            weights = {role: _expert_stack(tensors, l, role, n_experts) for role in ROLES}
             layers.append(MoELayer(gate=_tensor(tensors, f"layer{l}/gate"), weights=weights,
                                    top_k=top_k))
         l += 1
@@ -340,13 +381,18 @@ def load_compressed_model(tensors: dict[str, np.ndarray]) -> CompressedModel:
 
 
 def load_any(path):
-    """Load a container and rebuild whatever object kind it declares."""
-    tensors = container_load(path)
-    kind = container_kind(tensors)
-    if kind == KIND_DENSE_MODEL:
-        return load_model(tensors)
-    if kind == KIND_COMPRESSED_MODEL:
-        return load_compressed_model(tensors)
-    if kind == KIND_CALIBRATION:
-        return load_calibration(tensors)
-    raise ManifestError(f"unknown container kind {kind}")
+    """Load a container and rebuild whatever object kind it declares. Each
+    payload is read when the loader asks for it, and the rest afterwards,
+    so every payload is checked."""
+    loaders = {KIND_DENSE_MODEL: load_model, KIND_COMPRESSED_MODEL: load_compressed_model,
+               KIND_CALIBRATION: load_calibration}
+    with _open_container(path) as tensors:
+        if "meta/kind" not in tensors:
+            raise ManifestError("container has no meta/kind tensor")
+        kind = float(tensors["meta/kind"][0, 0])
+        if kind not in loaders:
+            raise ManifestError(f"unknown container kind {kind}")
+        loaded = loaders[kind](tensors)
+        for name in list(tensors.unread):
+            tensors[name]
+    return loaded

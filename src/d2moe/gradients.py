@@ -13,21 +13,15 @@ takes that capture from its caller, so the Grams, the routing counts and
 the Fisher all come from one dense pass over each chunk of calibration
 tokens. A token routed to expert i contributes a single outer product to
 each of that expert's gradients, ebar hid^T (Down) and abar x^T (Up).
-`backward_logloss` runs the sweep on one token and forms those outer
-products. `fisher_accumulate` runs it on one chunk of the calibration
-tokens and adds the sums of their elementwise squares over each expert's
-routed tokens, in closed form, into running totals:
+`backward_logloss` runs the sweep on one token and adds those products
+into stacks (`add_into`). `fisher_accumulate` runs it on one chunk and
+hands its caller each expert's sum of their elementwise squares over its
+tokens, in closed form (tokens along the rows, the sweep is token-major):
 
-    F_down[i] += (Ebar∘Ebar) (Hid∘Hid)^T,    F_up[i] += (Abar∘Abar) (X∘X)^T,
+    B_down[i] = (Ebar∘Ebar) (Hid∘Hid)^T,    B_up[i] = (Abar∘Abar) (X∘X)^T.
 
-with those tokens along the rows of each token-major matrix (the sweep
-runs token-major, like the forward); `pipeline.compute_layer_stats` divides
-the totals by the token count once. sampled-label mode draws every label
-from one `u = rng.random(T)` over all T calibration tokens, sliced per
-chunk: label t is the number of entries of `cdf_t` at or below u[t], where
-`cdf_t` is `cumsum(p_t)` divided by its last entry. That is exactly what
-`rng.choice(classes, p=p_t)` returns when called once per token in
-calibration order, whatever the chunk size.
+sampled-label mode draws all T labels from one `rng.random(T)`, sliced per
+chunk (`_draw_labels`), so they do not depend on the chunk size.
 """
 from __future__ import annotations
 
@@ -46,7 +40,7 @@ class GradientSet:
     """Gradients laid out like the parameters they belong to: per layer the
     gate's (N, d_model) gradient and, per role, an (E, m, n) stack with
     expert_grads[l][role][i] the gradient of expert i's weight (the layout
-    of `MoELayer.weights` and of the Fisher); then the head's."""
+    of `MoELayer.weights`); then the head's."""
 
     gate_grads: list[np.ndarray]
     expert_grads: list[dict[Role, np.ndarray]]
@@ -70,7 +64,7 @@ def backward_logloss(model: MoEModel, x, y: int) -> GradientSet:
     expert_grads = [{role: np.zeros_like(layer.weights[role]) for role in ROLES}
                     for layer in model.layers]
     zbars = _reverse_sweep(model, captures, lbar @ model.head, lambda bar, act: bar.T @ act,
-                           expert_grads)
+                           add_into(expert_grads))
     gate_grads = [zbar.T @ cap.x.T for zbar, cap in zip(zbars, captures)]
     return GradientSet(gate_grads=gate_grads, expert_grads=expert_grads, head_grad=lbar.T @ h.T)
 
@@ -104,13 +98,21 @@ def output_probabilities(logits: np.ndarray, first: int, n_total: int) -> np.nda
     return p
 
 
+def add_into(stacks):
+    """A `_reverse_sweep` sink that adds each block into stacks[l][role][i]:
+    per layer, one stack per role shaped like `MoELayer.weights`."""
+    def sink(l: int, role: Role, i: int, block: np.ndarray) -> None:
+        stacks[l][role][i] += block
+    return sink
+
+
 def fisher_accumulate(model: MoEModel, captures, p: np.ndarray, labels: np.ndarray,
-                      fisher: list[dict[Role, np.ndarray]]) -> None:
-    """Add one chunk's sums of elementwise squared log-likelihood gradients
-    into `fisher`: per layer, one (E, m, n) stack per role, stack[i] the
-    block of expert i's weight in that role. An expert the chunk never
-    routes gets nothing added, so one never routed at all keeps an
-    exactly-zero block.
+                      sink) -> None:
+    """Hand one chunk's sums of elementwise squared log-likelihood gradients
+    to `sink(l, role, i, block)`: block is the (m, n) sum for expert i's
+    weight in `role` of layer l, a new array the sink may change. Only
+    experts the chunk routes get a block; layers come last to first, and
+    within a layer experts in ascending order, Down before Up.
 
     `captures` are the chunk's `moe.capture_calibration` records (no
     forward runs here), `p` its (classes, T) `output_probabilities` and
@@ -120,19 +122,18 @@ def fisher_accumulate(model: MoEModel, captures, p: np.ndarray, labels: np.ndarr
     lbar = -p
     lbar[labels, np.arange(labels.size)] += 1.0  # d log p(y|x) / d logits = onehot(y) - softmax
     _reverse_sweep(model, captures, lbar.T @ model.head,
-                   lambda bar, act: (bar * bar).T @ (act * act), fisher)
+                   lambda bar, act: (bar * bar).T @ (act * act), sink)
 
 
-def _reverse_sweep(model: MoEModel, captures, ybar: np.ndarray, block, stacks):
+def _reverse_sweep(model: MoEModel, captures, ybar: np.ndarray, block, sink):
     """Backpropagate ybar (T, d_out), the token-major gradient at the final
     hidden state, from the last layer down. Returns each layer's gate-logit
     gradient zbar (T, N), zero off each token's selection.
 
-    `stacks` holds per layer and role a stack shaped like
-    `MoELayer.weights`; block(bar, act) is added into block i of it for
-    every routed expert i, with the expert's tokens along the rows of bar
-    and act: token t's gradient of the expert's weight is bar_t^T act_t,
-    with (bar, act) = (ebar, hid) for Down and (abar, x) for Up.
+    For every routed expert i of layer l, sink(l, role, i, block(bar, act))
+    is called, with the expert's tokens along the rows of bar and act:
+    token t's gradient of the expert's weight is bar_t^T act_t, with
+    (bar, act) = (ebar, hid) for Down and (abar, x) for Up.
     """
     toks = np.arange(ybar.shape[0])[:, None]
     zbars = [None] * len(model.layers)
@@ -154,8 +155,8 @@ def _reverse_sweep(model: MoEModel, captures, ybar: np.ndarray, block, stacks):
             gbar[rows, i] = np.sum(hid * q, axis=1)
             abar = g_i * q
             abar *= silu_grad(a)
-            stacks[l][Role.DOWN][i] += block(g_i * ybar_i, hid)
-            stacks[l][Role.UP][i] += block(abar, x_i)
+            sink(l, Role.DOWN, i, block(g_i * ybar_i, hid))
+            sink(l, Role.UP, i, block(abar, x_i))
             xbar[rows] += abar @ up[i]
         # gating weights are softmax over the surviving logits
         zbars[l] = zbar = g * (gbar - np.sum(g * gbar, axis=1, keepdims=True))

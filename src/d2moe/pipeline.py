@@ -29,7 +29,7 @@ from .factorize import DeltaFactor, whitened_factors
 from .gradients import (FISHER_MODES, _draw_labels, check_labels, fisher_accumulate,
                         output_probabilities)
 from .linalg import as_matrix, blas_threads
-from .merge import weighted_merge
+from .merge import merge_from_sums, weighted_merge
 from .moe import (
     ROLES,
     MoELayer,
@@ -58,30 +58,32 @@ LAYER_STAGES = ("merge", "factorize", "prune", "package")
 @dataclass(frozen=True)
 class LayerStats:
     """Calibration statistics one layer's compression depends on: per role
-    the (E, n, n) Gram stack, the experts' routing frequencies, and (for the
-    Fisher merges) per role the (E, m, n) Fisher stack; stack[i] belongs to
-    expert i."""
+    the (E, n, n) Gram stack (stack[i] for expert i), the experts' routing
+    frequencies, and for the Fisher merges per role the (m, n) sums
+    (sum_i F_i * W_i, sum_i F_i) of fisher or the (E,) block means of
+    fisher-scalar, where F_i is expert i's Fisher block."""
 
     grams: dict[Role, np.ndarray]
     frequency: np.ndarray
-    fisher: dict[Role, np.ndarray] | None
+    fisher: dict[Role, tuple[np.ndarray, np.ndarray] | np.ndarray] | None
 
 
 @blas_threads(1)
 def compute_layer_stats(model: MoEModel, calib_tokens, cfg: CompressionConfig,
                         labels=None) -> tuple[list[LayerStats], np.ndarray]:
-    """Grams, routing frequencies and (if the merge needs it) Fisher blocks
+    """Grams, routing frequencies and (if the merge needs them) Fisher sums
     for every layer, plus the dense calibration logits (classes, T), all
     from one dense pass over the calibration tokens.
 
     The pass runs in `moe.token_chunks`: each chunk's capture adds its
-    Grams, routing counts and Fisher sums to the running totals and keeps
+    Grams, routing counts and Fisher blocks to the running totals and keeps
     only its head logits, so peak memory is the model, its statistics and
-    one chunk, whatever T is. The Fisher sums are divided by T once, at the
-    end. Sampled labels come from one `default_rng(seed).random(T)`, sliced
-    per chunk, so they do not depend on the chunk size. Up to TOKEN_CHUNK
-    tokens the bytes are those of a single capture; past it, the Grams and
-    the Fisher differ from that only in summation order.
+    one chunk, whatever T is; no Fisher block outlives its turn in the
+    sweep (`_fisher_totals`). Sampled labels come from one
+    `default_rng(seed).random(T)`, sliced per chunk. Up to TOKEN_CHUNK
+    tokens the bytes are those of a single capture, and the bases those of
+    `weighted_merge` of its Fisher stacks; past it, they differ from that
+    only in summation order.
     """
     need_fisher = cfg.merge_method in ("fisher", "fisher-scalar")
     if need_fisher and cfg.fisher_mode not in FISHER_MODES:
@@ -96,10 +98,9 @@ def compute_layer_stats(model: MoEModel, calib_tokens, cfg: CompressionConfig,
         raise ShapeError(f"calibration tokens: expected a non-degenerate 2-D array, "
                          f"got shape {x.shape}")
     n_tokens = x.shape[1]
-    fisher = draws = None
+    fisher = sink = draws = None
     if need_fisher:
-        fisher = [{role: np.zeros_like(layer.weights[role]) for role in ROLES}
-                  for layer in model.layers]
+        fisher, sink = _fisher_totals(model, n_tokens, cfg.merge_method == "fisher-scalar")
         if cfg.fisher_mode == "data-label":
             labels = check_labels(labels, model.num_classes, n_tokens)
         else:
@@ -112,19 +113,37 @@ def compute_layer_stats(model: MoEModel, calib_tokens, cfg: CompressionConfig,
         grams = [cap.grams for cap in captures]
         counts = [total + cap.trace.counts for total, cap in zip(counts, captures)]
         logits[:, cols] = chunk_logits = model.head @ hidden
-        if fisher is not None:
+        if sink is not None:
             p = output_probabilities(chunk_logits, cols.start, n_tokens)
             y = labels[cols] if draws is None else _draw_labels(p, draws[cols])
-            fisher_accumulate(model, captures, p, y, fisher)
+            fisher_accumulate(model, captures, p, y, sink)
         del hidden, captures  # drop the chunk before the next one is captured
-    if fisher is not None:
-        for stacks in fisher:
-            for role in ROLES:
-                stacks[role] /= n_tokens
     stats = [LayerStats(grams=g, frequency=expert_frequency(c),
                         fisher=fisher[l] if fisher is not None else None)
              for l, (g, c) in enumerate(zip(grams, counts))]
     return stats, logits
+
+
+def _fisher_totals(model: MoEModel, n_tokens: int, scalar: bool):
+    """Every layer's `LayerStats.fisher`, zero, and the `fisher_accumulate`
+    sink adding a chunk's block B_i to it as F_i = B_i / T: np.mean(F_i) to
+    the means, or F_i * W_i and F_i to the sums, in `weighted_merge`'s
+    ascending expert order."""
+    if scalar:
+        totals = [{role: np.zeros(layer.n_experts) for role in ROLES} for layer in model.layers]
+    else:
+        totals = [{role: (np.zeros(w.shape[1:]), np.zeros(w.shape[1:]))
+                   for role, w in layer.weights.items()} for layer in model.layers]
+
+    def sink(l, role, i, block):
+        block /= n_tokens
+        if scalar:
+            totals[l][role][i] += np.mean(block)
+        else:
+            num, den = totals[l][role]
+            den += block
+            num += block * model.layers[l].weights[role][i]
+    return totals, sink
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +159,12 @@ def merge_layer(layer: MoELayer, stats: LayerStats, cfg: CompressionConfig):
     fallback = 0
     for role in (Role.UP, Role.DOWN):
         weights = layer.weights[role]
-        if cfg.merge_method == "mean":
-            coeffs = np.ones(layer.n_experts)
-        elif cfg.merge_method == "frequency":
-            coeffs = stats.frequency
-        elif cfg.merge_method == "fisher-scalar":
-            coeffs = np.mean(stats.fisher[role], axis=(1, 2))
+        if cfg.merge_method == "fisher":
+            bases[role], n_fallback = merge_from_sums(weights, *stats.fisher[role], cfg.epsilon)
         else:
-            coeffs = stats.fisher[role]
-        bases[role], n_fallback = weighted_merge(weights, coeffs, cfg.epsilon)
+            coeffs = (np.ones(layer.n_experts) if cfg.merge_method == "mean" else
+                      stats.frequency if cfg.merge_method == "frequency" else stats.fisher[role])
+            bases[role], n_fallback = weighted_merge(weights, coeffs, cfg.epsilon)
         fallback += n_fallback
         deltas[role] = weights - bases[role]
     return bases, deltas, fallback

@@ -191,6 +191,40 @@ class TestStreaming:
         assert load_peak <= 1.1 * size, (load_peak, size)
 
 
+    def test_load_any_stacks_a_dense_model_without_a_second_copy(self, tmp_path):
+        """`load_any` reads each expert tensor as its layer's stack is
+        filled, so a dense model loads within 1.1x the file size (the model
+        itself), not the file's per-expert arrays beside their stacks. A
+        multi-layer model is what would hold more than one layer twice."""
+        model = gen_fixture(0, layers=3).model
+        path = tmp_path / "model.d2m"
+        save_model(path, model)
+        size = path.stat().st_size
+        loaded = []
+        peak = traced_peak(lambda: loaded.append(load_any(path)))
+        assert peak <= 1.1 * size, (peak, size)
+        for got, want in zip(loaded[0].layers, model.layers, strict=True):
+            for role in (Role.UP, Role.DOWN):
+                assert got.weights[role].tobytes() == want.weights[role].tobytes()
+
+    def test_load_any_checks_the_payloads_no_loader_reads(self, tmp_path):
+        """A tensor the dense loader never asks for is still read and
+        checked: a NaN in it fails the load as it fails `container_load`."""
+        model, _ = make_model()
+        path = tmp_path / "model.d2m"
+        save_model(path, model)
+        tensors = container_load(path)
+        tensors["extra"] = np.ones((2, 2))
+        container_save(path, tensors)
+        raw = bytearray(path.read_bytes())
+        mlen = int.from_bytes(raw[8:16], "little")
+        offset = int(raw[16:16 + mlen].decode().splitlines()[-1].split()[3])
+        raw[offset:offset + 8] = np.float64("nan").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NonFinitePayloadError, match="'extra'"):
+            load_any(path)
+
+
 class TestRawContainer:
     def test_round_trip_preserves_values_and_order(self, tmp_path):
         rng = np.random.default_rng(2)

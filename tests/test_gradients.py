@@ -13,7 +13,10 @@ independent of `gradients._reverse_sweep`. `per_token_fisher` is the slow path
 the batched closed-form Fisher replaced: one forward and one legacy backward
 per token, labels drawn with one `rng.choice` per token. `backward_logloss`
 and the batched Fisher must match them to 1e-12 of each block's maximum,
-with the same exact zeros and the same sampled labels.
+with the same exact zeros and the same sampled labels. The batched Fisher
+blocks are read through `fisher_oracle.fisher_stacks`, which adds what
+`fisher_accumulate` hands over into zero stacks; `compute_layer_stats`
+keeps only the merge's sums of them (`fisher_sums`).
 """
 
 import math
@@ -29,6 +32,7 @@ from d2moe.merge import weighted_merge
 from d2moe.moe import (MoELayer, MoEModel, Role, _softmax, moe_forward_dense,
                        route_batch, silu, silu_grad)
 from d2moe.pipeline import compress, compute_layer_stats
+from fisher_oracle import fisher_stacks
 
 H = 1e-5
 
@@ -123,8 +127,15 @@ def per_token_fisher(model, calib, mode="sampled-label", seed=0, labels=None):
 
 
 def batched_fisher(model, calib, mode="sampled-label", seed=0, labels=None):
-    """The Fisher stacks `compress` merges with: those of
-    `compute_layer_stats`, whose chunks `fisher_accumulate` sums."""
+    """The Fisher stacks of the batched sweep: every block `fisher_accumulate`
+    hands over, added into zero stacks and divided by the token count."""
+    cfg = CompressionConfig(merge_method="fisher", fisher_mode=mode, seed=seed)
+    return fisher_stacks(model, calib, cfg, labels)
+
+
+def fisher_sums(model, calib, mode="sampled-label", seed=0, labels=None):
+    """What `compress` merges with: per layer and role the (sum_i F_i * W_i,
+    sum_i F_i) sums that `compute_layer_stats` keeps."""
     cfg = CompressionConfig(merge_method="fisher", fisher_mode=mode, seed=seed)
     stats, _ = compute_layer_stats(model, calib, cfg, labels=labels)
     return [st.fisher for st in stats]
@@ -404,25 +415,25 @@ class TestBatchedFisher:
         assert one.random() == many.random()
 
     def test_sampled_labels_match_oracle_end_to_end(self):
-        """data-label Fisher with the oracle's drawn labels reproduces the
-        sampled-label Fisher, so both paths drew the same labels."""
+        """data-label Fisher sums with the oracle's drawn labels reproduce
+        the sampled-label ones, so both paths drew the same labels."""
         model = make_model(31, n_experts=4, d_model=6, hidden=7, layers=2, classes=6, top_k=2)
         x = np.random.default_rng(114).normal(size=(6, 64))
         _, drawn = per_token_fisher(model, x, mode="sampled-label", seed=5)
-        sampled = batched_fisher(model, x, mode="sampled-label", seed=5)
-        labelled = batched_fisher(model, x, mode="data-label", labels=drawn)
+        sampled = fisher_sums(model, x, mode="sampled-label", seed=5)
+        labelled = fisher_sums(model, x, mode="data-label", labels=drawn)
         for a, b in zip(sampled, labelled, strict=True):
             for role in (Role.UP, Role.DOWN):
-                assert np.array_equal(a[role], b[role])
+                assert all(np.array_equal(u, v) for u, v in zip(a[role], b[role], strict=True))
 
     @pytest.mark.parametrize("mode", ["sampled-label", "data-label"])
     def test_two_calls_byte_identical(self, mode):
         fx = gen_fixture(1, n_experts=6, d_model=12, hidden=16, layers=3, tokens=96, rank_noise=2)
-        a = batched_fisher(fx.model, fx.tokens, mode=mode, seed=2, labels=fx.labels)
-        b = batched_fisher(fx.model, fx.tokens, mode=mode, seed=2, labels=fx.labels)
+        a = fisher_sums(fx.model, fx.tokens, mode=mode, seed=2, labels=fx.labels)
+        b = fisher_sums(fx.model, fx.tokens, mode=mode, seed=2, labels=fx.labels)
         for la, lb in zip(a, b, strict=True):
             for role in (Role.UP, Role.DOWN):
-                assert la[role].tobytes() == lb[role].tobytes()
+                assert [u.tobytes() for u in la[role]] == [v.tobytes() for v in lb[role]]
 
     @pytest.mark.parametrize("mode", ["sampled-label", "data-label"])
     def test_non_finite_probabilities_raise(self, mode):
@@ -434,18 +445,18 @@ class TestBatchedFisher:
         x = np.random.default_rng(115).normal(size=(4, 8))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="not finite"):
-                batched_fisher(huge, x, mode=mode, labels=np.zeros(8, dtype=int))
+                fisher_sums(huge, x, mode=mode, labels=np.zeros(8, dtype=int))
 
     def test_out_of_range_data_label_rejected(self):
         model = make_model(33, layers=1, classes=3)
         with pytest.raises(ParameterError, match="labels"):
-            batched_fisher(model, np.zeros((4, 2)), mode="data-label", labels=[0, 3])
+            fisher_sums(model, np.zeros((4, 2)), mode="data-label", labels=[0, 3])
 
     def test_fractional_data_label_rejected(self):
         """A fractional label is rejected, not truncated to a class index."""
         model = make_model(34, layers=1, classes=3)
         with pytest.raises(ParameterError, match="integral"):
-            batched_fisher(model, np.zeros((4, 2)), mode="data-label", labels=[0, 0.5])
+            fisher_sums(model, np.zeros((4, 2)), mode="data-label", labels=[0, 0.5])
 
     def test_compress_matches_oracle_fisher(self, monkeypatch):
         """`compress --merge fisher` builds the same layers as with the
@@ -457,14 +468,15 @@ class TestBatchedFisher:
         cfg = CompressionConfig(merge_method="fisher", delta_ratio=0.5, sparsity=0.4)
         _, rep = compress(cfg, fx.model, x, labels=fx.labels)
 
-        def oracle(model, captures, p, labels, fisher):
+        def oracle(model, captures, p, labels, sink):
             # 64 tokens are one chunk, so the oracle draws its own labels
             # for all of them with the config's seed
             x = captures[0].x
             want, _ = per_token_fisher(model, x, mode="sampled-label", seed=cfg.seed)
-            for total, layer in zip(fisher, want, strict=True):
+            for l, layer in enumerate(want):
                 for role in (Role.UP, Role.DOWN):
-                    total[role] += layer[role] * x.shape[1]
+                    for i, block in enumerate(layer[role]):
+                        sink(l, role, i, block * x.shape[1])
 
         monkeypatch.setattr("d2moe.pipeline.fisher_accumulate", oracle)
         _, ref = compress(cfg, fx.model, x, labels=fx.labels)

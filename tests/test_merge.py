@@ -16,7 +16,7 @@ from d2moe.config import CompressionConfig
 from d2moe.errors import ParameterError, ShapeError
 from d2moe.fixtures import gen_fixture
 from d2moe.analysis import energy_retention
-from d2moe.merge import weighted_merge
+from d2moe.merge import merge_from_sums, weighted_merge
 from d2moe.moe import MoELayer, Role
 from d2moe.pipeline import LayerStats, compute_layer_stats, merge_layer
 
@@ -114,6 +114,65 @@ class TestFisherMerge:
             weighted_merge([np.eye(2), np.eye(2)], [np.eye(2)])
 
 
+class TestMergeFromSums:
+    """The fisher merge's finish from the two sums calibration streams into
+    (`pipeline.compute_layer_stats`), against `weighted_merge` of the stack."""
+
+    def test_sums_in_expert_order_give_weighted_merge_bytes(self):
+        rng = np.random.default_rng(13)
+        weights = rng.normal(size=(5, 6, 4))
+        fishers = rng.uniform(0.0, 2.0, size=(5, 6, 4))
+        fishers[:, 2, 3] = 0.0  # one entry falls back to the mean
+        num, den = np.zeros((6, 4)), np.zeros((6, 4))
+        for w, f in zip(weights, fishers):
+            den += f
+            num += f * w
+        got, got_fallback = merge_from_sums(weights, num, den)
+        want, want_fallback = weighted_merge(weights, fishers)
+        assert got.tobytes() == want.tobytes()
+        assert got_fallback == want_fallback == 1
+        assert got[2, 3] == mean_base(weights)[2, 3]
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("which", ["num", "den"])
+    def test_non_finite_sums_raise(self, bad, which):
+        sums = {"num": np.ones((2, 3)), "den": np.ones((2, 3))}
+        sums[which][1, 2] = bad
+        with pytest.raises(ShapeError, match="merge sums: contains non-finite entries"):
+            merge_from_sums(np.zeros((1, 2, 3)), sums["num"], sums["den"])
+
+    def test_overflowing_weighted_sum_raises(self):
+        """Finite coefficients whose products with the weights overflow
+        fail by name instead of returning an infinite base."""
+        weights = [np.full((2, 2), 1e300), np.full((2, 2), -1e300)]
+        with np.errstate(over="ignore"):
+            with pytest.raises(ShapeError, match="merge sums: contains non-finite entries"):
+                weighted_merge(weights, [1e10, 1.0])
+
+    @pytest.mark.parametrize("merge,error", [("fisher", ShapeError),
+                                             ("fisher-scalar", ParameterError)])
+    def test_overflowing_fisher_fails_named(self, merge, error):
+        """Input coordinate 0 at 1e200, which no gate row or Up column reads,
+        leaves the forward finite but overflows layer 0's Up Fisher column:
+        the merge raises the error a non-finite Fisher stack raised in
+        `weighted_merge`, ShapeError for the elementwise stack (`as_stack`)
+        and ParameterError for the scalar coefficients."""
+        fx = gen_fixture(seed=0)
+        layer = fx.model.layers[0]
+        gate, up = layer.gate.copy(), layer.weights[Role.UP].copy()
+        gate[:, 0] = up[:, :, 0] = 0.0
+        silent = MoELayer(gate=gate, top_k=layer.top_k,
+                          weights={Role.UP: up, Role.DOWN: layer.weights[Role.DOWN]})
+        model = dataclasses.replace(fx.model, layers=[silent])
+        tokens = fx.tokens.copy()
+        tokens[0] = 1e200
+        cfg = CompressionConfig(merge_method=merge)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats, _ = compute_layer_stats(model, tokens, cfg, labels=fx.labels)
+            with pytest.raises(error, match="non-finite|must be finite"):
+                merge_layer(silent, stats[0], cfg)
+
+
 class TestMeanMerge:
     def test_opposite_pair_cancels(self):
         rng = np.random.default_rng(3)
@@ -178,6 +237,7 @@ class TestFallbackCount:
         assert np.array_equal(bases[Role.UP][:, 5], mean_col)
 
         scalar_cfg = dataclasses.replace(cfg, merge_method="fisher-scalar")
+        stats, _ = compute_layer_stats(fx.model, tokens, scalar_cfg, labels=fx.labels)
         bases, _, fallback = merge_layer(layer, stats[0], scalar_cfg)
         assert fallback == 0
         assert not np.allclose(bases[Role.UP][:, 5], mean_col)
