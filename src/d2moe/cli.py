@@ -33,6 +33,7 @@ from .fixtures import gen_fixture
 from .moe import MoEModel, Role
 from .pipeline import compress, compute_layer_stats, evaluate, ratio_frontier
 from .report import (
+    _write_csv,
     read_report,
     write_cka_csv,
     write_frontier_csv,
@@ -132,13 +133,10 @@ def _cmd_calibrate(args) -> int:
     # the CSV holds frequencies and Gram traces, so no merge needs a Fisher block
     stats, _ = compute_layer_stats(model, tokens[:, :n_use],
                                    dataclasses.replace(cfg, merge_method="mean"))
-    lines = ["layer,expert,frequency,gram_trace_up,gram_trace_down"]
-    for l, st in enumerate(stats):
-        for i, freq in enumerate(st.frequency):
-            tr_up = float(np.trace(st.grams[Role.UP][i]))
-            tr_down = float(np.trace(st.grams[Role.DOWN][i]))
-            lines.append(f"{l},{i},{float(freq)!r},{tr_up!r},{tr_down!r}")
-    Path(args.out).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    rows = [(l, i, float(freq), float(np.trace(st.grams[Role.UP][i])),
+             float(np.trace(st.grams[Role.DOWN][i])))
+            for l, st in enumerate(stats) for i, freq in enumerate(st.frequency)]
+    _write_csv(args.out, "layer,expert,frequency,gram_trace_up,gram_trace_down", rows)
     print(f"wrote {args.out} ({n_use} tokens)")
     return EXIT_OK
 

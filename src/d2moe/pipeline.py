@@ -7,14 +7,14 @@ over it when the merge needs one; the logits also give `loss_before`),
 then `merge`, `factorize`, `prune` and `package` in one serial pass over
 the layers, then `evaluate-compressed` (one compressed pass, for
 `loss_after` and the active-parameter census). Layers are independent once
-calibration statistics exist; `build_compressed_layer` runs merging, delta
-factorization, base pruning and packaging for one layer, and is the only
-code that runs that sequence, for `compress` and the sensitivity scan alike.
+calibration statistics exist; `build_compressed_layer` alone compresses a
+layer, for `compress`, the frontier (one calibration for all its points)
+and the sensitivity scan alike.
 
-`compress` and `compute_layer_stats` run with OpenBLAS pinned to one thread
-(`linalg.blas_threads(1)`), so their bytes do not depend on
-`OPENBLAS_NUM_THREADS`; the thread counts in effect before the call are
-restored afterwards, so the standalone forwards keep their threads.
+`compress`, `compute_layer_stats` and the frontier's builds run with
+OpenBLAS pinned to one thread (`linalg.blas_threads(1)`), so their bytes do
+not depend on `OPENBLAS_NUM_THREADS`; the thread counts in effect before the
+call are restored afterwards, so the standalone forwards keep their threads.
 """
 from __future__ import annotations
 
@@ -25,9 +25,8 @@ import numpy as np
 
 from .config import CompressionConfig
 from .errors import ConfigError, NumericalError, ParameterError, ShapeError
-from .factorize import DeltaFactor, whitened_factors
-from .gradients import (FISHER_MODES, _draw_labels, check_labels, fisher_accumulate,
-                        output_probabilities)
+from .factorize import whitened_factors
+from .gradients import _draw_labels, check_labels, fisher_accumulate, output_probabilities
 from .linalg import as_matrix, blas_threads
 from .merge import merge_from_sums, weighted_merge
 from .moe import (
@@ -41,7 +40,7 @@ from .moe import (
     moe_forward_dense,
     token_chunks,
 )
-from .pruning import PrunedBase, static_metric_from_gram, static_prune
+from .pruning import static_metric_from_gram, static_prune
 from .report import CompressionReport, LayerRecord
 from .runtime import (
     CompressedLayer,
@@ -83,11 +82,11 @@ def compute_layer_stats(model: MoEModel, calib_tokens, cfg: CompressionConfig,
     `default_rng(seed).random(T)`, sliced per chunk. Up to TOKEN_CHUNK
     tokens the bytes are those of a single capture, and the bases those of
     `weighted_merge` of its Fisher stacks; past it, they differ from that
-    only in summation order.
+    only in summation order. Gram totals or Fisher sums that overflowed
+    are a NumericalError naming the layer and role, whatever the merge.
     """
+    cfg.validate()
     need_fisher = cfg.merge_method in ("fisher", "fisher-scalar")
-    if need_fisher and cfg.fisher_mode not in FISHER_MODES:
-        raise ParameterError(f"fisher mode must be one of {FISHER_MODES}, got {cfg.fisher_mode!r}")
     if need_fisher and cfg.fisher_mode == "data-label" and labels is None:
         raise ConfigError("fisher_mode=data-label requires calibration labels")
     # an array is not copied: the capture checks each chunk as it copies it
@@ -121,6 +120,11 @@ def compute_layer_stats(model: MoEModel, calib_tokens, cfg: CompressionConfig,
     stats = [LayerStats(grams=g, frequency=expert_frequency(c),
                         fisher=fisher[l] if fisher is not None else None)
              for l, (g, c) in enumerate(zip(grams, counts))]
+    for l, st in enumerate(stats):
+        for role in ROLES:
+            sums = () if st.fisher is None else st.fisher[role]
+            if not (np.isfinite(st.grams[role]).all() and np.isfinite(sums).all()):
+                raise NumericalError(f"layer {l} {role.value}: calibration Grams or Fisher sums overflow")
     return stats, logits
 
 
@@ -147,58 +151,20 @@ def _fisher_totals(model: MoEModel, n_tokens: int, scalar: bool):
 
 
 # ---------------------------------------------------------------------------
-# per-layer stages
+# per-layer build
 # ---------------------------------------------------------------------------
 
-def merge_layer(layer: MoELayer, stats: LayerStats, cfg: CompressionConfig):
-    """Merge expert weights into a base per role; returns the bases, the
-    (E, m, n) delta stacks W_i - W_b per role, and the count of base entries
-    that fell back to the plain mean."""
-    bases: dict[Role, np.ndarray] = {}
-    deltas: dict[Role, np.ndarray] = {}
-    fallback = 0
-    for role in (Role.UP, Role.DOWN):
-        weights = layer.weights[role]
-        if cfg.merge_method == "fisher":
-            bases[role], n_fallback = merge_from_sums(weights, *stats.fisher[role], cfg.epsilon)
-        else:
-            coeffs = (np.ones(layer.n_experts) if cfg.merge_method == "mean" else
-                      stats.frequency if cfg.merge_method == "frequency" else stats.fisher[role])
-            bases[role], n_fallback = weighted_merge(weights, coeffs, cfg.epsilon)
-        fallback += n_fallback
-        deltas[role] = weights - bases[role]
-    return bases, deltas, fallback
-
-
-def factorize_layer(deltas: dict[Role, np.ndarray], stats: LayerStats,
-                    cfg: CompressionConfig, layer_index: int = 0):
-    """Truncation-aware SVD of every expert delta, one stacked call per role;
-    returns factors keyed by expert, the rank used per role, and per-expert
-    whitened residuals."""
-    factors: dict[int, dict[Role, DeltaFactor]] = {}
-    ranks: dict[str, int] = {}
-    errors: dict[str, list[float]] = {}
-    for role in (Role.UP, Role.DOWN):
-        m, n = deltas[role].shape[1:]
-        k = cfg.rank_for(layer_index, m, n)
-        ranks[role.value] = k
-        role_factors, role_errors = whitened_factors(deltas[role], stats.grams[role], k,
-                                                     damping=cfg.damping)
-        for i, factor in enumerate(role_factors):
-            factors.setdefault(i, {})[role] = factor
-        errors[role.value] = role_errors.tolist()
-    return factors, ranks, errors
-
-
-def prune_layer(bases: dict[Role, np.ndarray], stats: LayerStats,
-                cfg: CompressionConfig) -> dict[Role, PrunedBase]:
-    """Static half of semi-dynamic pruning for both base matrices, scored
-    with the total Gram (Python's `sum` of the Gram stack, in expert order)."""
-    pruned = {}
-    for role in (Role.UP, Role.DOWN):
-        metric = static_metric_from_gram(bases[role], sum(stats.grams[role]))
-        pruned[role] = static_prune(bases[role], metric, cfg.sparsity)
-    return pruned
+def merge_role(layer: MoELayer, role: Role, stats: LayerStats,
+               cfg: CompressionConfig) -> tuple[np.ndarray, int]:
+    """One role's base and the count of its entries that fell back to the
+    plain mean: `weighted_merge` with ones, routing frequencies or Fisher
+    means, or `merge_from_sums` of the fisher merge's sums."""
+    weights = layer.weights[role]
+    if cfg.merge_method == "fisher":
+        return merge_from_sums(weights, *stats.fisher[role], cfg.epsilon)
+    coeffs = (np.ones(layer.n_experts) if cfg.merge_method == "mean" else
+              stats.frequency if cfg.merge_method == "frequency" else stats.fisher[role])
+    return weighted_merge(weights, coeffs, cfg.epsilon)
 
 
 @dataclass(frozen=True)
@@ -214,22 +180,35 @@ class LayerBuild:
 
 def build_compressed_layer(layer: MoELayer, stats: LayerStats, cfg: CompressionConfig,
                            layer_index: int = 0) -> LayerBuild:
-    """Merge, factorize, prune and package one layer.
+    """Merge, factorize and prune one layer a role at a time, so that one
+    role's (E, m, n) deltas W_i - W_b are alive at once, then package it.
 
     `layer_index` selects the layer's delta ratio (per-layer ratios).
     """
-    marks = [time.perf_counter()]
-    bases, deltas, fallback = merge_layer(layer, stats, cfg)
-    marks.append(time.perf_counter())
-    factors, ranks, errors = factorize_layer(deltas, stats, cfg, layer_index)
-    marks.append(time.perf_counter())
-    pruned = prune_layer(bases, stats, cfg)
-    marks.append(time.perf_counter())
-    built = CompressedLayer(gate=layer.gate, base=pruned, deltas=factors, top_k=layer.top_k)
-    if cfg.trim > 0:
-        built = trim_deltas(built, stats.frequency, cfg.trim)
-    marks.append(time.perf_counter())
-    seconds = {stage: b - a for stage, a, b in zip(LAYER_STAGES, marks, marks[1:])}
+    seconds = dict.fromkeys(LAYER_STAGES, 0.0)
+    pruned, factors, ranks, errors, fallback = {}, {}, {}, {}, 0
+    for role in ROLES:
+        marks = [time.perf_counter()]
+        base, n_fallback = merge_role(layer, role, stats, cfg)
+        deltas = layer.weights[role] - base
+        marks.append(time.perf_counter())
+        ranks[role.value] = cfg.rank_for(layer_index, *deltas.shape[1:])
+        factors[role], role_errors = whitened_factors(deltas, stats.grams[role], ranks[role.value],
+                                                      damping=cfg.damping)
+        del deltas  # before the next role's are formed
+        marks.append(time.perf_counter())
+        metric = static_metric_from_gram(base, sum(stats.grams[role]))  # summed in expert order
+        pruned[role] = static_prune(base, metric, cfg.sparsity)
+        marks.append(time.perf_counter())
+        for stage, a, b in zip(LAYER_STAGES, marks, marks[1:]):
+            seconds[stage] += b - a
+        errors[role.value] = role_errors.tolist()
+        fallback += n_fallback
+    t0 = time.perf_counter()
+    per_expert = {i: {role: factors[role][i] for role in ROLES} for i in range(layer.n_experts)}
+    built = trim_deltas(CompressedLayer(gate=layer.gate, base=pruned, deltas=per_expert,
+                                        top_k=layer.top_k), stats.frequency, cfg.trim)
+    seconds["package"] = time.perf_counter() - t0
     return LayerBuild(layer=built, ranks=ranks, errors=errors, fisher_fallback=fallback,
                       seconds=seconds)
 
@@ -316,25 +295,41 @@ def compress(cfg: CompressionConfig, model: MoEModel, calib_tokens, labels=None)
     model runs over the calibration tokens once, also without labels: its
     logits give `loss_after`, its first chunk's routing the active census.
     """
-    cfg.validate()
-    if cfg.per_layer_ratios is not None and len(cfg.per_layer_ratios) != len(model.layers):
-        raise ConfigError(f"{len(cfg.per_layer_ratios)} per-layer ratios for "
-                          f"{len(model.layers)} layers")
+    return _build_model(cfg, model, *_calibrate([cfg], model, calib_tokens, labels))
+
+
+def _calibrate(configs: list[CompressionConfig], model: MoEModel, calib_tokens, labels):
+    """`compress` up to the layer builds: check every config, then calibrate
+    once for all of them, as the first sets it (tokens, merge, Fisher mode,
+    seed). Returns the statistics, the first `calib_samples` tokens and
+    their labels, `loss_before` and the timings."""
     n_experts = min(layer.n_experts for layer in model.layers)
-    if cfg.trim > n_experts:
-        raise ConfigError(f"trim count {cfg.trim} outside [0, {n_experts}]")
+    for cfg in configs:
+        cfg.validate()
+        if cfg.per_layer_ratios is not None and len(cfg.per_layer_ratios) != len(model.layers):
+            raise ConfigError(f"{len(cfg.per_layer_ratios)} per-layer ratios for "
+                              f"{len(model.layers)} layers")
+        if cfg.trim > n_experts:
+            raise ConfigError(f"trim count {cfg.trim} outside [0, {n_experts}]")
+    cfg = configs[0]
     calib = as_matrix(calib_tokens, "calib_tokens")
     n_use = min(cfg.calib_samples, calib.shape[1])
     calib_use = calib[:, :n_use]
     labels_use = None if labels is None else np.asarray(labels)[:n_use]
-
     t0 = time.perf_counter()
     stats, logits = compute_layer_stats(model, calib_use, cfg, labels=labels_use)
     loss_before = 0.0
     if labels_use is not None:
         loss_before = mean_cross_entropy(logits, labels_use, cfg.batch_size)
-    timings = [("calibrate", time.perf_counter() - t0)]
+    return stats, calib_use, labels_use, loss_before, [("calibrate", time.perf_counter() - t0)]
 
+
+@blas_threads(1)
+def _build_model(cfg: CompressionConfig, model: MoEModel, stats: list, calib: np.ndarray,
+                 labels, loss_before: float, timings: list):
+    """`compress` after `_calibrate`: build each layer from `stats`, which
+    this empties as it goes, then run the compressed model over the
+    calibration tokens and report."""
     builds = []
     for l, layer in enumerate(model.layers):
         builds.append(build_compressed_layer(layer, stats[l], cfg, l))
@@ -343,10 +338,10 @@ def compress(cfg: CompressionConfig, model: MoEModel, calib_tokens, labels=None)
     timings += [(stage, sum(b.seconds[stage] for b in builds)) for stage in LAYER_STAGES]
 
     t0 = time.perf_counter()
-    logits, traces = _forward_chunks(compressed, calib_use, cfg.batch_size)
+    logits, traces = _forward_chunks(compressed, calib, cfg.batch_size)
     loss_after = 0.0
-    if labels_use is not None:
-        loss_after = mean_cross_entropy(logits, labels_use, cfg.batch_size)
+    if labels is not None:
+        loss_after = mean_cross_entropy(logits, labels, cfg.batch_size)
     timings.append(("evaluate-compressed", time.perf_counter() - t0))
 
     records = []
@@ -370,12 +365,17 @@ def compress(cfg: CompressionConfig, model: MoEModel, calib_tokens, labels=None)
 
 def ratio_frontier(model: MoEModel, calib_tokens, labels, cfg: CompressionConfig,
                    ratios) -> list[tuple[float, float, int]]:
-    """Sweep global delta ratios; returns (ratio, loss, stored params) points."""
+    """Sweep global delta ratios; returns (ratio, loss, stored params) points.
+    Every point is checked first, then built as `compress` builds it, all
+    from one calibration: the statistics depend on no ratio."""
+    configs = [dc_replace(cfg, rank_mode="ratio", delta_ratio=float(ratio), per_layer_ratios=None)
+               for ratio in ratios]
+    if not configs:
+        return []
+    stats, calib, labels, _, _ = _calibrate(configs, model, calib_tokens, labels)
     points = []
-    for ratio in ratios:
-        cfg_r = dc_replace(cfg, rank_mode="ratio", delta_ratio=float(ratio),
-                           per_layer_ratios=None)
-        compressed, rep = compress(cfg_r, model, calib_tokens, labels=labels)
+    for cfg_r in configs:
+        _, rep = _build_model(cfg_r, model, list(stats), calib, labels, 0.0, [])
         stored = sum(rec.params.census_static for rec in rep.layers)
-        points.append((float(ratio), rep.loss_after, int(stored)))
+        points.append((cfg_r.delta_ratio, rep.loss_after, int(stored)))
     return points

@@ -32,13 +32,9 @@ def fisher_stacks(model, x, cfg, labels=None):
     return [{role: stack / n_tokens for role, stack in layer.items()} for layer in stacks]
 
 
-def oracle_merge(layer, stacks, method, epsilon):
-    """`merge_layer`'s bases and fallback count for one layer, from
-    `weighted_merge` of its Fisher stacks: elementwise for `fisher`, by
+def oracle_merge(weights, stack, method, epsilon):
+    """`merge_role`'s base and fallback count for one role, from
+    `weighted_merge` of its Fisher stack: elementwise for `fisher`, by
     block mean for `fisher-scalar`."""
-    bases, fallback = {}, 0
-    for role in ROLES:
-        coeffs = stacks[role] if method == "fisher" else np.mean(stacks[role], axis=(1, 2))
-        bases[role], n_fallback = weighted_merge(layer.weights[role], coeffs, epsilon)
-        fallback += n_fallback
-    return bases, fallback
+    coeffs = stack if method == "fisher" else np.mean(stack, axis=(1, 2))
+    return weighted_merge(weights, coeffs, epsilon)

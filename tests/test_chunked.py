@@ -25,7 +25,7 @@ from d2moe.fixtures import gen_fixture
 from d2moe.gradients import _draw_labels, output_probabilities
 from d2moe.moe import (ROLES, TOKEN_CHUNK, MoELayer, MoEModel, capture_calibration, expert_frequency,
                        token_chunks)
-from d2moe.pipeline import LayerStats, compress, compute_layer_stats, merge_layer
+from d2moe.pipeline import LayerStats, compress, compute_layer_stats, merge_role
 from d2moe.report import dumps_report, strip_timings
 from fisher_oracle import fisher_stacks, oracle_merge
 
@@ -47,14 +47,13 @@ def unchunked_stats(model, x, cfg, labels=None):
     return stats, model.head @ hidden, stacks
 
 
-def want_merge(layer, stats, cfg, stacks):
-    """The bases and fallback count `merge_layer` must give: the oracle
-    merge of the Fisher stacks, or `merge_layer` on the unchunked stats
-    when the merge needs no Fisher."""
+def want_merge(layer, role, stats, cfg, stacks):
+    """The base and fallback count `merge_role` must give: the oracle merge
+    of the Fisher stacks, or `merge_role` on the unchunked stats when the
+    merge needs no Fisher."""
     if stacks is None:
-        bases, _, fallback = merge_layer(layer, stats, cfg)
-        return bases, fallback
-    return oracle_merge(layer, stacks, cfg.merge_method, cfg.epsilon)
+        return merge_role(layer, role, stats, cfg)
+    return oracle_merge(layer.weights[role], stacks[role], cfg.merge_method, cfg.epsilon)
 
 
 @pytest.fixture(scope="module")
@@ -85,11 +84,11 @@ def test_one_chunk_is_byte_identical(fx, n_tokens, merge, mode):
         assert (g.fisher is None) == (stacks is None)
         for role in ROLES:
             assert g.grams[role].tobytes() == w.grams[role].tobytes()
-        got_bases, _, got_fallback = merge_layer(layer, g, cfg)
-        want_bases, want_fallback = want_merge(layer, w, cfg, None if stacks is None else stacks[l])
-        assert got_fallback == want_fallback
-        for role in ROLES:
-            assert got_bases[role].tobytes() == want_bases[role].tobytes()
+            got_base, got_fallback = merge_role(layer, role, g, cfg)
+            want_base, want_fallback = want_merge(layer, role, w, cfg,
+                                                  None if stacks is None else stacks[l])
+            assert got_fallback == want_fallback
+            assert got_base.tobytes() == want_base.tobytes()
 
 
 @pytest.mark.parametrize("merge,mode", MERGES)
@@ -100,26 +99,25 @@ def test_eight_chunks_match_within_summation_order(fx, merge, mode):
         assert np.array_equal(g.frequency, w.frequency)
         for role in ROLES:
             close(g.grams[role], w.grams[role])
-        got_bases, _, got_fallback = merge_layer(layer, g, cfg)
-        want_bases, want_fallback = want_merge(layer, w, cfg, None if stacks is None else stacks[l])
-        assert got_fallback == want_fallback
-        for role in ROLES:
-            close(got_bases[role], want_bases[role])
+            got_base, got_fallback = merge_role(layer, role, g, cfg)
+            want_base, want_fallback = want_merge(layer, role, w, cfg,
+                                                  None if stacks is None else stacks[l])
+            assert got_fallback == want_fallback
+            close(got_base, want_base)
 
 
 def oracle_compress(monkeypatch, cfg, model, x, labels):
-    """`compress` with `merge_layer` replaced by the oracle merge of the
+    """`compress` with `merge_role` replaced by the oracle merge of the
     Fisher stacks of x's first calib_samples tokens."""
     n_use = min(cfg.calib_samples, x.shape[1])
     stacks = fisher_stacks(model, x[:, :n_use], cfg, labels[:n_use])
 
-    def merge(layer, stats, cfg):
+    def merge(layer, role, stats, cfg):
         l = next(k for k, known in enumerate(model.layers) if known is layer)
-        bases, fallback = oracle_merge(layer, stacks[l], cfg.merge_method, cfg.epsilon)
-        return bases, {role: layer.weights[role] - bases[role] for role in ROLES}, fallback
+        return oracle_merge(layer.weights[role], stacks[l][role], cfg.merge_method, cfg.epsilon)
 
     with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "merge_layer", merge)
+        patch.setattr(pipeline, "merge_role", merge)
         return compress(cfg, model, x, labels=labels)
 
 

@@ -21,6 +21,7 @@ from d2moe.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from d2moe.config import CompressionConfig
 from d2moe.container import container_load, container_save, load_any, save_calibration, save_model
 from d2moe.errors import NumericalError
+from d2moe.fixtures import gen_fixture
 from d2moe.moe import MoELayer, MoEModel, Role, moe_forward_dense
 from d2moe.pipeline import compute_layer_stats
 from d2moe.report import read_report
@@ -483,6 +484,18 @@ class TestRejectedBeforeCompute:
         assert self.compress(workdir, tmp_path, "--trim", "5") == EXIT_CONFIG
         assert "trim count 5 outside [0, 4]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--frontier", "0.5,1.5"], "delta_ratio must lie in (0, 1], got 1.5"),
+        (["--frontier", "0.5", "--trim", "5"], "trim count 5 outside [0, 4]"),
+    ], ids=["ratio-above-one", "trim-above-expert-count"])
+    def test_bad_frontier_point(self, workdir, tmp_path, capsys, flags, message):
+        """Every point of the frontier is checked before its one calibration."""
+        rc = main(["analyze", "--model", str(workdir / "model.d2m"),
+                   "--calib", str(workdir / "calib.d2m"), "--out-dir", str(tmp_path), *flags])
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "frontier.csv").exists()
+
 
 class TestHeapTrim:
     """Every command ends by handing the C heap's free pages back to the
@@ -641,6 +654,35 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "logits are not finite" in captured.err
         assert "loss=" not in captured.out
+
+    @pytest.mark.parametrize("argv", [["compress", "--merge", "fisher"],
+                                      ["compress", "--merge", "fisher-scalar"],
+                                      ["compress", "--merge", "mean"],
+                                      ["calibrate"]],
+                             ids=["fisher", "fisher-scalar", "mean", "calibrate"])
+    def test_overflowing_calibration_is_numerical(self, tmp_path, capsys, argv):
+        """Input coordinate 0 at 1e200, which no gate row or Up column reads,
+        keeps the forward finite but overflows layer 0's Up Gram: every
+        merge, and the calibrate command, exit 4 naming the layer and role."""
+        fx = gen_fixture(seed=0, n_experts=4, d_model=16, hidden=24, tokens=192, rank_noise=2)
+        layer = fx.model.layers[0]
+        gate, up = layer.gate.copy(), layer.weights[Role.UP].copy()
+        gate[:, 0] = up[:, :, 0] = 0.0
+        save_model(tmp_path / "model.d2m", MoEModel(
+            layers=[MoELayer(gate=gate, top_k=layer.top_k,
+                             weights={Role.UP: up, Role.DOWN: layer.weights[Role.DOWN]})],
+            head=fx.model.head))
+        tokens = fx.tokens.copy()
+        tokens[0] = 1e200
+        save_calibration(tmp_path / "calib.d2m", tokens, fx.labels)
+        files = ["--model", str(tmp_path / "model.d2m"), "--calib", str(tmp_path / "calib.d2m")]
+        outputs = (["--out", str(tmp_path / "o.d2m"), "--report", str(tmp_path / "r.jsonl")]
+                   if argv[0] == "compress" else ["--out", str(tmp_path / "c.csv")])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main([argv[0], *files, *outputs, *argv[1:]])
+        assert rc == EXIT_NUMERICAL
+        assert "layer 0 up: calibration Grams or Fisher sums overflow" in capsys.readouterr().err
+        assert not any((tmp_path / name).exists() for name in ("o.d2m", "r.jsonl", "c.csv"))
 
     def test_numerical_error_maps_to_4(self, workdir, monkeypatch):
         def blow_up(*args, **kwargs):

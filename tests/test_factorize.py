@@ -25,7 +25,7 @@ from d2moe.factorize import (
 from d2moe.fixtures import gen_fixture
 from d2moe.linalg import blas_threads, cholesky_damped
 from d2moe.moe import Role
-from d2moe.pipeline import compute_layer_stats, merge_layer
+from d2moe.pipeline import compute_layer_stats, merge_role
 
 
 def make_case(seed, m=6, n=6, t=40):
@@ -223,9 +223,9 @@ class TestProjectionAgainstSolveFormula:
 @pytest.fixture(scope="module")
 def bench_deltas():
     """Per merge, (layer, role, deltas, grams, k) for every layer and role of
-    the benchmark fixture, calibrated as the benchmark compresses it: Up
-    deltas are 128 x 64 with 64 x 64 Grams, Down deltas 64 x 128 with
-    128 x 128 Grams, rank 21."""
+    the benchmark fixture, calibrated as the benchmark compresses it, the
+    deltas W_i - W_b of `merge_role`'s base: Up deltas are 128 x 64 with
+    64 x 64 Grams, Down deltas 64 x 128 with 128 x 128 Grams, rank 21."""
     fx = gen_fixture(0, layers=4, d_model=64, hidden=128, n_experts=16, tokens=8192)
     cases = {}
     for merge in ("fisher", "mean"):
@@ -233,10 +233,10 @@ def bench_deltas():
         stats, _ = compute_layer_stats(fx.model, fx.tokens[:, :512], cfg, labels=fx.labels[:512])
         cases[merge] = []
         for l, (layer, st) in enumerate(zip(fx.model.layers, stats)):
-            _, deltas, _ = merge_layer(layer, st, cfg)
             for role in (Role.UP, Role.DOWN):
-                k = cfg.rank_for(l, *deltas[role][0].shape)
-                cases[merge].append((l, role, deltas[role], st.grams[role], k))
+                deltas = layer.weights[role] - merge_role(layer, role, st, cfg)[0]
+                k = cfg.rank_for(l, *deltas[0].shape)
+                cases[merge].append((l, role, deltas, st.grams[role], k))
     assert {(deltas[0].shape, k) for _, _, deltas, _, k in cases["fisher"]} == \
         {((128, 64), 21), ((64, 128), 21)}
     return cases

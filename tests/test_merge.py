@@ -12,13 +12,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from d2moe import pipeline
 from d2moe.config import CompressionConfig
-from d2moe.errors import ParameterError, ShapeError
+from d2moe.errors import NumericalError, ParameterError, ShapeError
 from d2moe.fixtures import gen_fixture
 from d2moe.analysis import energy_retention
 from d2moe.merge import merge_from_sums, weighted_merge
-from d2moe.moe import MoELayer, Role
-from d2moe.pipeline import LayerStats, compute_layer_stats, merge_layer
+from d2moe.moe import ROLES, MoELayer, Role
+from d2moe.pipeline import LayerStats, build_compressed_layer, compute_layer_stats, merge_role
 
 
 def weighted_objective(w_stack, f_stack, cand):
@@ -30,15 +31,32 @@ def mean_base(weights):
 
 
 def layer_deltas(layer, method="mean", frequency=None):
-    """The (E, m, n) delta stacks `merge_layer` returns per role; the mean
-    and frequency merges read no calibration statistic but the frequency."""
-    stats = LayerStats(grams={}, frequency=frequency, fisher=None)
-    return merge_layer(layer, stats, CompressionConfig(merge_method=method))[1]
+    """The (E, m, n) delta stacks W_i - W_b per role that
+    `build_compressed_layer` hands to `whitened_factors`. The mean and
+    frequency merges read no calibration statistic but the frequency (even
+    when not given: the build's trim step reads it), and identity Grams
+    stand in for the rest."""
+    n_experts = layer.n_experts
+    if frequency is None:
+        frequency = np.full(n_experts, 1.0 / n_experts)
+    grams = {role: np.tile(np.eye(w.shape[2]), (n_experts, 1, 1)) for role, w in layer.weights.items()}
+    stats = LayerStats(grams=grams, frequency=frequency, fisher=None)
+    seen = []
+    real = pipeline.whitened_factors
+
+    def spy(deltas, grams, k, damping):
+        seen.append(deltas.copy())
+        return real(deltas, grams, k, damping)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "whitened_factors", spy)
+        build_compressed_layer(layer, stats, CompressionConfig(merge_method=method))
+    return dict(zip(ROLES, seen, strict=True))
 
 
 def up_deltas(weights, method="mean", frequency=None):
-    """`merge_layer`'s Up deltas for experts with these Up weights (Down:
-    their transposes)."""
+    """The Up deltas of experts with these Up weights (Down: their
+    transposes)."""
     layer = MoELayer(gate=np.zeros((len(weights), weights[0].shape[1])), top_k=1,
                      weights={Role.UP: weights, Role.DOWN: [w.T for w in weights]})
     return layer_deltas(layer, method, frequency)[Role.UP]
@@ -149,14 +167,12 @@ class TestMergeFromSums:
             with pytest.raises(ShapeError, match="merge sums: contains non-finite entries"):
                 weighted_merge(weights, [1e10, 1.0])
 
-    @pytest.mark.parametrize("merge,error", [("fisher", ShapeError),
-                                             ("fisher-scalar", ParameterError)])
-    def test_overflowing_fisher_fails_named(self, merge, error):
+    @pytest.mark.parametrize("merge", ["fisher", "fisher-scalar", "mean"])
+    def test_overflowing_calibration_fails_named(self, merge):
         """Input coordinate 0 at 1e200, which no gate row or Up column reads,
-        leaves the forward finite but overflows layer 0's Up Fisher column:
-        the merge raises the error a non-finite Fisher stack raised in
-        `weighted_merge`, ShapeError for the elementwise stack (`as_stack`)
-        and ParameterError for the scalar coefficients."""
+        leaves the forward finite but overflows layer 0's Up Gram (and its
+        Fisher column): calibration raises NumericalError naming the layer
+        and role, whatever the merge, before any merge sees the sums."""
         fx = gen_fixture(seed=0)
         layer = fx.model.layers[0]
         gate, up = layer.gate.copy(), layer.weights[Role.UP].copy()
@@ -168,9 +184,8 @@ class TestMergeFromSums:
         tokens[0] = 1e200
         cfg = CompressionConfig(merge_method=merge)
         with np.errstate(over="ignore", invalid="ignore"):
-            stats, _ = compute_layer_stats(model, tokens, cfg, labels=fx.labels)
-            with pytest.raises(error, match="non-finite|must be finite"):
-                merge_layer(silent, stats[0], cfg)
+            with pytest.raises(NumericalError, match="layer 0 up: .*overflow"):
+                compute_layer_stats(model, tokens, cfg, labels=fx.labels)
 
 
 class TestMeanMerge:
@@ -217,6 +232,12 @@ class TestFrequencyMerge:
             weighted_merge(w, [np.nan, 1.0])
 
 
+def merge_roles(layer, stats, cfg):
+    """`merge_role` of both roles: the bases and the layer's fallback count."""
+    merged = {role: merge_role(layer, role, stats, cfg) for role in ROLES}
+    return {role: base for role, (base, _) in merged.items()}, sum(n for _, n in merged.values())
+
+
 class TestFallbackCount:
     def test_counted_where_the_fallback_happens(self):
         """With input coordinate 5 silent, every Up Fisher entry of column 5
@@ -232,13 +253,13 @@ class TestFallbackCount:
         cfg = CompressionConfig()
         stats, _ = compute_layer_stats(fx.model, tokens, cfg, labels=fx.labels)
 
-        bases, _, fallback = merge_layer(layer, stats[0], cfg)
+        bases, fallback = merge_roles(layer, stats[0], cfg)
         assert fallback == 64
         assert np.array_equal(bases[Role.UP][:, 5], mean_col)
 
         scalar_cfg = dataclasses.replace(cfg, merge_method="fisher-scalar")
         stats, _ = compute_layer_stats(fx.model, tokens, scalar_cfg, labels=fx.labels)
-        bases, _, fallback = merge_layer(layer, stats[0], scalar_cfg)
+        bases, fallback = merge_roles(layer, stats[0], scalar_cfg)
         assert fallback == 0
         assert not np.allclose(bases[Role.UP][:, 5], mean_col)
 

@@ -11,6 +11,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +28,12 @@ from d2moe.linalg import blas_threads
 from d2moe.moe import MoELayer, MoEModel, Role, moe_forward_dense, silu
 from d2moe.pipeline import (
     EvalResult,
+    build_compressed_layer,
     compress,
     compute_layer_stats,
     evaluate,
-    factorize_layer,
     mean_cross_entropy,
-    merge_layer,
+    merge_role,
     ratio_frontier,
 )
 from d2moe.pruning import dynamic_mask
@@ -313,8 +314,9 @@ class TestCompress:
 
 
 class TestFactorizeLayer:
-    """Each role of a layer is factorized by one stacked call, and the
-    residuals it reports are `weighted_error` of the factors it returns."""
+    """`build_compressed_layer` factorizes each role of a layer with one
+    stacked call, and the residuals it reports are `weighted_error` of the
+    factors it returns."""
 
     @pytest.mark.parametrize("merge", ["fisher", "mean"])
     def test_errors_match_weighted_error(self, monkeypatch, merge):
@@ -331,23 +333,44 @@ class TestFactorizeLayer:
 
         monkeypatch.setattr(pipeline, "whitened_factors", counting)
         for l, (layer, st) in enumerate(zip(fx.model.layers, stats)):
-            _, deltas, _ = merge_layer(layer, st, cfg)
             with blas_threads(1):
-                factors, ranks, errors = factorize_layer(deltas, st, cfg, l)
+                built = build_compressed_layer(layer, st, cfg, l)
             for role in (Role.UP, Role.DOWN):
-                assert ranks[role.value] == cfg.rank_for(l, *deltas[role][0].shape)
-                want = [factorize.weighted_error(deltas[role][i], factors[i][role],
+                deltas = layer.weights[role] - merge_role(layer, role, st, cfg)[0]
+                assert built.ranks[role.value] == cfg.rank_for(l, *deltas[0].shape)
+                want = [factorize.weighted_error(deltas[i], built.layer.deltas[i][role],
                                                  st.grams[role][i])
                         for i in range(layer.n_experts)]
-                np.testing.assert_allclose(errors[role.value], want, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(built.errors[role.value], want, rtol=1e-12, atol=0)
         assert calls == [6] * (2 * len(fx.model.layers))
+
+    @pytest.mark.parametrize("merge", ["fisher", "mean"])
+    def test_peak_holds_one_roles_deltas(self, merge):
+        """The build holds one role's (E, m, n) deltas at a time: its traced
+        peak stays within five of one role's weight stacks above its start
+        (the whitening's own stacks included), where building both roles'
+        deltas before either is whitened took about six."""
+        fx = gen_fixture(0, n_experts=8, d_model=16, hidden=128, layers=1, tokens=512)
+        cfg = CompressionConfig(merge_method=merge)
+        stats, _ = compute_layer_stats(fx.model, fx.tokens, cfg, labels=fx.labels)
+        layer = fx.model.layers[0]
+        stack = layer.weights[Role.UP].nbytes
+        assert stack == layer.weights[Role.DOWN].nbytes
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            build_compressed_layer(layer, stats[0], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 5.0 * stack, (peak - start) / stack
 
 
 class TestOneDensePass:
-    """`compress`, `compute_layer_stats` (the `calibrate` command) and the
-    sensitivity scan run the dense model over the calibration tokens once:
-    every token row that `routed_forward` sends through a dense layer is
-    counted, whichever module calls it."""
+    """`compress`, `compute_layer_stats` (the `calibrate` command), the
+    frontier and the sensitivity scan run the dense model over the
+    calibration tokens once: every token row that `routed_forward` sends
+    through a dense layer is counted, whichever module calls it."""
 
     @staticmethod
     def dense_columns(monkeypatch) -> list[int]:
@@ -384,6 +407,16 @@ class TestOneDensePass:
         compute_layer_stats(fx.model, fx.tokens, CompressionConfig(merge_method=merge),
                             labels=fx.labels)
         assert sum(routed) == len(fx.model.layers) * fx.n_tokens
+
+    @pytest.mark.parametrize("merge", ["fisher", "mean"])
+    def test_ratio_frontier(self, monkeypatch, merge):
+        """One calibration serves every point; the points' compressed passes
+        route no dense layer."""
+        fx = self.fixture()
+        cfg = CompressionConfig(merge_method=merge, calib_samples=160)
+        routed = self.dense_columns(monkeypatch)
+        ratio_frontier(fx.model, fx.tokens, fx.labels, cfg, ratios=(0.25, 0.5, 1.0))
+        assert sum(routed) == len(fx.model.layers) * 160
 
     @pytest.mark.parametrize("merge", ["fisher", "mean"])
     def test_sensitivity_scan(self, monkeypatch, merge):
