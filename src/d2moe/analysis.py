@@ -83,8 +83,7 @@ def layer_sensitivity_scan(model, calib_tokens, labels, probe_ratio: float,
     from dataclasses import replace
 
     from .config import CompressionConfig
-    from .pipeline import (build_compressed_layer, compute_layer_stats, evaluate,
-                           mean_cross_entropy)
+    from .pipeline import _batch_mean, build_compressed_layer, compute_layer_stats, evaluate
     from .runtime import CompressedModel
 
     if not 0.0 < probe_ratio <= 1.0:
@@ -93,8 +92,10 @@ def layer_sensitivity_scan(model, calib_tokens, labels, probe_ratio: float,
     cfg = replace(cfg, rank_mode="ratio", delta_ratio=probe_ratio, per_layer_ratios=None)
     cfg.validate()
 
-    stats, logits = compute_layer_stats(model, calib_tokens, cfg, labels=labels)
-    baseline = mean_cross_entropy(logits, labels, cfg.batch_size)
+    if labels is None:
+        raise ShapeError("the sensitivity scan needs one label per calibration token")
+    stats, losses = compute_layer_stats(model, calib_tokens, cfg, labels=labels)
+    baseline = _batch_mean(losses, cfg.batch_size)
     increases = []
     for probe_layer in range(len(model.layers)):
         try:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .linalg import (DEFAULT_DAMPING, _cholesky_schedule, as_gram_stack, as_matrix, as_stack,
+from .linalg import (DEFAULT_DAMPING, _cholesky_schedule, as_gram, as_matrix, as_stack,
                      first_nonzero_negative)
 
 RANK_MODES = ("ratio", "fixed", "lossless")
@@ -96,24 +96,24 @@ def whitened_factors(deltas, grams, k: int,
                      damping: float = DEFAULT_DAMPING) -> tuple[list[DeltaFactor], np.ndarray]:
     """Whitened rank-k factors of an (E, m, n) delta stack, and their weighted errors.
 
-    `grams` is the matching (E, n, n) Gram stack; either argument may be a
-    sequence of E matrices instead. Each stack is checked once (`as_stack`,
-    `as_gram_stack`). u_e holds the top-k left singular vectors of
-    deltas[e] @ S_e, with S_e from `cholesky_damped`'s schedule on grams[e],
-    the first nonzero entry of each column positive; v_e = u_e^T deltas[e].
-    After the Cholesky factors every step runs on the stacks, and each row
-    comes out as a call on that expert alone makes it. Returns the factors
-    and an (E,) array of their `weighted_error` values.
+    `grams` is any sequence of the E matching (n, n) Grams (a stack, a list,
+    `linalg.PackedGrams`), each read for its Cholesky factor, checked then
+    (`as_gram`) and copied for the schedule to shift, and again for its
+    error; `deltas` may be a sequence of matrices (checked once, `as_stack`).
+    u_e holds the top-k left singular vectors of deltas[e] @ S_e, with S_e
+    from `cholesky_damped`'s schedule on grams[e], the first nonzero entry
+    of each column positive; v_e = u_e^T deltas[e]. After the Cholesky
+    factors every step runs on the stacks, each row as a call on that
+    expert alone makes it. Returns the factors and their (E,) `weighted_error`s.
     """
     d = as_stack(deltas, "deltas")
-    g = as_gram_stack(grams, "grams")
     n_experts, m, n = d.shape
-    if g.shape != (n_experts, n, n):
-        raise ShapeError(f"gram stack shape {g.shape} != {(n_experts, n, n)} "
-                         f"for delta stack {d.shape}")
     if not 1 <= k <= min(m, n):
         raise ParameterError(f"rank k={k} outside [1, {min(m, n)}]")
-    a = np.stack([de @ _cholesky_schedule(ge, damping)[0] for de, ge in zip(d, g)])
+    if len(grams) != n_experts:
+        raise ShapeError(f"{len(grams)} Grams for delta stack {d.shape}")
+    a = np.stack([de @ _cholesky_schedule(as_gram(grams[i], f"grams[{i}]", n) + 0.0, damping)[0]
+                  for i, de in enumerate(d)])
     if m <= n:
         u = _singular_basis(a, k)[..., :k]
     else:
@@ -121,8 +121,8 @@ def whitened_factors(deltas, grams, k: int,
     del a
     u = np.where(first_nonzero_negative(u)[:, None, :], -u, u)
     v = u.transpose(0, 2, 1) @ d
-    e = d - u @ v
-    errors = np.sqrt(np.maximum([np.sum((ei @ gi) * ei) for ei, gi in zip(e, g)], 0.0))
+    residuals = (de - ue @ ve for de, ue, ve in zip(d, u, v))  # one expert's at a time
+    errors = np.sqrt(np.maximum([np.sum((e @ grams[i]) * e) for i, e in enumerate(residuals)], 0.0))
     return [DeltaFactor(u=ui, v=vi) for ui, vi in zip(u, v)], errors
 
 

@@ -143,7 +143,7 @@ def _reverse_sweep(model: MoEModel, captures, ybar: np.ndarray, block, sink):
         g = np.zeros((toks.size, layer.n_experts))  # gating weights, zero off the selection
         g[toks, trace.selected] = trace.weights
         gbar = np.zeros_like(g)
-        xbar = np.zeros_like(xin)
+        xbar = np.zeros_like(xin)  # left at zero in layer 0: nothing reads it
         up, down = layer.weights[Role.UP], layer.weights[Role.DOWN]
         for i, rows in captures[l].rows.items():
             x_i = xin[rows]
@@ -157,10 +157,11 @@ def _reverse_sweep(model: MoEModel, captures, ybar: np.ndarray, block, sink):
             abar *= silu_grad(a)
             sink(l, Role.DOWN, i, block(g_i * ybar_i, hid))
             sink(l, Role.UP, i, block(abar, x_i))
-            xbar[rows] += abar @ up[i]
+            if l:
+                xbar[rows] += abar @ up[i]
         # gating weights are softmax over the surviving logits
         zbars[l] = zbar = g * (gbar - np.sum(g * gbar, axis=1, keepdims=True))
-        ybar = xbar + zbar @ layer.gate
+        ybar = xbar + zbar @ layer.gate if l else None
     return zbars
 
 

@@ -105,19 +105,46 @@ def as_stack(a, name: str = "stack") -> np.ndarray:
     return _as_array(a, 3, name)
 
 
-def as_gram_stack(g, name: str = "grams") -> np.ndarray:
-    """`as_stack` for Grams: each matrix must also be square and symmetric
-    to within 1e-9 of its largest entry magnitude (or of 1, if larger). The
-    check runs one matrix at a time, so its temporaries are one Gram's."""
-    s = as_stack(g, name)
-    if s.shape[1] != s.shape[2]:
-        raise ShapeError(f"{name} must be square, got {s.shape[1:]}")
-    gap = np.array([np.max(np.abs(m - m.T)) for m in s])
-    bad = np.flatnonzero(gap > 1e-9 * np.maximum([np.max(np.abs(m)) for m in s], 1.0))
-    if bad.size:
-        raise ShapeError(f"{name}[{bad[0]}] not symmetric within tolerance "
-                         f"(gap {gap[bad[0]]:.3e})")
-    return s
+def as_gram(g, name: str = "gram", n: int | None = None) -> np.ndarray:
+    """`as_matrix` for a Gram: square (n x n, if n is given) and symmetric
+    to within 1e-9 of its largest entry magnitude (or of 1, if larger)."""
+    m = as_matrix(g, name)
+    if m.shape[0] != m.shape[1] or n not in (None, m.shape[0]):
+        raise ShapeError(f"{name} must be square{f' ({n} x {n})' if n else ''}, got {m.shape}")
+    gap = m.T.copy()  # in place from here: one temporary, no iterator buffer
+    gap = np.max(np.abs(np.subtract(gap, m, out=gap), out=gap))
+    if gap > 1e-9 * max(np.max(m), -np.min(m), 1.0):
+        raise ShapeError(f"{name} not symmetric within tolerance (gap {gap:.3e})")
+    return m
+
+
+def _triangle_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """An (n, n) matrix's flat lower-triangle indices and each entry's packed position."""
+    lo, hi = np.sort(np.indices((n, n)), axis=0)  # per entry, its (column, row) in the triangle
+    return np.flatnonzero(np.tri(n, dtype=bool)), hi * (hi + 1) // 2 + lo
+
+
+class PackedGrams:
+    """The E (n, n) Grams of a layer and role, each kept once as its packed
+    lower triangle in `data` (E, n(n+1)/2); `layouts` shares each n's index
+    arrays within one calibration. `add(i, x)` adds x^T x to Gram i, and
+    `grams[i]` returns it as a new full matrix: to the byte the Gram of an
+    (E, n, n) stack adding the same x^T x, as that is exactly symmetric."""
+
+    def __init__(self, n_experts: int, n: int, layouts: dict):
+        if n not in layouts:
+            layouts[n] = _triangle_index(n)
+        self._lower, self._packed_at = layouts[n]
+        self.data = np.zeros((n_experts, self._lower.size))
+
+    def __len__(self) -> int:
+        return self.data.shape[0]
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.data[i].take(self._packed_at)
+
+    def add(self, i: int, x: np.ndarray) -> None:
+        self.data[i] += (x.T @ x).reshape(-1).take(self._lower)
 
 
 def cholesky_damped(g, base_damping: float = DEFAULT_DAMPING) -> tuple[np.ndarray, float]:
@@ -126,23 +153,25 @@ def cholesky_damped(g, base_damping: float = DEFAULT_DAMPING) -> tuple[np.ndarra
     lambda starts at base_damping * trace(G)/dim (floored at base_damping when
     the trace vanishes, e.g. the all-zero Gram of a never-routed expert) and
     doubles until the factorization succeeds, at most MAX_DAMPING_DOUBLINGS
-    attempts. G is checked as `as_gram_stack` checks each Gram.
+    attempts. G is checked by `as_gram` and never written to.
     """
-    return _cholesky_schedule(as_gram_stack(as_matrix(g, "gram")[None], "gram")[0], base_damping)
+    return _cholesky_schedule(as_gram(g) + 0.0, base_damping)
 
 
 def _cholesky_schedule(a: np.ndarray, base_damping: float) -> tuple[np.ndarray, float]:
-    """`cholesky_damped`'s schedule on a checked Gram; the damping must be
-    finite and >= 0."""
+    """`cholesky_damped`'s schedule, shifting the diagonal of `a`, a checked
+    g + 0.0, in place: g + lam * I to the byte. damping: finite, >= 0."""
     if not 0.0 <= base_damping < np.inf:
         raise ParameterError(f"damping must be finite and >= 0, got {base_damping}")
     n = a.shape[0]
     lam = base_damping * float(np.trace(a)) / n
     if lam <= 0.0:
         lam = base_damping if base_damping > 0.0 else np.finfo(np.float64).tiny
+    unshifted = a.diagonal().copy()
     for _ in range(MAX_DAMPING_DOUBLINGS):
+        np.fill_diagonal(a, unshifted + lam)
         try:
-            s = np.linalg.cholesky(a + lam * np.eye(n))
+            s = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             lam *= 2.0
             continue

@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
-from .linalg import as_matrix, as_stack
+from .linalg import PackedGrams, as_matrix, as_stack
 
 TOKEN_CHUNK = 512
 
@@ -188,8 +188,8 @@ class RoutingTrace:
 class LayerCapture:
     """One layer of the calibration forward: input `x` (d_model, T), its
     routing, per routed expert i the ascending token rows[i] it received,
-    and per role an (E, n, n) Gram stack laid out like the weights, to
-    which the capture added X_i^T X_i at grams[role][i], where
+    and per role the `linalg.PackedGrams` of the layer's E experts, to
+    which the capture added X_i^T X_i as Gram i, where
     x_i = x[:, rows[i]].T is token-major and X_i is x_i for Up and
     silu(x_i @ up[i]^T) for Down (up = weights[Role.UP]); a never-routed
     expert's Gram gets nothing. The Up pre-activations x_i @ up[i]^T are
@@ -201,7 +201,7 @@ class LayerCapture:
     x: np.ndarray
     trace: RoutingTrace
     rows: dict[int, np.ndarray]
-    grams: dict[Role, np.ndarray]
+    grams: dict[Role, PackedGrams]
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +337,17 @@ def capture_calibration(model: MoEModel, calib, grams=None) -> tuple[np.ndarray,
     them in `pipeline.compute_layer_stats`: the final hidden state (d_out, T)
     and a `LayerCapture` per layer, which supplies the Grams, the routing
     counts and the Fisher's reverse sweep. The Grams are added into
-    `grams`, per layer a dict of Gram stacks (the running totals over
-    chunks), or into zeros when it is None.
+    `grams`, per layer a dict of `linalg.PackedGrams` per role (the running
+    totals over chunks), or into zero ones when it is None.
     Accumulation order is layer -> expert -> token, so results are
     run-to-run identical.
     """
     h = _layer_input(model.layers[0], calib, "calibration tokens")
     captures: list[LayerCapture] = []
     if grams is None:
-        grams = [{Role.UP: np.zeros((layer.n_experts, layer.d_model, layer.d_model)),
-                  Role.DOWN: np.zeros((layer.n_experts, layer.hidden, layer.hidden))}
+        layouts = {}
+        grams = [{Role.UP: PackedGrams(layer.n_experts, layer.d_model, layouts),
+                  Role.DOWN: PackedGrams(layer.n_experts, layer.hidden, layouts)}
                  for layer in model.layers]
     for layer, gram in zip(model.layers, grams):
         routed = {}
@@ -358,8 +359,8 @@ def capture_calibration(model: MoEModel, calib, grams=None) -> tuple[np.ndarray,
                 xi = h.take(routed[i], axis=0)
                 hid = xi @ up[i].T
                 silu(hid, out=hid)
-                gram[Role.UP][i] += xi.T @ xi
-                gram[Role.DOWN][i] += hid.T @ hid
+                gram[Role.UP].add(i, xi)
+                gram[Role.DOWN].add(i, hid)
                 np.matmul(hid, down[i].T, out=slots[start:stop])
 
         y, trace = routed_forward(layer, h, fill)

@@ -3,7 +3,7 @@
 Stage order is fixed, and the report's `timing` records follow it:
 `calibrate` (one dense pass over the calibration tokens in chunks of
 `moe.TOKEN_CHUNK`: each chunk's capture, then the Fisher's reverse sweep
-over it when the merge needs one; the logits also give `loss_before`),
+over it when the merge needs one; its token losses give `loss_before`),
 then `merge`, `factorize`, `prune` and `package` in one serial pass over
 the layers, then `evaluate-compressed` (one compressed pass, for
 `loss_after` and the active-parameter census). Layers are independent once
@@ -27,7 +27,7 @@ from .config import CompressionConfig
 from .errors import ConfigError, NumericalError, ParameterError, ShapeError
 from .factorize import whitened_factors
 from .gradients import _draw_labels, check_labels, fisher_accumulate, output_probabilities
-from .linalg import as_matrix, blas_threads
+from .linalg import PackedGrams, as_matrix, blas_threads
 from .merge import merge_from_sums, weighted_merge
 from .moe import (
     ROLES,
@@ -57,33 +57,33 @@ LAYER_STAGES = ("merge", "factorize", "prune", "package")
 @dataclass(frozen=True)
 class LayerStats:
     """Calibration statistics one layer's compression depends on: per role
-    the (E, n, n) Gram stack (stack[i] for expert i), the experts' routing
+    the `linalg.PackedGrams` (grams[role][i] is expert i's), the experts' routing
     frequencies, and for the Fisher merges per role the (m, n) sums
     (sum_i F_i * W_i, sum_i F_i) of fisher or the (E,) block means of
     fisher-scalar, where F_i is expert i's Fisher block."""
 
-    grams: dict[Role, np.ndarray]
+    grams: dict[Role, PackedGrams]
     frequency: np.ndarray
     fisher: dict[Role, tuple[np.ndarray, np.ndarray] | np.ndarray] | None
 
 
 @blas_threads(1)
 def compute_layer_stats(model: MoEModel, calib_tokens, cfg: CompressionConfig,
-                        labels=None) -> tuple[list[LayerStats], np.ndarray]:
+                        labels=None) -> tuple[list[LayerStats], np.ndarray | None]:
     """Grams, routing frequencies and (if the merge needs them) Fisher sums
-    for every layer, plus the dense calibration logits (classes, T), all
-    from one dense pass over the calibration tokens.
+    for every layer, plus each token's (T,) cross-entropy (None without
+    labels), all from one dense pass over the calibration tokens.
 
     The pass runs in `moe.token_chunks`: each chunk's capture adds its
-    Grams, routing counts and Fisher blocks to the running totals and keeps
-    only its head logits, so peak memory is the model, its statistics and
-    one chunk, whatever T is; no Fisher block outlives its turn in the
-    sweep (`_fisher_totals`). Sampled labels come from one
-    `default_rng(seed).random(T)`, sliced per chunk. Up to TOKEN_CHUNK
-    tokens the bytes are those of a single capture, and the bases those of
-    `weighted_merge` of its Fisher stacks; past it, they differ from that
-    only in summation order. Gram totals or Fisher sums that overflowed
-    are a NumericalError naming the layer and role, whatever the merge.
+    Grams, routing counts and Fisher blocks to the running totals, and its
+    logits give its token losses and are dropped, so peak memory is the
+    model, its statistics and one chunk, whatever T is; no Fisher block
+    outlives its turn in the sweep (`_fisher_totals`). Sampled labels come
+    from one `default_rng(seed).random(T)`, sliced per chunk. Up to
+    TOKEN_CHUNK tokens the bytes are those of a single capture, and the
+    bases those of `weighted_merge` of its Fisher stacks; past it, they
+    differ from that only in summation order. Gram totals or Fisher sums
+    that overflowed are a NumericalError naming the layer and role.
     """
     cfg.validate()
     need_fisher = cfg.merge_method in ("fisher", "fisher-scalar")
@@ -97,25 +97,27 @@ def compute_layer_stats(model: MoEModel, calib_tokens, cfg: CompressionConfig,
         raise ShapeError(f"calibration tokens: expected a non-degenerate 2-D array, "
                          f"got shape {x.shape}")
     n_tokens = x.shape[1]
-    fisher = sink = draws = None
+    fisher = sink = draws = losses = None
+    if labels is not None:
+        labels = check_labels(labels, model.num_classes, n_tokens)
+        losses = np.empty(n_tokens)
     if need_fisher:
         fisher, sink = _fisher_totals(model, n_tokens, cfg.merge_method == "fisher-scalar")
-        if cfg.fisher_mode == "data-label":
-            labels = check_labels(labels, model.num_classes, n_tokens)
-        else:
+        if cfg.fisher_mode == "sampled-label":
             draws = np.random.default_rng(cfg.seed).random(n_tokens)
-    logits = np.empty((model.num_classes, n_tokens))
     counts = [np.zeros(layer.n_experts, dtype=np.int64) for layer in model.layers]
     grams = None  # the first chunk's capture allocates the Gram totals
     for cols in token_chunks(n_tokens):
         hidden, captures = capture_calibration(model, x[:, cols], grams)
         grams = [cap.grams for cap in captures]
         counts = [total + cap.trace.counts for total, cap in zip(counts, captures)]
-        logits[:, cols] = chunk_logits = model.head @ hidden
+        logits = model.head @ hidden
         if sink is not None:
-            p = output_probabilities(chunk_logits, cols.start, n_tokens)
+            p = output_probabilities(logits, cols.start, n_tokens)
             y = labels[cols] if draws is None else _draw_labels(p, draws[cols])
             fisher_accumulate(model, captures, p, y, sink)
+        if losses is not None:
+            losses[cols] = _token_losses(logits, labels[cols], cols.start)
         del hidden, captures  # drop the chunk before the next one is captured
     stats = [LayerStats(grams=g, frequency=expert_frequency(c),
                         fisher=fisher[l] if fisher is not None else None)
@@ -123,9 +125,9 @@ def compute_layer_stats(model: MoEModel, calib_tokens, cfg: CompressionConfig,
     for l, st in enumerate(stats):
         for role in ROLES:
             sums = () if st.fisher is None else st.fisher[role]
-            if not (np.isfinite(st.grams[role]).all() and np.isfinite(sums).all()):
+            if not (np.isfinite(st.grams[role].data).all() and np.isfinite(sums).all()):
                 raise NumericalError(f"layer {l} {role.value}: calibration Grams or Fisher sums overflow")
-    return stats, logits
+    return stats, losses
 
 
 def _fisher_totals(model: MoEModel, n_tokens: int, scalar: bool):
@@ -242,16 +244,24 @@ def mean_cross_entropy(logits: np.ndarray, labels, batch_size: int) -> float:
     non-finite logits and a non-finite loss are rejected."""
     if batch_size < 1:
         raise ParameterError(f"batch_size must be positive, got {batch_size}")
-    y = check_labels(labels, *logits.shape)
+    return _batch_mean(_token_losses(logits, check_labels(labels, *logits.shape)), batch_size)
+
+
+def _token_losses(logits: np.ndarray, y: np.ndarray, first: int = 0) -> np.ndarray:
+    """Each token's cross-entropy; non-finite logits are rejected, naming tokens from `first` on."""
     bad = np.flatnonzero(~np.all(np.isfinite(logits), axis=0))
     if bad.size:
         raise NumericalError(f"logits are not finite for {bad.size} of {y.size} tokens "
-                             f"(first: token {bad[0]}); the forward overflows")
-    per_token = _logsumexp_columns(logits) - logits[y, np.arange(y.size)]
+                             f"(first: token {first + bad[0]}); the forward overflows")
+    return _logsumexp_columns(logits) - logits[y, np.arange(y.size)]
+
+
+def _batch_mean(per_token: np.ndarray, batch_size: int) -> float:
+    """`mean_cross_entropy` from its token losses; a non-finite mean is rejected."""
     total = 0.0
-    for start in range(0, y.size, batch_size):
+    for start in range(0, per_token.size, batch_size):
         total += float(np.sum(per_token[start:start + batch_size]))
-    loss = total / y.size
+    loss = total / per_token.size
     if not np.isfinite(loss):
         raise NumericalError(f"evaluation loss is not finite ({loss!r})")
     return loss
@@ -317,10 +327,8 @@ def _calibrate(configs: list[CompressionConfig], model: MoEModel, calib_tokens, 
     calib_use = calib[:, :n_use]
     labels_use = None if labels is None else np.asarray(labels)[:n_use]
     t0 = time.perf_counter()
-    stats, logits = compute_layer_stats(model, calib_use, cfg, labels=labels_use)
-    loss_before = 0.0
-    if labels_use is not None:
-        loss_before = mean_cross_entropy(logits, labels_use, cfg.batch_size)
+    stats, losses = compute_layer_stats(model, calib_use, cfg, labels=labels_use)
+    loss_before = 0.0 if losses is None else _batch_mean(losses, cfg.batch_size)
     return stats, calib_use, labels_use, loss_before, [("calibrate", time.perf_counter() - t0)]
 
 

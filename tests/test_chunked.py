@@ -4,12 +4,16 @@ and the streamed Fisher merge against the Fisher stacks it replaced.
 `compute_layer_stats` runs the calibration tokens through the model in
 chunks of `moe.TOKEN_CHUNK`, adding each chunk's Grams, routing counts and
 Fisher blocks to running totals; of the Fisher it keeps only what the
-merge needs. `unchunked_stats` is the earlier pass, kept here as the
-oracle: one capture of every token, its Grams and counts, and the Fisher
-stacks of `fisher_oracle`, merged by `weighted_merge`. Up to one chunk the
-two agree byte for byte, bases and fallback counts included; past it they
-differ only in summation order, so within 1e-12 of each array's largest
-entry, with the routing frequencies still exact.
+merge needs, of the logits only each token's loss, and of each Gram only
+its lower triangle (`linalg.PackedGrams`). `unchunked_stats` is the
+earlier pass, kept here as the oracle: one capture of every token, its
+Grams added into zero (E, n, n) stacks (`gram_stacks`), its counts and
+token losses, and the Fisher stacks of `fisher_oracle`, merged by
+`weighted_merge`. Up to one chunk the two agree byte for byte, bases and
+fallback counts included; past it they differ only in summation order, so
+within 1e-12 of each array's largest entry, with the routing frequencies
+still exact, and the packed Grams read back as the stacks the same chunks
+add up to, byte for byte.
 """
 
 import tracemalloc
@@ -23,9 +27,10 @@ from d2moe.container import save_compressed_model
 from d2moe.errors import NumericalError
 from d2moe.fixtures import gen_fixture
 from d2moe.gradients import _draw_labels, output_probabilities
-from d2moe.moe import (ROLES, TOKEN_CHUNK, MoELayer, MoEModel, capture_calibration, expert_frequency,
-                       token_chunks)
-from d2moe.pipeline import LayerStats, compress, compute_layer_stats, merge_role
+from d2moe.moe import (ROLES, TOKEN_CHUNK, MoELayer, MoEModel, Role, capture_calibration,
+                       expert_frequency, silu, token_chunks)
+from d2moe.pipeline import (LayerStats, _batch_mean, _token_losses, compress, compute_layer_stats,
+                            mean_cross_entropy, merge_role)
 from d2moe.report import dumps_report, strip_timings
 from fisher_oracle import fisher_stacks, oracle_merge
 
@@ -34,17 +39,56 @@ FISHER_MERGES = [("fisher", "sampled-label"), ("fisher", "data-label"),
 MERGES = [*FISHER_MERGES[:3], ("frequency", "sampled-label"), ("mean", "sampled-label")]
 
 
-def unchunked_stats(model, x, cfg, labels=None):
-    """`compute_layer_stats` as one capture of all T tokens: per layer the
-    Grams and counts of that capture (no Fisher), and its logits; then the
-    Fisher stacks of the same tokens, or None when the merge needs none."""
+def gram_stacks(model, captures):
+    """Per layer and role the (E, n, n) Gram stack of the given captures
+    (each one capture's list of `LayerCapture`s): X_i^T X_i of every routed
+    expert added into zeros at stack[i], as the capture added them before
+    it kept packed lower triangles. Each X_i^T X_i is exactly symmetric,
+    which is what makes keeping one triangle lossless."""
+    stacks = [{Role.UP: np.zeros((layer.n_experts, layer.d_model, layer.d_model)),
+               Role.DOWN: np.zeros((layer.n_experts, layer.hidden, layer.hidden))}
+              for layer in model.layers]
+    for capture in captures:
+        for layer, cap, gram in zip(model.layers, capture, stacks, strict=True):
+            for i, rows in cap.rows.items():
+                xi = cap.x.T.take(rows, axis=0)
+                hid = silu(xi @ layer.weights[Role.UP][i].T)
+                for role, act in ((Role.UP, xi), (Role.DOWN, hid)):
+                    product = act.T @ act
+                    assert np.array_equal(product, product.T)
+                    gram[role][i] += product
+    return stacks
+
+
+def chunked_gram_stacks(model, x):
+    """`gram_stacks` of the captures of x's `token_chunks`, in order."""
+    return gram_stacks(model, (capture_calibration(model, x[:, cols])[1]
+                               for cols in token_chunks(x.shape[1])))
+
+
+def full(grams):
+    """The (E, n, n) stack of a layer and role's Grams, read one at a time."""
+    return np.stack(list(grams))
+
+
+def unchunked_pass(model, x):
+    """One capture of all T tokens and its (classes, T) logits."""
     hidden, captures = capture_calibration(model, x)
-    stats = [LayerStats(grams=cap.grams, frequency=expert_frequency(cap.trace.counts), fisher=None)
-             for cap in captures]
+    return captures, model.head @ hidden
+
+
+def unchunked_stats(model, x, cfg, labels):
+    """`compute_layer_stats` as one capture of all T tokens: per layer the
+    Gram stacks and counts of that capture (no Fisher), and its token
+    losses; then the Fisher stacks of the same tokens, or None when the
+    merge needs none."""
+    captures, logits = unchunked_pass(model, x)
+    stats = [LayerStats(grams=grams, frequency=expert_frequency(cap.trace.counts), fisher=None)
+             for grams, cap in zip(gram_stacks(model, [captures]), captures)]
     stacks = None
     if cfg.merge_method in ("fisher", "fisher-scalar"):
         stacks = fisher_stacks(model, x, cfg, labels)
-    return stats, model.head @ hidden, stacks
+    return stats, _token_losses(logits, labels), stacks
 
 
 def want_merge(layer, role, stats, cfg, stacks):
@@ -77,13 +121,13 @@ def close(got, want):
 @pytest.mark.parametrize("n_tokens", [37, TOKEN_CHUNK])
 @pytest.mark.parametrize("merge,mode", MERGES)
 def test_one_chunk_is_byte_identical(fx, n_tokens, merge, mode):
-    (got, got_logits), (want, want_logits, stacks), cfg = both(fx, n_tokens, merge, mode)
-    assert got_logits.tobytes() == want_logits.tobytes()
+    (got, got_losses), (want, want_losses, stacks), cfg = both(fx, n_tokens, merge, mode)
+    assert got_losses.tobytes() == want_losses.tobytes()
     for l, (layer, g, w) in enumerate(zip(fx.model.layers, got, want, strict=True)):
         assert g.frequency.tobytes() == w.frequency.tobytes()
         assert (g.fisher is None) == (stacks is None)
         for role in ROLES:
-            assert g.grams[role].tobytes() == w.grams[role].tobytes()
+            assert full(g.grams[role]).tobytes() == w.grams[role].tobytes()
             got_base, got_fallback = merge_role(layer, role, g, cfg)
             want_base, want_fallback = want_merge(layer, role, w, cfg,
                                                   None if stacks is None else stacks[l])
@@ -93,17 +137,37 @@ def test_one_chunk_is_byte_identical(fx, n_tokens, merge, mode):
 
 @pytest.mark.parametrize("merge,mode", MERGES)
 def test_eight_chunks_match_within_summation_order(fx, merge, mode):
-    (got, got_logits), (want, want_logits, stacks), cfg = both(fx, 8 * TOKEN_CHUNK, merge, mode)
-    close(got_logits, want_logits)
+    (got, got_losses), (want, want_losses, stacks), cfg = both(fx, 8 * TOKEN_CHUNK, merge, mode)
+    close(got_losses, want_losses)
+    added = chunked_gram_stacks(fx.model, fx.tokens[:, :8 * TOKEN_CHUNK])
     for l, (layer, g, w) in enumerate(zip(fx.model.layers, got, want, strict=True)):
         assert np.array_equal(g.frequency, w.frequency)
         for role in ROLES:
-            close(g.grams[role], w.grams[role])
+            assert full(g.grams[role]).tobytes() == added[l][role].tobytes()
+            close(full(g.grams[role]), w.grams[role])
             got_base, got_fallback = merge_role(layer, role, g, cfg)
             want_base, want_fallback = want_merge(layer, role, w, cfg,
                                                   None if stacks is None else stacks[l])
             assert got_fallback == want_fallback
             close(got_base, want_base)
+
+
+@pytest.mark.parametrize("merge", ["fisher", "mean"])
+def test_token_losses_finish_the_whole_sets_mean(fx, merge):
+    """Calibration keeps one loss per token, not its logits: over eight
+    chunks they are the losses of the chunks' logits side by side, and
+    their batch-block mean is `mean_cross_entropy` of those logits, to the
+    byte. Without labels there are none."""
+    n_tokens = 8 * TOKEN_CHUNK
+    x, labels = fx.tokens[:, :n_tokens], fx.labels[:n_tokens]
+    cfg = CompressionConfig(merge_method=merge)
+    _, losses = compute_layer_stats(fx.model, x, cfg, labels=labels)
+    logits = np.hstack([fx.model.head @ capture_calibration(fx.model, x[:, cols])[0]
+                        for cols in token_chunks(n_tokens)])
+    assert losses.tobytes() == _token_losses(logits, labels).tobytes()
+    for batch_size in (1, 128, n_tokens):
+        assert _batch_mean(losses, batch_size) == mean_cross_entropy(logits, labels, batch_size)
+    assert compute_layer_stats(fx.model, x, cfg)[1] is None
 
 
 def oracle_compress(monkeypatch, cfg, model, x, labels):
@@ -171,7 +235,8 @@ def test_sampled_labels_do_not_depend_on_the_chunk_size(fx, monkeypatch):
     monkeypatch.setattr(pipeline, "_draw_labels", spy)
     n_tokens = 5 * TOKEN_CHUNK + 100
     cfg = CompressionConfig(merge_method="fisher", seed=11)
-    _, logits = compute_layer_stats(fx.model, fx.tokens[:, :n_tokens], cfg)
+    compute_layer_stats(fx.model, fx.tokens[:, :n_tokens], cfg)
+    _, logits = unchunked_pass(fx.model, fx.tokens[:, :n_tokens])
     assert [d.size for d in drawn] == [c.stop - c.start for c in token_chunks(n_tokens)]
     want = _draw_labels(output_probabilities(logits, 0, n_tokens),
                         np.random.default_rng(11).random(n_tokens))
@@ -237,3 +302,23 @@ def test_fisher_merge_keeps_no_fisher_stack():
 
     extra = peak("fisher") - peak("mean")
     assert extra <= layer_bytes, (extra, layer_bytes)
+
+
+@pytest.mark.parametrize("merge", ["fisher", "mean"])
+def test_peak_is_below_the_full_gram_stacks(merge):
+    """Each Gram is kept once, as its lower triangle: on a fixture whose
+    full (E, n, n) Gram stacks would take 16.8 MB, `compute_layer_stats`
+    peaks below that. Holding the full stacks, it peaked at 19.1 MB with
+    the mean merge and 23.8 MB with fisher."""
+    fixture = gen_fixture(0, n_experts=16, d_model=16, hidden=256, layers=2, tokens=512)
+    full_bytes = sum(8 * layer.n_experts * (layer.d_model ** 2 + layer.hidden ** 2)
+                     for layer in fixture.model.layers)
+    assert full_bytes == 16_842_752
+    cfg = CompressionConfig(merge_method=merge)
+    tracemalloc.start()
+    try:
+        compute_layer_stats(fixture.model, fixture.tokens, cfg, labels=fixture.labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full_bytes, (peak, full_bytes)

@@ -334,14 +334,17 @@ class TestWhitenedFactors:
             whitened_factors([d, d], [g, g], 7)
 
     def test_list_and_stack_give_the_same_bytes(self, bench_deltas):
-        """A sequence of matrices is stacked once; the factors, the weighted
-        errors and the exceptions equal those of the (E, m, n) arrays."""
-        for _, _, deltas, grams, k in bench_deltas["fisher"]:
+        """Sequences of matrices, and calibration's packed Grams, give the
+        factors, the weighted errors and the exceptions of the (E, m, n)
+        arrays they read as."""
+        for _, _, deltas, packed, k in bench_deltas["fisher"]:
+            grams = np.stack(list(packed))
             stacked = whitened_factors(deltas, grams, k)
-            listed = whitened_factors(list(deltas), list(grams), k)
-            assert stacked[1].tobytes() == listed[1].tobytes()
-            for a, b in zip(stacked[0], listed[0], strict=True):
-                assert a.u.tobytes() == b.u.tobytes() and a.v.tobytes() == b.v.tobytes()
+            for other in (whitened_factors(list(deltas), list(grams), k),
+                          whitened_factors(deltas, packed, k)):
+                assert stacked[1].tobytes() == other[1].tobytes()
+                for a, b in zip(stacked[0], other[0], strict=True):
+                    assert a.u.tobytes() == b.u.tobytes() and a.v.tobytes() == b.v.tobytes()
         bad = grams.copy()
         bad[3, 0, 1] += 1.0
         messages = []
@@ -359,12 +362,16 @@ class TestWhitenedFactors:
         whitened_factors(d, g, 2)
         asym = g.copy()
         asym[2, 4, 0] += 1e-3
-        with pytest.raises(ShapeError, match="symmetric"):
+        with pytest.raises(ShapeError, match=r"grams\[2\] not symmetric"):
             whitened_factors(d, asym, 2)
         nonfinite = d.copy()
         nonfinite[1, 0, 3] = np.nan
         with pytest.raises(ShapeError, match="non-finite"):
             whitened_factors(nonfinite, g, 2)
+        nonfinite = g.copy()
+        nonfinite[3, 1, 1] = np.inf
+        with pytest.raises(ShapeError, match=r"grams\[3\]: contains non-finite"):
+            whitened_factors(d, nonfinite, 2)
 
     @pytest.mark.parametrize("damping", [np.nan, np.inf, -1e-8])
     def test_rejects_non_finite_or_negative_damping(self, damping):

@@ -12,7 +12,8 @@ from d2moe import linalg
 from d2moe.errors import NotPositiveDefiniteError, ParameterError, ShapeError
 from d2moe.factorize import vanilla_svd_compress
 from d2moe.linalg import (
-    as_gram_stack,
+    PackedGrams,
+    as_gram,
     as_matrix,
     as_stack,
     blas_threads,
@@ -88,15 +89,44 @@ class TestStackValidation:
             as_stack(s)
 
     def test_gram_stack_checks_each_gram(self):
+        """`as_gram` checks one Gram of a stack in place and names it."""
         rng = np.random.default_rng(3)
         a = rng.normal(size=(4, 5, 5))
         g = a @ a.transpose(0, 2, 1)
-        assert as_gram_stack(g) is g
+        assert all(as_gram(m, f"grams[{i}]") is m for i, m in enumerate(g))
         g[2, 0, 1] += 1e-3
         with pytest.raises(ShapeError, match=r"grams\[2\] not symmetric"):
-            as_gram_stack(g)
+            as_gram(g[2], "grams[2]")
         with pytest.raises(ShapeError, match="square"):
-            as_gram_stack(np.zeros((2, 3, 4)))
+            as_gram(np.zeros((3, 4)))
+
+
+class TestPackedGrams:
+    """`PackedGrams` keeps each Gram once, as its lower triangle, and reads
+    back the full matrix a zero (E, n, n) stack adding the same products
+    holds, to the byte."""
+
+    def test_reads_back_the_added_stack(self):
+        rng = np.random.default_rng(5)
+        packed, stack = PackedGrams(3, 7, {}), np.zeros((3, 7, 7))
+        for i, t in [(0, 11), (2, 1), (0, 40)]:
+            x = rng.normal(size=(t, 7))
+            product = x.T @ x
+            assert np.array_equal(product, product.T)  # lossless only because of this
+            packed.add(i, x)
+            stack[i] += product
+        assert packed.data.shape == (3, 28) and len(packed) == 3
+        assert np.stack(list(packed)).tobytes() == stack.tobytes()
+        assert packed[-1].tobytes() == stack[2].tobytes()
+
+    def test_each_read_is_a_new_matrix(self):
+        packed = PackedGrams(2, 3, {})
+        packed.add(1, np.arange(6.0).reshape(2, 3))
+        first = packed[1]
+        first[0, 1] = 99.0
+        assert packed[1][0, 1] == 12.0 and packed[1][1, 0] == 12.0
+        with pytest.raises(IndexError):
+            packed[2]
 
 
 class TestMatrixValidation:
@@ -299,6 +329,17 @@ class TestCholeskyDamped:
         an infinite factor."""
         with pytest.raises(ParameterError, match="damping"):
             cholesky_damped(np.eye(3), damping)
+
+    def test_never_writes_to_the_gram(self):
+        """The damping shifts a private copy's diagonal; the factor's bytes
+        are those of the shifted sum G + lambda*I, a negative zero in G
+        included, also after doublings."""
+        g = np.array([[1.0, -0.0, 1.0], [-0.0, 2.0, 0.0], [1.0, 0.0, 1.0]])  # singular
+        before = g.tobytes()
+        for damping in (1e-8, 1e-17):
+            s, lam = cholesky_damped(g, damping)
+            assert g.tobytes() == before
+            assert s.tobytes() == np.linalg.cholesky(g + lam * np.eye(3)).tobytes()
 
     def test_deterministic(self):
         rng = np.random.default_rng(17)

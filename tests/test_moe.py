@@ -423,9 +423,10 @@ class TestCalibrationCapture:
             capture_calibration(model, np.zeros((3, 0)))
 
     def test_total_gram_sums_expert_grams(self):
-        """With top_k = 1 every token reaches one expert, so the Up Gram
-        stack sums to X X^T of all tokens. The total the static pruning
-        reads is Python's `sum` of the stack: the expert loop, to the byte."""
+        """With top_k = 1 every token reaches one expert, so the Up Grams
+        sum to X X^T of all tokens. The total the static pruning reads is
+        Python's `sum` of the Grams, read one at a time as full C-order
+        matrices: the expert loop, to the byte."""
         rng = np.random.default_rng(13)
         layer = make_layer(rng, 6, 4, 5, 4, top_k=1)
         model = MoEModel(layers=[layer], head=np.eye(4))
@@ -433,7 +434,7 @@ class TestCalibrationCapture:
         _, stats = capture_calibration(model, x)
         for role in (Role.UP, Role.DOWN):
             grams = stats[0].grams[role]
-            assert grams.shape == (6, *grams.shape[1:]) and grams.flags["C_CONTIGUOUS"]
+            assert len(grams) == 6 and grams[0].flags["C_CONTIGUOUS"]
             total = np.zeros_like(grams[0])
             for g in grams:
                 total += g
