@@ -9,15 +9,10 @@ scan turns a global rank budget into per-layer ratios.
 import numpy as np
 
 from d2moe import CompressionConfig, compress, evaluate, gen_fixture
-from d2moe.analysis import (
-    allocate_adaptive_ratios,
-    cka,
-    energy_retention,
-    layer_sensitivity_scan,
-)
+from d2moe.analysis import allocate_adaptive_ratios, cka, energy_retention
 from d2moe.merge import weighted_merge
 from d2moe.moe import Role
-from d2moe.pipeline import compute_layer_stats
+from d2moe.pipeline import compute_layer_stats, layer_sensitivity_scan
 from d2moe.runtime import CompressedModel, trim_deltas
 
 fx = gen_fixture(seed=0)

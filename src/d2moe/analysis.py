@@ -1,6 +1,7 @@
 """Diagnostic mathematics: CKA similarity between weight matrices,
-singular-value energy retention, layer-sensitivity scanning, and adaptive
-per-layer ratio allocation under a global parameter budget.
+singular-value energy retention, and adaptive per-layer ratio allocation
+under a global parameter budget (from the per-layer loss increases of
+`pipeline.layer_sensitivity_scan`).
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, ShapeError
-from .linalg import as_matrix, blas_threads
+from .linalg import as_matrix
 
 
 def _centered_gram(w: np.ndarray) -> np.ndarray:
@@ -56,60 +57,6 @@ def energy_retention(sigma, k: int) -> float:
     if total <= 0.0:
         raise DegenerateInputError("all-zero singular values")
     return float(np.sum(s[:k] * s[:k])) / total
-
-
-@dataclass(frozen=True)
-class SensitivityProfile:
-    """Calibration loss increase per layer when only that layer is compressed."""
-
-    baseline_loss: float
-    increases: tuple[float, ...]
-    probe_ratio: float
-    probe_config: dict
-
-
-@blas_threads(1)
-def layer_sensitivity_scan(model, calib_tokens, labels, probe_ratio: float,
-                           config=None) -> SensitivityProfile:
-    """Compress one layer at a time at probe_ratio and measure the calibration
-    cross-entropy increase over the dense baseline.
-
-    The model is never mutated; each probe builds a hybrid model with a single
-    compressed layer. Compression uses `config` (defaults: mean merge, no
-    pruning) with its rank mode forced to a plain ratio of probe_ratio.
-    The baseline comes from the same calibration capture as the layer stats.
-    The scan runs with OpenBLAS pinned to one thread, like `compress`.
-    """
-    from dataclasses import replace
-
-    from .config import CompressionConfig
-    from .pipeline import _batch_mean, build_compressed_layer, compute_layer_stats, evaluate
-    from .runtime import CompressedModel
-
-    if not 0.0 < probe_ratio <= 1.0:
-        raise ParameterError(f"probe_ratio must be in (0, 1], got {probe_ratio}")
-    cfg = config if config is not None else CompressionConfig(merge_method="mean", sparsity=0.0)
-    cfg = replace(cfg, rank_mode="ratio", delta_ratio=probe_ratio, per_layer_ratios=None)
-    cfg.validate()
-
-    if labels is None:
-        raise ShapeError("the sensitivity scan needs one label per calibration token")
-    stats, losses = compute_layer_stats(model, calib_tokens, cfg, labels=labels)
-    baseline = _batch_mean(losses, cfg.batch_size)
-    increases = []
-    for probe_layer in range(len(model.layers)):
-        try:
-            compressed = build_compressed_layer(model.layers[probe_layer], stats[probe_layer],
-                                                cfg, probe_layer).layer
-        except Exception as exc:
-            raise type(exc)(f"layer {probe_layer}: {exc}") from exc
-        hybrid_layers = list(model.layers)
-        hybrid_layers[probe_layer] = compressed
-        hybrid = CompressedModel(layers=hybrid_layers, head=model.head)
-        loss = evaluate(hybrid, calib_tokens, labels, batch_size=cfg.batch_size).loss
-        increases.append(loss - baseline)
-    return SensitivityProfile(baseline_loss=baseline, increases=tuple(increases),
-                              probe_ratio=probe_ratio, probe_config=cfg.to_dict())
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import allocate_adaptive_ratios, cka, layer_sensitivity_scan
+from .analysis import allocate_adaptive_ratios, cka
 from .config import CompressionConfig, apply_overrides, apply_preset, parse_config_file
 from .container import load_any, save_calibration, save_compressed_model, save_model
 from .errors import ConfigError, ContainerError, D2MoeError, NumericalError
 from .fixtures import gen_fixture
 from .moe import MoEModel, Role
-from .pipeline import compress, compute_layer_stats, evaluate, ratio_frontier
+from .pipeline import compress, compute_layer_stats, evaluate, layer_sensitivity_scan, ratio_frontier
 from .report import (
     _write_csv,
     read_report,
@@ -133,9 +133,10 @@ def _cmd_calibrate(args) -> int:
     # the CSV holds frequencies and Gram traces, so no merge needs a Fisher block
     stats, _ = compute_layer_stats(model, tokens[:, :n_use],
                                    dataclasses.replace(cfg, merge_method="mean"))
-    rows = [(l, i, float(freq), float(np.trace(st.grams[Role.UP][i])),
-             float(np.trace(st.grams[Role.DOWN][i])))
-            for l, st in enumerate(stats) for i, freq in enumerate(st.frequency)]
+    rows = []
+    for l, st in enumerate(stats):
+        up, down = (st.grams[role].diagonals().sum(axis=1) for role in (Role.UP, Role.DOWN))
+        rows += [(l, i, *map(float, row)) for i, row in enumerate(zip(st.frequency, up, down))]
     _write_csv(args.out, "layer,expert,frequency,gram_trace_up,gram_trace_down", rows)
     print(f"wrote {args.out} ({n_use} tokens)")
     return EXIT_OK
@@ -195,9 +196,8 @@ def _cmd_analyze(args) -> int:
 
     if args.sensitivity:
         tokens, labels = _load_calib_file(args.calib)
-        n_use = min(cfg.calib_samples, tokens.shape[1])
-        profile = layer_sensitivity_scan(model, tokens[:, :n_use], labels[:n_use],
-                                         probe_ratio=args.probe_ratio, config=cfg)
+        profile = layer_sensitivity_scan(model, tokens, labels, probe_ratio=args.probe_ratio,
+                                         config=cfg)
         # --budget is a parameter-weighted mean ratio; weights are relative to
         # layer 0's expert parameters, so equal-size layers weigh exactly 1
         sizes = [layer.n_experts * layer.hidden * (layer.d_model + layer.d_out) for layer in model.layers]

@@ -129,7 +129,8 @@ class PackedGrams:
     lower triangle in `data` (E, n(n+1)/2); `layouts` shares each n's index
     arrays within one calibration. `add(i, x)` adds x^T x to Gram i, and
     `grams[i]` returns it as a new full matrix: to the byte the Gram of an
-    (E, n, n) stack adding the same x^T x, as that is exactly symmetric."""
+    (E, n, n) stack adding the same x^T x, as that is exactly symmetric.
+    `diagonals()` reads the (E, n) diagonals straight from the triangles."""
 
     def __init__(self, n_experts: int, n: int, layouts: dict):
         if n not in layouts:
@@ -142,6 +143,9 @@ class PackedGrams:
 
     def __getitem__(self, i: int) -> np.ndarray:
         return self.data[i].take(self._packed_at)
+
+    def diagonals(self) -> np.ndarray:
+        return self.data.take(self._packed_at.diagonal(), axis=1)
 
     def add(self, i: int, x: np.ndarray) -> None:
         self.data[i] += (x.T @ x).reshape(-1).take(self._lower)

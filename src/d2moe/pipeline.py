@@ -8,13 +8,15 @@ then `merge`, `factorize`, `prune` and `package` in one serial pass over
 the layers, then `evaluate-compressed` (one compressed pass, for
 `loss_after` and the active-parameter census). Layers are independent once
 calibration statistics exist; `build_compressed_layer` alone compresses a
-layer, for `compress`, the frontier (one calibration for all its points)
-and the sensitivity scan alike.
+layer. `compress`, the frontier and the sensitivity scan each calibrate
+once (`_calibrate`, on the first `calib_samples` tokens) for all their
+builds; `evaluate`, `loss_after` and the scan's probes keep each token's
+loss batch by batch (`_forward_chunks`), as calibration does.
 
-`compress`, `compute_layer_stats` and the frontier's builds run with
-OpenBLAS pinned to one thread (`linalg.blas_threads(1)`), so their bytes do
-not depend on `OPENBLAS_NUM_THREADS`; the thread counts in effect before the
-call are restored afterwards, so the standalone forwards keep their threads.
+`compress`, `compute_layer_stats`, the frontier's builds and the scan run
+with OpenBLAS pinned to one thread (`linalg.blas_threads(1)`), so their
+bytes do not depend on `OPENBLAS_NUM_THREADS`; the thread counts in effect
+before the call are restored, so the standalone forwards keep their threads.
 """
 from __future__ import annotations
 
@@ -37,7 +39,6 @@ from .moe import (
     RoutingTrace,
     capture_calibration,
     expert_frequency,
-    moe_forward_dense,
     token_chunks,
 )
 from .pruning import static_metric_from_gram, static_prune
@@ -199,7 +200,7 @@ def build_compressed_layer(layer: MoELayer, stats: LayerStats, cfg: CompressionC
                                                       damping=cfg.damping)
         del deltas  # before the next role's are formed
         marks.append(time.perf_counter())
-        metric = static_metric_from_gram(base, sum(stats.grams[role]))  # summed in expert order
+        metric = static_metric_from_gram(base, sum(stats.grams[role].diagonals()))  # expert order
         pruned[role] = static_prune(base, metric, cfg.sparsity)
         marks.append(time.perf_counter())
         for stage, a, b in zip(LAYER_STAGES, marks, marks[1:]):
@@ -229,22 +230,14 @@ class EvalResult:
 def _logsumexp_columns(logits: np.ndarray) -> np.ndarray:
     """log(sum(exp(logits), axis=0)) for finite logits, in the steps of
     scipy.special.logsumexp (scipy >= 1.15), so the bytes match: the max
-    terms are split out of the sum, then log1p(rest / n_max) + log(n_max) + max."""
+    terms are split out of the sum, then log1p(rest / n_max) + log(n_max) + max.
+    The rest is summed class by class (a cumulative sum), as numpy sums
+    columns of two or more tokens, so a one-token batch gets the same bytes."""
     top = logits.max(axis=0, keepdims=True)
     is_top = logits == top
     n_top = is_top.sum(axis=0, keepdims=True, dtype=np.float64)
-    rest = np.exp(np.where(is_top, -np.inf, logits) - top).sum(axis=0, keepdims=True)
+    rest = np.exp(np.where(is_top, -np.inf, logits) - top).cumsum(axis=0)[-1:]
     return (np.log1p(rest / n_top) + np.log(n_top) + top)[0]
-
-
-def mean_cross_entropy(logits: np.ndarray, labels, batch_size: int) -> float:
-    """Mean cross-entropy of (classes, T) logits against T labels, summed in
-    chunks of batch_size tokens as `evaluate` batches them, so one forward's
-    logits give `evaluate`'s bytes. Bad labels (`gradients.check_labels`),
-    non-finite logits and a non-finite loss are rejected."""
-    if batch_size < 1:
-        raise ParameterError(f"batch_size must be positive, got {batch_size}")
-    return _batch_mean(_token_losses(logits, check_labels(labels, *logits.shape)), batch_size)
 
 
 def _token_losses(logits: np.ndarray, y: np.ndarray, first: int = 0) -> np.ndarray:
@@ -257,7 +250,7 @@ def _token_losses(logits: np.ndarray, y: np.ndarray, first: int = 0) -> np.ndarr
 
 
 def _batch_mean(per_token: np.ndarray, batch_size: int) -> float:
-    """`mean_cross_entropy` from its token losses; a non-finite mean is rejected."""
+    """Mean of the token losses, summed per batch of batch_size; a non-finite mean is rejected."""
     total = 0.0
     for start in range(0, per_token.size, batch_size):
         total += float(np.sum(per_token[start:start + batch_size]))
@@ -267,15 +260,26 @@ def _batch_mean(per_token: np.ndarray, batch_size: int) -> float:
     return loss
 
 
-def _forward_chunks(model, x: np.ndarray, batch_size: int) -> tuple[np.ndarray, list[RoutingTrace]]:
-    """Logits (classes, T) of a model over checked tokens run in chunks of
-    batch_size, plus each layer's routing trace for the first chunk."""
+def _forward_chunks(model, x: np.ndarray, labels,
+                   batch_size: int) -> tuple[np.ndarray | None, list[RoutingTrace]]:
+    """Each token's cross-entropy of a model, dense or compressed, over checked
+    tokens in chunks of batch_size (None without labels, which are checked
+    before any forward), plus each layer's routing trace for the first chunk."""
     if batch_size < 1:
         raise ParameterError(f"batch_size must be positive, got {batch_size}")
-    forward = moe_forward_dense if isinstance(model, MoEModel) else compressed_model_forward
-    chunks = [forward(model, x[:, start:start + batch_size])
-              for start in range(0, x.shape[1], batch_size)]
-    return np.hstack([logits for logits, _ in chunks]), chunks[0][1]
+    n_tokens = x.shape[1]
+    losses = None
+    if labels is not None:
+        labels = check_labels(labels, model.head.shape[0], n_tokens)
+        losses = np.empty(n_tokens)
+    for start in range(0, n_tokens, batch_size):
+        cols = slice(start, start + batch_size)
+        logits, chunk_traces = compressed_model_forward(model, x[:, cols])
+        if start == 0:
+            traces = chunk_traces
+        if losses is not None:
+            losses[cols] = _token_losses(logits, labels[cols], start)
+    return losses, traces
 
 
 def evaluate(model, tokens, labels, batch_size: int = 128) -> EvalResult:
@@ -285,8 +289,9 @@ def evaluate(model, tokens, labels, batch_size: int = 128) -> EvalResult:
     models the loss is defined relative to this batch size.
     """
     x = as_matrix(tokens, "tokens")
-    logits, _ = _forward_chunks(model, x, batch_size)
-    loss = mean_cross_entropy(logits, labels, batch_size)
+    if labels is None:
+        raise ShapeError("evaluate needs one label per token")
+    loss = _batch_mean(_forward_chunks(model, x, labels, batch_size)[0], batch_size)
     return EvalResult(loss=loss, perplexity=float(np.exp(min(loss, 709.0))),
                       n_tokens=int(x.shape[1]))
 
@@ -311,8 +316,9 @@ def compress(cfg: CompressionConfig, model: MoEModel, calib_tokens, labels=None)
 def _calibrate(configs: list[CompressionConfig], model: MoEModel, calib_tokens, labels):
     """`compress` up to the layer builds: check every config, then calibrate
     once for all of them, as the first sets it (tokens, merge, Fisher mode,
-    seed). Returns the statistics, the first `calib_samples` tokens and
-    their labels, `loss_before` and the timings."""
+    seed). Every label is checked, also past `calib_samples`. Returns the
+    statistics, the first `calib_samples` tokens and their labels,
+    `loss_before` and the timings."""
     n_experts = min(layer.n_experts for layer in model.layers)
     for cfg in configs:
         cfg.validate()
@@ -325,7 +331,7 @@ def _calibrate(configs: list[CompressionConfig], model: MoEModel, calib_tokens, 
     calib = as_matrix(calib_tokens, "calib_tokens")
     n_use = min(cfg.calib_samples, calib.shape[1])
     calib_use = calib[:, :n_use]
-    labels_use = None if labels is None else np.asarray(labels)[:n_use]
+    labels_use = None if labels is None else check_labels(labels, model.num_classes, calib.shape[1])[:n_use]
     t0 = time.perf_counter()
     stats, losses = compute_layer_stats(model, calib_use, cfg, labels=labels_use)
     loss_before = 0.0 if losses is None else _batch_mean(losses, cfg.batch_size)
@@ -346,10 +352,8 @@ def _build_model(cfg: CompressionConfig, model: MoEModel, stats: list, calib: np
     timings += [(stage, sum(b.seconds[stage] for b in builds)) for stage in LAYER_STAGES]
 
     t0 = time.perf_counter()
-    logits, traces = _forward_chunks(compressed, calib, cfg.batch_size)
-    loss_after = 0.0
-    if labels is not None:
-        loss_after = mean_cross_entropy(logits, labels, cfg.batch_size)
+    losses, traces = _forward_chunks(compressed, calib, labels, cfg.batch_size)
+    loss_after = 0.0 if losses is None else _batch_mean(losses, cfg.batch_size)
     timings.append(("evaluate-compressed", time.perf_counter() - t0))
 
     records = []
@@ -387,3 +391,46 @@ def ratio_frontier(model: MoEModel, calib_tokens, labels, cfg: CompressionConfig
         stored = sum(rec.params.census_static for rec in rep.layers)
         points.append((cfg_r.delta_ratio, rep.loss_after, int(stored)))
     return points
+
+
+@dataclass(frozen=True)
+class SensitivityProfile:
+    """Calibration loss increase per layer when only that layer is compressed."""
+
+    baseline_loss: float
+    increases: tuple[float, ...]
+    probe_ratio: float
+    probe_config: dict
+
+
+@blas_threads(1)
+def layer_sensitivity_scan(model: MoEModel, calib_tokens, labels, probe_ratio: float,
+                           config=None) -> SensitivityProfile:
+    """Compress one layer at a time at probe_ratio and measure the calibration
+    cross-entropy increase over the dense baseline.
+
+    One `_calibrate` gives the statistics and the baseline; each probe runs
+    the dense model with only that layer compressed over the same first
+    `calib_samples` tokens, never mutating it. Compression uses `config`
+    (defaults: mean merge, no pruning) with its rank mode forced to a plain
+    ratio of probe_ratio.
+    """
+    if not 0.0 < probe_ratio <= 1.0:
+        raise ParameterError(f"probe_ratio must be in (0, 1], got {probe_ratio}")
+    if labels is None:
+        raise ShapeError("the sensitivity scan needs one label per calibration token")
+    cfg = config if config is not None else CompressionConfig(merge_method="mean", sparsity=0.0)
+    cfg = dc_replace(cfg, rank_mode="ratio", delta_ratio=probe_ratio, per_layer_ratios=None)
+    stats, calib, labels, baseline, _ = _calibrate([cfg], model, calib_tokens, labels)
+    increases = []
+    for l, layer in enumerate(model.layers):
+        try:
+            probe = build_compressed_layer(layer, stats[l], cfg, l).layer
+        except Exception as exc:
+            raise type(exc)(f"layer {l}: {exc}") from exc
+        hybrid = CompressedModel(layers=[*model.layers[:l], probe, *model.layers[l + 1:]],
+                                 head=model.head)
+        losses, _ = _forward_chunks(hybrid, calib, labels, cfg.batch_size)
+        increases.append(_batch_mean(losses, cfg.batch_size) - baseline)
+    return SensitivityProfile(baseline_loss=baseline, increases=tuple(increases),
+                              probe_ratio=probe_ratio, probe_config=cfg.to_dict())

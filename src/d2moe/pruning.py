@@ -77,13 +77,13 @@ def static_metric(w_b, calib_x) -> np.ndarray:
     return np.linalg.norm(w, axis=0) * np.linalg.norm(x, axis=1)
 
 
-def static_metric_from_gram(w_b, gram) -> np.ndarray:
-    """Same metric computed from the activation Gram: ||X[j,:]|| = sqrt(gram_jj)."""
+def static_metric_from_gram(w_b, gram_diagonal) -> np.ndarray:
+    """Same metric from the activation Gram's diagonal: ||X[j,:]|| = sqrt(gram_jj)."""
     w = as_matrix(w_b, "w_b")
-    g = as_matrix(gram, "gram")
-    if g.shape != (w.shape[1], w.shape[1]):
-        raise ShapeError(f"gram shape {g.shape} != ({w.shape[1]}, {w.shape[1]})")
-    return np.linalg.norm(w, axis=0) * np.sqrt(np.maximum(np.diag(g), 0.0))
+    d = np.asarray(gram_diagonal, dtype=np.float64)
+    if d.shape != (w.shape[1],):
+        raise ShapeError(f"gram diagonal shape {d.shape} != ({w.shape[1]},)")
+    return np.linalg.norm(w, axis=0) * np.sqrt(np.maximum(d, 0.0))
 
 
 def static_prune(w_b, metric, s: float) -> PrunedBase:

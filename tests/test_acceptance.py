@@ -17,7 +17,7 @@ import pytest
 from scipy.linalg import qr, svdvals
 from scipy.special import logsumexp
 
-from d2moe.analysis import allocate_adaptive_ratios, cka, energy_retention, layer_sensitivity_scan
+from d2moe.analysis import allocate_adaptive_ratios, cka, energy_retention
 from d2moe.config import CompressionConfig
 from d2moe.container import (
     ALIGNMENT,
@@ -41,7 +41,8 @@ from d2moe.fixtures import gen_fixture
 from d2moe.gradients import backward_logloss
 from d2moe.merge import weighted_merge
 from d2moe.moe import MoELayer, MoEModel, Role, moe_forward_dense, silu
-from d2moe.pipeline import build_compressed_layer, compress, compute_layer_stats, evaluate
+from d2moe.pipeline import (build_compressed_layer, compress, compute_layer_stats, evaluate,
+                            layer_sensitivity_scan)
 from d2moe.pruning import static_metric, static_prune, dynamic_mask
 from d2moe.runtime import CompressedModel, compressed_model_forward, trim_deltas
 

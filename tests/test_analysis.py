@@ -1,4 +1,5 @@
-"""Diagnostics tests: CKA, energy retention, sensitivity scan, allocation.
+"""Diagnostics tests: CKA, energy retention, sensitivity scan (which lives
+in `pipeline`, on its one calibration), allocation.
 
 CKA is verified against the textbook trace expression with an explicit
 centering matrix rather than the summed elementwise products the module
@@ -10,16 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from d2moe.analysis import (
-    RatioAllocation,
-    allocate_adaptive_ratios,
-    cka,
-    energy_retention,
-    layer_sensitivity_scan,
-)
-from d2moe.errors import DegenerateInputError, ParameterError, ShapeError
+from d2moe import pipeline
+from d2moe.analysis import RatioAllocation, allocate_adaptive_ratios, cka, energy_retention
+from d2moe.config import CompressionConfig
+from d2moe.errors import ConfigError, DegenerateInputError, ParameterError, ShapeError
 from d2moe.moe import MoELayer, MoEModel, Role, moe_forward_dense
-from d2moe.pipeline import evaluate
+from d2moe.pipeline import evaluate, layer_sensitivity_scan
 
 
 def cka_oracle(w1, w2):
@@ -128,6 +125,31 @@ class TestSensitivityScan:
         model, x, labels = make_scan_model(seed=8)
         with pytest.raises(ParameterError):
             layer_sensitivity_scan(model, x, labels, probe_ratio=0.0)
+
+    @pytest.mark.parametrize("merge", ["mean", "fisher"])
+    def test_reads_the_first_calib_samples_tokens(self, merge):
+        """Like `compress` and the frontier, the scan calibrates and probes
+        on the first calib_samples tokens only."""
+        model, x, labels = make_scan_model(seed=9, tokens=600)
+        cfg = CompressionConfig(merge_method=merge, sparsity=0.0, calib_samples=200)
+        whole = layer_sensitivity_scan(model, x, labels, probe_ratio=0.5, config=cfg)
+        first = layer_sensitivity_scan(model, x[:, :200], labels[:200], probe_ratio=0.5, config=cfg)
+        assert whole.baseline_loss == first.baseline_loss
+        assert whole.increases == first.increases
+
+    def test_trim_beyond_the_experts_fails_before_calibrating(self, monkeypatch):
+        model, x, labels = make_scan_model(seed=10)
+        calls, real = [], pipeline.compute_layer_stats
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compute_layer_stats", counting)
+        with pytest.raises(ConfigError, match="trim count 5"):
+            layer_sensitivity_scan(model, x, labels, probe_ratio=0.5,
+                                   config=CompressionConfig(merge_method="mean", trim=5))
+        assert calls == []
 
 
 class TestAllocation:

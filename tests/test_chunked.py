@@ -30,7 +30,7 @@ from d2moe.gradients import _draw_labels, output_probabilities
 from d2moe.moe import (ROLES, TOKEN_CHUNK, MoELayer, MoEModel, Role, capture_calibration,
                        expert_frequency, silu, token_chunks)
 from d2moe.pipeline import (LayerStats, _batch_mean, _token_losses, compress, compute_layer_stats,
-                            mean_cross_entropy, merge_role)
+                            merge_role)
 from d2moe.report import dumps_report, strip_timings
 from fisher_oracle import fisher_stacks, oracle_merge
 
@@ -156,7 +156,7 @@ def test_eight_chunks_match_within_summation_order(fx, merge, mode):
 def test_token_losses_finish_the_whole_sets_mean(fx, merge):
     """Calibration keeps one loss per token, not its logits: over eight
     chunks they are the losses of the chunks' logits side by side, and
-    their batch-block mean is `mean_cross_entropy` of those logits, to the
+    their batch-block mean is that of the losses of those logits, to the
     byte. Without labels there are none."""
     n_tokens = 8 * TOKEN_CHUNK
     x, labels = fx.tokens[:, :n_tokens], fx.labels[:n_tokens]
@@ -166,7 +166,7 @@ def test_token_losses_finish_the_whole_sets_mean(fx, merge):
                         for cols in token_chunks(n_tokens)])
     assert losses.tobytes() == _token_losses(logits, labels).tobytes()
     for batch_size in (1, 128, n_tokens):
-        assert _batch_mean(losses, batch_size) == mean_cross_entropy(logits, labels, batch_size)
+        assert _batch_mean(losses, batch_size) == _batch_mean(_token_losses(logits, labels), batch_size)
     assert compute_layer_stats(fx.model, x, cfg)[1] is None
 
 

@@ -17,6 +17,7 @@ from d2moe.config import CompressionConfig
 from d2moe.errors import NumericalError, ParameterError, ShapeError
 from d2moe.fixtures import gen_fixture
 from d2moe.analysis import energy_retention
+from d2moe.linalg import PackedGrams
 from d2moe.merge import merge_from_sums, weighted_merge
 from d2moe.moe import ROLES, MoELayer, Role
 from d2moe.pipeline import LayerStats, build_compressed_layer, compute_layer_stats, merge_role
@@ -34,12 +35,16 @@ def layer_deltas(layer, method="mean", frequency=None):
     """The (E, m, n) delta stacks W_i - W_b per role that
     `build_compressed_layer` hands to `whitened_factors`. The mean and
     frequency merges read no calibration statistic but the frequency (even
-    when not given: the build's trim step reads it), and identity Grams
-    stand in for the rest."""
+    when not given: the build's trim step reads it), and packed identity
+    Grams stand in for the rest."""
     n_experts = layer.n_experts
     if frequency is None:
         frequency = np.full(n_experts, 1.0 / n_experts)
-    grams = {role: np.tile(np.eye(w.shape[2]), (n_experts, 1, 1)) for role, w in layer.weights.items()}
+    grams = {}
+    for role, w in layer.weights.items():
+        grams[role] = PackedGrams(n_experts, w.shape[2], {})
+        for i in range(n_experts):
+            grams[role].add(i, np.eye(w.shape[2]))
     stats = LayerStats(grams=grams, frequency=frequency, fisher=None)
     seen = []
     real = pipeline.whitened_factors

@@ -19,7 +19,6 @@ import pytest
 from scipy.special import logsumexp
 
 from d2moe import factorize, linalg, moe, pipeline
-from d2moe.analysis import layer_sensitivity_scan
 from d2moe.cli import EXIT_OK, main
 from d2moe.config import CompressionConfig
 from d2moe.errors import ConfigError, ParameterError, ShapeError
@@ -31,8 +30,10 @@ from d2moe.pipeline import (
     build_compressed_layer,
     compress,
     compute_layer_stats,
+    _batch_mean,
+    _token_losses,
     evaluate,
-    mean_cross_entropy,
+    layer_sensitivity_scan,
     merge_role,
     ratio_frontier,
 )
@@ -107,10 +108,69 @@ class TestEvaluate:
         with pytest.raises(ParameterError, match="integral"):
             compress(CompressionConfig(merge_method="mean"), fx.model, fx.tokens, labels=labels)
 
+    def test_labels_of_another_length_fail_also_past_calib_samples(self):
+        """`compress` and the scan read the first calib_samples tokens, and
+        still reject labels that do not match the tokens they were given."""
+        fx = small_fixture()
+        cfg = CompressionConfig(merge_method="mean", calib_samples=64)
+        with pytest.raises(ShapeError, match="does not match 100 tokens"):
+            compress(cfg, fx.model, fx.tokens[:, :100], labels=fx.labels)
+        with pytest.raises(ShapeError, match="does not match 100 tokens"):
+            layer_sensitivity_scan(fx.model, fx.tokens[:, :100], fx.labels, 0.5, config=cfg)
+
     def test_integral_float_labels_accepted(self):
         fx = small_fixture()
         want = evaluate(fx.model, fx.tokens, fx.labels).loss
         assert evaluate(fx.model, fx.tokens, fx.labels.astype(float)).loss == want
+
+    def test_missing_labels_are_a_shape_error(self):
+        fx = small_fixture()
+        with pytest.raises(ShapeError, match="one label per token"):
+            evaluate(fx.model, fx.tokens, None)
+
+    def test_labels_are_checked_before_any_forward(self, monkeypatch):
+        """A label out of range, even the last one, fails before any layer
+        routes a token."""
+        fx = small_fixture()
+        labels = fx.labels.copy()
+        labels[-1] = fx.model.num_classes
+        routed = TestOneDensePass.dense_columns(monkeypatch)
+        with pytest.raises(ParameterError, match="must lie in"):
+            evaluate(fx.model, fx.tokens, labels, batch_size=16)
+        assert routed == []
+
+
+class TestForwardChunks:
+    """`_forward_chunks` keeps each token's loss, batch by batch. The path it
+    replaced stays here as the oracle: each batch through the model's own
+    forward (`moe_forward_dense` for a dense model), the batches' logits
+    stacked side by side, then the losses of the whole set."""
+
+    @staticmethod
+    def stacked_losses(model, x, labels, batch_size):
+        forward = moe_forward_dense if isinstance(model, MoEModel) else compressed_model_forward
+        logits = np.hstack([forward(model, x[:, start:start + batch_size])[0]
+                            for start in range(0, x.shape[1], batch_size)])
+        return _token_losses(logits, labels)
+
+    @pytest.mark.parametrize("kind", ["dense", "compressed"])
+    def test_losses_are_those_of_the_stacked_logits(self, kind):
+        fx = small_fixture()
+        model = fx.model
+        if kind == "compressed":
+            model, _ = compress(CompressionConfig(sparsity=0.4), fx.model, fx.tokens, labels=fx.labels)
+        for batch_size in (1, 128, fx.n_tokens):
+            losses, traces = pipeline._forward_chunks(model, fx.tokens, fx.labels, batch_size)
+            want = self.stacked_losses(model, fx.tokens, fx.labels, batch_size)
+            assert losses.tobytes() == want.tobytes()
+            assert evaluate(model, fx.tokens, fx.labels, batch_size).loss == _batch_mean(want, batch_size)
+            first = compressed_model_forward(model, fx.tokens[:, :batch_size])[1]
+            assert [t.selected.tobytes() for t in traces] == [t.selected.tobytes() for t in first]
+
+    def test_without_labels_only_the_traces(self):
+        fx = small_fixture()
+        losses, traces = pipeline._forward_chunks(fx.model, fx.tokens, None, 128)
+        assert losses is None and len(traces) == len(fx.model.layers)
 
 
 class TestMeanCrossEntropy:
@@ -135,7 +195,16 @@ class TestMeanCrossEntropy:
             total = 0.0
             for start in range(0, n_tokens, batch_size):
                 total += float(np.sum(per_token[start:start + batch_size]))
-            assert mean_cross_entropy(logits, labels, batch_size) == total / n_tokens
+            assert _batch_mean(_token_losses(logits, labels), batch_size) == total / n_tokens
+
+    def test_one_token_batches_match_scipy_with_many_classes(self):
+        """numpy sums a one-column array's 8 or more classes pairwise, a
+        wider array's class by class; each token alone still gets scipy's
+        bytes for the whole set."""
+        logits = np.random.default_rng(48).normal(size=(10, 50))
+        want = logsumexp(logits, axis=0)
+        got = [pipeline._logsumexp_columns(logits[:, j:j + 1])[0] for j in range(50)]
+        assert np.array(got).tobytes() == want.tobytes()
 
 
 class TestCompress:
