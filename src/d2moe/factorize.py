@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import NumericalError, ParameterError, ShapeError
 from .linalg import (DEFAULT_DAMPING, _cholesky_schedule, as_gram, as_matrix, as_stack,
                      first_nonzero_negative)
 
@@ -79,10 +79,13 @@ def _singular_basis(m: np.ndarray, k: int) -> np.ndarray:
     """(E, p, p) left singular bases of the stack m (E, p, q), descending,
     from eigenvectors of m @ m.T, the first k resolved to 1% (module
     docstring). Experts with j < k resolved pairs are grouped by j and their
-    other eigenvectors recomputed from m projected on their span; every
-    level resolves its top pair, so the recursion ends."""
+    other eigenvectors recomputed from m projected on their span. For finite
+    m @ m.T every level resolves its top pair, so the recursion ends; an
+    eigenvalue that is not finite (the Gram overflowed) is a NumericalError."""
     p = m.shape[1]
     w, x = np.linalg.eigh(m @ m.transpose(0, 2, 1))
+    if not np.isfinite(w).all():
+        raise NumericalError("whitened deltas overflow: their Gram has eigenvalues that are not finite")
     w, x = np.maximum(w[:, ::-1], 0.0), x[..., ::-1]
     resolved = np.sum(w >= 100 * p * np.finfo(np.float64).eps * w[:, :1], axis=1)
     for j in np.unique(resolved[resolved < k]):

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .linalg import blas_threads
-from .moe import MoELayer, MoEModel, Role, layer_forward_dense, token_chunks
+from .moe import MoELayer, MoEModel, Role, _chained_forward, token_chunks
 
 DEFAULT_TOKENS = 512
 
@@ -194,14 +194,10 @@ def gen_fixture(seed: int, n_experts: int = 8, d_model: int = 32, hidden: int = 
     x[bias_c] = 1.0 + 0.1 * rng.normal(size=tokens)
     x[dead0:] = _DEAD_SCALE * rng.normal(size=(n_dead, tokens))
 
-    # one dense pass in token chunks: rescaling the head leaves the final
-    # hidden state as it is; it is kept token-major, as a layer returns it
+    # one dense pass in token chunks, kept token-major; rescaling the head leaves it as it is
     final = np.empty((tokens, d))
     for cols in token_chunks(tokens):
-        h = x[:, cols]
-        for layer in model_layers:
-            h, _ = layer_forward_dense(layer, h)
-        final[cols] = h.T
+        final[cols] = _chained_forward(model_layers, x[:, cols])[0]
     final = final.T
     srt = np.sort(head @ final, axis=0)
     gap = np.median(srt[-1] - srt[-2])

@@ -3,23 +3,23 @@ and the calibration capture.
 
 Conventions: at the public boundary token batches are matrices with tokens
 along columns (d_model x n_tokens); every exported forward takes and returns
-that layout. Inside a layer call the batch is token-major, a C-order
-(n_tokens, d_model) array, so an expert's tokens are one gather of
-contiguous rows; a layer transposes once on entry and returns its output as
-the transposed view of a token-major array, which the next layer takes
-without a copy. Each expert is a two-matrix FFN
-E(x) = W_down @ silu(W_up @ x), with roles Up (hidden x d_model) and
-Down (d_model x hidden); a layer holds each role's weights of all its
-experts as one (E, ., .) stack, and token-major code reads every expert's
-weights through transposed views. The router W_g and the classifier head are never
-compressed, only the expert weights.
+that layout. A model pass checks its input once, against layer 0, then runs
+its layers token-major: each layer's `forward` maps a C-order (n_tokens, d)
+array, so an expert's tokens are one gather of contiguous rows, to the
+C-order (n_tokens, d_out) array that the next layer takes as it is. Each
+expert is a two-matrix FFN E(x) = W_down @ silu(W_up @ x), with roles Up
+(hidden x d_model) and Down (d_model x hidden); a layer holds each role's
+weights of all its experts as one (E, ., .) stack, and token-major code
+reads every expert's weights through transposed views. The router W_g and
+the classifier head are never compressed, only the expert weights.
 
 `routed_forward` is the single dispatch path for batches: it routes, groups
 the (token, expert) pairs by expert into one slot buffer, and combines the
 gated slots per token. The dense forward, calibration capture and the
-compressed runtime differ only in the callback that fills the slots. The
-capture is the dense pass over one chunk of calibration tokens; the Fisher
-(`gradients`) sweeps its records backwards. Passes over a whole token set
+compressed runtime differ only in the callback that fills the slots, and
+every model pass is one `_chained_forward`. The capture is the dense pass
+over one chunk of calibration tokens; the Fisher (`gradients`) sweeps its
+records backwards. Passes over a whole token set
 (`pipeline.compute_layer_stats`, the fixture's label pass) run in
 `token_chunks` of TOKEN_CHUNK tokens, so their peak memory is set by one
 chunk, not by the token count.
@@ -135,6 +135,18 @@ class MoELayer:
     @property
     def d_out(self) -> int:
         return self.weights[Role.DOWN].shape[1]
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, RoutingTrace]:
+        """y = sum_i G(x)_i E_i(x) over a checked token-major batch x (T, d_model):
+        y token-major (T, d_out) and the routing trace."""
+        up, down = self.weights[Role.UP], self.weights[Role.DOWN]
+
+        def fill(rows, groups, slots):
+            for i, start, stop in groups:
+                h = x.take(rows[start:stop], axis=0) @ up[i].T
+                np.matmul(silu(h, out=h), down[i].T, out=slots[start:stop])
+
+        return routed_forward(self, x, fill)
 
 
 def chained_head(layers, head) -> np.ndarray:
@@ -286,17 +298,20 @@ def _layer_input(layer, x_batch, name: str = "x_batch") -> np.ndarray:
 
 
 def layer_forward_dense(layer: MoELayer, x_batch: np.ndarray) -> tuple[np.ndarray, RoutingTrace]:
-    """One dense MoE layer over a token batch: y = sum_i G(x)_i E_i(x)."""
-    x = _layer_input(layer, x_batch)
-    up, down = layer.weights[Role.UP], layer.weights[Role.DOWN]
-
-    def fill(rows, groups, slots):
-        for i, start, stop in groups:
-            h = x.take(rows[start:stop], axis=0) @ up[i].T
-            np.matmul(silu(h, out=h), down[i].T, out=slots[start:stop])
-
-    y, trace = routed_forward(layer, x, fill)
+    """One dense MoE layer over a (d_model, T) batch, checked: (y (d_out, T), trace)."""
+    y, trace = layer.forward(_layer_input(layer, x_batch))
     return y.T, trace
+
+
+def _chained_forward(layers, x_batch) -> tuple[np.ndarray, list[RoutingTrace]]:
+    """Each layer's `forward` in turn over one (d_model, T) batch, checked once
+    against layer 0: the last hidden state (T, d_out) and the trace per layer."""
+    h = _layer_input(layers[0], x_batch)
+    traces = []
+    for layer in layers:
+        h, trace = layer.forward(h)
+        traces.append(trace)
+    return h, traces
 
 
 def moe_forward_dense(model: MoEModel, x_batch) -> tuple[np.ndarray, list[RoutingTrace]]:
@@ -304,12 +319,8 @@ def moe_forward_dense(model: MoEModel, x_batch) -> tuple[np.ndarray, list[Routin
 
     Returns (logits (num_classes, T), routing trace per layer).
     """
-    h = x_batch
-    traces = []
-    for layer in model.layers:
-        h, trace = layer_forward_dense(layer, h)
-        traces.append(trace)
-    return model.head @ h, traces
+    h, traces = _chained_forward(model.layers, x_batch)
+    return model.head @ h.T, traces
 
 
 def expert_frequency(counts: np.ndarray) -> np.ndarray:

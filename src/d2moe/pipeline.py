@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .config import CompressionConfig
-from .errors import ConfigError, NumericalError, ParameterError, ShapeError
+from .errors import ConfigError, D2MoeError, NumericalError, ParameterError, ShapeError
 from .factorize import whitened_factors
 from .gradients import _draw_labels, check_labels, fisher_accumulate, output_probabilities
 from .linalg import PackedGrams, as_matrix, blas_threads
@@ -39,6 +39,7 @@ from .moe import (
     RoutingTrace,
     capture_calibration,
     expert_frequency,
+    layer_forward_dense,
     token_chunks,
 )
 from .pruning import static_metric_from_gram, static_prune
@@ -185,6 +186,7 @@ def build_compressed_layer(layer: MoELayer, stats: LayerStats, cfg: CompressionC
                            layer_index: int = 0) -> LayerBuild:
     """Merge, factorize and prune one layer a role at a time, so that one
     role's (E, m, n) deltas W_i - W_b are alive at once, then package it.
+    An error from a role's whitened factors is re-raised naming the layer and role.
 
     `layer_index` selects the layer's delta ratio (per-layer ratios).
     """
@@ -196,8 +198,11 @@ def build_compressed_layer(layer: MoELayer, stats: LayerStats, cfg: CompressionC
         deltas = layer.weights[role] - base
         marks.append(time.perf_counter())
         ranks[role.value] = cfg.rank_for(layer_index, *deltas.shape[1:])
-        factors[role], role_errors = whitened_factors(deltas, stats.grams[role], ranks[role.value],
-                                                      damping=cfg.damping)
+        try:
+            factors[role], role_errors = whitened_factors(deltas, stats.grams[role],
+                                                          ranks[role.value], damping=cfg.damping)
+        except D2MoeError as exc:
+            raise type(exc)(f"layer {layer_index} {role.value}: {exc}") from exc
         del deltas  # before the next role's are formed
         marks.append(time.perf_counter())
         metric = static_metric_from_gram(base, sum(stats.grams[role].diagonals()))  # expert order
@@ -409,11 +414,13 @@ def layer_sensitivity_scan(model: MoEModel, calib_tokens, labels, probe_ratio: f
     """Compress one layer at a time at probe_ratio and measure the calibration
     cross-entropy increase over the dense baseline.
 
-    One `_calibrate` gives the statistics and the baseline; each probe runs
-    the dense model with only that layer compressed over the same first
-    `calib_samples` tokens, never mutating it. Compression uses `config`
-    (defaults: mean merge, no pruning) with its rank mode forced to a plain
-    ratio of probe_ratio.
+    One `_calibrate` gives the statistics and the baseline. Dense layer l
+    runs once, batch by batch, to give layer l + 1 its input, and probe l
+    runs [probe, *layers[l + 1:]] on layer l's: each batch sees the ops of
+    the dense model with only layer l compressed, over the same first
+    `calib_samples` tokens, and the model is never mutated. Compression uses
+    `config` (defaults: mean merge, no pruning) with its rank mode forced to
+    a plain ratio of probe_ratio.
     """
     if not 0.0 < probe_ratio <= 1.0:
         raise ParameterError(f"probe_ratio must be in (0, 1], got {probe_ratio}")
@@ -421,16 +428,15 @@ def layer_sensitivity_scan(model: MoEModel, calib_tokens, labels, probe_ratio: f
         raise ShapeError("the sensitivity scan needs one label per calibration token")
     cfg = config if config is not None else CompressionConfig(merge_method="mean", sparsity=0.0)
     cfg = dc_replace(cfg, rank_mode="ratio", delta_ratio=probe_ratio, per_layer_ratios=None)
-    stats, calib, labels, baseline, _ = _calibrate([cfg], model, calib_tokens, labels)
+    stats, x, labels, baseline, _ = _calibrate([cfg], model, calib_tokens, labels)
+    batches = [slice(start, start + cfg.batch_size) for start in range(0, x.shape[1], cfg.batch_size)]
     increases = []
     for l, layer in enumerate(model.layers):
-        try:
-            probe = build_compressed_layer(layer, stats[l], cfg, l).layer
-        except Exception as exc:
-            raise type(exc)(f"layer {l}: {exc}") from exc
-        hybrid = CompressedModel(layers=[*model.layers[:l], probe, *model.layers[l + 1:]],
-                                 head=model.head)
-        losses, _ = _forward_chunks(hybrid, calib, labels, cfg.batch_size)
+        probe = build_compressed_layer(layer, stats[l], cfg, l).layer
+        hybrid = CompressedModel(layers=[probe, *model.layers[l + 1:]], head=model.head)
+        losses, _ = _forward_chunks(hybrid, x, labels, cfg.batch_size)
         increases.append(_batch_mean(losses, cfg.batch_size) - baseline)
+        if l + 1 < len(model.layers):  # layer l + 1's dense input, token-major
+            x = np.vstack([layer_forward_dense(layer, x[:, cols])[0].T for cols in batches]).T
     return SensitivityProfile(baseline_loss=baseline, increases=tuple(increases),
                               probe_ratio=probe_ratio, probe_config=cfg.to_dict())

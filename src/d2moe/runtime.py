@@ -31,8 +31,8 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .factorize import DeltaFactor
 from .linalg import as_matrix
-from .moe import (MoELayer, Role, RoutingTrace, _checked_top_k, _layer_input, chained_head,
-                  layer_forward_dense, routed_forward, silu)
+from .moe import (Role, RoutingTrace, _chained_forward, _checked_top_k, _layer_input, chained_head,
+                  routed_forward, silu)
 from .pruning import PrunedBase, _active_positions, _column_sumsq
 
 
@@ -90,6 +90,35 @@ class CompressedLayer:
     def d_out(self) -> int:
         return self.base[Role.DOWN].kept.shape[0]
 
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, RoutingTrace]:
+        """The layer over a checked token-major batch x (T, d_model): y (T, d_out)
+        and the trace; gating is identical to the dense router."""
+        _, down_pos, u_base = _base_path(self, x)
+        down = self.base[Role.DOWN]
+        down_masked_t = down.kept[:, down_pos].T
+        down_ids = down.kept_col_ids[down_pos]
+
+        # activation gathers use take: it is faster than fancy indexing on these
+        # small arrays, and a column take comes back C-order, not Fortran order
+        def fill(rows, groups, slots):
+            h = u_base.take(rows, axis=0)
+            xs = x.take(rows, axis=0)
+            for i, start, stop in groups:
+                factors = self.deltas.get(i)
+                if factors is not None:
+                    f = factors[Role.UP]
+                    h[start:stop] += (xs[start:stop] @ f.v.T) @ f.u.T
+            silu(h, out=h)
+            # the masked Down base is shared by every expert: one GEMM over all slots
+            np.matmul(h.take(down_ids, axis=1), down_masked_t, out=slots)
+            for i, start, stop in groups:
+                factors = self.deltas.get(i)
+                if factors is not None:
+                    f = factors[Role.DOWN]
+                    slots[start:stop] += (h[start:stop] @ f.v.T) @ f.u.T
+
+        return routed_forward(self, x, fill)
+
 
 @dataclass(frozen=True)
 class CompressedModel:
@@ -118,52 +147,16 @@ def _base_path(layer: CompressedLayer, x: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def compressed_forward(layer: CompressedLayer, x_batch) -> tuple[np.ndarray, RoutingTrace]:
-    """Eq.-style compressed layer forward over one (d_model, T) batch.
-
-    The input is checked once; dynamic masks and the masked Up-base product
-    are computed once for the batch; gating is identical to the dense router.
-    Returns (y_batch (d_out, T), routing trace).
-    """
-    x = _layer_input(layer, x_batch)
-    _, down_pos, u_base = _base_path(layer, x)
-    down = layer.base[Role.DOWN]
-    down_masked_t = down.kept[:, down_pos].T
-    down_ids = down.kept_col_ids[down_pos]
-
-    # activation gathers use take: it is faster than fancy indexing on these
-    # small arrays, and a column take comes back C-order, not Fortran order
-    def fill(rows, groups, slots):
-        h = u_base.take(rows, axis=0)
-        xs = x.take(rows, axis=0)
-        for i, start, stop in groups:
-            factors = layer.deltas.get(i)
-            if factors is not None:
-                f = factors[Role.UP]
-                h[start:stop] += (xs[start:stop] @ f.v.T) @ f.u.T
-        silu(h, out=h)
-        # the masked Down base is shared by every expert: one GEMM over all slots
-        np.matmul(h.take(down_ids, axis=1), down_masked_t, out=slots)
-        for i, start, stop in groups:
-            factors = layer.deltas.get(i)
-            if factors is not None:
-                f = factors[Role.DOWN]
-                slots[start:stop] += (h[start:stop] @ f.v.T) @ f.u.T
-
-    y, trace = routed_forward(layer, x, fill)
+    """One compressed layer over a (d_model, T) batch, checked: (y (d_out, T), trace)."""
+    y, trace = layer.forward(_layer_input(layer, x_batch))
     return y.T, trace
 
 
 def compressed_model_forward(model: CompressedModel, x_batch) -> tuple[np.ndarray, list[RoutingTrace]]:
-    """Chained forward over one batch; layers may be compressed or dense."""
-    h = x_batch
-    traces = []
-    for layer in model.layers:
-        if isinstance(layer, MoELayer):
-            h, trace = layer_forward_dense(layer, h)
-        else:
-            h, trace = compressed_forward(layer, h)
-        traces.append(trace)
-    return model.head @ h, traces
+    """Chained forward over one batch, then head logits; layers may be
+    compressed or dense. Returns (logits (num_classes, T), trace per layer)."""
+    h, traces = _chained_forward(model.layers, x_batch)
+    return model.head @ h.T, traces
 
 
 def trim_deltas(layer: CompressedLayer, freq, t: int) -> CompressedLayer:

@@ -7,6 +7,7 @@ uses internally.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,11 @@ from d2moe import pipeline
 from d2moe.analysis import RatioAllocation, allocate_adaptive_ratios, cka, energy_retention
 from d2moe.config import CompressionConfig
 from d2moe.errors import ConfigError, DegenerateInputError, ParameterError, ShapeError
+from d2moe.fixtures import gen_fixture
+from d2moe.linalg import blas_threads
 from d2moe.moe import MoELayer, MoEModel, Role, moe_forward_dense
 from d2moe.pipeline import evaluate, layer_sensitivity_scan
+from d2moe.runtime import CompressedModel
 
 
 def cka_oracle(w1, w2):
@@ -136,6 +140,27 @@ class TestSensitivityScan:
         first = layer_sensitivity_scan(model, x[:, :200], labels[:200], probe_ratio=0.5, config=cfg)
         assert whole.baseline_loss == first.baseline_loss
         assert whole.increases == first.increases
+
+    @pytest.mark.parametrize("merge,batch_size", [("mean", 50), ("fisher", 64), ("mean", 192)])
+    def test_increases_are_those_of_the_whole_hybrids(self, merge, batch_size):
+        """The scan carries each dense layer's output forward; the path it
+        replaced stays here as the oracle: every probe evaluated as the dense
+        model with only that layer compressed, over the same batches."""
+        fx = gen_fixture(0, n_experts=4, d_model=16, hidden=24, layers=3, tokens=192, rank_noise=2)
+        cfg = CompressionConfig(merge_method=merge, sparsity=0.0, batch_size=batch_size)
+        profile = layer_sensitivity_scan(fx.model, fx.tokens, fx.labels, probe_ratio=0.5, config=cfg)
+        cfg = replace(cfg, rank_mode="ratio", delta_ratio=0.5)
+        with blas_threads(1):
+            stats, x, labels, baseline, _ = pipeline._calibrate([cfg], fx.model, fx.tokens, fx.labels)
+            want = []
+            for l, layer in enumerate(fx.model.layers):
+                probe = pipeline.build_compressed_layer(layer, stats[l], cfg, l).layer
+                hybrid = CompressedModel(layers=[*fx.model.layers[:l], probe, *fx.model.layers[l + 1:]],
+                                         head=fx.model.head)
+                losses, _ = pipeline._forward_chunks(hybrid, x, labels, batch_size)
+                want.append(pipeline._batch_mean(losses, batch_size) - baseline)
+        assert profile.baseline_loss == baseline
+        assert profile.increases == tuple(want)
 
     def test_trim_beyond_the_experts_fails_before_calibrating(self, monkeypatch):
         model, x, labels = make_scan_model(seed=10)

@@ -693,6 +693,70 @@ class TestExitCodes:
         assert rc == EXIT_NUMERICAL
 
 
+class TestExtremeContainers:
+    """Valid containers whose weights overflow somewhere in the pipeline:
+    every command exits with its documented code and an `error:` line,
+    never an uncaught exception, and a failed command writes no output.
+    `x1e80` scales one layer's expert weights by 1e80: the forward stays
+    finite, but the whitened Down deltas' Gram overflows in every build.
+    `x1e200` has two layers and scales layer 0's: its output overflows
+    inside the network, which the loss passes and the Grams report."""
+
+    COMMANDS = {
+        "compress-fisher": ["compress", "--merge", "fisher"],
+        "compress-mean": ["compress", "--merge", "mean"],
+        "eval": ["eval"],
+        "calibrate": ["calibrate"],
+        "sensitivity": ["analyze", "--sensitivity"],
+        "frontier": ["analyze", "--frontier", "0.5"],
+    }
+    WHITENED = (EXIT_NUMERICAL, "layer 0 down: whitened deltas overflow")
+    EXPECTED = {
+        "x1e80": {"compress-fisher": WHITENED, "compress-mean": WHITENED, "eval": (EXIT_OK, None),
+                  "calibrate": (EXIT_OK, None), "sensitivity": WHITENED, "frontier": WHITENED},
+        "x1e200": {"compress-fisher": (EXIT_NUMERICAL, "not finite"),
+                   "compress-mean": (EXIT_NUMERICAL, "logits are not finite"),
+                   "eval": (EXIT_NUMERICAL, "logits are not finite"),
+                   "calibrate": (EXIT_NUMERICAL, "layer 0 down: calibration Grams or Fisher sums overflow"),
+                   "sensitivity": (EXIT_NUMERICAL, "not finite"),
+                   "frontier": (EXIT_NUMERICAL, "not finite")},
+    }
+
+    @pytest.fixture(scope="class")
+    def containers(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("extreme")
+        for name, n_layers, scale in (("x1e80", 1, 1e80), ("x1e200", 2, 1e200)):
+            fx = gen_fixture(seed=0, layers=n_layers)
+            first = fx.model.layers[0]
+            layers = [MoELayer(gate=first.gate, top_k=first.top_k,
+                               weights={role: w * scale for role, w in first.weights.items()}),
+                      *fx.model.layers[1:]]
+            save_model(root / f"{name}.d2m", MoEModel(layers=layers, head=fx.model.head))
+            save_calibration(root / f"{name}-calib.d2m", fx.tokens, fx.labels)
+        return root
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("container", list(EXPECTED))
+    def test_exits_with_the_documented_code(self, containers, tmp_path, capsys, container, command):
+        argv = self.COMMANDS[command]
+        outputs = {"compress": ["--out", str(tmp_path / "o.d2m"), "--report", str(tmp_path / "r.jsonl")],
+                   "calibrate": ["--out", str(tmp_path / "c.csv")],
+                   "analyze": ["--out-dir", str(tmp_path / "an")], "eval": []}[argv[0]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main([argv[0], "--model", str(containers / f"{container}.d2m"),
+                       "--calib", str(containers / f"{container}-calib.d2m"), *outputs, *argv[1:]])
+        code, message = self.EXPECTED[container][command]
+        captured = capsys.readouterr()
+        assert rc == code, captured.err
+        written = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
+        if code == EXIT_OK:
+            assert captured.err == ""
+            assert written or "loss=" in captured.out
+        else:
+            assert captured.err.startswith("error: ") and message in captured.err
+            assert written == []
+
+
 class TestInconsistentCompressedContainer:
     """A compressed container whose factors, trimmed row or head disagree
     with the rest of the file fails to load: eval exits 3."""

@@ -100,19 +100,19 @@ class TestStructure:
         assert np.median(srt[-1] - srt[-2]) == pytest.approx(_TARGET_MARGIN, rel=1e-12)
 
     def test_label_pass_runs_in_token_chunks(self, monkeypatch):
-        """Past one chunk, the label pass runs chunk by chunk: no layer call
-        sees more than TOKEN_CHUNK tokens, and the labels and the margin are
-        those of the chunked forwards of the returned model."""
+        """Past one chunk, the label pass runs chunk by chunk: no chained
+        forward sees more than TOKEN_CHUNK tokens, and the labels and the
+        margin are those of the chunked forwards of the returned model."""
         seen = []
-        real = fixtures.layer_forward_dense
+        real = fixtures._chained_forward
 
-        def spy(layer, x):
-            seen.append(x.shape[1])
-            return real(layer, x)
+        def spy(layers, x):
+            seen.append((len(layers), x.shape[1]))
+            return real(layers, x)
 
-        monkeypatch.setattr(fixtures, "layer_forward_dense", spy)
+        monkeypatch.setattr(fixtures, "_chained_forward", spy)
         fx = gen_fixture(seed=6, layers=2, d_model=16, hidden=24, tokens=2 * TOKEN_CHUNK + 50)
-        assert seen == [TOKEN_CHUNK] * 4 + [50] * 2
+        assert seen == [(2, TOKEN_CHUNK)] * 2 + [(2, 50)]
         logits = np.hstack([moe_forward_dense(fx.model, fx.tokens[:, cols])[0]
                             for cols in token_chunks(fx.n_tokens)])
         assert np.array_equal(fx.labels, logits.argmax(axis=0))
@@ -126,18 +126,18 @@ class TestStructure:
             return [get() for get, _ in linalg._BLAS_CONTROLS]
 
         seen = []
-        real = fixtures.layer_forward_dense
+        real = fixtures._chained_forward
 
         def spy(*args):
             seen.append(counts())
             return real(*args)
 
-        monkeypatch.setattr(fixtures, "layer_forward_dense", spy)
+        monkeypatch.setattr(fixtures, "_chained_forward", spy)
         with linalg.blas_threads(2):
             before = counts()
             gen_fixture(seed=0, layers=2, tokens=64)
             assert counts() == before
-        assert len(seen) == 2
+        assert len(seen) == 1
         assert all(c == [1] * len(before) for c in seen)
 
 class TestValidation:

@@ -489,14 +489,16 @@ class TestOneDensePass:
 
     @pytest.mark.parametrize("merge", ["fisher", "mean"])
     def test_sensitivity_scan(self, monkeypatch, merge):
-        """One stats pass over every layer; each of the L probes then
-        evaluates a hybrid whose other L - 1 layers are dense."""
+        """One stats pass over every layer; dense layer l then runs once more
+        to give layer l + 1 its input, and probe l evaluates the L - 1 - l
+        dense layers above it on that input."""
         fx = self.fixture()
         n_layers = len(fx.model.layers)
         routed = self.dense_columns(monkeypatch)
         layer_sensitivity_scan(fx.model, fx.tokens, fx.labels, probe_ratio=0.5,
                                config=CompressionConfig(merge_method=merge, sparsity=0.0))
-        assert sum(routed) == (n_layers + n_layers * (n_layers - 1)) * fx.n_tokens
+        passes = n_layers + n_layers * (n_layers - 1) // 2 + n_layers - 1
+        assert sum(routed) == passes * fx.n_tokens == 8 * fx.n_tokens
 
 
 class TestRatioFrontier:

@@ -481,6 +481,72 @@ class TestPerCallOverhead:
             assert not np.shares_memory(_layer_input(layer, x[:, :7]), x)
 
 
+class TestChainedForward:
+    """`moe_forward_dense` and `compressed_model_forward` check the batch once
+    and run every layer token-major. The path they replaced stays here as
+    the oracle: one checked one-layer call per layer (`layer_forward_dense`
+    or `compressed_forward`, by layer type), chained by hand."""
+
+    @staticmethod
+    def models():
+        rng = np.random.default_rng(21)
+        dense = [make_dense_layer(rng, n_experts=6, d=12, hidden=16) for _ in range(3)]
+        x = rng.normal(size=(12, 60))
+        packed = [compress_by_hand(layer, x, p=0.5, s=0.4, trimmed=(i,))
+                  for i, layer in enumerate(dense)]
+        head = rng.normal(size=(5, 12))
+        return {"dense": MoEModel(layers=dense, head=head),
+                "compressed": CompressedModel(layers=packed, head=head),
+                "hybrid": CompressedModel(layers=[dense[0], packed[1], dense[2]], head=head),
+                "probe": CompressedModel(layers=[packed[1], dense[2]], head=head)}, rng
+
+    @staticmethod
+    def hand_chained(model, x):
+        h, traces = x, []
+        for layer in model.layers:
+            forward = layer_forward_dense if isinstance(layer, MoELayer) else compressed_forward
+            h, trace = forward(layer, h)
+            traces.append(trace)
+        return model.head @ h, traces
+
+    @pytest.mark.parametrize("kind", ["dense", "compressed", "hybrid", "probe"])
+    def test_matches_the_hand_chained_layers_byte_for_byte(self, kind):
+        models, rng = self.models()
+        model = models[kind]
+        x = rng.normal(size=(12, 300))
+        forwards = [compressed_model_forward] + ([moe_forward_dense] if kind == "dense" else [])
+        for batch in (1, 128, x.shape[1]):
+            for start in range(0, x.shape[1], batch):
+                xb = x[:, start:start + batch]
+                want, want_traces = self.hand_chained(model, xb)
+                for forward in forwards:
+                    got, traces = forward(model, xb)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                    for trace, want_trace in zip(traces, want_traces, strict=True):
+                        assert_same_trace(trace, want_trace)
+
+    def test_a_chained_forward_checks_its_input_once(self, monkeypatch):
+        """Layer 0 checks the batch; no later layer re-checks its input."""
+        real = _layer_input
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "d2moe" and getattr(module, "_layer_input", None) is real:
+                monkeypatch.setattr(module, "_layer_input", spy)
+        models, rng = self.models()
+        x = rng.normal(size=(12, 50))
+        for kind, forward in (("dense", moe_forward_dense), ("dense", compressed_model_forward),
+                              ("compressed", compressed_model_forward),
+                              ("hybrid", compressed_model_forward)):
+            calls.clear()
+            forward(models[kind], x)
+            assert len(calls) == 1 and calls[0] is models[kind].layers[0], kind
+
+
 class TestTrim:
     def make(self, seed=5):
         rng = np.random.default_rng(seed)
