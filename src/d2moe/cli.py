@@ -7,7 +7,8 @@ then dedicated flags.
 
 Exit codes: 0 success; 2 usage or configuration problems (also bad
 shapes/values in inputs); 3 file and container problems; 4 numerical
-failures.
+failures. Commands run with numpy's floating-point warnings off, so a
+failing command prints one `error:` line on stderr, not warnings first.
 
 When a subcommand ends, the C heap's free pages go back to the operating
 system (glibc's `malloc_trim`): glibc keeps a command's freed temporaries
@@ -181,6 +182,8 @@ def _cmd_analyze(args) -> int:
     if (args.sensitivity or args.frontier) and not args.calib:
         raise ConfigError("analyze: --sensitivity and --frontier require --calib")
     model = _load_model_file(args.model)
+    if args.sensitivity or args.frontier:
+        tokens, labels = _load_calib_file(args.calib)
     if args.cka and not 0 <= args.layer < len(model.layers):
         raise ConfigError(f"--layer {args.layer} outside [0, {len(model.layers) - 1}]")
     out_dir = Path(args.out_dir)
@@ -195,7 +198,6 @@ def _cmd_analyze(args) -> int:
         wrote_any = True
 
     if args.sensitivity:
-        tokens, labels = _load_calib_file(args.calib)
         profile = layer_sensitivity_scan(model, tokens, labels, probe_ratio=args.probe_ratio,
                                          config=cfg)
         # --budget is a parameter-weighted mean ratio; weights are relative to
@@ -208,7 +210,6 @@ def _cmd_analyze(args) -> int:
         wrote_any = True
 
     if args.frontier:
-        tokens, labels = _load_calib_file(args.calib)
         points = ratio_frontier(model, tokens, labels, cfg, ratios)
         write_frontier_csv(out_dir / "frontier.csv", points)
         print(f"wrote {out_dir / 'frontier.csv'}")
@@ -323,7 +324,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a failure is reported by its one error line
+            return args.func(args)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError, ShapeError
-from .linalg import (DEFAULT_DAMPING, _cholesky_schedule, as_gram, as_matrix, as_stack,
+from .linalg import (DEFAULT_DAMPING, as_matrix, as_stack, cholesky_damped,
                      first_nonzero_negative)
 
 RANK_MODES = ("ratio", "fixed", "lossless")
@@ -80,10 +80,14 @@ def _singular_basis(m: np.ndarray, k: int) -> np.ndarray:
     from eigenvectors of m @ m.T, the first k resolved to 1% (module
     docstring). Experts with j < k resolved pairs are grouped by j and their
     other eigenvectors recomputed from m projected on their span. For finite
-    m @ m.T every level resolves its top pair, so the recursion ends; an
-    eigenvalue that is not finite (the Gram overflowed) is a NumericalError."""
+    m @ m.T every level resolves its top pair, so the recursion ends; a Gram
+    or eigenvalue that is not finite (an overflow) is a NumericalError."""
     p = m.shape[1]
-    w, x = np.linalg.eigh(m @ m.transpose(0, 2, 1))
+    g = m @ m.transpose(0, 2, 1)
+    if not np.isfinite(g).all():
+        raise NumericalError("whitened deltas overflow: their Gram has entries that are not finite")
+    w, x = np.linalg.eigh(g)
+    del g
     if not np.isfinite(w).all():
         raise NumericalError("whitened deltas overflow: their Gram has eigenvalues that are not finite")
     w, x = np.maximum(w[:, ::-1], 0.0), x[..., ::-1]
@@ -100,14 +104,14 @@ def whitened_factors(deltas, grams, k: int,
     """Whitened rank-k factors of an (E, m, n) delta stack, and their weighted errors.
 
     `grams` is any sequence of the E matching (n, n) Grams (a stack, a list,
-    `linalg.PackedGrams`), each read for its Cholesky factor, checked then
-    (`as_gram`) and copied for the schedule to shift, and again for its
-    error; `deltas` may be a sequence of matrices (checked once, `as_stack`).
-    u_e holds the top-k left singular vectors of deltas[e] @ S_e, with S_e
-    from `cholesky_damped`'s schedule on grams[e], the first nonzero entry
-    of each column positive; v_e = u_e^T deltas[e]. After the Cholesky
-    factors every step runs on the stacks, each row as a call on that
-    expert alone makes it. Returns the factors and their (E,) `weighted_error`s.
+    `linalg.PackedGrams`), each read twice, one expert at a time: by
+    `cholesky_damped` (checked as grams[i]) and by `weighted_error`; `deltas`
+    may be a sequence of matrices (checked once, `as_stack`). u_e holds the
+    top-k left singular vectors of deltas[e] @ S_e, S_e = `cholesky_damped`
+    of grams[e], the first nonzero entry of each column positive; v_e =
+    u_e^T deltas[e]. After the Cholesky factors every step runs on the
+    stacks, each row as a call on that expert alone makes it. Returns the
+    factors and their (E,) `weighted_error`s.
     """
     d = as_stack(deltas, "deltas")
     n_experts, m, n = d.shape
@@ -115,7 +119,7 @@ def whitened_factors(deltas, grams, k: int,
         raise ParameterError(f"rank k={k} outside [1, {min(m, n)}]")
     if len(grams) != n_experts:
         raise ShapeError(f"{len(grams)} Grams for delta stack {d.shape}")
-    a = np.stack([de @ _cholesky_schedule(as_gram(grams[i], f"grams[{i}]", n) + 0.0, damping)[0]
+    a = np.stack([de @ cholesky_damped(grams[i], damping, f"grams[{i}]", n)[0]
                   for i, de in enumerate(d)])
     if m <= n:
         u = _singular_basis(a, k)[..., :k]
@@ -123,10 +127,8 @@ def whitened_factors(deltas, grams, k: int,
         u = np.linalg.qr(a @ _singular_basis(a.transpose(0, 2, 1), k)[..., :k])[0]
     del a
     u = np.where(first_nonzero_negative(u)[:, None, :], -u, u)
-    v = u.transpose(0, 2, 1) @ d
-    residuals = (de - ue @ ve for de, ue, ve in zip(d, u, v))  # one expert's at a time
-    errors = np.sqrt(np.maximum([np.sum((e @ grams[i]) * e) for i, e in enumerate(residuals)], 0.0))
-    return [DeltaFactor(u=ui, v=vi) for ui, vi in zip(u, v)], errors
+    factors = [DeltaFactor(u=ue, v=ve) for ue, ve in zip(u, u.transpose(0, 2, 1) @ d)]
+    return factors, np.array([weighted_error(d[e], f, grams[e]) for e, f in enumerate(factors)])
 
 
 def vanilla_svd_compress(delta, k: int) -> DeltaFactor:

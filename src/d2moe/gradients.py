@@ -87,13 +87,11 @@ def output_probabilities(logits: np.ndarray, first: int, n_total: int) -> np.nda
     tokens first .. first + T - 1 of n_total. Tokens whose probabilities are
     not finite raise NumericalError naming the first one by its index among
     all n_total."""
-    n_tokens = logits.shape[1]
-    e = np.exp(logits - np.max(logits, axis=0))
-    p = e / np.sum(e, axis=0)
+    p = _softmax(logits)
     bad = np.flatnonzero(~np.all(np.isfinite(p), axis=0))
     if bad.size:
         raise NumericalError(f"output probabilities are not finite for {bad.size} of calibration "
-                             f"tokens {first}..{first + n_tokens - 1} ({n_total} in all; first: "
+                             f"tokens {first}..{first + p.shape[1] - 1} ({n_total} in all; first: "
                              f"token {first + bad[0]}); the logits overflow")
     return p
 

@@ -151,20 +151,18 @@ class PackedGrams:
         self.data[i] += (x.T @ x).reshape(-1).take(self._lower)
 
 
-def cholesky_damped(g, base_damping: float = DEFAULT_DAMPING) -> tuple[np.ndarray, float]:
+def cholesky_damped(g, base_damping: float = DEFAULT_DAMPING, name: str = "gram",
+                    n: int | None = None) -> tuple[np.ndarray, float]:
     """Lower-triangular S with S @ S.T = G + lambda*I, returned as (S, lambda).
 
     lambda starts at base_damping * trace(G)/dim (floored at base_damping when
     the trace vanishes, e.g. the all-zero Gram of a never-routed expert) and
     doubles until the factorization succeeds, at most MAX_DAMPING_DOUBLINGS
-    attempts. G is checked by `as_gram` and never written to.
+    attempts. G is checked by `as_gram(g, name, n)` and never written to:
+    the schedule shifts the diagonal of a copy, g + lambda * I to the byte.
     """
-    return _cholesky_schedule(as_gram(g) + 0.0, base_damping)
-
-
-def _cholesky_schedule(a: np.ndarray, base_damping: float) -> tuple[np.ndarray, float]:
-    """`cholesky_damped`'s schedule, shifting the diagonal of `a`, a checked
-    g + 0.0, in place: g + lam * I to the byte. damping: finite, >= 0."""
+    a = as_gram(g, name, n) + 0.0
+    del g  # a `PackedGrams` read lives only here: free it before the factorization
     if not 0.0 <= base_damping < np.inf:
         raise ParameterError(f"damping must be finite and >= 0, got {base_damping}")
     n = a.shape[0]

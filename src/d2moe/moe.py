@@ -220,9 +220,10 @@ class LayerCapture:
 # routing
 # ---------------------------------------------------------------------------
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - np.max(z))
-    return e / np.sum(e)
+def _softmax(z: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Softmax of z along `axis`, its max subtracted first."""
+    e = np.exp(z - np.max(z, axis=axis, keepdims=True))
+    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def route_batch(gate_w: np.ndarray, top_k: int, x_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,8 +235,7 @@ def route_batch(gate_w: np.ndarray, top_k: int, x_batch: np.ndarray) -> tuple[np
     logits = gate_w @ x_batch  # (N, T)
     selected = np.ascontiguousarray(np.argsort(-logits, axis=0, kind="stable")[:top_k].T)
     top = logits[selected, np.arange(x_batch.shape[1])[:, None]]  # (T, k)
-    e = np.exp(top - top.max(axis=1, keepdims=True))
-    return selected, e / e.sum(axis=1, keepdims=True)
+    return selected, _softmax(top, axis=1)
 
 
 def _trace_from_routing(selected: np.ndarray, weights: np.ndarray, n_experts: int) -> RoutingTrace:
@@ -332,11 +332,10 @@ def expert_frequency(counts: np.ndarray) -> np.ndarray:
     return counts / float(total)
 
 
-def token_chunks(n_tokens: int) -> list[slice]:
-    """Column slices of consecutive TOKEN_CHUNK-token chunks covering
-    n_tokens tokens, in order; the last may be shorter."""
-    return [slice(start, min(start + TOKEN_CHUNK, n_tokens))
-            for start in range(0, n_tokens, TOKEN_CHUNK)]
+def token_chunks(n_tokens: int, size: int = TOKEN_CHUNK) -> list[slice]:
+    """Column slices of consecutive size-token chunks covering n_tokens
+    tokens, in order; the last may be shorter."""
+    return [slice(start, min(start + size, n_tokens)) for start in range(0, n_tokens, size)]
 
 
 # ---------------------------------------------------------------------------

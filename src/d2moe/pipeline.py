@@ -186,7 +186,8 @@ def build_compressed_layer(layer: MoELayer, stats: LayerStats, cfg: CompressionC
                            layer_index: int = 0) -> LayerBuild:
     """Merge, factorize and prune one layer a role at a time, so that one
     role's (E, m, n) deltas W_i - W_b are alive at once, then package it.
-    An error from a role's whitened factors is re-raised naming the layer and role.
+    Deltas that overflow are a NumericalError, and an error from a role's
+    whitened factors is re-raised, each naming the layer and role.
 
     `layer_index` selects the layer's delta ratio (per-layer ratios).
     """
@@ -196,6 +197,8 @@ def build_compressed_layer(layer: MoELayer, stats: LayerStats, cfg: CompressionC
         marks = [time.perf_counter()]
         base, n_fallback = merge_role(layer, role, stats, cfg)
         deltas = layer.weights[role] - base
+        if not np.isfinite(deltas).all():
+            raise NumericalError(f"layer {layer_index} {role.value}: merged base or deltas overflow")
         marks.append(time.perf_counter())
         ranks[role.value] = cfg.rank_for(layer_index, *deltas.shape[1:])
         try:
@@ -256,9 +259,7 @@ def _token_losses(logits: np.ndarray, y: np.ndarray, first: int = 0) -> np.ndarr
 
 def _batch_mean(per_token: np.ndarray, batch_size: int) -> float:
     """Mean of the token losses, summed per batch of batch_size; a non-finite mean is rejected."""
-    total = 0.0
-    for start in range(0, per_token.size, batch_size):
-        total += float(np.sum(per_token[start:start + batch_size]))
+    total = sum(float(np.sum(per_token[cols])) for cols in token_chunks(per_token.size, batch_size))
     loss = total / per_token.size
     if not np.isfinite(loss):
         raise NumericalError(f"evaluation loss is not finite ({loss!r})")
@@ -277,13 +278,12 @@ def _forward_chunks(model, x: np.ndarray, labels,
     if labels is not None:
         labels = check_labels(labels, model.head.shape[0], n_tokens)
         losses = np.empty(n_tokens)
-    for start in range(0, n_tokens, batch_size):
-        cols = slice(start, start + batch_size)
+    for cols in token_chunks(n_tokens, batch_size):
         logits, chunk_traces = compressed_model_forward(model, x[:, cols])
-        if start == 0:
+        if cols.start == 0:
             traces = chunk_traces
         if losses is not None:
-            losses[cols] = _token_losses(logits, labels[cols], start)
+            losses[cols] = _token_losses(logits, labels[cols], cols.start)
     return losses, traces
 
 
@@ -429,7 +429,6 @@ def layer_sensitivity_scan(model: MoEModel, calib_tokens, labels, probe_ratio: f
     cfg = config if config is not None else CompressionConfig(merge_method="mean", sparsity=0.0)
     cfg = dc_replace(cfg, rank_mode="ratio", delta_ratio=probe_ratio, per_layer_ratios=None)
     stats, x, labels, baseline, _ = _calibrate([cfg], model, calib_tokens, labels)
-    batches = [slice(start, start + cfg.batch_size) for start in range(0, x.shape[1], cfg.batch_size)]
     increases = []
     for l, layer in enumerate(model.layers):
         probe = build_compressed_layer(layer, stats[l], cfg, l).layer
@@ -437,6 +436,7 @@ def layer_sensitivity_scan(model: MoEModel, calib_tokens, labels, probe_ratio: f
         losses, _ = _forward_chunks(hybrid, x, labels, cfg.batch_size)
         increases.append(_batch_mean(losses, cfg.batch_size) - baseline)
         if l + 1 < len(model.layers):  # layer l + 1's dense input, token-major
-            x = np.vstack([layer_forward_dense(layer, x[:, cols])[0].T for cols in batches]).T
+            x = np.vstack([layer_forward_dense(layer, x[:, cols])[0].T
+                           for cols in token_chunks(x.shape[1], cfg.batch_size)]).T
     return SensitivityProfile(baseline_loss=baseline, increases=tuple(increases),
                               probe_ratio=probe_ratio, probe_config=cfg.to_dict())

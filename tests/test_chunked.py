@@ -113,6 +113,14 @@ def both(fx, n_tokens, merge, mode):
             unchunked_stats(fx.model, x, cfg, labels=labels), cfg)
 
 
+def test_token_chunks_of_a_given_size():
+    """Consecutive `size`-token slices in order, the last one shorter when
+    size does not divide the token count."""
+    assert token_chunks(10, 4) == [slice(0, 4), slice(4, 8), slice(8, 10)]
+    assert token_chunks(8, 4) == [slice(0, 4), slice(4, 8)]
+    assert token_chunks(3, 4) == [slice(0, 3)]
+
+
 def close(got, want):
     """Within 1e-12 of the largest entry of `want`."""
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())

@@ -632,10 +632,9 @@ class TestExitCodes:
         return tmp_path / "huge.d2m"
 
     def compress_huge(self, workdir, tmp_path, merge):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return main(["compress", "--model", str(self.huge_model(workdir, tmp_path)),
-                         "--calib", str(workdir / "calib.d2m"), "--merge", merge,
-                         "--out", str(tmp_path / "o.d2m"), "--report", str(tmp_path / "r.jsonl")])
+        return main(["compress", "--model", str(self.huge_model(workdir, tmp_path)),
+                     "--calib", str(workdir / "calib.d2m"), "--merge", merge,
+                     "--out", str(tmp_path / "o.d2m"), "--report", str(tmp_path / "r.jsonl")])
 
     def test_overflowing_logits_in_fisher_are_numerical(self, workdir, tmp_path, capsys):
         assert self.compress_huge(workdir, tmp_path, "fisher") == EXIT_NUMERICAL
@@ -648,8 +647,7 @@ class TestExitCodes:
 
     def test_overflowing_logits_in_eval_are_numerical(self, workdir, tmp_path, capsys):
         huge = self.huge_model(workdir, tmp_path)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["eval", "--model", str(huge), "--calib", str(workdir / "calib.d2m")])
+        rc = main(["eval", "--model", str(huge), "--calib", str(workdir / "calib.d2m")])
         assert rc == EXIT_NUMERICAL
         captured = capsys.readouterr()
         assert "logits are not finite" in captured.err
@@ -678,8 +676,7 @@ class TestExitCodes:
         files = ["--model", str(tmp_path / "model.d2m"), "--calib", str(tmp_path / "calib.d2m")]
         outputs = (["--out", str(tmp_path / "o.d2m"), "--report", str(tmp_path / "r.jsonl")]
                    if argv[0] == "compress" else ["--out", str(tmp_path / "c.csv")])
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main([argv[0], *files, *outputs, *argv[1:]])
+        rc = main([argv[0], *files, *outputs, *argv[1:]])
         assert rc == EXIT_NUMERICAL
         assert "layer 0 up: calibration Grams or Fisher sums overflow" in capsys.readouterr().err
         assert not any((tmp_path / name).exists() for name in ("o.d2m", "r.jsonl", "c.csv"))
@@ -695,31 +692,46 @@ class TestExitCodes:
 
 class TestExtremeContainers:
     """Valid containers whose weights overflow somewhere in the pipeline:
-    every command exits with its documented code and an `error:` line,
-    never an uncaught exception, and a failed command writes no output.
+    every command exits with its documented code and one `error:` line,
+    never an uncaught exception or a numpy warning (the suite turns
+    warnings into errors), and a failed command writes no output.
     `x1e80` scales one layer's expert weights by 1e80: the forward stays
     finite, but the whitened Down deltas' Gram overflows in every build.
     `x1e200` has two layers and scales layer 0's: its output overflows
-    inside the network, which the loss passes and the Grams report."""
+    inside the network, which the loss passes and the Grams report.
+    `never-routed` has one layer of 3 experts, top-1, whose equal gate rows
+    send every token to expert 0; experts 1 and 2 have finite Up weights of
+    1.5e308 that no token reaches, so calibration stays finite, but the mean
+    merge's base overflows, and the other merges' whitened Up deltas
+    overflow their Gram."""
 
     COMMANDS = {
         "compress-fisher": ["compress", "--merge", "fisher"],
         "compress-mean": ["compress", "--merge", "mean"],
+        "compress-frequency": ["compress", "--merge", "frequency"],
         "eval": ["eval"],
         "calibrate": ["calibrate"],
         "sensitivity": ["analyze", "--sensitivity"],
         "frontier": ["analyze", "--frontier", "0.5"],
     }
     WHITENED = (EXIT_NUMERICAL, "layer 0 down: whitened deltas overflow")
+    UP_WHITENED = (EXIT_NUMERICAL, "layer 0 up: whitened deltas overflow")
     EXPECTED = {
-        "x1e80": {"compress-fisher": WHITENED, "compress-mean": WHITENED, "eval": (EXIT_OK, None),
+        "x1e80": {"compress-fisher": WHITENED, "compress-mean": WHITENED,
+                  "compress-frequency": WHITENED, "eval": (EXIT_OK, None),
                   "calibrate": (EXIT_OK, None), "sensitivity": WHITENED, "frontier": WHITENED},
         "x1e200": {"compress-fisher": (EXIT_NUMERICAL, "not finite"),
                    "compress-mean": (EXIT_NUMERICAL, "logits are not finite"),
+                   "compress-frequency": (EXIT_NUMERICAL, "logits are not finite"),
                    "eval": (EXIT_NUMERICAL, "logits are not finite"),
                    "calibrate": (EXIT_NUMERICAL, "layer 0 down: calibration Grams or Fisher sums overflow"),
                    "sensitivity": (EXIT_NUMERICAL, "not finite"),
                    "frontier": (EXIT_NUMERICAL, "not finite")},
+        "never-routed": {"compress-fisher": UP_WHITENED,
+                         "compress-mean": (EXIT_NUMERICAL, "layer 0 up: merged base or deltas overflow"),
+                         "compress-frequency": UP_WHITENED, "eval": (EXIT_OK, None),
+                         "calibrate": (EXIT_OK, None), "sensitivity": UP_WHITENED,
+                         "frontier": UP_WHITENED},
     }
 
     @pytest.fixture(scope="class")
@@ -733,18 +745,30 @@ class TestExtremeContainers:
                       *fx.model.layers[1:]]
             save_model(root / f"{name}.d2m", MoEModel(layers=layers, head=fx.model.head))
             save_calibration(root / f"{name}-calib.d2m", fx.tokens, fx.labels)
+        fx = gen_fixture(seed=0, n_experts=3, d_model=8, hidden=16, tokens=256, top_k=1)
+        layer = fx.model.layers[0]
+        up = layer.weights[Role.UP].copy()
+        up[1:] = 1.5e308
+        save_model(root / "never-routed.d2m", MoEModel(
+            layers=[MoELayer(gate=np.repeat(layer.gate[:1], 3, axis=0), top_k=1,
+                             weights={Role.UP: up, Role.DOWN: layer.weights[Role.DOWN]})],
+            head=fx.model.head))
+        save_calibration(root / "never-routed-calib.d2m", fx.tokens, fx.labels)
         return root
+
+    @staticmethod
+    def argv(containers, tmp_path, container, command) -> list[str]:
+        argv = TestExtremeContainers.COMMANDS[command]
+        outputs = {"compress": ["--out", str(tmp_path / "o.d2m"), "--report", str(tmp_path / "r.jsonl")],
+                   "calibrate": ["--out", str(tmp_path / "c.csv")],
+                   "analyze": ["--out-dir", str(tmp_path / "an")], "eval": []}[argv[0]]
+        return [argv[0], "--model", str(containers / f"{container}.d2m"),
+                "--calib", str(containers / f"{container}-calib.d2m"), *outputs, *argv[1:]]
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     @pytest.mark.parametrize("container", list(EXPECTED))
     def test_exits_with_the_documented_code(self, containers, tmp_path, capsys, container, command):
-        argv = self.COMMANDS[command]
-        outputs = {"compress": ["--out", str(tmp_path / "o.d2m"), "--report", str(tmp_path / "r.jsonl")],
-                   "calibrate": ["--out", str(tmp_path / "c.csv")],
-                   "analyze": ["--out-dir", str(tmp_path / "an")], "eval": []}[argv[0]]
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main([argv[0], "--model", str(containers / f"{container}.d2m"),
-                       "--calib", str(containers / f"{container}-calib.d2m"), *outputs, *argv[1:]])
+        rc = main(self.argv(containers, tmp_path, container, command))
         code, message = self.EXPECTED[container][command]
         captured = capsys.readouterr()
         assert rc == code, captured.err
@@ -753,8 +777,22 @@ class TestExtremeContainers:
             assert captured.err == ""
             assert written or "loss=" in captured.out
         else:
+            assert len(captured.err.splitlines()) == 1
             assert captured.err.startswith("error: ") and message in captured.err
             assert written == []
+
+    @pytest.mark.parametrize("command", ["eval", "compress-mean"])
+    def test_one_stderr_line_from_the_command(self, containers, tmp_path, command):
+        """Run as a command, outside the suite's warning filter, a failure
+        prints its `error:` line and nothing else: no numpy warning first."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "d2moe.cli",
+                               *self.argv(containers, tmp_path, "x1e200", command)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith("error: logits are not finite")
 
 
 class TestInconsistentCompressedContainer:

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from d2moe import factorize
 from d2moe.config import CompressionConfig
-from d2moe.errors import ConfigError, ParameterError, ShapeError
+from d2moe.errors import ConfigError, NumericalError, ParameterError, ShapeError
 from d2moe.factorize import (
     DeltaFactor,
     rank_for_ratio,
@@ -372,6 +373,39 @@ class TestWhitenedFactors:
         nonfinite[3, 1, 1] = np.inf
         with pytest.raises(ShapeError, match=r"grams\[3\]: contains non-finite"):
             whitened_factors(d, nonfinite, 2)
+
+    def test_calls_cholesky_damped_and_weighted_error_per_expert(self, monkeypatch):
+        """Each expert's Gram is factored by `cholesky_damped`, the damping
+        its second positional argument, and each factor scored by
+        `weighted_error`, once per expert and in expert order."""
+        calls = {"cholesky_damped": [], "weighted_error": []}
+        for name, log in calls.items():
+            def spy(*args, _real=getattr(factorize, name), _log=log, **kwargs):
+                _log.append(args)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(factorize, name, spy)
+        rng = np.random.default_rng(23)
+        d = rng.normal(size=(4, 6, 5))
+        x = rng.normal(size=(4, 5, 30))
+        factors, errors = whitened_factors(d, x @ x.transpose(0, 2, 1), 2, damping=1e-6)
+        assert [args[1:] for args in calls["cholesky_damped"]] == [
+            (1e-6, f"grams[{i}]", 5) for i in range(4)]
+        assert all(args[1] is f for args, f in zip(calls["weighted_error"], factors, strict=True))
+        assert errors.tolist() == [weighted_error(*args) for args in calls["weighted_error"]]
+
+    @pytest.mark.parametrize("m,n", [(6, 5), (5, 6)])
+    def test_overflowing_whitened_gram_is_numerical(self, m, n):
+        """Finite deltas of a never-routed expert (zero Gram, so S = 1e-4 I)
+        whose whitened Gram overflows: a NumericalError, not the
+        eigensolver's failure to converge."""
+        rng = np.random.default_rng(24)
+        d = rng.normal(size=(2, m, n))
+        d[1] = 1.5e308
+        x = rng.normal(size=(n, 30))
+        grams = np.stack([x @ x.T, np.zeros((n, n))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="whitened deltas overflow"):
+                whitened_factors(d, grams, 2)
 
     @pytest.mark.parametrize("damping", [np.nan, np.inf, -1e-8])
     def test_rejects_non_finite_or_negative_damping(self, damping):
