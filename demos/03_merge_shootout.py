@@ -10,7 +10,7 @@ import numpy as np
 
 from d2moe import CompressionConfig, compress, evaluate, gen_fixture
 from d2moe.moe import MoELayer, MoEModel, Role, silu
-from d2moe.pruning import static_metric
+from d2moe.pruning import static_metric_from_gram
 
 fx = gen_fixture(seed=0)
 layer = fx.model.layers[0]
@@ -30,7 +30,12 @@ budget = census // n
 print(f"\nstored expert params: {census} total, {budget} per expert")
 print("prune-only variants at that exact budget (keep u up-cols, v down-cols):")
 
-h_all = {i: silu(layer.weights[Role.UP][i] @ fx.tokens) for i in range(n)}
+# the metric's activation norms: per row of the tokens and of each expert's hidden activations
+x_sq = np.sum(fx.tokens * fx.tokens, axis=1)
+h_sq = {}
+for i in range(n):
+    h = silu(layer.weights[Role.UP][i] @ fx.tokens)
+    h_sq[i] = np.sum(h * h, axis=1)
 results = []
 for u in range(d + 1):
     rem = budget - hidden * u
@@ -40,8 +45,8 @@ for u in range(d + 1):
     weights = {r: w.copy() for r, w in layer.weights.items()}
     for i in range(n):
         up, down = weights[Role.UP][i], weights[Role.DOWN][i]  # views, pruned in place
-        up[:, np.argsort(static_metric(up, fx.tokens), kind="stable")[:d - u]] = 0.0
-        down[:, np.argsort(static_metric(down, h_all[i]), kind="stable")[:hidden - v]] = 0.0
+        up[:, np.argsort(static_metric_from_gram(up, x_sq), kind="stable")[:d - u]] = 0.0
+        down[:, np.argsort(static_metric_from_gram(down, h_sq[i]), kind="stable")[:hidden - v]] = 0.0
     model = MoEModel(layers=[MoELayer(gate=layer.gate, weights=weights,
                                       top_k=layer.top_k)], head=fx.model.head)
     results.append((u, v, evaluate(model, fx.tokens, fx.labels).loss))

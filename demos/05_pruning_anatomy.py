@@ -12,14 +12,14 @@ import numpy as np
 from d2moe import gen_fixture
 from d2moe.merge import weighted_merge
 from d2moe.moe import Role
-from d2moe.pruning import dynamic_mask, static_metric, static_prune
+from d2moe.pruning import dynamic_mask, static_metric_from_gram, static_prune
 
 fx = gen_fixture(seed=0)
 layer = fx.model.layers[0]
 base, _ = weighted_merge(layer.weights[Role.UP], np.ones(layer.n_experts))
 n = base.shape[1]
 
-metric = static_metric(base, fx.tokens)
+metric = static_metric_from_gram(base, np.sum(fx.tokens * fx.tokens, axis=1))
 print("column salience (norm of column x norm of its activation row):")
 print("  weakest 8:", np.argsort(metric, kind="stable")[:8].tolist())
 

@@ -11,9 +11,9 @@ import numpy as np
 from d2moe import CompressionConfig, compress, evaluate, gen_fixture
 from d2moe.analysis import allocate_adaptive_ratios, cka, energy_retention
 from d2moe.merge import weighted_merge
-from d2moe.moe import Role
+from d2moe.moe import MoEModel, Role
 from d2moe.pipeline import compute_layer_stats, layer_sensitivity_scan
-from d2moe.runtime import CompressedModel, trim_deltas
+from d2moe.runtime import trim_deltas
 
 fx = gen_fixture(seed=0)
 layer = fx.model.layers[0]
@@ -36,8 +36,7 @@ print("\nrouting frequency per expert:")
 print("  " + " ".join(f"{f:.3f}" for f in freq))
 print("loss as trim count grows (rarest experts lose their deltas first):")
 for t in range(layer.n_experts + 1):
-    trimmed = CompressedModel(layers=[trim_deltas(compressed.layers[0], freq, t)],
-                              head=compressed.head)
+    trimmed = MoEModel(layers=[trim_deltas(compressed.layers[0], freq, t)], head=compressed.head)
     loss = evaluate(trimmed, fx.tokens, fx.labels).loss
     print(f"  t={t}: {loss:.5f}")
 

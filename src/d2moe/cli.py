@@ -31,7 +31,7 @@ from .config import CompressionConfig, apply_overrides, apply_preset, parse_conf
 from .container import load_any, save_calibration, save_compressed_model, save_model
 from .errors import ConfigError, ContainerError, D2MoeError, NumericalError
 from .fixtures import gen_fixture
-from .moe import MoEModel, Role
+from .moe import MoELayer, MoEModel, Role
 from .pipeline import compress, compute_layer_stats, evaluate, layer_sensitivity_scan, ratio_frontier
 from .report import (
     _write_csv,
@@ -41,7 +41,6 @@ from .report import (
     write_report,
     write_sensitivity_csv,
 )
-from .runtime import CompressedModel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -101,7 +100,10 @@ def _load(path, kinds, complaint: str):
 
 
 def _load_model_file(path) -> MoEModel:
-    return _load(path, MoEModel, "is not a dense model container")
+    model = load_any(path)
+    if not (isinstance(model, MoEModel) and all(isinstance(layer, MoELayer) for layer in model.layers)):
+        raise ConfigError(f"{path} is not a dense model container")
+    return model
 
 
 def _load_calib_file(path) -> tuple[np.ndarray, np.ndarray]:
@@ -163,7 +165,7 @@ def _cmd_compress(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    model = _load(args.model, (MoEModel, CompressedModel), "holds calibration data, not a model")
+    model = _load(args.model, MoEModel, "holds calibration data, not a model")
     tokens, labels = _load_calib_file(args.calib)
     result = evaluate(model, tokens, labels, batch_size=cfg.batch_size)
     print(f"loss={result.loss!r} perplexity={result.perplexity!r} tokens={result.n_tokens}")
@@ -186,37 +188,36 @@ def _cmd_analyze(args) -> int:
         tokens, labels = _load_calib_file(args.calib)
     if args.cka and not 0 <= args.layer < len(model.layers):
         raise ConfigError(f"--layer {args.layer} outside [0, {len(model.layers) - 1}]")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    wrote_any = False
-
-    if args.cka:
-        w = model.layers[args.layer].weights[Role(args.role)]
-        matrix = [[cka(a, b) for b in w] for a in w]
-        write_cka_csv(out_dir / "cka.csv", matrix)
-        print(f"wrote {out_dir / 'cka.csv'}")
-        wrote_any = True
-
     if args.sensitivity:
-        profile = layer_sensitivity_scan(model, tokens, labels, probe_ratio=args.probe_ratio,
-                                         config=cfg)
         # --budget is a parameter-weighted mean ratio; weights are relative to
         # layer 0's expert parameters, so equal-size layers weigh exactly 1
         sizes = [layer.n_experts * layer.hidden * (layer.d_model + layer.d_out) for layer in model.layers]
+        layer_params = [size / sizes[0] for size in sizes]
+        # --budget and --p-min are checked before the scan
+        allocate_adaptive_ratios(np.zeros(len(sizes)), budget=args.budget, p_min=args.p_min,
+                                 layer_params=layer_params)
+
+    # every table is computed before the out-dir is made, so a failure writes nothing
+    tables = {}
+    if args.cka:
+        w = model.layers[args.layer].weights[Role(args.role)]
+        tables["cka.csv"] = (write_cka_csv, [[cka(a, b) for b in w] for a in w])
+    if args.sensitivity:
+        profile = layer_sensitivity_scan(model, tokens, labels, probe_ratio=args.probe_ratio,
+                                         config=cfg)
         alloc = allocate_adaptive_ratios(profile, budget=args.budget, p_min=args.p_min,
-                                         layer_params=[size / sizes[0] for size in sizes])
-        write_sensitivity_csv(out_dir / "sensitivity.csv", profile.increases, alloc.ratios)
-        print(f"wrote {out_dir / 'sensitivity.csv'}")
-        wrote_any = True
-
+                                         layer_params=layer_params)
+        tables["sensitivity.csv"] = (write_sensitivity_csv, profile.increases, alloc.ratios)
     if args.frontier:
-        points = ratio_frontier(model, tokens, labels, cfg, ratios)
-        write_frontier_csv(out_dir / "frontier.csv", points)
-        print(f"wrote {out_dir / 'frontier.csv'}")
-        wrote_any = True
-
-    if not wrote_any:
+        tables["frontier.csv"] = (write_frontier_csv, ratio_frontier(model, tokens, labels, cfg, ratios))
+    if not tables:
         raise ConfigError("analyze: choose at least one of --cka, --sensitivity, --frontier")
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (write, *data) in tables.items():
+        write(out_dir / name, *data)
+        print(f"wrote {out_dir / name}")
     return EXIT_OK
 
 

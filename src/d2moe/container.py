@@ -35,7 +35,7 @@ from .errors import (
 from .factorize import DeltaFactor
 from .moe import ROLES, MoELayer, MoEModel, Role
 from .pruning import PrunedBase
-from .runtime import CompressedLayer, CompressedModel
+from .runtime import CompressedLayer
 
 MAGIC = b"D2MZ0001"
 ALIGNMENT = 64
@@ -252,6 +252,8 @@ def _assembling(part: str):
 def save_model(path, model: MoEModel) -> None:
     tensors: dict[str, np.ndarray] = {"meta/kind": _scalar(KIND_DENSE_MODEL)}
     for l, layer in enumerate(model.layers):
+        if not isinstance(layer, MoELayer):
+            raise ParameterError(f"layer {l} is not dense; save_model serializes dense models only")
         tensors[f"layer{l}/meta"] = _row([layer.top_k, layer.n_experts])
         tensors[f"layer{l}/gate"] = layer.gate
         for j in range(layer.n_experts):
@@ -318,7 +320,7 @@ def load_calibration(tensors: dict[str, np.ndarray]) -> tuple[np.ndarray, np.nda
     return tokens, labels
 
 
-def save_compressed_model(path, model: CompressedModel) -> None:
+def save_compressed_model(path, model: MoEModel) -> None:
     tensors: dict[str, np.ndarray] = {"meta/kind": _scalar(KIND_COMPRESSED_MODEL)}
     for l, layer in enumerate(model.layers):
         if not isinstance(layer, CompressedLayer):
@@ -351,7 +353,7 @@ def _load_pruned_base(tensors: dict[str, np.ndarray], l: int, role: Role) -> Pru
                           total_cols=total_cols, target_sparsity=sparsity)
 
 
-def load_compressed_model(tensors: dict[str, np.ndarray]) -> CompressedModel:
+def load_compressed_model(tensors: dict[str, np.ndarray]) -> MoEModel:
     layers = []
     l = 0
     while f"layer{l}/meta" in tensors:
@@ -377,7 +379,7 @@ def load_compressed_model(tensors: dict[str, np.ndarray]) -> CompressedModel:
     if not layers:
         raise ManifestError("container holds no layers")
     with _assembling("model"):
-        return CompressedModel(layers=layers, head=_tensor(tensors, "head"))
+        return MoEModel(layers=layers, head=_tensor(tensors, "head"))
 
 
 def load_any(path):

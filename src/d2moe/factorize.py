@@ -5,8 +5,6 @@ activation Gram before truncating: with S @ S.T = Gram, the rank-k SVD of
 A = delta @ S minimizes the activation-weighted error ||(delta - approx) @ S||_F.
 That optimum is the projection of the delta onto the top-k left singular
 vectors U_k of A, so it is stored as U_k and U_k^T delta, with no inverse of S.
-The ablation, `vanilla_svd_compress`, truncates LAPACK's thin SVD of the
-unwhitened delta.
 
 `whitened_factors` finds U_k for all experts of one layer and role in one
 stacked call, from eigendecompositions of the smaller Gram of A: U_k is the
@@ -129,17 +127,6 @@ def whitened_factors(deltas, grams, k: int,
     u = np.where(first_nonzero_negative(u)[:, None, :], -u, u)
     factors = [DeltaFactor(u=ue, v=ve) for ue, ve in zip(u, u.transpose(0, 2, 1) @ d)]
     return factors, np.array([weighted_error(d[e], f, grams[e]) for e, f in enumerate(factors)])
-
-
-def vanilla_svd_compress(delta, k: int) -> DeltaFactor:
-    """Plain truncated SVD, LAPACK's thin SVD of the delta with no whitening,
-    split as U_k sqrt(Sigma_k), sqrt(Sigma_k) V_k^T."""
-    d = as_matrix(delta, "delta")
-    if not 1 <= k <= min(d.shape):
-        raise ParameterError(f"rank k={k} outside [1, {min(d.shape)}]")
-    u, sigma, vt = np.linalg.svd(d, full_matrices=False)
-    root = np.sqrt(sigma[:k])
-    return DeltaFactor(u=u[:, :k] * root, v=root[:, None] * vt[:k])
 
 
 def weighted_error(delta, factor: DeltaFactor, gram) -> float:

@@ -133,20 +133,21 @@ def gen_fixture(seed: int, n_experts: int = 8, d_model: int = 32, hidden: int = 
     beta_broad = _GATE_SPREAD
     beta_burst = 3.0 * _GATE_SPREAD
 
-    def expert_bank(m, k, scale, burst_cols, dormant):
-        # One (n, m, k) weight stack. dormant=True confines the rank-r
-        # factor B to the near-dead input coords; the down projection has
-        # no such coords on its input side, so its divergence stays small
-        # and dense instead.
+    def expert_bank(m, k, scale, up):
+        # One (n, m, k) weight stack. The Up bank (up=True) gets the burst
+        # and dead input columns, confines the rank-r factor B to the
+        # near-dead input coords and adds per-expert noise; the down
+        # projection has no such coords on its input side, so its
+        # divergence stays small and dense instead.
         base_std = 1.0 / np.sqrt(k)
         w_common = rng.normal(0.0, base_std, size=(m, k))
-        if burst_cols:
+        if up:
             w_common[:, :n_burst] = _SHARED_BURST_STD * rng.normal(size=(m, n_burst))
             w_common[:, dead0:] *= _DEAD_SCALE
             w_common[live_h:, :] *= _DEAD_SCALE
         if r == 0:
             return np.repeat(w_common[None], n, axis=0)
-        if dormant:
+        if up:
             b = np.zeros((r, k))
             b[:, dead0:] = rng.normal(0.0, base_std, size=(r, n_dead))
             a = np.zeros((n, m, r))
@@ -157,7 +158,7 @@ def gen_fixture(seed: int, n_experts: int = 8, d_model: int = 32, hidden: int = 
             a = rng.normal(0.0, scale / np.sqrt(r), size=(n, m, r))
         a -= a.mean(axis=0)
         bank = w_common + a @ b
-        if not burst_cols:
+        if not up:
             return bank
         amps = np.full(n, loner_amp)
         amps[:2] = broad_amp
@@ -178,8 +179,8 @@ def gen_fixture(seed: int, n_experts: int = 8, d_model: int = 32, hidden: int = 
             gate[i, :live_d] = beta_broad * row
         for j in range(n - 2):
             gate[2 + j, j % n_burst] = beta_burst
-        ups = expert_bank(h, d, sig, burst_cols=True, dormant=True)
-        downs = expert_bank(d, h, sig * _DOWN_SCALE, burst_cols=False, dormant=False)
+        ups = expert_bank(h, d, sig, up=True)
+        downs = expert_bank(d, h, sig * _DOWN_SCALE, up=False)
         model_layers.append(MoELayer(gate=gate, weights={Role.UP: ups, Role.DOWN: downs},
                                      top_k=top_k))
     head = rng.normal(0.0, 1.0 / np.sqrt(d), size=(num_classes, d))

@@ -5,18 +5,17 @@ The discrete top-k routing choice is treated as locally constant (it is
 piecewise constant in the parameters, so this is the exact gradient almost
 everywhere); the softmax over the surviving logits is differentiated exactly.
 
-Both callers run the same code: the calibration forward
-`moe.capture_calibration`, which records every layer's input and routing,
-then one reverse sweep over the layers (`_reverse_sweep`), which recomputes
-each expert's Up pre-activations as it reaches them. `fisher_accumulate`
-takes that capture from its caller, so the Grams, the routing counts and
-the Fisher all come from one dense pass over each chunk of calibration
-tokens. A token routed to expert i contributes a single outer product to
-each of that expert's gradients, ebar hid^T (Down) and abar x^T (Up).
-`backward_logloss` runs the sweep on one token and adds those products
-into stacks (`add_into`). `fisher_accumulate` runs it on one chunk and
-hands its caller each expert's sum of their elementwise squares over its
-tokens, in closed form (tokens along the rows, the sweep is token-major):
+The gradients come from the calibration forward `moe.capture_calibration`,
+which records every layer's input and routing, then one reverse sweep over
+the layers (`_reverse_sweep`), which recomputes each expert's Up
+pre-activations as it reaches them. `fisher_accumulate` takes that capture
+from its caller, so the Grams, the routing counts and the Fisher all come
+from one dense pass over each chunk of calibration tokens. A token routed
+to expert i contributes a single outer product to each of that expert's
+gradients, ebar hid^T (Down) and abar x^T (Up). `fisher_accumulate` runs
+the sweep on one chunk and hands its caller each expert's sum of their
+elementwise squares over its tokens, in closed form (tokens along the rows,
+the sweep is token-major):
 
     B_down[i] = (Ebar∘Ebar) (Hid∘Hid)^T,    B_up[i] = (Abar∘Abar) (X∘X)^T.
 
@@ -25,48 +24,12 @@ chunk (`_draw_labels`), so they do not depend on the chunk size.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalError, ParameterError, ShapeError
-from .moe import MoEModel, Role, ROLES, _softmax, capture_calibration, silu, silu_grad
+from .moe import MoEModel, Role, _softmax, silu, silu_grad
 
 FISHER_MODES = ("sampled-label", "data-label")
-
-
-@dataclass
-class GradientSet:
-    """Gradients laid out like the parameters they belong to: per layer the
-    gate's (N, d_model) gradient and, per role, an (E, m, n) stack with
-    expert_grads[l][role][i] the gradient of expert i's weight (the layout
-    of `MoELayer.weights`); then the head's."""
-
-    gate_grads: list[np.ndarray]
-    expert_grads: list[dict[Role, np.ndarray]]
-    head_grad: np.ndarray
-
-
-def backward_logloss(model: MoEModel, x, y: int) -> GradientSet:
-    """Exact analytic gradient of log softmax(head @ MoE(x))[y] with respect
-    to every gate, expert, and head entry."""
-    xv = np.ascontiguousarray(x, dtype=np.float64)
-    if xv.ndim != 1 or xv.shape[0] != model.layers[0].d_model:
-        raise ShapeError(f"x must be a length-{model.layers[0].d_model} vector")
-    if not 0 <= y < model.num_classes:
-        raise ParameterError(f"label {y} outside [0, {model.num_classes})")
-
-    h, captures = capture_calibration(model, xv[:, None])
-    lbar = -_softmax((model.head @ h)[:, 0])
-    lbar[y] += 1.0  # d log p(y|x) / d logits = onehot(y) - softmax
-    lbar = lbar[None, :]
-
-    expert_grads = [{role: np.zeros_like(layer.weights[role]) for role in ROLES}
-                    for layer in model.layers]
-    zbars = _reverse_sweep(model, captures, lbar @ model.head, lambda bar, act: bar.T @ act,
-                           add_into(expert_grads))
-    gate_grads = [zbar.T @ cap.x.T for zbar, cap in zip(zbars, captures)]
-    return GradientSet(gate_grads=gate_grads, expert_grads=expert_grads, head_grad=lbar.T @ h.T)
 
 
 def check_labels(labels, num_classes: int, n_tokens: int) -> np.ndarray:
@@ -94,14 +57,6 @@ def output_probabilities(logits: np.ndarray, first: int, n_total: int) -> np.nda
                              f"tokens {first}..{first + p.shape[1] - 1} ({n_total} in all; first: "
                              f"token {first + bad[0]}); the logits overflow")
     return p
-
-
-def add_into(stacks):
-    """A `_reverse_sweep` sink that adds each block into stacks[l][role][i]:
-    per layer, one stack per role shaped like `MoELayer.weights`."""
-    def sink(l: int, role: Role, i: int, block: np.ndarray) -> None:
-        stacks[l][role][i] += block
-    return sink
 
 
 def fisher_accumulate(model: MoEModel, captures, p: np.ndarray, labels: np.ndarray,

@@ -149,34 +149,30 @@ class MoELayer:
         return routed_forward(self, x, fill)
 
 
-def chained_head(layers, head) -> np.ndarray:
-    """`head` as a checked matrix, once the layer chain is checked: each
-    layer reads the previous layer's output and the head reads the last's.
-    Layers only need `d_model` and `d_out`, so dense and compressed mix."""
-    if not layers:
-        raise ShapeError("model needs at least one layer")
-    head = as_matrix(head, "head")
-    if head.shape[0] < 2:
-        raise ShapeError("head must produce at least 2 classes")
-    d = layers[0].d_model
-    for i, layer in enumerate(layers):
-        if layer.d_model != d:
-            raise ShapeError(f"layer {i} expects d_model {layer.d_model}, chain provides {d}")
-        d = layer.d_out
-    if head.shape[1] != d:
-        raise ShapeError(f"head cols {head.shape[1]} != final layer output dim {d}")
-    return head
-
-
 @dataclass(frozen=True)
 class MoEModel:
-    """Stack of MoE layers followed by a linear classifier head."""
+    """A chain of layers followed by a linear classifier head. The layers may
+    be dense `MoELayer`s, `runtime.CompressedLayer`s or a mix: they only need
+    `d_model`, `d_out` and `forward`. The chain is checked, each layer reading
+    the previous layer's output and the head the last's."""
 
-    layers: list[MoELayer]
-    head: np.ndarray  # (num_classes, d_model of last layer output)
+    layers: list  # MoELayer | CompressedLayer
+    head: np.ndarray  # (num_classes, d_out of the last layer)
 
     def __post_init__(self):
-        object.__setattr__(self, "head", chained_head(self.layers, self.head))
+        if not self.layers:
+            raise ShapeError("model needs at least one layer")
+        head = as_matrix(self.head, "head")
+        if head.shape[0] < 2:
+            raise ShapeError("head must produce at least 2 classes")
+        d = self.layers[0].d_model
+        for i, layer in enumerate(self.layers):
+            if layer.d_model != d:
+                raise ShapeError(f"layer {i} expects d_model {layer.d_model}, chain provides {d}")
+            d = layer.d_out
+        if head.shape[1] != d:
+            raise ShapeError(f"head cols {head.shape[1]} != final layer output dim {d}")
+        object.__setattr__(self, "head", head)
 
     @property
     def num_classes(self) -> int:
@@ -295,12 +291,6 @@ def _layer_input(layer, x_batch, name: str = "x_batch") -> np.ndarray:
     if x.shape[1] != layer.d_model:
         raise ShapeError(f"{name} rows {x.shape[1]} != d_model {layer.d_model}")
     return x
-
-
-def layer_forward_dense(layer: MoELayer, x_batch: np.ndarray) -> tuple[np.ndarray, RoutingTrace]:
-    """One dense MoE layer over a (d_model, T) batch, checked: (y (d_out, T), trace)."""
-    y, trace = layer.forward(_layer_input(layer, x_batch))
-    return y.T, trace
 
 
 def _chained_forward(layers, x_batch) -> tuple[np.ndarray, list[RoutingTrace]]:

@@ -37,20 +37,14 @@ from .moe import (
     MoEModel,
     Role,
     RoutingTrace,
+    _chained_forward,
     capture_calibration,
     expert_frequency,
-    layer_forward_dense,
     token_chunks,
 )
 from .pruning import static_metric_from_gram, static_prune
 from .report import CompressionReport, LayerRecord
-from .runtime import (
-    CompressedLayer,
-    CompressedModel,
-    compressed_model_forward,
-    param_report,
-    trim_deltas,
-)
+from .runtime import CompressedLayer, compressed_model_forward, param_report, trim_deltas
 
 # per-layer stages timed by build_compressed_layer, in run order
 LAYER_STAGES = ("merge", "factorize", "prune", "package")
@@ -309,11 +303,12 @@ def evaluate(model, tokens, labels, batch_size: int = 128) -> EvalResult:
 def compress(cfg: CompressionConfig, model: MoEModel, calib_tokens, labels=None):
     """Compress every layer of `model` and report what happened.
 
-    Returns (CompressedModel, CompressionReport). `labels` are needed for
-    the evaluation records and for data-label Fisher; when omitted, losses
-    are reported as 0 and data-label Fisher is rejected. The compressed
-    model runs over the calibration tokens once, also without labels: its
-    logits give `loss_after`, its first chunk's routing the active census.
+    Returns (an `MoEModel` of `CompressedLayer`s, CompressionReport).
+    `labels` are needed for the evaluation records and for data-label
+    Fisher; when omitted, losses are reported as 0 and data-label Fisher is
+    rejected. The compressed model runs over the calibration tokens once,
+    also without labels: its logits give `loss_after`, its first chunk's
+    routing the active census.
     """
     return _build_model(cfg, model, *_calibrate([cfg], model, calib_tokens, labels))
 
@@ -353,7 +348,7 @@ def _build_model(cfg: CompressionConfig, model: MoEModel, stats: list, calib: np
     for l, layer in enumerate(model.layers):
         builds.append(build_compressed_layer(layer, stats[l], cfg, l))
         stats[l] = None  # a built layer's statistics are not needed again
-    compressed = CompressedModel(layers=[b.layer for b in builds], head=model.head)
+    compressed = MoEModel(layers=[b.layer for b in builds], head=model.head)
     timings += [(stage, sum(b.seconds[stage] for b in builds)) for stage in LAYER_STAGES]
 
     t0 = time.perf_counter()
@@ -432,11 +427,11 @@ def layer_sensitivity_scan(model: MoEModel, calib_tokens, labels, probe_ratio: f
     increases = []
     for l, layer in enumerate(model.layers):
         probe = build_compressed_layer(layer, stats[l], cfg, l).layer
-        hybrid = CompressedModel(layers=[probe, *model.layers[l + 1:]], head=model.head)
+        hybrid = MoEModel(layers=[probe, *model.layers[l + 1:]], head=model.head)
         losses, _ = _forward_chunks(hybrid, x, labels, cfg.batch_size)
         increases.append(_batch_mean(losses, cfg.batch_size) - baseline)
         if l + 1 < len(model.layers):  # layer l + 1's dense input, token-major
-            x = np.vstack([layer_forward_dense(layer, x[:, cols])[0].T
+            x = np.vstack([_chained_forward([layer], x[:, cols])[0]
                            for cols in token_chunks(x.shape[1], cfg.batch_size)]).T
     return SensitivityProfile(baseline_loss=baseline, increases=tuple(increases),
                               probe_ratio=probe_ratio, probe_config=cfg.to_dict())

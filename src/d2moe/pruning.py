@@ -68,17 +68,9 @@ def _keep_all_but_lowest(scores: np.ndarray, q: int) -> np.ndarray:
     return np.sort(np.argsort(scores, kind="stable")[q:])
 
 
-def static_metric(w_b, calib_x) -> np.ndarray:
-    """Column pruning metric C_j = ||W_b[:, j]||_2 * ||X[j, :]||_2."""
-    w = as_matrix(w_b, "w_b")
-    x = as_matrix(calib_x, "calib_x")
-    if x.shape[0] != w.shape[1]:
-        raise ShapeError(f"calib_x rows {x.shape[0]} != w_b cols {w.shape[1]}")
-    return np.linalg.norm(w, axis=0) * np.linalg.norm(x, axis=1)
-
-
 def static_metric_from_gram(w_b, gram_diagonal) -> np.ndarray:
-    """Same metric from the activation Gram's diagonal: ||X[j,:]|| = sqrt(gram_jj)."""
+    """Column pruning metric C_j = ||W_b[:, j]||_2 * ||X[j, :]||_2, from the
+    diagonal of the activation Gram X X^T: ||X[j, :]||_2 = sqrt(gram_jj)."""
     w = as_matrix(w_b, "w_b")
     d = np.asarray(gram_diagonal, dtype=np.float64)
     if d.shape != (w.shape[1],):

@@ -9,10 +9,13 @@ once and adds each selected expert's rank-k correction:
     y   = sum_{i in TopK} G(x)_i y_i
 
 Trimmed experts have no factors and contribute through the base path only.
-Dynamic pruning masks are recomputed per batch and never stored. Parameter
-accounting routes nothing: the active census is arithmetic on a layer and
-the `RoutingTrace` of a forward already run through it (in `compress`, the
-compressed pass over the first `batch_size` calibration tokens).
+A compressed model is a `moe.MoEModel` whose layers are `CompressedLayer`s
+(a hybrid mixes them with dense `MoELayer`s); router, chain and head are the
+dense model's. Dynamic pruning masks are recomputed per batch and never
+stored. Parameter accounting routes nothing: the active census is
+arithmetic on a layer and the `RoutingTrace` of a forward already run
+through it (in `compress`, the compressed pass over the first `batch_size`
+calibration tokens).
 
 The forward runs token-major (see `moe`). The masked Up-base product
 (T, hidden) is computed once per batch. Filling the routed core's slot
@@ -31,8 +34,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .factorize import DeltaFactor
 from .linalg import as_matrix
-from .moe import (Role, RoutingTrace, _chained_forward, _checked_top_k, _layer_input, chained_head,
-                  routed_forward, silu)
+from .moe import MoEModel, Role, RoutingTrace, _chained_forward, _checked_top_k, routed_forward, silu
 from .pruning import PrunedBase, _active_positions, _column_sumsq
 
 
@@ -120,17 +122,6 @@ class CompressedLayer:
         return routed_forward(self, x, fill)
 
 
-@dataclass(frozen=True)
-class CompressedModel:
-    """Layer stack (compressed, or dense for hybrid probes) plus the head."""
-
-    layers: list  # CompressedLayer | MoELayer
-    head: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "head", chained_head(self.layers, self.head))
-
-
 def _base_path(layer: CompressedLayer, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Active Up positions, active Down positions and the masked Up-base
     product (T, hidden) for one checked token-major batch x (T, d_model).
@@ -146,15 +137,11 @@ def _base_path(layer: CompressedLayer, x: np.ndarray) -> tuple[np.ndarray, np.nd
     return up_pos, down_pos, u_base
 
 
-def compressed_forward(layer: CompressedLayer, x_batch) -> tuple[np.ndarray, RoutingTrace]:
-    """One compressed layer over a (d_model, T) batch, checked: (y (d_out, T), trace)."""
-    y, trace = layer.forward(_layer_input(layer, x_batch))
-    return y.T, trace
-
-
-def compressed_model_forward(model: CompressedModel, x_batch) -> tuple[np.ndarray, list[RoutingTrace]]:
+def compressed_model_forward(model: MoEModel, x_batch) -> tuple[np.ndarray, list[RoutingTrace]]:
     """Chained forward over one batch, then head logits; layers may be
-    compressed or dense. Returns (logits (num_classes, T), trace per layer)."""
+    compressed or dense. Returns (logits (num_classes, T), trace per layer).
+    The same pass as `moe.moe_forward_dense`, kept a function of its own so
+    that the compressed and the dense forward are told apart when traced."""
     h, traces = _chained_forward(model.layers, x_batch)
     return model.head @ h.T, traces
 

@@ -36,15 +36,15 @@ from d2moe.errors import (
     OverlappingPayloadError,
     TruncatedPayloadError,
 )
-from d2moe.factorize import vanilla_svd_compress, weighted_error, whitened_factors
+from d2moe.factorize import weighted_error, whitened_factors
 from d2moe.fixtures import gen_fixture
-from d2moe.gradients import backward_logloss
 from d2moe.merge import weighted_merge
-from d2moe.moe import MoELayer, MoEModel, Role, moe_forward_dense, silu
+from d2moe.moe import MoELayer, MoEModel, Role, _chained_forward, moe_forward_dense, silu
 from d2moe.pipeline import (build_compressed_layer, compress, compute_layer_stats, evaluate,
                             layer_sensitivity_scan)
-from d2moe.pruning import static_metric, static_prune, dynamic_mask
-from d2moe.runtime import CompressedModel, compressed_model_forward, trim_deltas
+from d2moe.pruning import static_prune, dynamic_mask
+from d2moe.runtime import compressed_model_forward, trim_deltas
+from fisher_oracle import backward_logloss, static_metric, vanilla_svd_compress
 
 
 @contextmanager
@@ -258,7 +258,7 @@ def test_criterion_06_parameter_census_matches_formulas():
         layer = fx.model.layers[0]
         cfg0 = CompressionConfig()
         stats = compute_layer_stats(fx.model, fx.tokens, cfg0, labels=fx.labels)[0][0]
-        from d2moe.runtime import compressed_forward, param_report
+        from d2moe.runtime import param_report
         x_census = fx.tokens[:, :128]
         n = layer.n_experts
         m = layer.hidden * layer.d_model + layer.d_model * layer.hidden
@@ -266,7 +266,7 @@ def test_criterion_06_parameter_census_matches_formulas():
             for s in (0.0, 0.5):
                 cfg = dc_replace(cfg0, delta_ratio=p, sparsity=s)
                 built = build_compressed_layer(layer, stats, cfg).layer
-                rep = param_report(built, p, s, compressed_forward(built, x_census)[1])
+                rep = param_report(built, p, s, _chained_forward([built], x_census)[1][0])
                 # census recounted from the arrays themselves
                 stored = sum(built.base[r].kept.size for r in (Role.UP, Role.DOWN))
                 stored += sum(f[r].u.size + f[r].v.size
@@ -337,7 +337,7 @@ def test_criterion_08_trimming_degrades_gradually():
         freq = compute_layer_stats(fx.model, fx.tokens, cfg, labels=fx.labels)[0][0].frequency
         losses = []
         for t in range(fx.model.layers[0].n_experts + 1):
-            trimmed = CompressedModel(
+            trimmed = MoEModel(
                 layers=[trim_deltas(compressed.layers[0], freq, t)],
                 head=compressed.head)
             losses.append(evaluate(trimmed, fx.tokens, fx.labels).loss)

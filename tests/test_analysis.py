@@ -20,7 +20,6 @@ from d2moe.fixtures import gen_fixture
 from d2moe.linalg import blas_threads
 from d2moe.moe import MoELayer, MoEModel, Role, moe_forward_dense
 from d2moe.pipeline import evaluate, layer_sensitivity_scan
-from d2moe.runtime import CompressedModel
 
 
 def cka_oracle(w1, w2):
@@ -155,8 +154,8 @@ class TestSensitivityScan:
             want = []
             for l, layer in enumerate(fx.model.layers):
                 probe = pipeline.build_compressed_layer(layer, stats[l], cfg, l).layer
-                hybrid = CompressedModel(layers=[*fx.model.layers[:l], probe, *fx.model.layers[l + 1:]],
-                                         head=fx.model.head)
+                hybrid = MoEModel(layers=[*fx.model.layers[:l], probe, *fx.model.layers[l + 1:]],
+                                  head=fx.model.head)
                 losses, _ = pipeline._forward_chunks(hybrid, x, labels, batch_size)
                 want.append(pipeline._batch_mean(losses, batch_size) - baseline)
         assert profile.baseline_loss == baseline

@@ -155,6 +155,55 @@ class TestCompressEval:
         assert "calibration tokens rows 12 != d_model 16" in capsys.readouterr().err
 
 
+class TestContainerKinds:
+    """Each command reads only the container kinds it runs on: another kind
+    as --model or --calib exits 2 with one line naming the rule, and
+    nothing is written."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, workdir, tmp_path_factory):
+        root = tmp_path_factory.mktemp("kinds")
+        assert main(["compress", "--model", str(workdir / "model.d2m"), "--calib", str(workdir / "calib.d2m"),
+                     "--merge", "mean", "--out", str(root / "compressed.d2m"),
+                     "--report", str(root / "compressed.jsonl")]) == EXIT_OK
+        return {"dense": workdir / "model.d2m", "compressed": root / "compressed.d2m",
+                "calibration": workdir / "calib.d2m"}
+
+    @staticmethod
+    def run(command, model, calib, out, capsys):
+        """Exit code and stderr of `command` on the `model` and `calib` containers."""
+        outputs = {"compress": ["--out", str(out / "o.d2m"), "--report", str(out / "r.jsonl")],
+                   "calibrate": ["--out", str(out / "c.csv")], "eval": [],
+                   "cka": ["--out-dir", str(out / "an"), "--cka"],
+                   "sensitivity": ["--out-dir", str(out / "an"), "--sensitivity"],
+                   "frontier": ["--out-dir", str(out / "an"), "--frontier", "0.5"]}[command]
+        name = "analyze" if command in ("cka", "sensitivity", "frontier") else command
+        capsys.readouterr()
+        rc = main([name, "--model", str(model), "--calib", str(calib), *outputs])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["compressed", "calibration"])
+    @pytest.mark.parametrize("command", ["compress", "calibrate", "cka"])
+    def test_dense_model_commands_reject_other_model_kinds(self, paths, tmp_path, capsys, command, kind):
+        rc, err = self.run(command, paths[kind], paths["calibration"], tmp_path, capsys)
+        assert rc == EXIT_CONFIG
+        assert err == f"error: {paths[kind]} is not a dense model container\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_eval_rejects_calibration_as_the_model(self, paths, tmp_path, capsys):
+        rc, err = self.run("eval", paths["calibration"], paths["calibration"], tmp_path, capsys)
+        assert rc == EXIT_CONFIG
+        assert err == f"error: {paths['calibration']} holds calibration data, not a model\n"
+
+    @pytest.mark.parametrize("kind", ["dense", "compressed"])
+    @pytest.mark.parametrize("command", ["compress", "calibrate", "eval", "sensitivity", "frontier"])
+    def test_calib_must_be_a_calibration_container(self, paths, tmp_path, capsys, command, kind):
+        rc, err = self.run(command, paths["dense"], paths[kind], tmp_path, capsys)
+        assert rc == EXIT_CONFIG
+        assert err == f"error: {paths[kind]} is not a calibration container\n"
+        assert not list(tmp_path.iterdir())
+
+
 class TestNumpyOnlyRuntime:
     def test_no_scipy_module_is_loaded(self, tmp_path):
         """A fresh interpreter imports the package and runs gen-fixture,
@@ -366,6 +415,27 @@ class TestAnalyze:
         assert rc == EXIT_CONFIG
         assert "--frontier expects comma-separated ratios" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())  # rejected before any table is written
+
+    @pytest.mark.parametrize("tables", [["--sensitivity"], ["--cka", "--frontier", "0.5", "--sensitivity"]],
+                             ids=["sensitivity", "all-three"])
+    @pytest.mark.parametrize("limits, message", [(["--budget", "2"], "infeasible budget 2.0"),
+                                                 (["--p-min", "0"], "p_min must be in (0, 1]")],
+                             ids=["budget", "p-min"])
+    def test_bad_allocation_limits_fail_before_the_scan(self, workdir, tmp_path, capsys, monkeypatch,
+                                                        tables, limits, message):
+        """--budget and --p-min are checked before anything is calibrated or
+        built, and the out-dir is not made."""
+        calls = []
+        for name in ("compute_layer_stats", "build_compressed_layer"):
+            real = getattr(pipeline, name)
+            monkeypatch.setattr(pipeline, name,
+                                lambda *a, _name=name, _real=real, **k: calls.append(_name) or _real(*a, **k))
+        rc = main(["analyze", "--model", str(workdir / "model.d2m"), "--calib", str(workdir / "calib.d2m"),
+                   "--out-dir", str(tmp_path / "an"), *tables, *limits])
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "an").exists()
 
 
 GOOD_PARAMS = {"n": 4, "m": 768, "k_top": 2, "p": 0.5, "s": 0.4,
@@ -780,6 +850,17 @@ class TestExtremeContainers:
             assert len(captured.err.splitlines()) == 1
             assert captured.err.startswith("error: ") and message in captured.err
             assert written == []
+            assert not (tmp_path / "an").exists()
+
+    @pytest.mark.parametrize("container", list(EXPECTED))
+    def test_a_failing_table_leaves_no_earlier_one(self, containers, tmp_path, capsys, container):
+        """cka.csv is computed first and succeeds; the frontier then fails,
+        and neither the table nor the out-dir is written."""
+        argv = self.argv(containers, tmp_path, container, "frontier")
+        code, message = self.EXPECTED[container]["frontier"]
+        assert main([*argv, "--cka"]) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "an").exists()
 
     @pytest.mark.parametrize("command", ["eval", "compress-mean"])
     def test_one_stderr_line_from_the_command(self, containers, tmp_path, command):

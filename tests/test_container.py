@@ -42,12 +42,12 @@ from d2moe.errors import (
     TruncatedPayloadError,
 )
 from d2moe import container
-from d2moe.factorize import vanilla_svd_compress
 from d2moe.fixtures import gen_fixture
 from d2moe.merge import weighted_merge
-from d2moe.moe import MoELayer, MoEModel, Role, moe_forward_dense
-from d2moe.pruning import static_metric, static_prune
-from d2moe.runtime import CompressedLayer, CompressedModel, compressed_forward
+from d2moe.moe import MoELayer, MoEModel, Role, _chained_forward, moe_forward_dense
+from d2moe.pruning import static_prune
+from d2moe.runtime import CompressedLayer
+from fisher_oracle import static_metric, vanilla_svd_compress
 
 
 def craft(path, manifest: bytes, payload: bytes = b"", magic: bytes = MAGIC,
@@ -87,7 +87,7 @@ def make_compressed(seed=1, s=0.5, trimmed=(2,)):
             base={Role.UP: static_prune(base_up, static_metric(base_up, x), s),
                   Role.DOWN: static_prune(base_down, np.arange(7.0), s)},
             deltas=deltas, top_k=layer.top_k))
-    return CompressedModel(layers=comp_layers, head=model.head), rng
+    return MoEModel(layers=comp_layers, head=model.head), rng
 
 
 def whole_file_save(path, tensors):
@@ -429,17 +429,26 @@ class TestModelSerialization:
         assert reloaded.layers[0].trimmed == (2,)
         assert reloaded.layers[0].base[Role.UP].target_sparsity == 0.5
         x = rng.normal(size=(5, 15))
-        ref, _ = compressed_forward(model.layers[0], x)
-        got, _ = compressed_forward(reloaded.layers[0], x)
+        ref = _chained_forward([model.layers[0]], x)[0]
+        got = _chained_forward([reloaded.layers[0]], x)[0]
         assert np.array_equal(ref, got)
 
     def test_hybrid_model_not_serialized(self, tmp_path):
         dense, _ = make_model()
         comp, _ = make_compressed()
-        hybrid = CompressedModel(layers=[comp.layers[0], dense.layers[1]],
-                                 head=dense.head)
+        hybrid = MoEModel(layers=[comp.layers[0], dense.layers[1]], head=dense.head)
         with pytest.raises(ParameterError):
             save_compressed_model(tmp_path / "h.bin", hybrid)
+
+    @pytest.mark.parametrize("kind, bad", [("compressed", 0), ("hybrid", 1)])
+    def test_save_model_rejects_a_layer_that_is_not_dense(self, tmp_path, kind, bad):
+        dense, _ = make_model()
+        comp, _ = make_compressed()
+        layers = comp.layers if kind == "compressed" else [dense.layers[0], comp.layers[1]]
+        with pytest.raises(ParameterError, match=f"layer {bad} is not dense; save_model "
+                                                 "serializes dense models only"):
+            save_model(tmp_path / "m.bin", MoEModel(layers=layers, head=dense.head))
+        assert not (tmp_path / "m.bin").exists()
 
     def test_load_any_dispatches_on_kind(self, tmp_path):
         model, rng = make_model()
@@ -449,7 +458,9 @@ class TestModelSerialization:
         save_calibration(tmp_path / "x.bin", rng.normal(size=(4, 8)),
                          np.arange(8) % 3)
         assert isinstance(load_any(tmp_path / "m.bin"), MoEModel)
-        assert isinstance(load_any(tmp_path / "c.bin"), CompressedModel)
+        loaded = load_any(tmp_path / "c.bin")
+        assert isinstance(loaded, MoEModel)
+        assert all(isinstance(layer, CompressedLayer) for layer in loaded.layers)
         tokens, labels = load_any(tmp_path / "x.bin")
         assert tokens.shape == (4, 8)
         assert labels.shape == (8,)

@@ -19,7 +19,6 @@ from d2moe.errors import ConfigError, NumericalError, ParameterError, ShapeError
 from d2moe.factorize import (
     DeltaFactor,
     rank_for_ratio,
-    vanilla_svd_compress,
     weighted_error,
     whitened_factors,
 )
@@ -27,6 +26,7 @@ from d2moe.fixtures import gen_fixture
 from d2moe.linalg import blas_threads, cholesky_damped
 from d2moe.moe import Role
 from d2moe.pipeline import compute_layer_stats, merge_role
+from fisher_oracle import vanilla_svd_compress
 
 
 def make_case(seed, m=6, n=6, t=40):

@@ -11,8 +11,9 @@ and the helper guards against that by checking the selected sets match at x.
 oracle: a per-token forward cache and a loop over the selected experts,
 independent of `gradients._reverse_sweep`. `per_token_fisher` is the slow path
 the batched closed-form Fisher replaced: one forward and one legacy backward
-per token, labels drawn with one `rng.choice` per token. `backward_logloss`
-and the batched Fisher must match them to 1e-12 of each block's maximum,
+per token, labels drawn with one `rng.choice` per token.
+`fisher_oracle.backward_logloss`, the package's capture and reverse sweep
+run on one token, and the batched Fisher must match them to 1e-12 of each block's maximum,
 with the same exact zeros and the same sampled labels. The batched Fisher
 blocks are read through `fisher_oracle.fisher_stacks`, which adds what
 `fisher_accumulate` hands over into zero stacks; `compute_layer_stats`
@@ -27,12 +28,12 @@ import pytest
 from d2moe.config import CompressionConfig
 from d2moe.errors import NumericalError, ParameterError
 from d2moe.fixtures import gen_fixture
-from d2moe.gradients import GradientSet, _draw_labels, backward_logloss
+from d2moe.gradients import _draw_labels
 from d2moe.merge import weighted_merge
-from d2moe.moe import (MoELayer, MoEModel, Role, _softmax, moe_forward_dense,
+from d2moe.moe import (MoELayer, MoEModel, Role, _chained_forward, _softmax, moe_forward_dense,
                        route_batch, silu, silu_grad)
 from d2moe.pipeline import compress, compute_layer_stats
-from fisher_oracle import fisher_stacks
+from fisher_oracle import GradientSet, backward_logloss, fisher_stacks
 
 H = 1e-5
 
@@ -239,15 +240,13 @@ class TestBackward:
 
     def test_head_gradient_softmax_identity(self):
         """Head gradient equals outer(onehot(y) - softmax(logits), final hidden)."""
-        from d2moe.moe import layer_forward_dense
-
         model = make_model(5, layers=1)
         rng = np.random.default_rng(103)
         x = rng.normal(size=4)
         y = 2
         h = x[:, None]
         for layer in model.layers:
-            h, _ = layer_forward_dense(layer, h)
+            h = _chained_forward([layer], h)[0].T
         z = model.head @ h[:, 0]
         p = np.exp(z - z.max())
         p /= p.sum()

@@ -10,7 +10,6 @@ import pytest
 
 from d2moe import linalg
 from d2moe.errors import NotPositiveDefiniteError, ParameterError, ShapeError
-from d2moe.factorize import vanilla_svd_compress
 from d2moe.linalg import (
     PackedGrams,
     as_gram,
@@ -20,6 +19,7 @@ from d2moe.linalg import (
     cholesky_damped,
     first_nonzero_negative,
 )
+from fisher_oracle import vanilla_svd_compress
 
 
 def split_sigma(f):

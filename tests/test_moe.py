@@ -18,9 +18,9 @@ from d2moe.moe import (
     MoELayer,
     MoEModel,
     Role,
+    _chained_forward,
     capture_calibration,
     expert_frequency,
-    layer_forward_dense,
     moe_forward_dense,
     route_batch,
     routed_forward,
@@ -119,7 +119,7 @@ class TestLayerValidation:
         layer = MoELayer(gate=np.ones((3, 4)), weights={Role.UP: UP, Role.DOWN: DOWN},
                          top_k=np.int32(2))
         assert type(layer.top_k) is int and layer.top_k == 2
-        assert layer_forward_dense(layer, np.ones((4, 2)))[0].shape == (4, 2)
+        assert _chained_forward([layer], np.ones((4, 2)))[0].T.shape == (4, 2)
 
 
 class TestGating:
@@ -303,7 +303,7 @@ class TestDenseForward:
         rng = np.random.default_rng(4)
         layer = make_layer(rng, 1, 3, 6, 3, top_k=1)
         x = rng.normal(size=(3, 5))
-        y, _ = layer_forward_dense(layer, x)
+        y = _chained_forward([layer], x)[0].T
         expected = layer.weights[Role.DOWN][0] @ silu(layer.weights[Role.UP][0] @ x)
         np.testing.assert_allclose(y, expected, atol=1e-14)
 
@@ -314,7 +314,7 @@ class TestDenseForward:
                          weights={Role.UP: np.stack([up] * 4), Role.DOWN: np.stack([down] * 4)},
                          top_k=2)
         x = rng.normal(size=(3, 7))
-        y, _ = layer_forward_dense(layer, x)
+        y = _chained_forward([layer], x)[0].T
         np.testing.assert_allclose(y, down @ silu(up @ x), atol=1e-12)
 
     def test_scalar_loop_oracle(self):
@@ -345,7 +345,7 @@ class TestDenseForward:
         rng = np.random.default_rng(7)
         layer = make_layer(rng, 5, 4, 6, 4, top_k=2)
         x = rng.normal(size=(4, 40))
-        _, trace = layer_forward_dense(layer, x)
+        trace = _chained_forward([layer], x)[1][0]
         counts = np.zeros(5, dtype=int)
         for row in trace.selected:
             for i in row:
@@ -357,7 +357,7 @@ class TestDenseForward:
         rng = np.random.default_rng(8)
         layer = make_layer(rng, 2, 3, 4, 3, top_k=1)
         with pytest.raises(ShapeError):
-            layer_forward_dense(layer, rng.normal(size=(4, 2)))
+            _chained_forward([layer], rng.normal(size=(4, 2)))
 
 
 class TestCalibrationCapture:
@@ -403,7 +403,7 @@ class TestCalibrationCapture:
                 np.testing.assert_allclose(st.grams[Role.UP][i], up_ref[i], atol=1e-10)
                 np.testing.assert_allclose(st.grams[Role.DOWN][i], down_ref[i], atol=1e-10)
                 assert (st.rows[i].size if i in st.rows else 0) == trace.counts[i]
-            h, _ = layer_forward_dense(layer, h)
+            h = _chained_forward([layer], h)[0].T
 
     def test_gram_symmetry_and_psd(self):
         rng = np.random.default_rng(11)
@@ -464,7 +464,7 @@ class TestCalibrationCapture:
                     assert i not in st.rows
                     continue
                 assert np.array_equal(st.rows[i], rows)
-            h, _ = layer_forward_dense(layer, h)
+            h = _chained_forward([layer], h)[0].T
 
 
 class TestExpertFrequency:
@@ -480,7 +480,7 @@ class TestExpertFrequency:
         rng = np.random.default_rng(14)
         layer = make_layer(rng, 4, 3, 5, 3, top_k=2)
         x = rng.normal(size=(3, 50))
-        _, trace = layer_forward_dense(layer, x)
+        trace = _chained_forward([layer], x)[1][0]
         freq = expert_frequency(trace.counts)
         np.testing.assert_allclose(freq, trace.counts / 100.0, atol=0)
         assert abs(freq.sum() - 1.0) <= 1e-12

@@ -24,7 +24,7 @@ from d2moe.config import CompressionConfig
 from d2moe.errors import ConfigError, ParameterError, ShapeError
 from d2moe.fixtures import gen_fixture
 from d2moe.linalg import blas_threads
-from d2moe.moe import MoELayer, MoEModel, Role, moe_forward_dense, silu
+from d2moe.moe import MoELayer, MoEModel, Role, _chained_forward, moe_forward_dense, silu
 from d2moe.pipeline import (
     EvalResult,
     build_compressed_layer,
@@ -39,7 +39,7 @@ from d2moe.pipeline import (
 )
 from d2moe.pruning import dynamic_mask
 from d2moe.report import dumps_report, read_report, strip_timings
-from d2moe.runtime import compressed_forward, compressed_model_forward
+from d2moe.runtime import compressed_model_forward
 
 
 def small_fixture(seed=0, tokens=192):
@@ -231,11 +231,12 @@ class TestCompress:
         np.testing.assert_array_equal(y1, y2)
 
     def test_separate_processes_write_identical_bytes(self, tmp_path):
-        """`d2moe compress --merge fisher` and `--merge mean` and `d2moe
-        analyze --sensitivity` on the default fixture, in two interpreters
-        with different hash seeds and OpenBLAS thread counts, write the same
-        containers, the same reports once timing records are removed, and
-        the same sensitivity.csv."""
+        """`d2moe compress --merge fisher` and `--merge mean`, `d2moe analyze
+        --sensitivity --frontier 0.25,0.5` and `d2moe calibrate` on the
+        default fixture, in two interpreters with different hash seeds and
+        OpenBLAS thread counts, write the same containers, the same reports
+        once timing records are removed, and the same sensitivity.csv,
+        frontier.csv and calibrate CSV."""
         assert main(["gen-fixture", "--out-model", str(tmp_path / "model.d2m"),
                      "--out-calib", str(tmp_path / "calib.d2m")]) == EXIT_OK
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -247,7 +248,9 @@ class TestCompress:
             "for merge in ('fisher', 'mean'):\n"
             "    assert main(['compress', *inputs, '--merge', merge,\n"
             "                 '--out', merge + '.d2m', '--report', merge + '.jsonl']) == 0\n"
-            "assert main(['analyze', *inputs, '--sensitivity', '--out-dir', '.']) == 0\n"
+            "assert main(['analyze', *inputs, '--sensitivity', '--frontier', '0.25,0.5',\n"
+            "             '--out-dir', '.']) == 0\n"
+            "assert main(['calibrate', *inputs, '--out', 'calibrate.csv']) == 0\n"
         )
         outputs = []
         for hash_seed, blas_threads in (("1", "1"), ("2", "2")):
@@ -259,7 +262,8 @@ class TestCompress:
                 [sys.executable, "-c", script, str(tmp_path / "model.d2m"), str(tmp_path / "calib.d2m")],
                 cwd=out, env=env, capture_output=True, text=True, timeout=300)
             assert proc.returncode == EXIT_OK, proc.stderr
-            files = {"sensitivity.csv": (out / "sensitivity.csv").read_bytes()}
+            files = {name: (out / name).read_bytes()
+                     for name in ("sensitivity.csv", "frontier.csv", "calibrate.csv")}
             for merge in ("fisher", "mean"):
                 files[f"{merge}.d2m"] = (out / f"{merge}.d2m").read_bytes()
                 report = strip_timings(read_report(out / f"{merge}.jsonl"))
@@ -359,7 +363,7 @@ class TestCompress:
             want = layer.hidden * active_up.size + layer.d_out * active_down.size + factors / h.shape[1]
             assert len(rec.trimmed) == 3
             assert rec.params.census_active_per_token == want
-            h, _ = compressed_forward(layer, h)
+            h = _chained_forward([layer], h)[0].T
 
     def test_data_label_fisher_requires_labels(self):
         fx = small_fixture()

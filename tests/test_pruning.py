@@ -11,17 +11,17 @@ import pytest
 
 from d2moe.container import container_load, load_compressed_model, save_compressed_model
 from d2moe.errors import ParameterError, ShapeError
-from d2moe.moe import Role, _layer_input
+from d2moe.moe import MoEModel, Role, _layer_input
 from d2moe.pruning import (
     PrunedBase,
     _active_positions,
     _column_sumsq,
     dynamic_mask,
-    static_metric,
     static_metric_from_gram,
     static_prune,
 )
-from d2moe.runtime import CompressedLayer, CompressedModel, _base_path
+from d2moe.runtime import CompressedLayer, _base_path
+from fisher_oracle import static_metric
 
 
 def drop_oracle(metric, ids, quota):
@@ -247,7 +247,7 @@ class TestColumnNorms:
             base[role] = static_prune(w, static_metric(w, rng.normal(size=(w.shape[1], 40))), 0.4)
         layer = CompressedLayer(gate=rng.normal(size=(3, d)), base=base, deltas={}, top_k=2)
         save_compressed_model(tmp_path / "c.d2m",
-                              CompressedModel(layers=[layer], head=rng.normal(size=(2, d))))
+                              MoEModel(layers=[layer], head=rng.normal(size=(2, d))))
         loaded = load_compressed_model(container_load(tmp_path / "c.d2m")).layers[0]
         for role in (Role.UP, Role.DOWN):
             kept = loaded.base[role]

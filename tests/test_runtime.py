@@ -24,21 +24,20 @@ from d2moe.config import CompressionConfig
 from d2moe.errors import ConfigError, ParameterError, ShapeError
 from d2moe.factorize import rank_for_ratio, whitened_factors
 from d2moe.merge import weighted_merge
-from d2moe.moe import (MoELayer, MoEModel, Role, RoutingTrace, _layer_input, layer_forward_dense,
+from d2moe.moe import (MoELayer, MoEModel, Role, RoutingTrace, _chained_forward, _layer_input,
                        moe_forward_dense, route_batch, routed_forward, silu)
-from d2moe.pruning import _active_positions, static_metric, static_prune
+from d2moe.pruning import _active_positions, static_prune
 from d2moe.runtime import (
     CompressedLayer,
-    CompressedModel,
     _base_path,
     census_active_params,
     census_static_params,
     closed_form_params,
-    compressed_forward,
     compressed_model_forward,
     param_report,
     trim_deltas,
 )
+from fisher_oracle import static_metric
 
 
 def make_dense_layer(rng, n_experts=4, d=6, hidden=8, top_k=2):
@@ -115,7 +114,8 @@ class TestCompressedForward:
         x = rng.normal(size=(6, 40))
         layer = compress_by_hand(dense, x, p=0.5, s=0.5, trimmed=(3,))
         batch = rng.normal(size=(6, 25))
-        y, trace = compressed_forward(layer, batch)
+        h, (trace,) = _chained_forward([layer], batch)
+        y = h.T
         np.testing.assert_allclose(y, forward_oracle(layer, batch), atol=1e-10)
         np.testing.assert_array_equal(
             trace.counts, np.bincount(trace.selected.ravel(), minlength=4))
@@ -126,8 +126,9 @@ class TestCompressedForward:
         x = rng.normal(size=(6, 40))
         layer = compress_by_hand(dense, x, s=0.0, lossless=True)
         batch = rng.normal(size=(6, 30))
-        y_ref, trace_ref = layer_forward_dense(dense, batch)
-        y, trace = compressed_forward(layer, batch)
+        h_ref, (trace_ref,) = _chained_forward([dense], batch)
+        h, (trace,) = _chained_forward([layer], batch)
+        y_ref, y = h_ref.T, h.T
         np.testing.assert_allclose(y, y_ref, atol=1e-7)
         np.testing.assert_array_equal(trace.selected, trace_ref.selected)
         np.testing.assert_allclose(trace.weights, trace_ref.weights, atol=1e-12)
@@ -139,7 +140,7 @@ class TestCompressedForward:
         model = MoEModel(layers=layers, head=rng.normal(size=(3, 6)))
         x = rng.normal(size=(6, 40))
         compressed0 = compress_by_hand(layers[0], x, s=0.0, lossless=True)
-        hybrid = CompressedModel(layers=[compressed0, layers[1]], head=model.head)
+        hybrid = MoEModel(layers=[compressed0, layers[1]], head=model.head)
         logits_ref, _ = moe_forward_dense(model, x[:, :20])
         logits, traces = compressed_model_forward(hybrid, x[:, :20])
         np.testing.assert_allclose(logits, logits_ref, atol=1e-7)
@@ -150,7 +151,7 @@ class TestCompressedForward:
         dense = make_dense_layer(rng)
         x = rng.normal(size=(6, 40))
         layer = compress_by_hand(dense, x, s=0.4, trimmed=(0, 1, 2, 3))
-        y, _ = compressed_forward(layer, rng.normal(size=(6, 10)))
+        y = _chained_forward([layer], rng.normal(size=(6, 10)))[0].T
         assert np.all(np.isfinite(y))
 
     def test_batch_dim_checked(self):
@@ -158,7 +159,7 @@ class TestCompressedForward:
         dense = make_dense_layer(rng)
         layer = compress_by_hand(dense, rng.normal(size=(6, 40)))
         with pytest.raises(ShapeError):
-            compressed_forward(layer, rng.normal(size=(7, 10)))
+            _chained_forward([layer], rng.normal(size=(7, 10)))
 
 
 def legacy_routed_forward(layer, x, fill_slots):
@@ -246,7 +247,7 @@ def oracle_model(top_k, seed=11, d=12, hidden=16, n_experts=6):
     layers = [compress_by_hand(dense[0], x, p=0.4, s=0.5, trimmed=(1, 4)), dense[1],
               compress_by_hand(dense[2], x, p=0.4, s=0.0),
               compress_by_hand(dense[3], x, p=0.6, s=0.3)]
-    return CompressedModel(layers=layers, head=rng.normal(size=(5, d))), rng
+    return MoEModel(layers=layers, head=rng.normal(size=(5, d))), rng
 
 
 def assert_same_trace(got, want):
@@ -403,15 +404,16 @@ class TestColumnMajorOracle:
             h, h_col = x, np.ascontiguousarray(x)
             for layer, trace in zip(model.layers, traces, strict=True):
                 if isinstance(layer, MoELayer):
-                    h, got = layer_forward_dense(layer, h)
+                    h, (got,) = _chained_forward([layer], h)
                     h_col, want = colmajor_layer_forward_dense(layer, h_col)
                 else:
                     active = active_columns(layer, h)
                     up_pos, down_pos, _ = colmajor_base_path(layer, h_col)
                     np.testing.assert_array_equal(active[Role.UP], layer.base[Role.UP].kept_col_ids[up_pos])
                     np.testing.assert_array_equal(active[Role.DOWN], layer.base[Role.DOWN].kept_col_ids[down_pos])
-                    h, got = compressed_forward(layer, h)
+                    h, (got,) = _chained_forward([layer], h)
                     h_col, want = colmajor_compressed_forward(layer, h_col)
+                h = h.T
                 for t in (trace, got):
                     np.testing.assert_array_equal(t.selected, want.selected)
                     np.testing.assert_array_equal(t.counts, want.counts)
@@ -461,7 +463,7 @@ class TestPerCallOverhead:
         layers = [compress_by_hand(make_dense_layer(rng, n_experts=6, d=12, hidden=16), x,
                                    p=0.5, s=0.5, trimmed=(2,))
                   for _ in range(4)]
-        model = CompressedModel(layers=layers, head=rng.normal(size=(3, 12)))
+        model = MoEModel(layers=layers, head=rng.normal(size=(3, 12)))
         batch_x = rng.normal(size=(12, batch))
         names = self.count_scans(monkeypatch)
         compressed_model_forward(model, batch_x)
@@ -474,8 +476,8 @@ class TestPerCallOverhead:
         x = rng.normal(size=(12, 60))
         dense = make_dense_layer(rng, n_experts=6, d=12, hidden=16)
         layer = compress_by_hand(dense, x, p=0.5, s=0.5)
-        for forward, owner in ((layer_forward_dense, dense), (compressed_forward, layer)):
-            y, _ = forward(owner, x[:, :7])
+        for owner in (dense, layer):
+            y = _chained_forward([owner], x[:, :7])[0].T
             assert y.shape == (12, 7) and y.T.flags.c_contiguous
             assert np.shares_memory(_layer_input(layer, y), y)
             assert not np.shares_memory(_layer_input(layer, x[:, :7]), x)
@@ -484,8 +486,8 @@ class TestPerCallOverhead:
 class TestChainedForward:
     """`moe_forward_dense` and `compressed_model_forward` check the batch once
     and run every layer token-major. The path they replaced stays here as
-    the oracle: one checked one-layer call per layer (`layer_forward_dense`
-    or `compressed_forward`, by layer type), chained by hand."""
+    the oracle: one checked one-layer call per layer (`_chained_forward` of
+    that layer alone), chained by hand."""
 
     @staticmethod
     def models():
@@ -496,16 +498,16 @@ class TestChainedForward:
                   for i, layer in enumerate(dense)]
         head = rng.normal(size=(5, 12))
         return {"dense": MoEModel(layers=dense, head=head),
-                "compressed": CompressedModel(layers=packed, head=head),
-                "hybrid": CompressedModel(layers=[dense[0], packed[1], dense[2]], head=head),
-                "probe": CompressedModel(layers=[packed[1], dense[2]], head=head)}, rng
+                "compressed": MoEModel(layers=packed, head=head),
+                "hybrid": MoEModel(layers=[dense[0], packed[1], dense[2]], head=head),
+                "probe": MoEModel(layers=[packed[1], dense[2]], head=head)}, rng
 
     @staticmethod
     def hand_chained(model, x):
         h, traces = x, []
         for layer in model.layers:
-            forward = layer_forward_dense if isinstance(layer, MoELayer) else compressed_forward
-            h, trace = forward(layer, h)
+            h, (trace,) = _chained_forward([layer], h)
+            h = h.T
             traces.append(trace)
         return model.head @ h, traces
 
@@ -524,6 +526,11 @@ class TestChainedForward:
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
                     for trace, want_trace in zip(traces, want_traces, strict=True):
                         assert_same_trace(trace, want_trace)
+
+    def test_the_two_model_forwards_are_two_functions(self):
+        """A tracer that wraps functions by identity tells the dense and the
+        compressed forward apart only if they are not one object."""
+        assert moe_forward_dense is not compressed_model_forward
 
     def test_a_chained_forward_checks_its_input_once(self, monkeypatch):
         """Layer 0 checks the batch; no later layer re-checks its input."""
@@ -651,7 +658,7 @@ class TestCensus:
         k_up = rank_for_ratio(8, 6, 0.5)
         k_down = rank_for_ratio(6, 8, 0.5)
         expected = 8 * 3 + 6 * 4 + (8 + 6) * k_up + (6 + 8) * k_down
-        assert census_active_params(layer, compressed_forward(layer, batch)[1]) == pytest.approx(expected)
+        assert census_active_params(layer, _chained_forward([layer], batch)[1][0]) == pytest.approx(expected)
 
     def test_census_equals_formula_on_divisible_config(self):
         """d = hidden = 32, p = 0.5, s = 0.5 make every floor exact, so the
@@ -660,7 +667,7 @@ class TestCensus:
         dense = make_dense_layer(rng, n_experts=4, d=32, hidden=32, top_k=2)
         x = rng.normal(size=(32, 48))
         layer = compress_by_hand(dense, x, p=0.5, s=0.5)
-        report = param_report(layer, 0.5, 0.5, compressed_forward(layer, rng.normal(size=(32, 16)))[1])
+        report = param_report(layer, 0.5, 0.5, _chained_forward([layer], rng.normal(size=(32, 16)))[1][0])
         assert report.m == 2048
         assert report.census_static == report.compressed_static
         assert report.census_active_per_token == report.compressed_active
@@ -674,8 +681,8 @@ class TestCensus:
             CompressedLayer(gate=layer.gate, base={Role.UP: layer.base[Role.UP]},
                             deltas={}, top_k=1)
         with pytest.raises(ShapeError):
-            census_active_params(layer, layer_forward_dense(make_dense_layer(rng, n_experts=3),
-                                                            rng.normal(size=(6, 4)))[1])
+            census_active_params(layer, _chained_forward([make_dense_layer(rng, n_experts=3)],
+                                                         rng.normal(size=(6, 4)))[1][0])
 
     @pytest.mark.parametrize("top_k", [1.5, 2.0, True, np.bool_(True), "2", None, 0, 5, np.int64(5)],
                              ids=repr)
@@ -691,4 +698,4 @@ class TestCensus:
         again = dataclasses.replace(layer, top_k=np.int64(2))
         assert type(again.top_k) is int and again.top_k == 2
         x = rng.normal(size=(6, 3))
-        assert np.array_equal(compressed_forward(again, x)[0], compressed_forward(layer, x)[0])
+        assert np.array_equal(_chained_forward([again], x)[0], _chained_forward([layer], x)[0])
